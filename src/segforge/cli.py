@@ -10,6 +10,7 @@ the network unless --allow-network (or --backend live) is given.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -329,9 +330,10 @@ def cmd_export(args) -> int:
     out = Path(args.out)
     if not out.is_absolute():
         out = run_dir / out
-    store.export_csv(out)
+    with store.export_csv(out).open(newline="", encoding="utf-8") as fh:
+        rows = sum(1 for _ in csv.reader(fh)) - 1  # data rows, not the header
     _update_manifest(run_dir, [out])
-    print(json.dumps({"rows": len(store), "path": str(out)}, indent=2, sort_keys=True))
+    print(json.dumps({"rows": rows, "path": str(out)}, indent=2, sort_keys=True))
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
 from html.parser import HTMLParser
@@ -129,15 +130,13 @@ class _TextAssembler:
         self.break_para()
         return self._len + (2 if self._len else 0)
 
-    def last_line(self, window: int = 400) -> str:
-        tail = "".join(self._buf)[-window:]
-        for line in reversed(tail.splitlines()):
-            if line.strip():
-                return line.strip()
-        return ""
-
     def tail(self, window: int = 500) -> str:
-        return "".join(self._buf)[-window:]
+        """The last ``window`` (> 0) characters, joining only the pieces they span."""
+        first, size = len(self._buf), 0
+        while first and size < window:
+            first -= 1
+            size += len(self._buf[first])
+        return "".join(self._buf[first:])[-window:]
 
     def finish(self) -> str:
         self._commit()
@@ -405,7 +404,7 @@ def parse_text(raw: str, media_kind: str = "html", ref: FilingRef | None = None)
         items = {}
 
     for table in tables:
-        table.item = _containing_item(items, front, table.char_start)
+        table.item = _containing_item(items, table.char_start)
 
     return ParsedFiling(
         ref=ref,
@@ -432,12 +431,10 @@ def _caption_before(full_text: str, pos: int, window: int = 400) -> str:
     return ""
 
 
-def _containing_item(items: dict[str, Section], front: Section, pos: int) -> str:
+def _containing_item(items: dict[str, Section], pos: int) -> str:
     for number, section in items.items():
         if section.start <= pos < section.end:
             return number
-    if front.start <= pos < front.end:
-        return UNASSIGNED
     return UNASSIGNED
 
 
@@ -582,16 +579,21 @@ def locate_segment_regions(parsed: ParsedFiling) -> list[SegmentRegion]:
 
 
 def _signal_hits(text: str) -> list[tuple[int, int, float]]:
+    """Sorted, disjoint ``(start, end, weight)`` matches; earlier ``_SIGNALS`` win.
+
+    A match that overlaps an accepted span is dropped. Accepted spans are
+    disjoint, so only the one starting last before the match's end can overlap it.
+    """
+    starts: list[int] = []
     taken: list[tuple[int, int, float]] = []
-    covered: list[tuple[int, int]] = []
     for pattern, weight in _SIGNALS:
         for match in pattern.finditer(text):
-            span = (match.start(), match.end())
-            if any(span[0] < e and span[1] > s for s, e in covered):
+            start, end = match.span()
+            i = bisect_left(starts, end)
+            if i and taken[i - 1][1] > start:
                 continue
-            covered.append(span)
-            taken.append((span[0], span[1], weight))
-    taken.sort()
+            starts.insert(i, start)
+            taken.insert(i, (start, end, weight))
     return taken
 
 

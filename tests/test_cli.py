@@ -260,8 +260,10 @@ class TestEvalAndExport:
         code, out, _ = invoke(capsys, ["export", *base, "--out", "segments.csv"])
         assert code == 0
         payload = json.loads(out)
-        assert payload["rows"] == 1
         text = (run_dir / "segments.csv").read_text(encoding="utf-8")
+        data_lines = len(text.splitlines()) - 1
+        assert data_lines > 1  # one bundle, several (record, measure) rows
+        assert payload["rows"] == data_lines
         header = text.splitlines()[0]
         assert header == "cik,fiscal_year,name,axis,parent_name,measure_kind,value,scale"
         assert "Singapore" in text

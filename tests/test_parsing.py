@@ -10,8 +10,11 @@ from __future__ import annotations
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import paperdata
+from segforge import parsing
 from segforge.errors import EmptyDocumentError, NoItemsFoundError
 from segforge.parsing import (
     UNASSIGNED,
@@ -26,6 +29,7 @@ from segforge.parsing import (
     parse_text,
     to_json,
 )
+from segforge.retrieval import build_index
 from segforge.values import Scale
 
 FIXTURE_NAMES = ["apple", "adobe"] + [f"avy{y}" for y in sorted(paperdata.AVY_TABLE3)]
@@ -390,3 +394,87 @@ class TestSerialization:
         cells = restored.tables[0].numeric_cells
         assert cells[(0, 1)].value == Decimal("167045")
         assert isinstance(cells[(0, 1)].value, Decimal)
+
+
+def reference_signal_hits(text: str) -> list[tuple[int, int, float]]:
+    """The original pairwise scan: each match is tested against every accepted one.
+
+    Quadratic in hits per section, but obviously right; it is the oracle for
+    the sorted sweep in ``parsing._signal_hits``.
+    """
+    taken: list[tuple[int, int, float]] = []
+    covered: list[tuple[int, int]] = []
+    for pattern, weight in parsing._SIGNALS:
+        for match in pattern.finditer(text):
+            span = (match.start(), match.end())
+            if any(span[0] < e and span[1] > s for s, e in covered):
+                continue
+            covered.append(span)
+            taken.append((span[0], span[1], weight))
+    taken.sort()
+    return taken
+
+
+# Words of every signal phrase plus near misses; joined with no space, they
+# form run-together overlaps such as "segmentsegment" or "asc280".
+_SIGNAL_WORDS = ["reportable", "operating", "segment", "segments", "information",
+                 "reporting", "asc", "topic", "280", "sfas", "no.", "no", "131",
+                 "segmentsegment", "the", "x"]
+_GAPS = ["", " ", "  ", "\n", "\t ", "\n\n", ", "]
+
+
+@st.composite
+def _signal_text(draw) -> str:
+    words = draw(st.lists(st.sampled_from(_SIGNAL_WORDS), max_size=40))
+    out = []
+    for word in words:
+        upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+        out.append("".join(c.upper() if u else c for c, u in zip(word, upper)))
+        out.append(draw(st.sampled_from(_GAPS)))
+    return "".join(out)
+
+
+class TestSignalSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(_signal_text())
+    @example("reportable segmentsegment information ASC 280 segments")
+    @example("Operating  Segments\nsegment reporting TOPIC280 sfas No. 131 sfas131")
+    @example("")
+    def test_equals_reference(self, text):
+        assert parsing._signal_hits(text) == reference_signal_hits(text)
+
+    def test_fixture_sections_equal_reference(self, parsed_filings):
+        for name in FIXTURE_NAMES:
+            for section in parsed_filings[name].sections():
+                assert parsing._signal_hits(section.text) == reference_signal_hits(section.text)
+
+    def test_regions_and_index_unchanged_on_fixtures(self, parsed_filings, monkeypatch):
+        filings = [parsed_filings[name] for name in FIXTURE_NAMES]
+        regions = [locate_segment_regions(parsed) for parsed in filings]
+        index = build_index(filings)
+        assert any(regions) and any(chunk.is_segment_region for chunk in index.chunks)
+        monkeypatch.setattr(parsing, "_signal_hits", reference_signal_hits)
+        assert [locate_segment_regions(parsed) for parsed in filings] == regions
+        assert build_index(filings) == index
+
+
+_ASSEMBLER_OPS = st.lists(
+    st.one_of(
+        st.text(alphabet="ab \n\t", max_size=12).map(lambda t: ("add_text", t)),
+        st.just(("break_line",)),
+        st.just(("break_para",)),
+    ),
+    max_size=60,
+)
+
+
+class TestTextAssemblerTail:
+    @settings(max_examples=200, deadline=None)
+    @given(_ASSEMBLER_OPS, st.integers(min_value=1, max_value=120))
+    @example([], 500)
+    def test_tail_is_suffix_of_joined_buffer(self, ops, window):
+        assembler = parsing._TextAssembler()
+        assert assembler.tail(window) == ""
+        for name, *args in ops:
+            getattr(assembler, name)(*args)
+            assert assembler.tail(window) == "".join(assembler._buf)[-window:]

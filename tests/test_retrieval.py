@@ -13,6 +13,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paperdata
 from segforge.edgar import FilingRef
@@ -23,6 +25,7 @@ from segforge.retrieval import (
     Chunk,
     ChunkIndex,
     RetrievalResult,
+    _pack_spans,
     assemble_context,
     build_index,
     build_index_from_config,
@@ -157,6 +160,34 @@ class TestChunking:
         assert index.segment_boost == 2.0
         assert index.b == 0.75
         assert index.len_norm_ref == 200
+
+
+@st.composite
+def _sorted_spans(draw) -> list[tuple[int, int]]:
+    """Sorted, disjoint, non-empty spans with arbitrary gaps, as paragraphs give."""
+    spans, pos = [], draw(st.integers(0, 50))
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 400)),
+                                     max_size=30)):
+        pos += gap
+        spans.append((pos, pos + length))
+        pos += length
+    return spans
+
+
+class TestPackSpansProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_sorted_spans(), st.integers(0, 500), st.integers(1, 500))
+    def test_slices_bounded_ordered_and_covering(self, spans, min_chars, max_chars):
+        out = _pack_spans(spans, min_chars, max_chars)
+        if not spans:
+            assert out == []
+            return
+        assert all(end - start <= max_chars for start, end in out)
+        assert all(start < end for start, end in out)
+        assert all(a[1] <= b[0] for a, b in zip(out, out[1:]))
+        assert out[0][0] == spans[0][0] and out[-1][1] == spans[-1][1]
+        covered = {i for start, end in out for i in range(start, end)}
+        assert all(i in covered for start, end in spans for i in range(start, end))
 
 
 class TestScoring:
