@@ -30,7 +30,7 @@ from .config import Config
 from .edgar import EdgarClient
 from .errors import SegforgeError
 from .evaluation import GoldLabelSet, render_table2, report_to_json, score
-from .extraction import ExtractionPipeline, bundle_to_json, load_bundle
+from .extraction import ExtractionPipeline, dump_bundle, load_bundle
 from .gateway import Gateway
 from .parsing import dump_json, load_json, parse
 from .retrieval import build_index_from_config, load_index, save_index
@@ -203,9 +203,7 @@ def cmd_extract(args) -> int:
     gateway = _gateway(config)
     pipeline = ExtractionPipeline.from_config(gateway, config)
     bundle = pipeline.run_pipeline(doc, args.cik, args.year)
-    out = run_dir / f"{args.cik}_{args.year}.bundle.json"
-    out.write_text(json.dumps(bundle_to_json(bundle), indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    out = dump_bundle(bundle, run_dir)
     store = _store(config, run_dir)
     store.put(bundle)
     transcript = run_dir / "transcript.jsonl"

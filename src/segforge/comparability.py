@@ -30,7 +30,9 @@ from .templates import (
     change_explanation_question,
     region_membership_question,
 )
-from .values import Money, Scale, collapse_ws, parse_monetary, percent_of, render_amount
+from .values import (
+    Money, Scale, collapse_ws, parse_monetary, percent_of, render_amount, render_fixed_width,
+)
 
 REASON_CLASSES = {
     "internal_reorganization",
@@ -449,11 +451,7 @@ def render_change_text(rows: list[ChangeRow]) -> str:
             (row.reason or "") if row.changed else "",
             (row.linkage or "") if row.changed else "",
         ])
-    widths = [max(len(line[col]) for line in table) for col in range(len(table[0]))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-             for line in table]
-    lines.insert(1, "-" * max(len(line) for line in lines))
-    return "\n".join(lines) + "\n"
+    return render_fixed_width(table)
 
 
 def alignment_table_header(firm_a: str, firm_b: str, region: str) -> list[str]:
@@ -478,43 +476,31 @@ def _pct_cell(pct: Decimal | None) -> str:
     return "" if pct is None else f"{pct}%"
 
 
+def _alignment_cells(row: AlignmentRow) -> list[str]:
+    return [
+        str(row.fiscal_year),
+        ", ".join(label for label, _, _ in row.firm_a_components),
+        ", ".join(label for label, _, _ in row.firm_b_components),
+        _detail_cell(row.firm_a_components),
+        _detail_cell(row.firm_b_components),
+        render_amount(row.firm_a_region_total),
+        render_amount(row.firm_b_region_total),
+        _pct_cell(row.firm_a_pct_of_total),
+        _pct_cell(row.firm_b_pct_of_total),
+    ]
+
+
 def render_alignment_csv(rows: list[AlignmentRow], firm_a: str, firm_b: str,
                          region: str) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(alignment_table_header(firm_a, firm_b, region))
-    for row in rows:
-        writer.writerow([
-            row.fiscal_year,
-            ", ".join(label for label, _, _ in row.firm_a_components),
-            ", ".join(label for label, _, _ in row.firm_b_components),
-            _detail_cell(row.firm_a_components),
-            _detail_cell(row.firm_b_components),
-            render_amount(row.firm_a_region_total),
-            render_amount(row.firm_b_region_total),
-            _pct_cell(row.firm_a_pct_of_total),
-            _pct_cell(row.firm_b_pct_of_total),
-        ])
+    writer.writerows(_alignment_cells(row) for row in rows)
     return buffer.getvalue()
 
 
 def render_alignment_text(rows: list[AlignmentRow], firm_a: str, firm_b: str,
                           region: str) -> str:
     table = [alignment_table_header(firm_a, firm_b, region)]
-    for row in rows:
-        table.append([
-            str(row.fiscal_year),
-            ", ".join(label for label, _, _ in row.firm_a_components),
-            ", ".join(label for label, _, _ in row.firm_b_components),
-            _detail_cell(row.firm_a_components),
-            _detail_cell(row.firm_b_components),
-            render_amount(row.firm_a_region_total),
-            render_amount(row.firm_b_region_total),
-            _pct_cell(row.firm_a_pct_of_total),
-            _pct_cell(row.firm_b_pct_of_total),
-        ])
-    widths = [max(len(line[col]) for line in table) for col in range(len(table[0]))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-             for line in table]
-    lines.insert(1, "-" * max(len(line) for line in lines))
-    return "\n".join(lines) + "\n"
+    table += [_alignment_cells(row) for row in rows]
+    return render_fixed_width(table)

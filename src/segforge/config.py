@@ -72,9 +72,6 @@ class Config:
     def get_float(self, key: str) -> float:
         return float(self.get(key))
 
-    def get_bool(self, key: str) -> bool:
-        return self.get(key).strip().lower() in ("1", "true", "yes", "on")
-
     def get_list(self, key: str) -> list[str]:
         return [part.strip() for part in self.get(key).split(",") if part.strip()]
 

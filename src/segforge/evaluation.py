@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import CoverageError, SampleTooLargeError, SchemaError
 from .extraction import ExtractionBundle, MULTI_SEGMENT
-from .values import normalized_value_equal, render_amount
+from .values import normalized_value_equal, render_amount, render_fixed_width
 
 PanelKey = tuple[int, int]
 
@@ -40,7 +40,6 @@ class GoldCell:
     measure: str  # measure kind or general field name
     gold_value: str
     tier: str = ""  # "reportable" | "nested" | "" (derive from bundle)
-    correct: bool | None = None  # audit-workflow placeholder
 
     @property
     def key(self) -> PanelKey:
@@ -81,7 +80,6 @@ class GoldLabelSet:
                     measure=row["measure"],
                     gold_value=str(row["gold_value"]),
                     tier=row.get("tier", ""),
-                    correct=row.get("correct"),
                 )
             )
         return cls(group_id=str(data.get("group_id", "group")), filings=filings, cells=cells)
@@ -230,30 +228,7 @@ def _accuracy(verdicts: list[CellVerdict]) -> float:
 
 
 def report_to_json(report: EvalReport) -> dict:
-    def verdict_dict(v: CellVerdict) -> dict:
-        return {
-            "cik": v.cik,
-            "fiscal_year": v.fiscal_year,
-            "segment": v.segment,
-            "measure": v.measure,
-            "gold_value": v.gold_value,
-            "extracted_value": v.extracted_value,
-            "correct": v.correct,
-            "tier": v.tier,
-        }
-
-    return {
-        "group_id": report.group_id,
-        "n_filings": report.n_filings,
-        "n_multi_manual": report.n_multi_manual,
-        "n_multi_model": report.n_multi_model,
-        "primary_accuracy": report.primary_accuracy,
-        "n_nested_manual": report.n_nested_manual,
-        "n_nested_model": report.n_nested_model,
-        "nested_accuracy": report.nested_accuracy,
-        "primary_verdicts": [verdict_dict(v) for v in report.primary_verdicts],
-        "nested_verdicts": [verdict_dict(v) for v in report.nested_verdicts],
-    }
+    return asdict(report)
 
 
 _TABLE2_ROWS = [
@@ -273,11 +248,4 @@ def render_table2(reports: list[EvalReport]) -> str:
     lines = [header] + [
         [label] + [value_of(r) for r in reports] for label, value_of in _TABLE2_ROWS
     ]
-    widths = [max(len(line[col]) for line in lines) for col in range(len(header))]
-    rendered = []
-    for line in lines:
-        cells = [line[0].ljust(widths[0])]
-        cells += [line[i].rjust(widths[i]) for i in range(1, len(line))]
-        rendered.append("  ".join(cells).rstrip())
-    rendered.insert(1, "-" * max(len(row) for row in rendered))
-    return "\n".join(rendered) + "\n"
+    return render_fixed_width(lines, right_justify_values=True)

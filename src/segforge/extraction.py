@@ -213,6 +213,15 @@ class ExtractionPipeline:
 
     Request ids are "<cik>-<fy>-<seq>" with a per-firm-year counter, so
     scripted runs assign identical ids on every execution.
+
+    Every answer goes through one validate-and-retry path, ``_ask_all``: an
+    answer that fails its shape check gets one format-reminder retry.
+    Required answers (the classification, segment names and nested names)
+    raise on a terminal failure, since no bundle can be built without them.
+    Optional answers (measures, nested detection and general fields) become
+    a warning and are left out of the bundle (general fields read
+    "Not provided"). A script miss on a first ask always raises: in scripted
+    mode it is a fixture bug, never data.
     """
 
     def __init__(self, gateway: Gateway, measures: list[str] | None = None):
@@ -243,39 +252,25 @@ class ExtractionPipeline:
             format_rules=FORMAT_RULES[shape],
         )
 
-    def _ask(self, handle: FileHandle, question: str, shape: AnswerShape, cik: int, fy: int):
-        """Single validated ask with one format-reminder retry.
+    def _ask_all(self, handle: FileHandle, items: list[tuple[str, AnswerShape]],
+                 cik: int, fy: int, warnings: list[str] | None = None) -> list:
+        """Validated ask_many with one format-reminder retry per invalid answer.
 
-        Returns (validated value, raw text, request_ids used).
-        """
-        request = self._request(handle, question, shape, cik, fy)
-        completion = self.gateway.ask(request)
-        try:
-            return _VALIDATORS[shape](completion.text), completion.text, [request.request_id]
-        except ValidationError as first_error:
-            retry = self._request(handle, retry_question(question, shape), shape, cik, fy)
-            try:
-                second = self.gateway.ask(retry)
-            except ScriptMissError:
-                raise first_error
-            value = _VALIDATORS[shape](second.text)  # may raise the final ValidationError
-            return value, second.text, [request.request_id, retry.request_id]
-
-    def _ask_batch(self, handle: FileHandle, items: list[tuple[str, AnswerShape]],
-                   cik: int, fy: int, warnings: list[str]):
-        """Validated ask_many. Returns list aligned with items.
-
-        Each element is (value, raw_text, request_ids) or None when the
-        request failed terminally; failures are recorded in warnings.
+        Returns a list aligned with items; each element is (value, raw text,
+        request_ids used). With ``warnings=None`` the answers are required
+        and a terminal failure raises: the request's own error, or the last
+        ValidationError (the first one when the retry has no script entry).
+        Otherwise a failed answer is None and the failure is recorded in
+        warnings.
         """
         requests = [self._request(handle, q, shape, cik, fy) for q, shape in items]
-        completions = {}
         try:
-            for i, completion in enumerate(self.gateway.ask_many(requests)):
-                completions[i] = completion
+            completions = dict(enumerate(self.gateway.ask_many(requests)))
         except BatchError as batch:
             completions = batch.completions
             for index, error in sorted(batch.errors.items()):
+                if warnings is None or isinstance(error, ScriptMissError):
+                    raise error
                 warnings.append(f"request {requests[index].request_id} failed: {error}")
         results: list = [None] * len(items)
         for i, completion in sorted(completions.items()):
@@ -283,130 +278,99 @@ class ExtractionPipeline:
             ids = [requests[i].request_id]
             try:
                 results[i] = (_VALIDATORS[shape](completion.text), completion.text, ids)
-            except ValidationError:
+            except ValidationError as first_error:
                 retry = self._request(handle, retry_question(question, shape), shape, cik, fy)
                 ids.append(retry.request_id)
                 try:
                     second = self.gateway.ask(retry)
                     results[i] = (_VALIDATORS[shape](second.text), second.text, ids)
                 except (ValidationError, ScriptMissError) as exc:
+                    if warnings is None:
+                        raise first_error if isinstance(exc, ScriptMissError) else exc
                     warnings.append(f"request {requests[i].request_id} invalid after retry: {exc}")
         return results
 
-    # -- stages -------------------------------------------------------------
+    def _extract_tier(self, handle: FileHandle, names_question: str, parent: str | None,
+                      cik: int, fy: int, warnings: list[str]) -> list[SegmentRecord]:
+        """Ask for one tier's names, then fan out every measure per name.
 
-    def classify_segmentation(self, handle: FileHandle, cik: int, fy: int) -> SegmentationClass:
-        is_multi, raw, _ = self._ask(handle, CLASSIFY_QUESTION, AnswerShape.YES_NO, cik, fy)
-        return SegmentationClass(kind=MULTI_SEGMENT if is_multi else SINGLE_UNIT, raw_response=raw)
-
-    def extract_reportable(self, handle: FileHandle, cik: int, fy: int,
-                           warnings: list[str]) -> list[SegmentRecord]:
-        (names, list_warnings), _, name_ids = self._ask(
-            handle, SEGMENT_NAMES_QUESTION, AnswerShape.DELIMITED_LIST, cik, fy
+        ``parent`` is None for reportable segments. Only reportable measures
+        warn on a missing scale word; only nested names feed the names
+        question to ``infer_axis``.
+        """
+        [((names, list_warnings), _, name_ids)] = self._ask_all(
+            handle, [(names_question, AnswerShape.DELIMITED_LIST)], cik, fy
         )
         warnings.extend(list_warnings)
-        records = []
-        for name in names:
-            records.append(
-                SegmentRecord(
-                    cik=cik,
-                    fiscal_year=fy,
-                    name=name,
-                    axis=infer_axis(name, nested=False),
-                    provenance=list(name_ids),
-                )
+        nested = parent is not None
+        records = [
+            SegmentRecord(
+                cik=cik,
+                fiscal_year=fy,
+                name=name,
+                axis=infer_axis(name, nested=nested, question=names_question if nested else ""),
+                parent_name=parent,
+                provenance=list(name_ids),
             )
+            for name in names
+        ]
         items = [
-            (measure_question(measure, record.name), AnswerShape.MONETARY)
+            (nested_measure_question(measure, record.name, parent) if nested
+             else measure_question(measure, record.name), AnswerShape.MONETARY)
             for record in records
             for measure in self.measures
         ]
-        answers = self._ask_batch(handle, items, cik, fy, warnings)
+        answers = self._ask_all(handle, items, cik, fy, warnings)
         for i, answer in enumerate(answers):
-            record = records[i // len(self.measures)]
-            measure = self.measures[i % len(self.measures)]
             if answer is None:
                 continue
-            money, raw, ids = answer
+            record = records[i // len(self.measures)]
+            measure = self.measures[i % len(self.measures)]
+            money, _, ids = answer
             record.provenance.extend(ids)
             if money is None:  # "Not provided"
                 continue
-            if not money.scale_explicit:
+            if not nested and not money.scale_explicit:
                 warnings.append(
                     f"measure {measure} for {record.name!r} has no scale word; taking value as-is"
                 )
             record.measures[measure] = money
         return records
 
+    # -- stages -------------------------------------------------------------
+
+    def classify_segmentation(self, handle: FileHandle, cik: int, fy: int) -> SegmentationClass:
+        [(is_multi, raw, _)] = self._ask_all(
+            handle, [(CLASSIFY_QUESTION, AnswerShape.YES_NO)], cik, fy
+        )
+        return SegmentationClass(kind=MULTI_SEGMENT if is_multi else SINGLE_UNIT, raw_response=raw)
+
+    def extract_reportable(self, handle: FileHandle, cik: int, fy: int,
+                           warnings: list[str]) -> list[SegmentRecord]:
+        return self._extract_tier(handle, SEGMENT_NAMES_QUESTION, None, cik, fy, warnings)
+
     def detect_nested(self, handle: FileHandle, reportable: list[SegmentRecord],
                       cik: int, fy: int, warnings: list[str]) -> dict[str, bool]:
-        if not reportable:
-            return {}
         items = [
             (nested_detect_question(record.name), AnswerShape.YES_NO) for record in reportable
         ]
-        answers = self._ask_batch(handle, items, cik, fy, warnings)
-        flags: dict[str, bool] = {}
-        for record, answer in zip(reportable, answers):
-            if answer is None:
-                continue
-            flags[record.name] = answer[0]
-        return flags
+        answers = self._ask_all(handle, items, cik, fy, warnings)
+        return {record.name: answer[0]
+                for record, answer in zip(reportable, answers) if answer is not None}
 
     def extract_nested(self, handle: FileHandle, parent: SegmentRecord,
-                       cik: int, fy: int, warnings: list[str],
-                       detected: bool = True) -> list[SegmentRecord]:
-        if not detected:
-            raise ValueError(f"extract_nested called for {parent.name!r} without a positive detection")
-        (names, list_warnings), _, name_ids = self._ask(
-            handle, nested_names_question(parent.name), AnswerShape.DELIMITED_LIST, cik, fy
-        )
-        warnings.extend(list_warnings)
-        question = nested_names_question(parent.name)
-        records = []
-        for name in names:
-            records.append(
-                SegmentRecord(
-                    cik=cik,
-                    fiscal_year=fy,
-                    name=name,
-                    axis=infer_axis(name, nested=True, question=question),
-                    parent_name=parent.name,
-                    provenance=list(name_ids),
-                )
-            )
-        items = [
-            (nested_measure_question(measure, record.name, parent.name), AnswerShape.MONETARY)
-            for record in records
-            for measure in self.measures
-        ]
-        answers = self._ask_batch(handle, items, cik, fy, warnings)
-        for i, answer in enumerate(answers):
-            record = records[i // len(self.measures)]
-            measure = self.measures[i % len(self.measures)]
-            if answer is None:
-                continue
-            money, raw, ids = answer
-            record.provenance.extend(ids)
-            if money is None:
-                continue
-            record.measures[measure] = money
-        return records
+                       cik: int, fy: int, warnings: list[str]) -> list[SegmentRecord]:
+        return self._extract_tier(handle, nested_names_question(parent.name), parent.name,
+                                  cik, fy, warnings)
 
     def extract_general_fields(self, handle: FileHandle, cik: int, fy: int,
                                warnings: list[str]) -> dict[str, str]:
-        items = [(spec.render(cik, fy), spec.answer_shape) for spec in GENERAL_FIELDS]
-        answers = self._ask_batch(handle, items, cik, fy, warnings)
-        fields: dict[str, str] = {}
-        for spec, answer in zip(GENERAL_FIELDS, answers):
-            if answer is None:
-                fields[spec.field_name] = NOT_PROVIDED
-                continue
-            value, raw, _ = answer
-            # Store the raw validated text; interpretation (e.g. parsing revt
-            # into a number) happens at point of use.
-            fields[spec.field_name] = raw.strip()
-        return fields
+        items = [(spec.question, spec.answer_shape) for spec in GENERAL_FIELDS]
+        answers = self._ask_all(handle, items, cik, fy, warnings)
+        # Store the raw validated text; interpretation (e.g. parsing revt
+        # into a number) happens at point of use.
+        return {spec.field_name: NOT_PROVIDED if answer is None else answer[1].strip()
+                for spec, answer in zip(GENERAL_FIELDS, answers)}
 
     def run_pipeline(self, doc: CachedDocument, cik: int, fy: int) -> ExtractionBundle:
         handle = self.gateway.upload(doc)
@@ -420,9 +384,7 @@ class ExtractionPipeline:
             flags = self.detect_nested(handle, reportable, cik, fy, warnings)
             for record in reportable:
                 if flags.get(record.name):
-                    nested.extend(
-                        self.extract_nested(handle, record, cik, fy, warnings, detected=True)
-                    )
+                    nested.extend(self.extract_nested(handle, record, cik, fy, warnings))
         bundle = ExtractionBundle(
             cik=cik,
             fiscal_year=fy,

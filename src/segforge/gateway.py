@@ -14,7 +14,7 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .edgar import CachedDocument
@@ -267,16 +267,6 @@ class TranscriptRecord:
     backend: str
     latency_ms: int
 
-    def as_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "file_hash": self.file_hash,
-            "question": self.question,
-            "response": self.response,
-            "backend": self.backend,
-            "latency_ms": self.latency_ms,
-        }
-
 
 class Gateway:
     """Upload-once, file-grounded prompting with a transcript log.
@@ -391,7 +381,7 @@ class Gateway:
             self.transcript.append(record)
             if self._transcript_path:
                 with open(self._transcript_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+                    fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
     def transcript_for(self, file_hash: str) -> list[TranscriptRecord]:
         return [r for r in self.transcript if r.file_hash == file_hash]
@@ -408,4 +398,4 @@ class Gateway:
             records = sorted(self.transcript, key=lambda r: r.request_id)
         with open(path, "w", encoding="utf-8") as fh:
             for record in records:
-                fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")

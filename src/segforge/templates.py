@@ -58,14 +58,8 @@ RETRY_REMINDERS = {
 @dataclass(frozen=True)
 class FieldSpec:
     field_name: str
-    prompt_template: str
+    question: str
     answer_shape: AnswerShape
-
-    def render(self, cik: int | None = None, fiscal_year: int | None = None) -> str:
-        question = self.prompt_template.format(cik=cik, fiscal_year=fiscal_year)
-        if not question.strip():
-            raise ValueError(f"field {self.field_name} rendered an empty question")
-        return question
 
 
 # The general-variable catalog: one query per field, issued against the
@@ -147,8 +141,8 @@ _MEASURE_PHRASES = {
 }
 
 
-def measure_question(measure: str, segment: str, label: str = "") -> str:
-    phrase = _MEASURE_PHRASES.get(measure, label or measure)
+def measure_question(measure: str, segment: str) -> str:
+    phrase = _MEASURE_PHRASES.get(measure, measure)
     return f"What is the {phrase} reported for the {segment} segment in this year?"
 
 
@@ -167,8 +161,8 @@ def nested_names_question(segment: str) -> str:
     )
 
 
-def nested_measure_question(measure: str, component: str, parent: str, label: str = "") -> str:
-    phrase = _MEASURE_PHRASES.get(measure, label or measure)
+def nested_measure_question(measure: str, component: str, parent: str) -> str:
+    phrase = _MEASURE_PHRASES.get(measure, measure)
     return (
         f"What is the {phrase} reported for the {component} component within "
         f"the {parent} reportable segment in this year?"

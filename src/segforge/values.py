@@ -161,3 +161,19 @@ def collapse_ws(text: str) -> str:
 def percent_of(part_units: Decimal, total_units: Decimal) -> Decimal:
     """Percentage at one decimal place, rounded half-up."""
     return (part_units / total_units * 100).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+
+
+def render_fixed_width(table: list[list[str]], right_justify_values: bool = False) -> str:
+    """Fixed-width text table: two-space gutters and a dash rule under the header row.
+
+    Cells are left-justified; with ``right_justify_values`` every column
+    after the first is right-justified. Trailing spaces are stripped.
+    """
+    widths = [max(len(line[col]) for line in table) for col in range(len(table[0]))]
+    lines = [
+        "  ".join(cell.rjust(widths[i]) if right_justify_values and i else cell.ljust(widths[i])
+                  for i, cell in enumerate(line)).rstrip()
+        for line in table
+    ]
+    lines.insert(1, "-" * max(len(line) for line in lines))
+    return "\n".join(lines) + "\n"

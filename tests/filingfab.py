@@ -357,7 +357,7 @@ def filing_script(file_hash: str, classify: str, fields: dict[str, str],
     for spec in GENERAL_FIELDS:
         entries.append({
             "file_hash": file_hash,
-            "question": spec.render(),
+            "question": spec.question,
             "response": fields[spec.field_name],
         })
     if segments is None:

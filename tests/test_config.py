@@ -53,13 +53,6 @@ def test_get_missing_key_raises():
     assert config.get("no.such.key", default="x") == "x"
 
 
-def test_get_bool():
-    config = Config({"flag.a": "true", "flag.b": "0", "flag.c": "Yes"}, use_env=False)
-    assert config.get_bool("flag.a") is True
-    assert config.get_bool("flag.b") is False
-    assert config.get_bool("flag.c") is True
-
-
 def test_set_mutates():
     config = Config(use_env=False)
     config.set("llm.backend", "live")

@@ -147,6 +147,13 @@ class TestGoldLabels:
     def test_group_id_defaults(self):
         assert GoldLabelSet.from_dict({}).group_id == "group"
 
+    def test_audit_verdict_key_is_ignored(self):
+        # Gold files from the audit workflow carry a per-cell "correct" verdict;
+        # scoring derives correctness itself, so the key loads and is dropped.
+        data = dict(self.DATA)
+        data["cells"] = [dict(self.DATA["cells"][0], correct=False)]
+        assert GoldLabelSet.from_dict(data).cells == GoldLabelSet.from_dict(self.DATA).cells
+
 
 class TestScore:
     def gold(self) -> GoldLabelSet:

@@ -14,7 +14,7 @@ import pytest
 import filingfab
 import paperdata
 from segforge.edgar import EdgarClient
-from segforge.errors import SchemaError, ValidationError
+from segforge.errors import SchemaError, ScriptMissError, ValidationError
 from segforge.extraction import (
     AXIS_BUSINESS,
     AXIS_CUSTOMER,
@@ -47,6 +47,8 @@ from segforge.templates import (
     SEGMENT_NAMES_QUESTION,
     AnswerShape,
     measure_question,
+    nested_measure_question,
+    nested_names_question,
     retry_question,
 )
 from segforge.values import Money, Scale
@@ -199,18 +201,28 @@ class TestRetries:
 
     def test_format_reminder_retry_recovers(self):
         question = measure_question("revenue", "Alpha")
-        gateway = self.gateway_for([
+        entries = [
+            {"file_hash": self.HASH, "question": SEGMENT_NAMES_QUESTION, "response": "Alpha"},
             {"file_hash": self.HASH, "question": question, "response": "around five million"},
             {"file_hash": self.HASH,
              "question": retry_question(question, AnswerShape.MONETARY),
              "response": "$5 million"},
-        ])
+        ]
+        for measure in ("profit_or_loss", "assets"):
+            entries.append({"file_hash": self.HASH,
+                            "question": measure_question(measure, "Alpha"),
+                            "response": "Not provided"})
+        gateway = self.gateway_for(entries)
         pipeline = ExtractionPipeline(gateway)
-        value, raw, ids = pipeline._ask(self.handle(gateway), question,
-                                        AnswerShape.MONETARY, 1, 2000)
-        assert value == Money(Decimal(5), Scale.MILLIONS)
-        assert raw == "$5 million"
-        assert ids == ["1-2000-0001", "1-2000-0002"]
+        warnings: list[str] = []
+        [record] = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        assert record.measures == {"revenue": Money(Decimal(5), Scale.MILLIONS)}
+        assert warnings == []
+        # names, then revenue with its retry (which runs after the measure
+        # batch), then the other two measures.
+        assert record.provenance == [
+            "1-2000-0001", "1-2000-0002", "1-2000-0005", "1-2000-0003", "1-2000-0004",
+        ]
 
     def test_missing_retry_script_reraises_original(self):
         gateway = self.gateway_for([
@@ -253,11 +265,58 @@ class TestRetries:
         result = pipeline.classify_segmentation(self.handle(gateway), 1, 2000)
         assert result.kind == MULTI_SEGMENT
 
-    def test_extract_nested_requires_positive_detection(self, make_gateway):
-        pipeline = ExtractionPipeline(make_gateway())
-        parent = SegmentRecord(cik=1, fiscal_year=2000, name="Alpha")
-        with pytest.raises(ValueError):
-            pipeline.extract_nested(None, parent, 1, 2000, [], detected=False)
+    def test_general_field_script_miss_raises(self, edgar_client, edgar_fixture):
+        # A missing script entry is a fixture bug: it must not become a
+        # "Not provided" field plus a warning.
+        _, hashes = edgar_fixture
+        dropped = GENERAL_FIELDS[3].question
+        entries = [e for e in filingfab.apple_script(hashes["apple"])
+                   if e["question"] != dropped]
+        pipeline = ExtractionPipeline(self.gateway_for(entries))
+        doc = fetch_doc(edgar_client, paperdata.APPLE_CIK, paperdata.APPLE_FY)
+        with pytest.raises(ScriptMissError) as excinfo:
+            pipeline.run_pipeline(doc, paperdata.APPLE_CIK, paperdata.APPLE_FY)
+        assert excinfo.value.question == dropped
+
+
+class TestTierDifferences:
+    """Reportable and nested records share one fan-out; these are its two differences."""
+
+    HASH = "e" * 64
+
+    def test_scale_warning_and_axis_question(self):
+        answers = {
+            SEGMENT_NAMES_QUESTION: "Alpha",
+            nested_names_question("Americas"): "Widgets",
+        }
+        for measure in DEFAULT_MEASURES:
+            revenue = measure == "revenue"
+            answers[measure_question(measure, "Alpha")] = "5" if revenue else "Not provided"
+            answers[nested_measure_question(measure, "Widgets", "Americas")] = (
+                "7" if revenue else "Not provided"
+            )
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries([
+            {"file_hash": self.HASH, "question": q, "response": r} for q, r in answers.items()
+        ])))
+        handle = gateway.upload_bytes(b"doc", content_hash=self.HASH)
+        pipeline = ExtractionPipeline(gateway)
+
+        warnings: list[str] = []
+        [segment] = pipeline.extract_reportable(handle, 1, 2000, warnings)
+        assert segment.measures == {"revenue": Money(Decimal(5), Scale.UNITS, False)}
+        assert warnings == ["measure revenue for 'Alpha' has no scale word; taking value as-is"]
+        assert segment.axis == AXIS_BUSINESS
+
+        warnings = []
+        parent = SegmentRecord(cik=1, fiscal_year=2000, name="Americas")
+        [component] = pipeline.extract_nested(handle, parent, 1, 2000, warnings)
+        assert component.measures == {"revenue": Money(Decimal(7), Scale.UNITS, False)}
+        assert warnings == []
+        assert component.parent_name == "Americas"
+        # The name alone reads as "other"; the parent in the names question
+        # makes the component geographic.
+        assert infer_axis("Widgets", nested=True) == AXIS_OTHER
+        assert component.axis == AXIS_GEOGRAPHIC
 
 
 class TestValidators:
