@@ -13,12 +13,14 @@ from __future__ import annotations
 import json
 import re
 import threading
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 from .edgar import CachedDocument
-from .errors import BatchError, SchemaError, ScriptMissError, ValidationError
+from .errors import SchemaError, ScriptMissError, ValidationError
 from .gateway import FileHandle, Gateway, PromptRequest
 from .templates import (
     AnswerShape,
@@ -208,20 +210,44 @@ def infer_axis(name: str, nested: bool, question: str = "") -> str:
 # -- pipeline ----------------------------------------------------------------
 
 
+# Every firm-year's plan opens with classify and then the general fields in
+# template order, so their request numbers are fixed: 0001 and 0002-0018.
+_CLASSIFY_SEQ = 1
+_GENERAL_SEQ = 2
+_CHAIN_SEQ = _GENERAL_SEQ + len(GENERAL_FIELDS)
+
+
 class ExtractionPipeline:
     """Runs the staged workflow for one firm-year at a time.
 
-    Request ids are "<cik>-<fy>-<seq>" with a per-firm-year counter, so
-    scripted runs assign identical ids on every execution.
+    ``run_pipeline`` schedules a firm-year's prompts by dependency, not by
+    stage, under the gateway's one in-flight budget. The 17 general fields
+    go out with classify as filler and are joined at the end. The chain
+    runs classify, then the segment names, then their measures together
+    with nested detection; the nested names for every flagged parent go out
+    in one batch as soon as detection answers, and their measures after
+    them. A chain request takes the next free slot before any waiting
+    general field.
+
+    Request ids are "<cik>-<fy>-<seq>" and never depend on completion
+    order. Classify is always 0001 and the general fields 0002-0018, in
+    template order. Every later first ask takes the next number from 0019
+    in plan order: names, measures, detection, nested names, nested
+    measures. Only one thread numbers at a time, because the detection
+    thread starts once the measures are numbered. A format retry's id is
+    its original's id plus "-r".
 
     Every answer goes through one validate-and-retry path, ``_ask_all``: an
-    answer that fails its shape check gets one format-reminder retry.
-    Required answers (the classification, segment names and nested names)
-    raise on a terminal failure, since no bundle can be built without them.
-    Optional answers (measures, nested detection and general fields) become
-    a warning and are left out of the bundle (general fields read
-    "Not provided"). A script miss on a first ask always raises: in scripted
-    mode it is a fixture bug, never data.
+    answer that fails its shape check gets one format-reminder retry, sent
+    as soon as that answer fails. Required answers (the classification,
+    segment names and nested names) raise on a terminal failure, since no
+    bundle can be built without them. Optional answers (measures, nested
+    detection and general fields) become a warning and are left out of the
+    bundle (general fields read "Not provided"). A script miss on a first
+    ask always raises: in scripted mode it is a fixture bug, never data.
+    Bundle warnings list the general fields' first, then the chain's, each
+    in plan order; when stages fail together, the failure of the earliest
+    stage in plan order is raised.
     """
 
     def __init__(self, gateway: Gateway, measures: list[str] | None = None):
@@ -236,91 +262,123 @@ class ExtractionPipeline:
     def from_config(cls, gateway: Gateway, config) -> "ExtractionPipeline":
         return cls(gateway, measures=config.get_list("extraction.measures"))
 
-    def _next_id(self, cik: int, fy: int) -> str:
+    def _next_seq(self, cik: int, fy: int) -> int:
         with self._lock:
-            seq = self._seq.get((cik, fy), 0) + 1
+            seq = self._seq.get((cik, fy), _CHAIN_SEQ - 1) + 1
             self._seq[(cik, fy)] = seq
-        return f"{cik}-{fy}-{seq:04d}"
+        return seq
 
     def _request(self, handle: FileHandle, question: str, shape: AnswerShape,
-                 cik: int, fy: int) -> PromptRequest:
+                 request_id: str) -> PromptRequest:
         return PromptRequest(
             file=handle,
             question=question,
-            request_id=self._next_id(cik, fy),
+            request_id=request_id,
             system_preamble=SYSTEM_PREAMBLE,
             format_rules=FORMAT_RULES[shape],
         )
 
     def _ask_all(self, handle: FileHandle, items: list[tuple[str, AnswerShape]],
-                 cik: int, fy: int, warnings: list[str] | None = None) -> list:
-        """Validated ask_many with one format-reminder retry per invalid answer.
+                 cik: int, fy: int, warnings: list[str] | None = None, *,
+                 first_seq: int | None = None, filler: bool = False, alongside=None) -> list:
+        """Validated asks with one format-reminder retry per invalid answer.
 
         Returns a list aligned with items; each element is (value, raw text,
-        request_ids used). With ``warnings=None`` the answers are required
-        and a terminal failure raises: the request's own error, or the last
+        request ids used). The items are numbered from ``first_seq`` when
+        given, else from the firm-year's counter, and all go out at once;
+        ``alongside()``, when given, is called as soon as they are queued.
+        Each answer is checked as it arrives, and an invalid one is retried
+        at once. With ``warnings=None`` the answers are required and a
+        terminal failure raises: the request's own error, or the last
         ValidationError (the first one when the retry has no script entry).
         Otherwise a failed answer is None and the failure is recorded in
-        warnings.
+        warnings. Failures are raised or recorded in item order, after
+        every ask has settled.
         """
-        requests = [self._request(handle, q, shape, cik, fy) for q, shape in items]
-        try:
-            completions = dict(enumerate(self.gateway.ask_many(requests)))
-        except BatchError as batch:
-            completions = batch.completions
-            for index, error in sorted(batch.errors.items()):
-                if warnings is None or isinstance(error, ScriptMissError):
-                    raise error
-                warnings.append(f"request {requests[index].request_id} failed: {error}")
+        seqs = (range(first_seq, first_seq + len(items)) if first_seq
+                else [self._next_seq(cik, fy) for _ in items])
+        requests = [self._request(handle, question, shape, f"{cik}-{fy}-{seq:04d}")
+                    for (question, shape), seq in zip(items, seqs)]
+        pending = {self.gateway.submit(request, filler): i for i, request in enumerate(requests)}
+        if alongside is not None:
+            alongside()
         results: list = [None] * len(items)
-        for i, completion in sorted(completions.items()):
-            question, shape = items[i]
-            ids = [requests[i].request_id]
-            try:
-                results[i] = (_VALIDATORS[shape](completion.text), completion.text, ids)
-            except ValidationError as first_error:
-                retry = self._request(handle, retry_question(question, shape), shape, cik, fy)
-                ids.append(retry.request_id)
+        ids = [[request.request_id] for request in requests]
+        first_errors: dict[int, ValidationError] = {}
+        failed: dict[int, Exception] = {}
+        unanswered: dict[int, Exception] = {}
+        while pending:
+            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                i = pending.pop(future)
+                question, shape = items[i]
                 try:
-                    second = self.gateway.ask(retry)
-                    results[i] = (_VALIDATORS[shape](second.text), second.text, ids)
-                except (ValidationError, ScriptMissError) as exc:
-                    if warnings is None:
-                        raise first_error if isinstance(exc, ScriptMissError) else exc
-                    warnings.append(f"request {requests[i].request_id} invalid after retry: {exc}")
+                    text = future.result().text
+                except Exception as exc:  # noqa: BLE001 - raised or recorded below
+                    retry_missed = i in first_errors and isinstance(exc, ScriptMissError)
+                    (unanswered if retry_missed else failed)[i] = exc
+                    continue
+                try:
+                    results[i] = (_VALIDATORS[shape](text), text, ids[i])
+                except ValidationError as exc:
+                    if i in first_errors:
+                        unanswered[i] = exc
+                        continue
+                    first_errors[i] = exc
+                    retry = self._request(handle, retry_question(question, shape), shape,
+                                          f"{requests[i].request_id}-r")
+                    ids[i].append(retry.request_id)
+                    pending[self.gateway.submit(retry, filler)] = i
+        for i, error in sorted(failed.items()):
+            if warnings is None or isinstance(error, ScriptMissError):
+                raise error
+            warnings.append(f"request {requests[i].request_id} failed: {error}")
+        for i, error in sorted(unanswered.items()):
+            if warnings is None:
+                raise first_errors[i] if isinstance(error, ScriptMissError) else error
+            warnings.append(f"request {requests[i].request_id} invalid after retry: {error}")
         return results
 
-    def _extract_tier(self, handle: FileHandle, names_question: str, parent: str | None,
-                      cik: int, fy: int, warnings: list[str]) -> list[SegmentRecord]:
-        """Ask for one tier's names, then fan out every measure per name.
+    def _extract_tier(self, handle: FileHandle, parents: list[str | None], cik: int, fy: int,
+                      warnings: list[str], alongside=None) -> list[SegmentRecord]:
+        """Ask for the names under every parent in one batch, then every measure per name.
 
-        ``parent`` is None for reportable segments. Only reportable measures
-        warn on a missing scale word; only nested names feed the names
-        question to ``infer_axis``.
+        ``parents`` is ``[None]`` for reportable segments. Only reportable
+        measures warn on a missing scale word; only nested names feed the
+        names question to ``infer_axis``. ``alongside(records)``, when
+        given, is called as soon as the measures are queued.
         """
-        [((names, list_warnings), _, name_ids)] = self._ask_all(
-            handle, [(names_question, AnswerShape.DELIMITED_LIST)], cik, fy
+        questions = [SEGMENT_NAMES_QUESTION if parent is None else nested_names_question(parent)
+                     for parent in parents]
+        named = self._ask_all(
+            handle, [(question, AnswerShape.DELIMITED_LIST) for question in questions], cik, fy
         )
-        warnings.extend(list_warnings)
-        nested = parent is not None
-        records = [
-            SegmentRecord(
-                cik=cik,
-                fiscal_year=fy,
-                name=name,
-                axis=infer_axis(name, nested=nested, question=names_question if nested else ""),
-                parent_name=parent,
-                provenance=list(name_ids),
-            )
-            for name in names
-        ]
+        records: list[SegmentRecord] = []
+        for parent, question, answer in zip(parents, questions, named):
+            (names, list_warnings), _, name_ids = answer
+            warnings.extend(list_warnings)
+            nested = parent is not None
+            records += [
+                SegmentRecord(
+                    cik=cik,
+                    fiscal_year=fy,
+                    name=name,
+                    axis=infer_axis(name, nested=nested, question=question if nested else ""),
+                    parent_name=parent,
+                    provenance=list(name_ids),
+                )
+                for name in names
+            ]
         items = [
-            (nested_measure_question(measure, record.name, parent) if nested
-             else measure_question(measure, record.name), AnswerShape.MONETARY)
+            (measure_question(measure, record.name) if record.parent_name is None
+             else nested_measure_question(measure, record.name, record.parent_name),
+             AnswerShape.MONETARY)
             for record in records
             for measure in self.measures
         ]
-        answers = self._ask_all(handle, items, cik, fy, warnings)
+        if alongside is not None:
+            alongside = partial(alongside, records)
+        answers = self._ask_all(handle, items, cik, fy, warnings, alongside=alongside)
         for i, answer in enumerate(answers):
             if answer is None:
                 continue
@@ -330,7 +388,7 @@ class ExtractionPipeline:
             record.provenance.extend(ids)
             if money is None:  # "Not provided"
                 continue
-            if not nested and not money.scale_explicit:
+            if record.parent_name is None and not money.scale_explicit:
                 warnings.append(
                     f"measure {measure} for {record.name!r} has no scale word; taking value as-is"
                 )
@@ -339,15 +397,17 @@ class ExtractionPipeline:
 
     # -- stages -------------------------------------------------------------
 
-    def classify_segmentation(self, handle: FileHandle, cik: int, fy: int) -> SegmentationClass:
+    def classify_segmentation(self, handle: FileHandle, cik: int, fy: int,
+                              alongside=None) -> SegmentationClass:
         [(is_multi, raw, _)] = self._ask_all(
-            handle, [(CLASSIFY_QUESTION, AnswerShape.YES_NO)], cik, fy
+            handle, [(CLASSIFY_QUESTION, AnswerShape.YES_NO)], cik, fy,
+            first_seq=_CLASSIFY_SEQ, alongside=alongside,
         )
         return SegmentationClass(kind=MULTI_SEGMENT if is_multi else SINGLE_UNIT, raw_response=raw)
 
     def extract_reportable(self, handle: FileHandle, cik: int, fy: int,
-                           warnings: list[str]) -> list[SegmentRecord]:
-        return self._extract_tier(handle, SEGMENT_NAMES_QUESTION, None, cik, fy, warnings)
+                           warnings: list[str], alongside=None) -> list[SegmentRecord]:
+        return self._extract_tier(handle, [None], cik, fy, warnings, alongside)
 
     def detect_nested(self, handle: FileHandle, reportable: list[SegmentRecord],
                       cik: int, fy: int, warnings: list[str]) -> dict[str, bool]:
@@ -358,41 +418,65 @@ class ExtractionPipeline:
         return {record.name: answer[0]
                 for record, answer in zip(reportable, answers) if answer is not None}
 
-    def extract_nested(self, handle: FileHandle, parent: SegmentRecord,
+    def extract_nested(self, handle: FileHandle, parents: list[SegmentRecord],
                        cik: int, fy: int, warnings: list[str]) -> list[SegmentRecord]:
-        return self._extract_tier(handle, nested_names_question(parent.name), parent.name,
-                                  cik, fy, warnings)
+        return self._extract_tier(handle, [parent.name for parent in parents], cik, fy, warnings)
 
     def extract_general_fields(self, handle: FileHandle, cik: int, fy: int,
                                warnings: list[str]) -> dict[str, str]:
         items = [(spec.question, spec.answer_shape) for spec in GENERAL_FIELDS]
-        answers = self._ask_all(handle, items, cik, fy, warnings)
+        answers = self._ask_all(handle, items, cik, fy, warnings,
+                                first_seq=_GENERAL_SEQ, filler=True)
         # Store the raw validated text; interpretation (e.g. parsing revt
         # into a number) happens at point of use.
         return {spec.field_name: NOT_PROVIDED if answer is None else answer[1].strip()
                 for spec, answer in zip(GENERAL_FIELDS, answers)}
 
+    def _detect_and_extract_nested(self, handle: FileHandle, cik: int, fy: int,
+                                   warnings: list[str],
+                                   reportable: list[SegmentRecord]) -> list[SegmentRecord]:
+        flags = self.detect_nested(handle, reportable, cik, fy, warnings)
+        parents = [record for record in reportable if flags.get(record.name)]
+        return self.extract_nested(handle, parents, cik, fy, warnings) if parents else []
+
     def run_pipeline(self, doc: CachedDocument, cik: int, fy: int) -> ExtractionBundle:
         handle = self.gateway.upload(doc)
+        general_warnings: list[str] = []
         warnings: list[str] = []
-        classification = self.classify_segmentation(handle, cik, fy)
-        general = self.extract_general_fields(handle, cik, fy, warnings)
+        nested_warnings: list[str] = []
         reportable: list[SegmentRecord] = []
         nested: list[SegmentRecord] = []
-        if classification.kind == MULTI_SEGMENT:
-            reportable = self.extract_reportable(handle, cik, fy, warnings)
-            flags = self.detect_nested(handle, reportable, cik, fy, warnings)
-            for record in reportable:
-                if flags.get(record.name):
-                    nested.extend(self.extract_nested(handle, record, cik, fy, warnings))
+        started: dict[str, Future] = {}
+        with ThreadPoolExecutor(max_workers=2, thread_name_prefix="stage") as stages:
+
+            def start(name: str, stage, *args) -> None:
+                started[name] = stages.submit(stage, *args)
+
+            classification = self.classify_segmentation(
+                handle, cik, fy,
+                alongside=partial(start, "general", self.extract_general_fields,
+                                  handle, cik, fy, general_warnings),
+            )
+            try:
+                if classification.kind == MULTI_SEGMENT:
+                    reportable = self.extract_reportable(
+                        handle, cik, fy, warnings,
+                        alongside=partial(start, "nested", self._detect_and_extract_nested,
+                                          handle, cik, fy, nested_warnings),
+                    )
+                    nested = started["nested"].result()
+            finally:
+                # The general fields come before the chain in plan order, so
+                # their failure is the one raised when both fail.
+                general_fields = started["general"].result()
         bundle = ExtractionBundle(
             cik=cik,
             fiscal_year=fy,
             classification=classification,
-            general_fields=general,
+            general_fields=general_fields,
             reportable=reportable,
             nested=nested,
-            warnings=warnings,
+            warnings=general_warnings + warnings + nested_warnings,
         )
         audit_nested_sums(bundle)
         validate_bundle(bundle)

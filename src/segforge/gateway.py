@@ -4,16 +4,18 @@ A document is uploaded once and referenced by identifier across many
 prompts.  Two backends: a live HTTPS provider (configured, never required
 for tests) and a deterministic scripted backend that replays canned
 responses keyed by (file content hash, question).  Every request/response
-pair is appended to a transcript log so extracted values can be audited
+pair is kept in a transcript log so extracted values can be audited
 against raw model output.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -271,11 +273,17 @@ class TranscriptRecord:
 class Gateway:
     """Upload-once, file-grounded prompting with a transcript log.
 
-    Shareable across worker threads; ask() is safe to call concurrently
-    and ask_many() bounds the number of outstanding requests.
+    ``max_in_flight`` is one budget for the whole gateway: however many
+    threads call ask(), submit() or ask_many() at once, no more than that
+    many prompts are with the backend. Queued prompts start in two classes,
+    each first come, first served: a waiting critical-path request gets the
+    next free slot before any waiting ``filler`` request.
+
+    The gateway never numbers requests; callers give each one an id, and
+    reusing an id is an error.
     """
 
-    def __init__(self, backend, transcript_path: str | Path | None = None, max_in_flight: int = 8):
+    def __init__(self, backend, max_in_flight: int = 8):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.backend = backend
@@ -285,13 +293,14 @@ class Gateway:
         self._handles: dict[str, FileHandle] = {}
         self._seen_request_ids: set[str] = set()
         self._lock = threading.Lock()
-        self._transcript_path = Path(transcript_path) if transcript_path else None
-        if self._transcript_path:
-            self._transcript_path.parent.mkdir(parents=True, exist_ok=True)
+        self._slots = threading.BoundedSemaphore(max_in_flight)
+        # (filler, arrival, request, future); a heap serves critical first.
+        self._queue: list[tuple[bool, int, PromptRequest, Future]] = []
+        self._arrivals = itertools.count()
+        self._workers = 0
 
     @classmethod
-    def from_config(cls, config, script_store: ScriptStore | None = None,
-                    transcript_path: str | Path | None = None) -> "Gateway":
+    def from_config(cls, config, script_store: ScriptStore | None = None) -> "Gateway":
         backend_name = config.get("llm.backend")
         max_in_flight = config.get_int("llm.max_in_flight")
         if backend_name == SCRIPTED:
@@ -309,7 +318,7 @@ class Gateway:
             )
         else:
             raise SchemaError(f"unknown llm.backend {backend_name!r}")
-        return cls(backend, transcript_path=transcript_path, max_in_flight=max_in_flight)
+        return cls(backend, max_in_flight=max_in_flight)
 
     # -- uploads ------------------------------------------------------------
 
@@ -333,35 +342,57 @@ class Gateway:
     # -- prompting ----------------------------------------------------------
 
     def ask(self, request: PromptRequest) -> Completion:
+        """Send one prompt now, waiting for a free slot of the budget."""
         with self._lock:
             if request.request_id in self._seen_request_ids:
                 raise ValueError(f"duplicate request_id {request.request_id!r}")
             self._seen_request_ids.add(request.request_id)
-        completion = self.backend.ask(request)
+        with self._slots:
+            completion = self.backend.ask(request)
         self._log(request, completion)
         return completion
 
-    def ask_many(self, requests: list[PromptRequest], max_in_flight: int | None = None) -> list[Completion]:
+    def submit(self, request: PromptRequest, filler: bool = False) -> Future:
+        """Queue one prompt; the future holds its Completion or its error."""
+        future: Future = Future()
+        with self._lock:
+            heapq.heappush(self._queue, (filler, next(self._arrivals), request, future))
+            if self._workers < self.max_in_flight:
+                threading.Thread(target=self._work, name="gateway-worker", daemon=True).start()
+                self._workers += 1
+        return future
+
+    def _work(self) -> None:
+        # A worker leaves as soon as the queue is empty, so an idle gateway
+        # holds no threads; submit() starts a new one when needed.
+        while True:
+            with self._lock:
+                if not self._queue:
+                    self._workers -= 1
+                    return
+                _, _, request, future = heapq.heappop(self._queue)
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                future.set_result(self.ask(request))
+            except Exception as exc:  # noqa: BLE001 - handed to the future's reader
+                future.set_exception(exc)
+
+    def ask_many(self, requests: list[PromptRequest]) -> list[Completion]:
         """Run requests concurrently; results come back in input order.
 
         Per-request failures are aggregated into a BatchError carrying the
         completions that did succeed, so one bad request never aborts its
         siblings.
         """
-        limit = max_in_flight if max_in_flight is not None else self.max_in_flight
-        if limit < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if not requests:
-            return []
+        futures = [self.submit(request) for request in requests]
         completions: dict[int, Completion] = {}
         errors: dict[int, Exception] = {}
-        with ThreadPoolExecutor(max_workers=limit) as pool:
-            futures = {pool.submit(self.ask, req): i for i, req in enumerate(requests)}
-            for future, index in futures.items():
-                try:
-                    completions[index] = future.result()
-                except Exception as exc:  # noqa: BLE001 - aggregated below
-                    errors[index] = exc
+        for index, future in enumerate(futures):
+            try:
+                completions[index] = future.result()
+            except Exception as exc:  # noqa: BLE001 - aggregated below
+                errors[index] = exc
         if errors:
             raise BatchError(completions=completions, errors=errors)
         return [completions[i] for i in range(len(requests))]
@@ -379,9 +410,6 @@ class Gateway:
         )
         with self._lock:
             self.transcript.append(record)
-            if self._transcript_path:
-                with open(self._transcript_path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
     def transcript_for(self, file_hash: str) -> list[TranscriptRecord]:
         return [r for r in self.transcript if r.file_hash == file_hash]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from html.parser import HTMLParser
 
@@ -373,10 +373,16 @@ def _extract_sgml_text(text: str) -> str:
 
 
 def parse(doc: CachedDocument) -> ParsedFiling:
-    """Extract normalized text, item sections, and tables from a filing."""
+    """Extract normalized text, item sections, and tables from a filing.
+
+    The parsed filing's ref leaves out ``fetched_at``: that wall-clock stamp
+    stays in the cache's meta.json, so parsed JSON is the same for the same
+    filing whenever it was fetched.
+    """
     data = doc.read_bytes()
     text = _decode(data)
-    return parse_text(text, media_kind=doc.media_kind, ref=doc.ref)
+    ref = None if doc.ref is None else replace(doc.ref, fetched_at="")
+    return parse_text(text, media_kind=doc.media_kind, ref=ref)
 
 
 def parse_text(raw: str, media_kind: str = "html", ref: FilingRef | None = None) -> ParsedFiling:
@@ -623,7 +629,6 @@ def to_json(parsed: ParsedFiling) -> dict:
             "fiscal_year": parsed.ref.fiscal_year,
             "accession_number": parsed.ref.accession_number,
             "document_url": parsed.ref.document_url,
-            "fetched_at": parsed.ref.fetched_at,
             "primary_document": parsed.ref.primary_document,
             "amended": parsed.ref.amended,
         }
@@ -664,7 +669,6 @@ def from_json(data: dict) -> ParsedFiling:
             fiscal_year=r["fiscal_year"],
             accession_number=r["accession_number"],
             document_url=r["document_url"],
-            fetched_at=r.get("fetched_at", ""),
             primary_document=r.get("primary_document", ""),
             amended=r.get("amended", False),
         )

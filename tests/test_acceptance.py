@@ -330,8 +330,9 @@ def test_criterion_09_concurrency_contract(capsys):
 
 
 def test_criterion_10_determinism(capsys, config_path, tmp_path, avy_index_dir):
-    """Tolerance: byte-identical artifacts; the only timestamp field
-    (ref.fetched_at) is cache-stable, so nothing needs excluding. Budget: 30 s."""
+    """Tolerance: byte-identical artifacts; the fetch timestamp stays in the
+    EDGAR cache and never reaches the run directory, so nothing needs
+    excluding. Budget: 30 s."""
     with criterion(capsys, 10, "two full scripted runs are byte-identical", 30.0):
         roster = filingfab.write_roster(tmp_path / "roster.csv", [
             (paperdata.AVY_CIK, 2012),

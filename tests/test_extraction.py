@@ -7,6 +7,12 @@ model quality.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+import threading
+import time
+from dataclasses import dataclass
 from decimal import Decimal
 
 import pytest
@@ -47,6 +53,7 @@ from segforge.templates import (
     SEGMENT_NAMES_QUESTION,
     AnswerShape,
     measure_question,
+    nested_detect_question,
     nested_measure_question,
     nested_names_question,
     retry_question,
@@ -218,10 +225,13 @@ class TestRetries:
         [record] = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
         assert record.measures == {"revenue": Money(Decimal(5), Scale.MILLIONS)}
         assert warnings == []
-        # names, then revenue with its retry (which runs after the measure
-        # batch), then the other two measures.
+        # Classify and the general fields own 0001-0018, so the names are
+        # 0019; revenue's retry takes revenue's id plus "-r", not a number.
         assert record.provenance == [
-            "1-2000-0001", "1-2000-0002", "1-2000-0005", "1-2000-0003", "1-2000-0004",
+            "1-2000-0019", "1-2000-0020", "1-2000-0020-r", "1-2000-0021", "1-2000-0022",
+        ]
+        assert sorted(r.request_id for r in gateway.transcript) == [
+            "1-2000-0019", "1-2000-0020", "1-2000-0020-r", "1-2000-0021", "1-2000-0022",
         ]
 
     def test_missing_retry_script_reraises_original(self):
@@ -309,7 +319,7 @@ class TestTierDifferences:
 
         warnings = []
         parent = SegmentRecord(cik=1, fiscal_year=2000, name="Americas")
-        [component] = pipeline.extract_nested(handle, parent, 1, 2000, warnings)
+        [component] = pipeline.extract_nested(handle, [parent], 1, 2000, warnings)
         assert component.measures == {"revenue": Money(Decimal(7), Scale.UNITS, False)}
         assert warnings == []
         assert component.parent_name == "Americas"
@@ -317,6 +327,207 @@ class TestTierDifferences:
         # makes the component geographic.
         assert infer_axis("Widgets", nested=True) == AXIS_OTHER
         assert component.axis == AXIS_GEOGRAPHIC
+
+
+@dataclass
+class StubDoc:
+    """Just enough of a CachedDocument for run_pipeline: bytes, hash and name."""
+
+    data: bytes
+
+    @property
+    def content_hash(self) -> str:
+        return hashlib.sha256(self.data).hexdigest()
+
+    class ref:
+        primary_document = "stub.htm"
+
+    def read_bytes(self) -> bytes:
+        return self.data
+
+
+def replace_response(entries: list[dict], question: str, response: str,
+                     retry: str | None = None, shape: AnswerShape = AnswerShape.MONETARY) -> None:
+    """Give one question a new answer and, when ``retry`` is given, a retry answer."""
+    entry = next(e for e in entries if e["question"] == question)
+    entry["response"] = response
+    if retry is not None:
+        entries.append({"file_hash": entry["file_hash"],
+                        "question": retry_question(question, shape), "response": retry})
+
+
+def two_parent_script(file_hash: str) -> list[dict]:
+    """A nested filing with two flagged parents, format retries and warnings in both groups."""
+    fields = filingfab.general_responses({"conm": "Stub Holdings", "revt": "$6,000 million"})
+    entries = filingfab.filing_script(
+        file_hash, "Yes", fields,
+        [("Alpha Group", 1000), ("Beta Group", 2000), ("Gamma Group", 3000)],
+        nested={"Alpha Group": [("Alpha Cloud", 600), ("Alpha Devices", 400)],
+                "Gamma Group": [("Gamma Cloud", 1000), ("Gamma Services", 2000)]},
+    )
+    # A format retry that recovers, on a reportable and on a nested measure.
+    replace_response(entries, measure_question("revenue", "Beta Group"),
+                     "approximately 2,000 (in millions)", "$2,000 million")
+    replace_response(entries, nested_measure_question("revenue", "Gamma Cloud", "Gamma Group"),
+                     "about 1,000 (in millions)", "$1,000 million")
+    # Warnings: a general field and a measure still invalid after their
+    # retries, and a reportable revenue without a scale word.
+    replace_response(entries, GENERAL_FIELDS[2].question, "two\nlines", "still\ntwo",
+                     AnswerShape.SCALAR)
+    replace_response(entries, measure_question("assets", "Beta Group"), "no idea", "still none")
+    replace_response(entries, measure_question("revenue", "Alpha Group"), "1000")
+    return entries
+
+
+class TestScheduling:
+    """run_pipeline overlaps the stages under the gateway's one budget."""
+
+    def test_measures_wait_while_detection_and_nested_names_go_out(
+            self, edgar_client, script_entries):
+        # Every reportable measure answer is held until the nested-names
+        # question is asked, which needs detection answered first: only a
+        # pipeline with detection in flight beside the measures finishes.
+        nested_asked = threading.Event()
+        measures = {measure_question(m, s) for m in DEFAULT_MEASURES
+                    for s in paperdata.ADOBE_SEGMENTS}
+        asked: list[str] = []
+        held_too_long: list[str] = []
+
+        def gate(question: str) -> float:
+            asked.append(question)
+            if question == nested_names_question(paperdata.ADOBE_NESTED_PARENT):
+                nested_asked.set()
+            elif question in measures and not nested_asked.wait(timeout=5):
+                held_too_long.append(question)
+            return 0.0
+
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(script_entries),
+                                          delay_fn=gate), max_in_flight=16)
+        doc = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        bundle = ExtractionPipeline(gateway).run_pipeline(doc, paperdata.ADOBE_CIK,
+                                                          paperdata.ADOBE_FY)
+        assert held_too_long == []
+        detections = [asked.index(nested_detect_question(s)) for s in paperdata.ADOBE_SEGMENTS]
+        assert max(detections) < asked.index(
+            nested_names_question(paperdata.ADOBE_NESTED_PARENT))
+        assert [r.name for r in bundle.nested] == [n for n, _ in paperdata.ADOBE_NESTED]
+
+    def test_retry_goes_out_before_its_batch_settles(self):
+        # The profit answer is held until revenue's retry is asked, so the
+        # retry must not wait for the rest of the measure batch.
+        revenue = measure_question("revenue", "Alpha")
+        retry = retry_question(revenue, AnswerShape.MONETARY)
+        profit = measure_question("profit_or_loss", "Alpha")
+        retry_asked = threading.Event()
+        held_too_long: list[str] = []
+
+        def gate(question: str) -> float:
+            if question == retry:
+                retry_asked.set()
+            elif question == profit and not retry_asked.wait(timeout=5):
+                held_too_long.append(question)
+            return 0.0
+
+        file_hash = "d" * 64
+        answers = {SEGMENT_NAMES_QUESTION: "Alpha", revenue: "around five million",
+                   retry: "$5 million", profit: "$1 million",
+                   measure_question("assets", "Alpha"): "Not provided"}
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(
+            [{"file_hash": file_hash, "question": q, "response": r} for q, r in answers.items()]
+        ), delay_fn=gate))
+        handle = gateway.upload_bytes(b"doc", content_hash=file_hash)
+        [record] = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, [])
+        assert held_too_long == []
+        assert record.measures["revenue"] == Money(Decimal(5), Scale.MILLIONS)
+
+    def run_jittered(self, doc, entries: list[dict], cik: int, fy: int, seed: int | None,
+                     tmp_path) -> tuple[str, bytes, int]:
+        """Bundle JSON, sorted transcript bytes and peak in-flight under seeded delays."""
+        lock = threading.Lock()
+        active = peak = 0
+
+        def jitter(question: str) -> float:
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            if seed is not None:
+                time.sleep(random.Random(f"{seed}:{question}").choice([0, 0.0005, 0.001, 0.003]))
+            with lock:
+                active -= 1
+            return 0.0
+
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(entries), delay_fn=jitter),
+                          max_in_flight=5)
+        bundle = ExtractionPipeline(gateway).run_pipeline(doc, cik, fy)
+        path = tmp_path / f"transcript_{cik}_{seed}.jsonl"
+        gateway.dump_transcript(path)
+        return json.dumps(bundle_to_json(bundle), sort_keys=True), path.read_bytes(), peak
+
+    def test_outputs_do_not_depend_on_completion_order(self, edgar_client, edgar_fixture,
+                                                       tmp_path):
+        _, hashes = edgar_fixture
+        adobe = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        stub = StubDoc(b"a nested filing with two flagged parents")
+        filings = [
+            (adobe, filingfab.adobe_script(hashes["adobe"]), paperdata.ADOBE_CIK,
+             paperdata.ADOBE_FY),
+            (stub, two_parent_script(stub.content_hash), 7, 2020),
+        ]
+        for doc, entries, cik, fy in filings:
+            reference, transcript, _ = self.run_jittered(doc, entries, cik, fy, None, tmp_path)
+            for seed in range(5):
+                got, got_transcript, peak = self.run_jittered(doc, entries, cik, fy, seed,
+                                                              tmp_path)
+                assert got == reference, (cik, seed)
+                assert got_transcript == transcript, (cik, seed)
+                assert 1 < peak <= 5
+
+        bundle = json.loads(reference)
+        ids = [json.loads(line)["request_id"] for line in transcript.decode().splitlines()]
+        # classify and the 17 general fields are 0001-0018 and the names
+        # 0019; each retry is its original's id plus "-r".
+        retried = [i for i in ids if i.endswith("-r")]
+        firsts = [i for i in ids if i not in retried]
+        assert firsts == [f"7-2020-{seq:04d}" for seq in range(1, len(firsts) + 1)]
+        assert len(retried) == 4 and all(i[:-2] in firsts for i in retried)
+        assert [(r["parent_name"], r["name"]) for r in bundle["nested"]] == [
+            ("Alpha Group", "Alpha Cloud"), ("Alpha Group", "Alpha Devices"),
+            ("Gamma Group", "Gamma Cloud"), ("Gamma Group", "Gamma Services"),
+        ]
+        gamma_cloud = bundle["nested"][2]
+        assert gamma_cloud["measures"]["revenue"]["value"] == "1000"
+        assert gamma_cloud["provenance"][2].endswith("-r")
+        # General-field warnings first, then the chain's, each in plan order.
+        assert bundle["warnings"] == [
+            "request 7-2020-0004 invalid after retry: scalar answer spans multiple lines: "
+            "'still\\ntwo'",
+            "request 7-2020-0025 invalid after retry: not a monetary amount: 'still none'",
+            "measure revenue for 'Alpha Group' has no scale word; taking value as-is",
+        ]
+
+    def test_general_field_failure_surfaces(self, edgar_client, edgar_fixture):
+        # The filler stage runs on its own thread; its script miss must still
+        # raise from run_pipeline, after the multi-segment chain has run.
+        _, hashes = edgar_fixture
+        dropped = GENERAL_FIELDS[-1].question
+        entries = [e for e in filingfab.adobe_script(hashes["adobe"])
+                   if e["question"] != dropped]
+        pipeline = ExtractionPipeline(Gateway(ScriptedBackend(ScriptStore.from_entries(entries))))
+        doc = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        with pytest.raises(ScriptMissError) as excinfo:
+            pipeline.run_pipeline(doc, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        assert excinfo.value.question == dropped
+
+    def test_nested_names_failure_surfaces(self, edgar_client, edgar_fixture):
+        # Nested names are required and are asked on the detection thread.
+        _, hashes = edgar_fixture
+        entries = filingfab.adobe_script(hashes["adobe"])
+        replace_response(entries, nested_names_question(paperdata.ADOBE_NESTED_PARENT), " ")
+        pipeline = ExtractionPipeline(Gateway(ScriptedBackend(ScriptStore.from_entries(entries))))
+        doc = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        with pytest.raises(ValidationError, match="empty list answer"):
+            pipeline.run_pipeline(doc, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
 
 
 class TestValidators:

@@ -8,6 +8,7 @@ calls directly instead of timing them.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -197,27 +198,16 @@ class TestGatewayAsk:
         assert [r.response for r in gateway.transcript_for(HASH_A)] == ["ra"]
         assert [r.response for r in gateway.transcript_for(HASH_B)] == ["rb"]
 
-    def test_live_transcript_jsonl(self, tmp_path):
-        path = tmp_path / "transcript.jsonl"
-        gateway = Gateway(ScriptedBackend(store_with({"q1": "r1", "q2": "r2"})),
-                          transcript_path=path)
-        gateway.ask(request_for("q1", "req-1"))
-        gateway.ask(request_for("q2", "req-2"))
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
-        record = json.loads(lines[0])
-        assert record["request_id"] == "req-1"
-        assert record["response"] == "r1"
-
     def test_dump_transcript_sorted_by_request_id(self, tmp_path):
         gateway = Gateway(ScriptedBackend(store_with({"q1": "r1", "q2": "r2"})))
         gateway.ask(request_for("q2", "req-2"))
         gateway.ask(request_for("q1", "req-1"))
         path = tmp_path / "out.jsonl"
         gateway.dump_transcript(path)
-        ids = [json.loads(line)["request_id"]
-               for line in path.read_text(encoding="utf-8").splitlines()]
-        assert ids == ["req-1", "req-2"]
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [(r["request_id"], r["response"]) for r in records] == [
+            ("req-1", "r1"), ("req-2", "r2"),
+        ]
 
 
 class TestAskMany:
@@ -272,9 +262,11 @@ class TestAskMany:
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError):
             Gateway(ScriptedBackend(ScriptStore()), max_in_flight=0)
-        gateway = Gateway(ScriptedBackend(ScriptStore()))
+        # The one cap is the gateway's, so a zero llm.max_in_flight is
+        # refused when the gateway is built, before any prompt is queued.
+        config = Config({"llm.max_in_flight": "0"}, use_env=False)
         with pytest.raises(ValueError):
-            gateway.ask_many([request_for("q", "req-1")], max_in_flight=0)
+            Gateway.from_config(config, script_store=store_with({"q": "r"}))
 
     def test_request_ids_unique_across_batches(self):
         store = store_with({"q": "r"})
@@ -283,6 +275,128 @@ class TestAskMany:
         with pytest.raises(BatchError) as excinfo:
             gateway.ask_many([request_for("q", "req-1")])
         assert isinstance(excinfo.value.errors[0], ValueError)
+
+
+class InFlightProbe:
+    """A delay_fn that counts overlapping backend calls and records start order."""
+
+    def __init__(self, hold: float = 0.01, gates: dict[str, threading.Event] | None = None):
+        self.hold = hold
+        self.gates = gates or {}
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.started: list[str] = []
+
+    def __call__(self, question: str) -> float:
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.started.append(question)
+        gate = self.gates.get(question)
+        if gate is not None:
+            assert gate.wait(timeout=5), f"{question} was never released"
+        else:
+            time.sleep(self.hold)
+        with self.lock:
+            self.active -= 1
+        return 0.0
+
+    def wait_started(self, questions: list[str]) -> None:
+        deadline = time.monotonic() + 5
+        while self.started != questions and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert self.started == questions
+
+
+class TestGatewayBudget:
+    """max_in_flight is one budget for the gateway, shared by every caller."""
+
+    def test_concurrent_ask_many_calls_share_one_cap(self):
+        probe = InFlightProbe()
+        questions = [f"q{i}" for i in range(24)]
+        gateway = Gateway(ScriptedBackend(store_with({q: "r" for q in questions}),
+                                          delay_fn=probe), max_in_flight=3)
+        results: dict[int, list[str]] = {}
+
+        def caller(part: int) -> None:
+            batch = [request_for(q, f"req-{q}") for q in questions[part::2]]
+            results[part] = [c.text for c in gateway.ask_many(batch)]
+
+        threads = [threading.Thread(target=caller, args=(part,)) for part in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert results == {0: ["r"] * 12, 1: ["r"] * 12}
+        assert 2 <= probe.peak <= 3
+
+    def test_direct_ask_counts_against_the_cap(self):
+        release = threading.Event()
+        probe = InFlightProbe(gates={"held": release})
+        gateway = Gateway(ScriptedBackend(store_with({"held": "h", "q": "r"}), delay_fn=probe),
+                          max_in_flight=1)
+        held = gateway.submit(request_for("held", "req-held"))
+        probe.wait_started(["held"])
+        caller = threading.Thread(target=gateway.ask, args=(request_for("q", "req-q"),))
+        caller.start()
+        caller.join(timeout=0.2)
+        assert caller.is_alive()  # waiting for the one slot
+        assert probe.started == ["held"]
+        release.set()
+        caller.join(timeout=5)
+        assert not caller.is_alive()
+        assert held.result(timeout=5).text == "h"
+        assert probe.peak == 1
+
+    def test_critical_request_starts_before_queued_filler(self):
+        release = threading.Event()
+        probe = InFlightProbe(hold=0.0, gates={"held": release})
+        answers = {q: q.upper() for q in ("held", "f0", "f1", "f2", "chain")}
+        gateway = Gateway(ScriptedBackend(store_with(answers), delay_fn=probe), max_in_flight=1)
+        futures = [gateway.submit(request_for("held", "req-held"))]
+        probe.wait_started(["held"])
+        futures += [gateway.submit(request_for(q, f"req-{q}"), filler=True)
+                    for q in ("f0", "f1", "f2")]
+        futures.append(gateway.submit(request_for("chain", "req-chain")))
+        release.set()
+        assert [f.result(timeout=5).text for f in futures] == ["HELD", "F0", "F1", "F2", "CHAIN"]
+        assert probe.started == ["held", "chain", "f0", "f1", "f2"]
+
+    def test_stress_many_submitters(self):
+        # Workers come and go as the queue empties; a lost update to their
+        # count would strand a queued request and its future would time out.
+        probe = InFlightProbe(hold=0.0)
+        questions = [f"q{i}" for i in range(400)]
+        gateway = Gateway(ScriptedBackend(store_with({q: q.upper() for q in questions}),
+                                          delay_fn=probe), max_in_flight=3)
+        futures: dict[str, object] = {}
+
+        def submitter(part: int) -> None:
+            for q in questions[part::8]:
+                futures[q] = gateway.submit(request_for(q, f"req-{q}"), filler=part % 2 == 0)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submitter, args=(part,)) for part in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert {q: f.result(timeout=10).text for q, f in futures.items()} == {
+                q: q.upper() for q in questions}
+        finally:
+            sys.setswitchinterval(interval)
+        assert probe.peak <= 3
+
+    def test_submit_hands_errors_to_the_future(self):
+        gateway = Gateway(ScriptedBackend(store_with({"q": "r"})))
+        future = gateway.submit(request_for("missing", "req-1"))
+        with pytest.raises(ScriptMissError):
+            future.result(timeout=5)
 
 
 class TestFromConfig:

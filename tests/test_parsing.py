@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import paperdata
 from segforge import parsing
+from segforge.edgar import EdgarClient, FixtureTransport
 from segforge.errors import EmptyDocumentError, NoItemsFoundError
 from segforge.parsing import (
     UNASSIGNED,
@@ -387,6 +388,21 @@ class TestSerialization:
         parsed = parse_text("<p>Item 1. Business</p><p>Narrative text.</p>")
         assert parsed.ref is None
         assert load_json(dump_json(parsed)) == parsed
+
+    def test_parsed_json_is_independent_of_fetch_time(self, edgar_fixture, tmp_path):
+        # The fetch stamp belongs to the cache; the parsed JSON under a run
+        # directory must not change with it.
+        root, _ = edgar_fixture
+        dumps, stamps = [], []
+        for cache in ("cache_a", "cache_b"):
+            client = EdgarClient(FixtureTransport(root), cache_dir=tmp_path / cache,
+                                 rate_limit_rps=10_000)
+            doc = client.fetch(client.resolve_filing(paperdata.APPLE_CIK, paperdata.APPLE_FY))
+            stamps.append(doc.ref.fetched_at)
+            dumps.append(dump_json(parse(doc)))
+        assert stamps[0] != stamps[1]
+        assert dumps[0] == dumps[1]
+        assert stamps[0] not in dumps[0]
 
     def test_numeric_cells_keep_decimal_exactness(self, parsed_filings):
         parsed = parsed_filings["apple"]
