@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -127,6 +128,7 @@ def _run_dir(args) -> Path:
 
 
 def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
+    """Add new_paths' digests to manifest.json, replacing the file atomically."""
     manifest_path = run_dir / "manifest.json"
     entries: dict[str, str] = {}
     if manifest_path.exists():
@@ -136,10 +138,13 @@ def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries[path.relative_to(run_dir).as_posix()] = digest
     artifacts = [{"path": rel, "sha256": entries[rel]} for rel in sorted(entries)]
-    manifest_path.write_text(
-        json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True) + "\n",
+                       encoding="utf-8")
+        os.replace(tmp, manifest_path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _store(config: Config, run_dir: Path) -> SegmentStore:

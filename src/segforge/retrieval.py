@@ -17,6 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
@@ -60,10 +61,16 @@ class RetrievalResult:
 
 @dataclass
 class ChunkIndex:
+    """Chunks plus the term statistics that score them.
+
+    ``chunk_terms``/``chunk_len`` may be omitted: a chunk's entries are then
+    derived from its text when it is first scored.
+    """
+
     chunks: list[Chunk]
     doc_freq: dict[str, int]
-    chunk_terms: list[dict[str, int]]
-    chunk_len: list[int]
+    chunk_terms: list[dict[str, int] | None] | None = None
+    chunk_len: list[int | None] | None = None
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     segment_boost: float = DEFAULT_SEGMENT_BOOST
@@ -73,9 +80,29 @@ class ChunkIndex:
     def __post_init__(self):
         if not self._by_id:
             self._by_id = {chunk.chunk_id: i for i, chunk in enumerate(self.chunks)}
+        if self.chunk_terms is None:
+            self.chunk_terms = [None] * len(self.chunks)
+            self.chunk_len = [None] * len(self.chunks)
+
+    @cached_property
+    def _by_filing(self) -> dict[tuple[int, int], list[int]]:
+        """Chunk positions per (cik, fiscal_year), ascending."""
+        positions: dict[tuple[int, int], list[int]] = {}
+        for i, chunk in enumerate(self.chunks):
+            positions.setdefault(chunk.source, []).append(i)
+        return positions
 
     def chunk(self, chunk_id: str) -> Chunk:
         return self.chunks[self._by_id[chunk_id]]
+
+    def terms(self, index: int) -> tuple[dict[str, int], int]:
+        """One chunk's term counts and length, derived and kept on first use."""
+        counts = self.chunk_terms[index]
+        if counts is None:
+            tokens = tokenize(self.chunks[index].text)
+            counts, self.chunk_len[index] = dict(Counter(tokens)), len(tokens)
+            self.chunk_terms[index] = counts
+        return counts, self.chunk_len[index]
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -86,8 +113,7 @@ class ChunkIndex:
         Token order is the arithmetic order of the summation; callers must
         pass a sorted unique list so scores are bit-reproducible.
         """
-        counts = self.chunk_terms[index]
-        length = self.chunk_len[index]
+        counts, length = self.terms(index)
         norm = 1.0 - self.b + self.b * (length / self.len_norm_ref)
         total = 0.0
         for token in query_tokens:
@@ -180,26 +206,12 @@ def build_index(filings: list[ParsedFiling],
                     )
                 )
                 seq += 1
-    doc_freq: dict[str, int] = {}
-    chunk_terms: list[dict[str, int]] = []
-    chunk_len: list[int] = []
-    for chunk in chunks:
-        tokens = tokenize(chunk.text)
-        counts = dict(Counter(tokens))
-        chunk_terms.append(counts)
-        chunk_len.append(len(tokens))
-        for term in counts:
-            doc_freq[term] = doc_freq.get(term, 0) + 1
-    return ChunkIndex(
-        chunks=chunks,
-        doc_freq=doc_freq,
-        chunk_terms=chunk_terms,
-        chunk_len=chunk_len,
-        k1=k1,
-        b=b,
-        segment_boost=segment_boost,
-        len_norm_ref=len_norm_ref,
-    )
+    index = ChunkIndex(chunks=chunks, doc_freq={}, k1=k1, b=b,
+                       segment_boost=segment_boost, len_norm_ref=len_norm_ref)
+    for i in range(len(chunks)):
+        for term in index.terms(i)[0]:
+            index.doc_freq[term] = index.doc_freq.get(term, 0) + 1
+    return index
 
 
 def build_index_from_config(filings: list[ParsedFiling], config) -> ChunkIndex:
@@ -214,16 +226,18 @@ def build_index_from_config(filings: list[ParsedFiling], config) -> ChunkIndex:
     )
 
 
+def _years(wanted) -> set | list | tuple:
+    return wanted if isinstance(wanted, (set, list, tuple)) else {wanted}
+
+
 def _matches(chunk: Chunk, metadata_filter: dict | None) -> bool:
     if not metadata_filter:
         return True
     if "cik" in metadata_filter and chunk.cik != metadata_filter["cik"]:
         return False
-    if "fiscal_year" in metadata_filter:
-        wanted = metadata_filter["fiscal_year"]
-        years = wanted if isinstance(wanted, (set, list, tuple)) else {wanted}
-        if chunk.fiscal_year not in years:
-            return False
+    if "fiscal_year" in metadata_filter and \
+            chunk.fiscal_year not in _years(metadata_filter["fiscal_year"]):
+        return False
     if "item" in metadata_filter and chunk.item != metadata_filter["item"]:
         return False
     return True
@@ -235,8 +249,13 @@ def retrieve(index: ChunkIndex, query: str, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     query_tokens = sorted(set(tokenize(query)))
+    candidates = range(len(index.chunks))
+    if metadata_filter and {"cik", "fiscal_year"} <= metadata_filter.keys():
+        candidates = sorted({i for year in _years(metadata_filter["fiscal_year"]) for i in
+                             index._by_filing.get((metadata_filter["cik"], year), ())})
     scored: list[tuple[float, int, str]] = []
-    for i, chunk in enumerate(index.chunks):
+    for i in candidates:
+        chunk = index.chunks[i]
         if not _matches(chunk, metadata_filter):
             continue
         score = index.score(i, query_tokens)
@@ -305,7 +324,11 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
 
 
 def save_index(index: ChunkIndex, directory: str | Path) -> None:
-    """Write index.meta.json (chunk table) and index.bin (term statistics)."""
+    """Write index.meta.json (params and chunk table) and index.bin (doc_freq).
+
+    Per-chunk term counts are not stored: they are a function of the chunk
+    text, and a loaded index derives them when a chunk is first scored.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta = {
@@ -331,17 +354,17 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
     (directory / "index.meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    stats = {
-        "doc_freq": dict(sorted(index.doc_freq.items())),
-        "chunk_terms": [dict(sorted(t.items())) for t in index.chunk_terms],
-        "chunk_len": index.chunk_len,
-    }
     (directory / "index.bin").write_text(
-        json.dumps(stats, sort_keys=True), encoding="utf-8"
+        json.dumps({"doc_freq": index.doc_freq}, sort_keys=True), encoding="utf-8"
     )
 
 
 def load_index(directory: str | Path) -> ChunkIndex:
+    """Read a saved index; term counts are derived per chunk on first score.
+
+    An index.bin written with ``chunk_terms``/``chunk_len`` still loads:
+    those keys are ignored, and scores are identical.
+    """
     directory = Path(directory)
     meta = json.loads((directory / "index.meta.json").read_text(encoding="utf-8"))
     stats = json.loads((directory / "index.bin").read_text(encoding="utf-8"))
@@ -360,8 +383,6 @@ def load_index(directory: str | Path) -> ChunkIndex:
     return ChunkIndex(
         chunks=chunks,
         doc_freq=stats["doc_freq"],
-        chunk_terms=stats["chunk_terms"],
-        chunk_len=stats["chunk_len"],
         k1=meta["params"]["k1"],
         b=meta["params"]["b"],
         segment_boost=meta["params"]["segment_boost"],

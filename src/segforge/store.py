@@ -13,6 +13,7 @@ import csv
 import json
 import threading
 from dataclasses import dataclass, field
+from decimal import InvalidOperation
 from pathlib import Path
 
 from .errors import SchemaError
@@ -54,11 +55,20 @@ class FundamentalsRoster:
 
 
 class SegmentStore:
-    """Queryable panel of bundles, persisted as panel.jsonl."""
+    """Queryable panel of bundles, persisted as panel.jsonl.
+
+    Opening a panel checks every row's shape (its key matches its bundle's,
+    ``reportable`` is a list, ``classification.kind`` a string) and raises
+    SchemaError on a bad row. The winning revision's bundle is kept as JSON
+    and decoded and validated when first read (``get``, ``query_segments``,
+    ``segment_names_by_year``, ``export_csv``), which raise SchemaError for
+    an invalid bundle. ``gap_report`` reads the JSON and decodes nothing.
+    """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path else None
-        self._bundles: dict[PanelKey, ExtractionBundle] = {}
+        # Decoded bundles, or (line number, bundle dict) until first read.
+        self._bundles: dict[PanelKey, ExtractionBundle | tuple[int, dict]] = {}
         self._revisions: dict[PanelKey, int] = {}
         self._lock = threading.Lock()
         if self._path and self._path.exists():
@@ -72,14 +82,32 @@ class SegmentStore:
                     continue
                 try:
                     row = json.loads(line)
-                    bundle = bundle_from_json(row["bundle"])
+                    data = row["bundle"]
                     revision = int(row["revision"])
+                    key = (data["cik"], data["fiscal_year"])
+                    if key != (row["cik"], row["fiscal_year"]):
+                        raise ValueError(f"row key differs from its bundle's {key}")
+                    if not isinstance(data["reportable"], list) or \
+                            not isinstance(data["classification"]["kind"], str):
+                        raise TypeError("reportable or classification.kind has the wrong type")
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
-                key = bundle.key
                 if revision >= self._revisions.get(key, 0):
-                    self._bundles[key] = bundle
+                    self._bundles[key] = (line_no, data)
                     self._revisions[key] = revision
+
+    def _bundle(self, key: PanelKey) -> ExtractionBundle | None:
+        """The bundle stored under key, decoded and validated on first read."""
+        with self._lock:
+            entry = self._bundles.get(key)
+            if isinstance(entry, tuple):
+                line_no, data = entry
+                try:
+                    entry = bundle_from_json(data)
+                except (InvalidOperation, KeyError, TypeError, ValueError) as exc:
+                    raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
+                self._bundles[key] = entry
+            return entry
 
     def put(self, bundle: ExtractionBundle) -> PanelKey:
         validate_bundle(bundle)
@@ -97,7 +125,7 @@ class SegmentStore:
             return key
 
     def get(self, cik: int, fiscal_year: int) -> ExtractionBundle | None:
-        return self._bundles.get((cik, fiscal_year))
+        return self._bundle((cik, fiscal_year))
 
     def revision(self, cik: int, fiscal_year: int) -> int:
         return self._revisions.get((cik, fiscal_year), 0)
@@ -112,11 +140,7 @@ class SegmentStore:
                        axis: str | None = None) -> list[SegmentRecord]:
         """Records for a firm sorted by (year, reportable-first, name)."""
         out: list[tuple] = []
-        for (key_cik, year), bundle in self._bundles.items():
-            if key_cik != cik:
-                continue
-            if years is not None and not (years[0] <= year <= years[1]):
-                continue
+        for year, bundle in self._firm_bundles(cik, years):
             for tier, records in ((0, bundle.reportable), (1, bundle.nested)):
                 for record in records:
                     if axis is not None and record.axis != axis:
@@ -127,23 +151,19 @@ class SegmentStore:
 
     def segment_names_by_year(self, cik: int, years: tuple[int, int] | None = None) -> list[tuple[int, list[str]]]:
         """(year, reportable names in disclosure order) for each stored year."""
-        panel = []
-        for (key_cik, year), bundle in sorted(self._bundles.items()):
-            if key_cik != cik:
-                continue
-            if years is not None and not (years[0] <= year <= years[1]):
-                continue
-            panel.append((year, [r.name for r in bundle.reportable]))
-        return panel
+        return [(year, [r.name for r in bundle.reportable])
+                for year, bundle in self._firm_bundles(cik, years)]
+
+    def _firm_bundles(self, cik: int, years: tuple[int, int] | None) -> list[tuple[int, ExtractionBundle]]:
+        """(year, bundle) for one firm's stored years in range, by year."""
+        wanted = sorted(year for key_cik, year in self._bundles
+                        if key_cik == cik and (years is None or years[0] <= year <= years[1]))
+        return [(year, self._bundle((cik, year))) for year in wanted]
 
     def gap_report(self, roster: FundamentalsRoster) -> GapReport:
         missing: dict[int, list[int]] = {}
         for cik, year in roster.rows:
-            bundle = self._bundles.get((cik, year))
-            covered = bundle is not None and (
-                bool(bundle.reportable) or bundle.classification.kind == SINGLE_UNIT
-            )
-            if not covered:
+            if not _covered(self._bundles.get((cik, year))):
                 missing.setdefault(year, []).append(cik)
         for year in missing:
             missing[year].sort()
@@ -152,14 +172,14 @@ class SegmentStore:
 
     def export_csv(self, path: str | Path) -> Path:
         """One row per (record, measure); measure columns empty when absent."""
+        bundles = [self._bundle(key) for key in sorted(self._bundles)]
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
                              "measure_kind", "value", "scale"])
-            for key in sorted(self._bundles):
-                bundle = self._bundles[key]
+            for bundle in bundles:
                 for record in [*bundle.reportable, *bundle.nested]:
                     base = [record.cik, record.fiscal_year, record.name, record.axis,
                             record.parent_name or ""]
@@ -170,6 +190,14 @@ class SegmentStore:
                         money = record.measures[kind]
                         writer.writerow(base + [kind, str(money.value), money.scale.value])
         return path
+
+
+def _covered(entry: ExtractionBundle | tuple[int, dict] | None) -> bool:
+    """A stored bundle covers its key when it extracted something."""
+    if isinstance(entry, tuple):
+        data = entry[1]
+        return bool(data["reportable"]) or data["classification"]["kind"] == SINGLE_UNIT
+    return entry is not None and (bool(entry.reportable) or entry.classification.kind == SINGLE_UNIT)
 
 
 def gap_report_to_json(report: GapReport) -> dict:

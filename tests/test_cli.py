@@ -11,11 +11,13 @@ import hashlib
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
 import filingfab
 import paperdata
+from segforge import cli
 from segforge.cli import main
 from segforge.extraction import load_bundle
 from segforge.parsing import load_json
@@ -267,6 +269,26 @@ class TestEvalAndExport:
         header = text.splitlines()[0]
         assert header == "cik,fiscal_year,name,axis,parent_name,measure_kind,value,scale"
         assert "Singapore" in text
+
+
+class TestManifest:
+    def test_failed_write_keeps_previous_manifest(self, capsys, base, run_dir, monkeypatch):
+        write_panel(run_dir, [filingfab.intc_bundle(2012)])
+        assert invoke(capsys, ["export", *base, "--out", "a.csv"])[0] == 0
+        files = sorted(p.name for p in run_dir.iterdir())
+        assert files == ["a.csv", "manifest.json", "panel.jsonl"]  # no temp file left
+        before = (run_dir / "manifest.json").read_bytes()
+
+        def fail_replace(src, dst):
+            assert Path(src).read_bytes() != before  # the new manifest was written
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail_replace)
+        (run_dir / "b.csv").write_text("x\n", encoding="utf-8")
+        with pytest.raises(OSError, match="disk full"):
+            cli._update_manifest(run_dir, [run_dir / "b.csv"])
+        assert (run_dir / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(files + ["b.csv"])
 
 
 class TestUsageErrors:

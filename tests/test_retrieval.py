@@ -8,8 +8,10 @@ ranks) are verified independently.
 
 from __future__ import annotations
 
+import json
 import math
 import re
+import tempfile
 from collections import Counter
 
 import pytest
@@ -25,6 +27,7 @@ from segforge.retrieval import (
     Chunk,
     ChunkIndex,
     RetrievalResult,
+    _matches,
     _pack_spans,
     assemble_context,
     build_index,
@@ -287,6 +290,14 @@ class TestFilters:
         years = {corpus_index.chunk(cid).fiscal_year for cid, _ in result.hits}
         assert years == {2003, 2004}
 
+    def test_repeated_year_scores_each_chunk_once(self, corpus_index):
+        query = "reportable segments"
+        once = retrieve(corpus_index, query, k=50,
+                        metadata_filter={"cik": paperdata.AVY_CIK, "fiscal_year": 2004})
+        twice = retrieve(corpus_index, query, k=50,
+                         metadata_filter={"cik": paperdata.AVY_CIK, "fiscal_year": [2004, 2004]})
+        assert once.hits and twice.hits == once.hits
+
     def test_item_filter(self, corpus_index):
         result = retrieve(corpus_index, "reportable segments", k=50,
                           metadata_filter={"item": "8"})
@@ -372,7 +383,11 @@ class TestPersistence:
         loaded = load_index(avy_index_dir)
         assert loaded.chunks == avy_index.chunks
         assert loaded.doc_freq == avy_index.doc_freq
-        assert loaded.chunk_len == avy_index.chunk_len
+        # index.bin keeps doc_freq only; each chunk's counts come from its text.
+        stats = json.loads((avy_index_dir / "index.bin").read_text(encoding="utf-8"))
+        assert set(stats) == {"doc_freq"}
+        for i in range(len(avy_index)):
+            assert loaded.terms(i) == (avy_index.chunk_terms[i], avy_index.chunk_len[i])
         assert (loaded.k1, loaded.b, loaded.segment_boost, loaded.len_norm_ref) == (
             avy_index.k1, avy_index.b, avy_index.segment_boost, avy_index.len_norm_ref,
         )
@@ -389,3 +404,83 @@ class TestPersistence:
         save_index(corpus_index, tmp_path / "b")
         for name in ("index.meta.json", "index.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_index_bin_with_term_counts_still_loads(self, avy_index, tmp_path):
+        """An index.bin that also stores per-chunk counts loads and scores the same."""
+        save_index(avy_index, tmp_path)
+        (tmp_path / "index.bin").write_text(json.dumps({
+            "doc_freq": dict(sorted(avy_index.doc_freq.items())),
+            "chunk_terms": [dict(sorted(t.items())) for t in avy_index.chunk_terms],
+            "chunk_len": avy_index.chunk_len,
+        }, sort_keys=True), encoding="utf-8")
+        loaded = load_index(tmp_path)
+        query = "reportable segments segment reporting change"
+        for metadata_filter in (None, {"cik": paperdata.AVY_CIK, "fiscal_year": 2022}):
+            assert retrieve(loaded, query, 25, metadata_filter).hits == \
+                retrieve(avy_index, query, 25, metadata_filter).hits
+        assert [loaded.terms(i) for i in range(len(loaded))] == \
+            list(zip(avy_index.chunk_terms, avy_index.chunk_len))
+
+
+def brute_force_hits(index: ChunkIndex, query: str, k: int,
+                     metadata_filter: dict | None) -> list[tuple[str, float]]:
+    """Score every chunk that passes the filter; order by the documented tie rule."""
+    tokens = sorted(set(tokenize(query)))
+    scored = [(index.score(i, tokens), chunk.fiscal_year, chunk.chunk_id)
+              for i, chunk in enumerate(index.chunks) if _matches(chunk, metadata_filter)]
+    scored = sorted((row for row in scored if row[0] > 0.0), key=lambda r: (-r[0], r[1], r[2]))
+    return [(chunk_id, score) for score, _, chunk_id in scored[:k]]
+
+
+_FIXTURE_FILINGS = ["apple", "adobe"] + [f"avy{y}" for y in sorted(paperdata.AVY_TABLE3)]
+_QUERY_WORDS = ["reportable", "segments", "segment", "revenue", "net", "sales", "change",
+                "materials", "risk", "geographic", "asia", "fiscal", "the", "zzz"]
+
+
+@st.composite
+def _filter(draw, sources: list[tuple[int, int]], items: list[str]) -> dict | None:
+    ciks = sorted({cik for cik, _ in sources}) + [1]
+    years = sorted({year for _, year in sources}) + [1990]
+    kind = draw(st.sampled_from(["filing", "year_set", "item", "cik", "year", "none"]))
+    cik, year = draw(st.sampled_from(sources)) if draw(st.booleans()) else \
+        (draw(st.sampled_from(ciks)), draw(st.sampled_from(years)))
+    if kind == "filing":
+        found = {"cik": cik, "fiscal_year": year}
+    elif kind == "year_set":
+        wanted = draw(st.lists(st.sampled_from(years), max_size=4))
+        found = {"cik": cik, "fiscal_year": draw(st.sampled_from([set, list, tuple]))(wanted)}
+    elif kind == "item":
+        found = {"item": draw(st.sampled_from(items + ["99"]))}
+    elif kind == "cik":
+        found = {"cik": cik}
+    elif kind == "year":
+        found = {"fiscal_year": year}
+    else:
+        return None
+    if kind in ("filing", "year_set") and draw(st.booleans()):
+        found["item"] = draw(st.sampled_from(items))
+    return found
+
+
+class TestFilteredRetrievalProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_loaded_index_matches_brute_force_scan(self, parsed_filings, data):
+        names = data.draw(st.lists(st.sampled_from(_FIXTURE_FILINGS), min_size=1,
+                                   max_size=4, unique=True))
+        built = build_index([parsed_filings[name] for name in names],
+                            min_chars=data.draw(st.sampled_from([200, 800])),
+                            max_chars=data.draw(st.sampled_from([400, 1600])))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(built, tmp)
+            loaded = load_index(tmp)
+        sources = sorted({chunk.source for chunk in built.chunks})
+        items = sorted({chunk.item for chunk in built.chunks})
+        for _ in range(6):
+            query = " ".join(data.draw(st.lists(st.sampled_from(_QUERY_WORDS),
+                                                min_size=1, max_size=4)))
+            metadata_filter = data.draw(_filter(sources, items))
+            k = data.draw(st.integers(1, 30))
+            expected = brute_force_hits(built, query, k, metadata_filter)
+            assert retrieve(loaded, query, k, metadata_filter).hits == expected
+            assert retrieve(built, query, k, metadata_filter).hits == expected

@@ -9,13 +9,22 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
+import threading
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filingfab
 import paperdata
+from segforge.cli import main
 from segforge.errors import SchemaError
 from segforge.extraction import (
+    AXIS_BUSINESS,
+    AXIS_GEOGRAPHIC,
     MULTI_SEGMENT,
     SINGLE_UNIT,
     ExtractionBundle,
@@ -23,6 +32,7 @@ from segforge.extraction import (
     SegmentRecord,
     bundle_to_json,
 )
+from segforge import store as store_module
 from segforge.store import (
     FundamentalsRoster,
     GapReport,
@@ -30,6 +40,7 @@ from segforge.store import (
     gap_report_to_json,
 )
 from segforge.templates import GENERAL_FIELDS
+from segforge.values import Money, Scale
 
 
 def blank_fields() -> dict[str, str]:
@@ -53,6 +64,23 @@ def empty_multi_bundle(cik: int, year: int) -> ExtractionBundle:
         classification=SegmentationClass(kind=MULTI_SEGMENT, raw_response="Yes"),
         general_fields=blank_fields(),
     )
+
+
+def brute_force_gaps(store: SegmentStore, roster: FundamentalsRoster) -> set:
+    """Roster keys with no bundle, or with one that extracted nothing."""
+    missing = set()
+    for cik, year in roster.rows:
+        bundle = store.get(cik, year)
+        if bundle is None:
+            missing.add((cik, year))
+        elif not bundle.reportable and bundle.classification.kind != SINGLE_UNIT:
+            missing.add((cik, year))
+    return missing
+
+
+def write_rows(path, rows: list[dict]) -> None:
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+                    encoding="utf-8")
 
 
 class TestPersistence:
@@ -165,16 +193,6 @@ class TestQueries:
 
 
 class TestGapReport:
-    def brute_force(self, store: SegmentStore, roster: FundamentalsRoster) -> set:
-        missing = set()
-        for cik, year in roster.rows:
-            bundle = store.get(cik, year)
-            if bundle is None:
-                missing.add((cik, year))
-            elif not bundle.reportable and bundle.classification.kind != SINGLE_UNIT:
-                missing.add((cik, year))
-        return missing
-
     def build_store(self) -> SegmentStore:
         store = SegmentStore()
         for year in (2012, 2013, 2014):
@@ -194,7 +212,7 @@ class TestGapReport:
             (99, 2020),                    # never stored
         })
         report = store.gap_report(roster)
-        assert report.keys() == self.brute_force(store, roster)
+        assert report.keys() == brute_force_gaps(store, roster)
         assert report.keys() == {(paperdata.INTC_CIK, 2015), (88, 2012), (99, 2020)}
         assert report.total_missing == 3
 
@@ -261,3 +279,186 @@ class TestExportCsv:
         with open(path, newline="", encoding="utf-8") as fh:
             ciks = [int(row["cik"]) for row in csv.DictReader(fh)]
         assert ciks == sorted(ciks)
+
+
+class TestDecodeOnRead:
+    """Open checks each row's shape; a bundle is decoded and validated when read."""
+
+    def orphan_panel(self, path) -> tuple[int, int]:
+        """A panel with one good bundle and one whose nested record is an orphan."""
+        store = SegmentStore(path)
+        store.put(filingfab.intc_bundle(2012))
+        bad = filingfab.txn_bundle(2013)
+        store.put(bad)
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[1]["bundle"]["nested"] = [{"name": "orphan", "axis": AXIS_BUSINESS,
+                                        "measures": {}, "parent_name": "gone"}]
+        write_rows(path, rows)
+        return bad.key
+
+    def test_invalid_bundle_raises_when_read(self, tmp_path):
+        path = tmp_path / "panel.jsonl"
+        bad_key = self.orphan_panel(path)
+        store = SegmentStore(path)  # the row's shape is fine, so open succeeds
+        assert store.get(paperdata.INTC_CIK, 2012) == filingfab.intc_bundle(2012)
+        with pytest.raises(SchemaError, match="orphan"):
+            store.get(*bad_key)
+        with pytest.raises(SchemaError):
+            store.query_segments(bad_key[0])
+        with pytest.raises(SchemaError):
+            store.segment_names_by_year(bad_key[0])
+        with pytest.raises(SchemaError):
+            store.export_csv(tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+        # Other firms' queries never decode the bad bundle.
+        assert store.segment_names_by_year(paperdata.INTC_CIK)[0][0] == 2012
+
+    @pytest.mark.parametrize("field, value", [("axis", "sideways"), ("measures", {"revenue": {
+        "value": "12 bananas", "scale": "millions"}})], ids=["axis", "amount"])
+    def test_undecodable_bundle_raises_schema_error_when_read(self, tmp_path, field, value):
+        path = tmp_path / "panel.jsonl"
+        SegmentStore(path).put(filingfab.intc_bundle(2012))
+        row = json.loads(path.read_text(encoding="utf-8"))
+        row["bundle"]["reportable"][0][field] = value
+        write_rows(path, [row])
+        store = SegmentStore(path)
+        with pytest.raises(SchemaError, match=r"panel.jsonl:1: bad panel row"):
+            store.get(paperdata.INTC_CIK, 2012)
+
+    def test_cli_export_of_invalid_bundle_exits_1(self, capsys, config_path, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        self.orphan_panel(run_dir / "panel.jsonl")
+        code = main(["export", "--config", str(config_path), "--run-dir", str(run_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.err)["error"] == "SchemaError"
+        assert not (run_dir / "segments.csv").exists()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda row: row.update(cik=row["cik"] + 1),
+        lambda row: row.update(fiscal_year=row["fiscal_year"] - 1),
+        lambda row: row["bundle"].update(reportable="Asia"),
+        lambda row: row["bundle"]["classification"].update(kind=None),
+        lambda row: row["bundle"].pop("classification"),
+        lambda row: row.pop("revision"),
+    ], ids=["cik", "fiscal_year", "reportable", "kind", "no_classification", "no_revision"])
+    def test_bad_row_shape_raises_at_open(self, tmp_path, corrupt):
+        path = tmp_path / "panel.jsonl"
+        SegmentStore(path).put(filingfab.intc_bundle(2012))
+        row = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(row)
+        write_rows(path, [row])
+        with pytest.raises(SchemaError, match=r"panel.jsonl:1: bad panel row"):
+            SegmentStore(path)
+
+    def test_first_read_racing_a_put_keeps_the_put(self, tmp_path, monkeypatch):
+        """A read that decodes the stale row while a put lands must not undo the put."""
+        path = tmp_path / "panel.jsonl"
+        SegmentStore(path).put(single_unit_bundle(55, 2020))
+        store = SegmentStore(path)
+        newer = single_unit_bundle(55, 2020)
+        newer.general_fields["conm"] = "Renamed Corp"
+        decoding, put_done = threading.Event(), threading.Event()
+        decode = store_module.bundle_from_json
+
+        def slow_decode(data):
+            decoding.set()
+            put_done.wait(timeout=0.5)  # the put cannot land while the read holds the lock
+            return decode(data)
+
+        monkeypatch.setattr(store_module, "bundle_from_json", slow_decode)
+        reader = threading.Thread(target=store.get, args=(55, 2020))
+        reader.start()
+        assert decoding.wait(timeout=5)
+        store.put(newer)
+        put_done.set()
+        reader.join(timeout=5)
+        assert not reader.is_alive()
+        assert store.get(55, 2020) == newer
+
+    def test_gap_report_reads_raw_rows(self, tmp_path):
+        path = tmp_path / "panel.jsonl"
+        bad_key = self.orphan_panel(path)
+        store = SegmentStore(path)
+        roster = FundamentalsRoster(rows={bad_key, (paperdata.INTC_CIK, 2012), (1, 2000)})
+        assert store.gap_report(roster).keys() == {(1, 2000)}
+
+
+_NAMES = ["Asia", "Europe", "Devices", "Services", "Other"]
+
+
+@st.composite
+def _bundle(draw, cik: int, year: int) -> ExtractionBundle:
+    kind = draw(st.sampled_from(["single", "empty", "multi"]))
+    if kind == "single":
+        return single_unit_bundle(cik, year)
+    bundle = empty_multi_bundle(cik, year)
+    bundle.general_fields["conm"] = draw(st.sampled_from(["A Corp", "B Corp"]))
+    if kind == "empty":
+        return bundle
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    for name in names:
+        measures = {}
+        for measure in draw(st.lists(st.sampled_from(["revenue", "assets"]), unique=True)):
+            measures[measure] = Money(Decimal(draw(st.integers(-10**6, 10**9))),
+                                      draw(st.sampled_from(list(Scale))))
+        bundle.reportable.append(SegmentRecord(
+            cik=cik, fiscal_year=year, name=name,
+            axis=draw(st.sampled_from([AXIS_BUSINESS, AXIS_GEOGRAPHIC])), measures=measures))
+    if draw(st.booleans()):
+        bundle.nested.append(SegmentRecord(cik=cik, fiscal_year=year, name="Unit",
+                                           parent_name=names[0]))
+    return bundle
+
+
+_KEYS = st.tuples(st.integers(1, 4), st.integers(2000, 2003))
+
+
+@st.composite
+def _puts(draw) -> list[list[ExtractionBundle]]:
+    """Sessions of puts; each session opens the panel afresh, keys repeat."""
+    sessions = []
+    for _ in range(draw(st.integers(1, 3))):
+        keys = draw(st.lists(_KEYS, min_size=1, max_size=8))
+        sessions.append([draw(_bundle(cik, year)) for cik, year in keys])
+    return sessions
+
+
+class TestPanelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_puts(), st.sets(_KEYS, max_size=10), st.randoms(use_true_random=False))
+    def test_lazy_panel_equals_eager_panel(self, sessions, roster_keys, rng):
+        latest: dict = {}
+        puts: dict = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.jsonl"
+            for session in sessions:
+                store = SegmentStore(path)
+                for bundle in session:
+                    store.put(bundle)
+                    latest[bundle.key] = bundle
+                    puts[bundle.key] = puts.get(bundle.key, 0) + 1
+            # Line order on disk does not matter: the highest revision wins.
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            rng.shuffle(lines)
+            path.write_text("".join(lines), encoding="utf-8")
+
+            roster = FundamentalsRoster(rows=roster_keys | set(rng.sample(sorted(latest), 1)))
+            lazy = SegmentStore(path)
+            report = lazy.gap_report(roster)  # before any bundle is decoded
+            eager = SegmentStore()
+            for key in sorted(latest):
+                eager.put(latest[key])
+
+            assert report.keys() == brute_force_gaps(eager, roster)
+            assert report == eager.gap_report(roster)
+            lazy.export_csv(Path(tmp) / "lazy.csv")
+            eager.export_csv(Path(tmp) / "eager.csv")
+            assert (Path(tmp) / "lazy.csv").read_bytes() == (Path(tmp) / "eager.csv").read_bytes()
+            assert lazy.keys() == sorted(latest)
+            for key, bundle in latest.items():
+                assert lazy.revision(*key) == puts[key]
+                assert lazy.get(*key) == bundle
+                assert lazy.segment_names_by_year(key[0]) == eager.segment_names_by_year(key[0])
+                assert lazy.query_segments(key[0]) == eager.query_segments(key[0])
