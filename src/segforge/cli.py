@@ -29,7 +29,7 @@ from .comparability import (
 )
 from .config import Config
 from .edgar import EdgarClient
-from .errors import SegforgeError
+from .errors import OutputPathError, SchemaError, SegforgeError
 from .evaluation import GoldLabelSet, render_table2, report_to_json, score
 from .extraction import ExtractionPipeline, dump_bundle, load_bundle
 from .gateway import Gateway
@@ -125,6 +125,14 @@ def _run_dir(args) -> Path:
     path = Path(args.run_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _artifact_path(run_dir: Path, path: str) -> Path:
+    """``path`` taken from the run directory; an artifact outside it is refused."""
+    try:
+        return run_dir / (run_dir / path).resolve().relative_to(run_dir.resolve())
+    except ValueError:
+        raise OutputPathError(f"{path} is outside the run directory {run_dir}") from None
 
 
 def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
@@ -227,11 +235,12 @@ def cmd_extract(args) -> int:
 def cmd_index(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(args)
-    corpus_dir = Path(args.corpus)
-    filings = [
-        load_json(path.read_text(encoding="utf-8"))
-        for path in sorted(corpus_dir.glob("*.json"))
-    ]
+    filings = []
+    for path in sorted(Path(args.corpus).glob("*.json")):
+        try:
+            filings.append(load_json(path.read_text(encoding="utf-8")))
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
     index = build_index_from_config(filings, config)
     index_dir = run_dir / "index"
     save_index(index, index_dir)
@@ -329,10 +338,8 @@ def cmd_eval(args) -> int:
 def cmd_export(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(args)
+    out = _artifact_path(run_dir, args.out)
     store = _store(config, run_dir)
-    out = Path(args.out)
-    if not out.is_absolute():
-        out = run_dir / out
     with store.export_csv(out).open(newline="", encoding="utf-8") as fh:
         rows = sum(1 for _ in csv.reader(fh)) - 1  # data rows, not the header
     _update_manifest(run_dir, [out])

@@ -296,7 +296,7 @@ def _firm_components(store: SegmentStore, cik: int, year: int, scheme: RegionSch
                      index: ChunkIndex | None, gateway: Gateway | None,
                      warnings: list[str]) -> list[tuple[str, Decimal, Scale]]:
     components: list[tuple[str, Decimal, Scale]] = []
-    for record in store.query_segments(cik, (year, year), axis="geographic"):
+    for record in store.query_segments(cik, year, axis="geographic"):
         if record.parent_name is not None:
             continue
         member = scheme.contains(record.name)

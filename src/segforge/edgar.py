@@ -14,7 +14,7 @@ import logging
 import re
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -23,7 +23,9 @@ from .errors import (
     CacheWriteError,
     NetworkError,
     NotFoundError,
+    SchemaError,
 )
+from .values import encode, load
 
 logger = logging.getLogger(__name__)
 
@@ -43,7 +45,6 @@ class FilingRef:
     fiscal_year: int
     accession_number: str
     document_url: str
-    fetched_at: str = ""
     primary_document: str = ""
     amended: bool = False
 
@@ -59,13 +60,17 @@ class FilingRef:
 
 @dataclass(frozen=True)
 class CachedDocument:
-    """A fetched filing on local disk, with integrity metadata."""
+    """A fetched filing on local disk, with integrity metadata.
+
+    The cache's meta.json beside the document holds every field but ``path``.
+    """
 
     ref: FilingRef
     content_hash: str  # sha256 hex of raw bytes
     byte_length: int
     media_kind: str  # "html" | "sgml_text"
     path: Path
+    fetched_at: str = ""  # wall clock of the transport fetch; never reaches a run directory
 
     def read_bytes(self) -> bytes:
         data = self.path.read_bytes()
@@ -295,56 +300,37 @@ class EdgarClient:
         if cached is not None:
             return cached
         data = self._with_retries(lambda: self.transport.get_document(ref))
-        fetched_ref = replace(ref, fetched_at=datetime.now(timezone.utc).isoformat())
-        digest = hashlib.sha256(data).hexdigest()
-        media_kind = _media_kind(ref.primary_document, data)
         meta = {
-            "cik": fetched_ref.cik,
-            "fiscal_year": fetched_ref.fiscal_year,
-            "accession_number": fetched_ref.accession_number,
-            "document_url": fetched_ref.document_url,
-            "fetched_at": fetched_ref.fetched_at,
-            "primary_document": fetched_ref.primary_document,
-            "amended": fetched_ref.amended,
-            "content_hash": digest,
+            "ref": ref,
+            "content_hash": hashlib.sha256(data).hexdigest(),
             "byte_length": len(data),
-            "media_kind": media_kind,
+            "media_kind": _media_kind(ref.primary_document, data),
+            "fetched_at": datetime.now(timezone.utc).isoformat(),
         }
         try:
             with self._write_lock:
                 doc_path.parent.mkdir(parents=True, exist_ok=True)
                 _atomic_write(doc_path, data)
-                _atomic_write(meta_path, json.dumps(meta, indent=2, sort_keys=True).encode())
+                _atomic_write(meta_path, json.dumps(meta, default=encode, indent=2,
+                                                    sort_keys=True).encode())
         except OSError as exc:
             raise CacheWriteError(f"failed to cache {ref.accession_number}: {exc}") from exc
         logger.info("fetched %s (%d bytes)", ref.accession_number, len(data))
-        return CachedDocument(
-            ref=fetched_ref,
-            content_hash=digest,
-            byte_length=len(data),
-            media_kind=media_kind,
-            path=doc_path,
-        )
+        return CachedDocument(path=doc_path, **meta)
 
     def _load_cached(self, ref: FilingRef, doc_path: Path, meta_path: Path) -> CachedDocument | None:
+        """The cached document, or None to refetch: missing, unreadable or hash mismatch."""
         if not (doc_path.exists() and meta_path.exists()):
             return None
         try:
-            meta = json.loads(meta_path.read_text())
+            cached = load(CachedDocument, {**json.loads(meta_path.read_text()), "path": doc_path})
             data = doc_path.read_bytes()
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, TypeError, SchemaError):
             return None
-        if hashlib.sha256(data).hexdigest() != meta.get("content_hash"):
+        if hashlib.sha256(data).hexdigest() != cached.content_hash:
             logger.warning("cache hash mismatch for %s; refetching", ref.accession_number)
             return None
-        cached_ref = replace(ref, fetched_at=meta.get("fetched_at", ""), amended=meta.get("amended", ref.amended))
-        return CachedDocument(
-            ref=cached_ref,
-            content_hash=meta["content_hash"],
-            byte_length=meta["byte_length"],
-            media_kind=meta["media_kind"],
-            path=doc_path,
-        )
+        return cached
 
     def _doc_path(self, ref: FilingRef) -> Path:
         return self.cache_dir / str(ref.cik) / ref.accession_number / ref.primary_document

@@ -64,6 +64,10 @@ class SchemaError(SegforgeError):
     """A bundle or stored record violates its invariants."""
 
 
+class OutputPathError(SegforgeError):
+    """An output path falls outside the run directory."""
+
+
 class BudgetTooSmallError(SegforgeError):
     """No full chunk fits within the requested context budget."""
 

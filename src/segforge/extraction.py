@@ -15,7 +15,6 @@ import re
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -38,7 +37,7 @@ from .templates import (
     nested_measure_question,
     retry_question,
 )
-from .values import Money, Scale, parse_monetary
+from .values import Money, encode, load, parse_monetary
 
 SINGLE_UNIT = "single_unit"
 MULTI_SEGMENT = "multi_segment"
@@ -78,8 +77,8 @@ class SegmentationClass:
 
 @dataclass
 class SegmentRecord:
-    cik: int
-    fiscal_year: int
+    """One segment or nested component; its bundle holds the firm-year."""
+
     name: str
     axis: str = AXIS_BUSINESS
     measures: dict[str, Money] = field(default_factory=dict)
@@ -121,9 +120,6 @@ def validate_bundle(bundle: ExtractionBundle) -> None:
     for record in bundle.nested:
         if record.parent_name is None or record.parent_name not in reportable_names:
             raise SchemaError(f"nested record {record.name!r} has orphan parent {record.parent_name!r}")
-    for record in [*bundle.reportable, *bundle.nested]:
-        if (record.cik, record.fiscal_year) != bundle.key:
-            raise SchemaError(f"record {record.name!r} carries a foreign firm-year")
 
 
 # -- answer validation -------------------------------------------------------
@@ -360,8 +356,6 @@ class ExtractionPipeline:
             nested = parent is not None
             records += [
                 SegmentRecord(
-                    cik=cik,
-                    fiscal_year=fy,
                     name=name,
                     axis=infer_axis(name, nested=nested, question=question if nested else ""),
                     parent_name=parent,
@@ -514,68 +508,9 @@ def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> Non
 # -- serialization -----------------------------------------------------------
 
 
-def _money_dict(money: Money) -> dict:
-    return {"value": str(money.value), "scale": money.scale.value,
-            "scale_explicit": money.scale_explicit}
-
-
-def _record_dict(record: SegmentRecord) -> dict:
-    return {
-        "name": record.name,
-        "axis": record.axis,
-        "measures": {k: _money_dict(v) for k, v in sorted(record.measures.items())},
-        "parent_name": record.parent_name,
-        "provenance": record.provenance,
-    }
-
-
-def bundle_to_json(bundle: ExtractionBundle) -> dict:
-    return {
-        "cik": bundle.cik,
-        "fiscal_year": bundle.fiscal_year,
-        "template_version": bundle.template_version,
-        "classification": {
-            "kind": bundle.classification.kind,
-            "raw_response": bundle.classification.raw_response,
-        },
-        "general_fields": dict(sorted(bundle.general_fields.items())),
-        "reportable": [_record_dict(r) for r in bundle.reportable],
-        "nested": [_record_dict(r) for r in bundle.nested],
-        "warnings": bundle.warnings,
-    }
-
-
-def _record_from_dict(data: dict, cik: int, fy: int) -> SegmentRecord:
-    return SegmentRecord(
-        cik=cik,
-        fiscal_year=fy,
-        name=data["name"],
-        axis=data["axis"],
-        measures={
-            k: Money(Decimal(v["value"]), Scale(v["scale"]), v.get("scale_explicit", True))
-            for k, v in data["measures"].items()
-        },
-        parent_name=data.get("parent_name"),
-        provenance=list(data.get("provenance", [])),
-    )
-
-
 def bundle_from_json(data: dict) -> ExtractionBundle:
-    cik = data["cik"]
-    fy = data["fiscal_year"]
-    bundle = ExtractionBundle(
-        cik=cik,
-        fiscal_year=fy,
-        classification=SegmentationClass(
-            kind=data["classification"]["kind"],
-            raw_response=data["classification"]["raw_response"],
-        ),
-        general_fields=dict(data["general_fields"]),
-        reportable=[_record_from_dict(r, cik, fy) for r in data["reportable"]],
-        nested=[_record_from_dict(r, cik, fy) for r in data["nested"]],
-        warnings=list(data["warnings"]),
-        template_version=data.get("template_version", TEMPLATE_VERSION),
-    )
+    """Decode and validate a bundle written through ``values.encode``."""
+    bundle = load(ExtractionBundle, data)
     validate_bundle(bundle)
     return bundle
 
@@ -587,10 +522,15 @@ def bundle_filename(cik: int, fiscal_year: int) -> str:
 def dump_bundle(bundle: ExtractionBundle, directory: str | Path) -> Path:
     path = Path(directory) / bundle_filename(bundle.cik, bundle.fiscal_year)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(bundle_to_json(bundle), indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(bundle, default=encode, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     return path
 
 
 def load_bundle(path: str | Path) -> ExtractionBundle:
-    return bundle_from_json(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a bundle file; a malformed or invalid one raises SchemaError."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        return bundle_from_json(data)
+    except (json.JSONDecodeError, SchemaError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc

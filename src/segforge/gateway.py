@@ -74,8 +74,8 @@ class ScriptStore:
     template re-rendering cannot silently change which entry is hit.
     """
 
-    def __init__(self, entries: dict[tuple[str, str], str] | None = None):
-        self._entries: dict[tuple[str, str], str] = dict(entries or {})
+    def __init__(self):
+        self._entries: dict[tuple[str, str], str] = {}
 
     @classmethod
     def from_entries(cls, entries) -> "ScriptStore":
@@ -115,10 +115,6 @@ class ScriptStore:
             )
         self._entries[key] = response
 
-    def merge(self, other: "ScriptStore") -> None:
-        for (file_hash, question), response in other._entries.items():
-            self.add(file_hash, question, response)
-
     def lookup(self, file_hash: str, question: str) -> str:
         key = (file_hash, _normalize_question(question))
         if key not in self._entries:
@@ -130,21 +126,6 @@ class ScriptStore:
             ScriptEntry(file_hash=h, question=q, response=r)
             for (h, q), r in sorted(self._entries.items())
         ]
-
-    def dump_jsonl(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries():
-                fh.write(
-                    json.dumps(
-                        {
-                            "file_hash": entry.file_hash,
-                            "question": entry.question,
-                            "response": entry.response,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -289,7 +270,6 @@ class Gateway:
         self.backend = backend
         self.max_in_flight = max_in_flight
         self.transcript: list[TranscriptRecord] = []
-        self.upload_calls = 0
         self._handles: dict[str, FileHandle] = {}
         self._seen_request_ids: set[str] = set()
         self._lock = threading.Lock()
@@ -336,7 +316,6 @@ class Gateway:
                 return handle
             handle = self.backend.upload(content_hash, data, display_name)
             self._handles[content_hash] = handle
-            self.upload_calls += 1
             return handle
 
     # -- prompting ----------------------------------------------------------
@@ -410,9 +389,6 @@ class Gateway:
         )
         with self._lock:
             self.transcript.append(record)
-
-    def transcript_for(self, file_hash: str) -> list[TranscriptRecord]:
-        return [r for r in self.transcript if r.file_hash == file_hash]
 
     def dump_transcript(self, path: str | Path) -> None:
         """Write the full transcript sorted by request_id.

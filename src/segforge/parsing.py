@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from html.parser import HTMLParser
 
 from .edgar import CachedDocument, FilingRef
-from .errors import DecodeError, EmptyDocumentError, NoItemsFoundError
-from .values import Scale, parse_table_cell
+from .errors import DecodeError, EmptyDocumentError, NoItemsFoundError, SchemaError
+from .values import Scale, encode, load, parse_table_cell
 
 # 10-K item catalog: item number -> (part, position). Positions order the
 # headings so boundary detection can require an ascending chain.
@@ -40,12 +40,14 @@ class ItemId:
     part: str  # "I" .. "IV"
     number: str  # "1", "1A", "7", ...
 
+    def __post_init__(self):
+        if _PART_OF.get(self.number) != self.part:
+            raise ValueError(f"unknown 10-K item {self.number!r} in part {self.part!r}")
+
     @classmethod
     def of(cls, number: str) -> "ItemId":
         number = number.upper()
-        if number not in _PART_OF:
-            raise ValueError(f"unknown 10-K item {number!r}")
-        return cls(part=_PART_OF[number], number=number)
+        return cls(part=_PART_OF.get(number, ""), number=number)
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,17 @@ class NormalizedTable:
     caption_text: str
     header_rows: list[list[str]]
     body_rows: list[list[str]]
-    numeric_cells: dict[tuple[int, int], CellValue]
     item: str = UNASSIGNED  # item number or "unassigned"
     char_start: int = 0
     scale: Scale = Scale.UNITS
     scale_assumed: bool = False
+
+    @property
+    def numeric_cells(self) -> dict[tuple[int, int], CellValue]:
+        """The numeric body cells by (row, column), each at the table's scale."""
+        return {(r, c): CellValue(value, self.scale)
+                for r, cells in enumerate(self.body_rows)
+                for c, value in enumerate(map(parse_table_cell, cells)) if value is not None}
 
 
 @dataclass
@@ -333,22 +341,15 @@ def _normalize_table(frame: _TableFrame, table_id: str, assembler_caption_fallba
     hint = _SCALE_HINT_RE.search(caption) or _SCALE_HINT_RE.search(frame.context)
     scale = Scale(hint.group(1).lower()) if hint else Scale.UNITS
 
-    numeric_cells: dict[tuple[int, int], CellValue] = {}
-    for r, cells in enumerate(body_rows):
-        for c, cell in enumerate(cells):
-            value = parse_table_cell(cell)
-            if value is not None:
-                numeric_cells[(r, c)] = CellValue(value=value, scale=scale)
-
+    has_numbers = any(parse_table_cell(cell) is not None for cells in body_rows for cell in cells)
     return NormalizedTable(
         table_id=table_id,
         caption_text=caption,
         header_rows=header_rows,
         body_rows=body_rows,
-        numeric_cells=numeric_cells,
         char_start=frame.char_start,
         scale=scale,
-        scale_assumed=hint is None and bool(numeric_cells),
+        scale_assumed=hint is None and has_numbers,
     )
 
 
@@ -373,16 +374,8 @@ def _extract_sgml_text(text: str) -> str:
 
 
 def parse(doc: CachedDocument) -> ParsedFiling:
-    """Extract normalized text, item sections, and tables from a filing.
-
-    The parsed filing's ref leaves out ``fetched_at``: that wall-clock stamp
-    stays in the cache's meta.json, so parsed JSON is the same for the same
-    filing whenever it was fetched.
-    """
-    data = doc.read_bytes()
-    text = _decode(data)
-    ref = None if doc.ref is None else replace(doc.ref, fetched_at="")
-    return parse_text(text, media_kind=doc.media_kind, ref=ref)
+    """Extract normalized text, item sections, and tables from a filing."""
+    return parse_text(_decode(doc.read_bytes()), media_kind=doc.media_kind, ref=doc.ref)
 
 
 def parse_text(raw: str, media_kind: str = "html", ref: FilingRef | None = None) -> ParsedFiling:
@@ -452,17 +445,12 @@ _TOC_GAP = 300
 _TOC_MIN_ENTRIES = 5
 
 
-def itemize(parsed: ParsedFiling) -> dict[str, Section]:
-    """Split the filing text into SEC item sections.
-
-    Raises NoItemsFoundError for non-standard filings; callers fall back to
-    whole-document mode.
-    """
-    _, items = _itemize_text(parsed.full_text)
-    return items
-
-
 def _itemize_text(full_text: str) -> tuple[Section, dict[str, Section]]:
+    """Split the text into front matter and SEC item sections.
+
+    Raises NoItemsFoundError for non-standard filings; ``parse_text`` then
+    falls back to whole-document mode.
+    """
     candidates = _heading_candidates(full_text)
     candidates = _drop_toc_cluster(candidates)
     chain = _ascending_chain(candidates)
@@ -618,100 +606,15 @@ def _close_cluster(cluster: list[tuple[int, int, float]], section: Section) -> S
 # -- serialization -----------------------------------------------------------
 
 
-def to_json(parsed: ParsedFiling) -> dict:
-    def section_dict(section: Section) -> dict:
-        return {"start": section.start, "end": section.end, "text": section.text}
-
-    ref = None
-    if parsed.ref is not None:
-        ref = {
-            "cik": parsed.ref.cik,
-            "fiscal_year": parsed.ref.fiscal_year,
-            "accession_number": parsed.ref.accession_number,
-            "document_url": parsed.ref.document_url,
-            "primary_document": parsed.ref.primary_document,
-            "amended": parsed.ref.amended,
-        }
-    return {
-        "ref": ref,
-        "char_count": parsed.char_count,
-        "front_matter": section_dict(parsed.front_matter),
-        "items": [
-            {"item": number, "part": section.item.part, **section_dict(section)}
-            for number, section in parsed.items.items()
-        ],
-        "tables": [
-            {
-                "table_id": t.table_id,
-                "caption_text": t.caption_text,
-                "header_rows": t.header_rows,
-                "body_rows": t.body_rows,
-                "numeric_cells": [
-                    {"row": r, "col": c, "value": str(cell.value), "scale": cell.scale.value}
-                    for (r, c), cell in sorted(t.numeric_cells.items())
-                ],
-                "item": t.item,
-                "char_start": t.char_start,
-                "scale": t.scale.value,
-                "scale_assumed": t.scale_assumed,
-            }
-            for t in parsed.tables
-        ],
-    }
-
-
-def from_json(data: dict) -> ParsedFiling:
-    ref = None
-    if data.get("ref"):
-        r = data["ref"]
-        ref = FilingRef(
-            cik=r["cik"],
-            fiscal_year=r["fiscal_year"],
-            accession_number=r["accession_number"],
-            document_url=r["document_url"],
-            primary_document=r.get("primary_document", ""),
-            amended=r.get("amended", False),
-        )
-    fm = data["front_matter"]
-    front = Section(item=None, text=fm["text"], start=fm["start"], end=fm["end"])
-    items = {
-        entry["item"]: Section(
-            item=ItemId.of(entry["item"]),
-            text=entry["text"],
-            start=entry["start"],
-            end=entry["end"],
-        )
-        for entry in data["items"]
-    }
-    tables = [
-        NormalizedTable(
-            table_id=entry["table_id"],
-            caption_text=entry["caption_text"],
-            header_rows=entry["header_rows"],
-            body_rows=entry["body_rows"],
-            numeric_cells={
-                (cell["row"], cell["col"]): CellValue(Decimal(cell["value"]), Scale(cell["scale"]))
-                for cell in entry["numeric_cells"]
-            },
-            item=entry["item"],
-            char_start=entry["char_start"],
-            scale=Scale(entry["scale"]),
-            scale_assumed=entry["scale_assumed"],
-        )
-        for entry in data["tables"]
-    ]
-    return ParsedFiling(
-        ref=ref,
-        front_matter=front,
-        items=items,
-        tables=tables,
-        char_count=data["char_count"],
-    )
-
-
 def dump_json(parsed: ParsedFiling) -> str:
-    return json.dumps(to_json(parsed), indent=2, sort_keys=True) + "\n"
+    """Parsed-filing JSON: the dataclass fields, ``items`` in document order."""
+    return json.dumps(parsed, default=encode) + "\n"
 
 
 def load_json(text: str) -> ParsedFiling:
-    return from_json(json.loads(text))
+    """Read ``dump_json`` output; a malformed filing raises SchemaError."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"bad parsed filing JSON: {exc}") from exc
+    return load(ParsedFiling, data)

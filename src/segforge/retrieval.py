@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
 from .parsing import FRONT_MATTER, ParsedFiling, locate_segment_regions
+from .values import encode, load
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -338,21 +339,10 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
             "segment_boost": index.segment_boost,
             "len_norm_ref": index.len_norm_ref,
         },
-        "chunks": [
-            {
-                "chunk_id": c.chunk_id,
-                "cik": c.cik,
-                "fiscal_year": c.fiscal_year,
-                "item": c.item,
-                "char_range": list(c.char_range),
-                "text": c.text,
-                "is_segment_region": c.is_segment_region,
-            }
-            for c in index.chunks
-        ],
+        "chunks": index.chunks,
     }
     (directory / "index.meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(meta, default=encode, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (directory / "index.bin").write_text(
         json.dumps({"doc_freq": index.doc_freq}, sort_keys=True), encoding="utf-8"
@@ -368,20 +358,8 @@ def load_index(directory: str | Path) -> ChunkIndex:
     directory = Path(directory)
     meta = json.loads((directory / "index.meta.json").read_text(encoding="utf-8"))
     stats = json.loads((directory / "index.bin").read_text(encoding="utf-8"))
-    chunks = [
-        Chunk(
-            chunk_id=c["chunk_id"],
-            cik=c["cik"],
-            fiscal_year=c["fiscal_year"],
-            item=c["item"],
-            char_range=tuple(c["char_range"]),
-            text=c["text"],
-            is_segment_region=c["is_segment_region"],
-        )
-        for c in meta["chunks"]
-    ]
     return ChunkIndex(
-        chunks=chunks,
+        chunks=load(list[Chunk], meta["chunks"]),
         doc_freq=stats["doc_freq"],
         k1=meta["params"]["k1"],
         b=meta["params"]["b"],

@@ -13,7 +13,6 @@ import csv
 import json
 import threading
 from dataclasses import dataclass, field
-from decimal import InvalidOperation
 from pathlib import Path
 
 from .errors import SchemaError
@@ -22,9 +21,9 @@ from .extraction import (
     SINGLE_UNIT,
     SegmentRecord,
     bundle_from_json,
-    bundle_to_json,
     validate_bundle,
 )
+from .values import encode
 
 PanelKey = tuple[int, int]  # (cik, fiscal_year)
 
@@ -33,9 +32,6 @@ PanelKey = tuple[int, int]  # (cik, fiscal_year)
 class GapReport:
     missing: dict[int, list[int]]  # fiscal_year -> sorted ciks
     total_missing: int
-
-    def keys(self) -> set[PanelKey]:
-        return {(cik, year) for year, ciks in self.missing.items() for cik in ciks}
 
 
 @dataclass
@@ -104,7 +100,7 @@ class SegmentStore:
                 line_no, data = entry
                 try:
                     entry = bundle_from_json(data)
-                except (InvalidOperation, KeyError, TypeError, ValueError) as exc:
+                except SchemaError as exc:
                     raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
                 self._bundles[key] = entry
             return entry
@@ -119,16 +115,13 @@ class SegmentStore:
             if self._path:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 row = {"cik": key[0], "fiscal_year": key[1], "revision": revision,
-                       "bundle": bundle_to_json(bundle)}
+                       "bundle": bundle}
                 with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    fh.write(json.dumps(row, default=encode, sort_keys=True) + "\n")
             return key
 
     def get(self, cik: int, fiscal_year: int) -> ExtractionBundle | None:
         return self._bundle((cik, fiscal_year))
-
-    def revision(self, cik: int, fiscal_year: int) -> int:
-        return self._revisions.get((cik, fiscal_year), 0)
 
     def keys(self) -> list[PanelKey]:
         return sorted(self._bundles)
@@ -136,29 +129,21 @@ class SegmentStore:
     def __len__(self) -> int:
         return len(self._bundles)
 
-    def query_segments(self, cik: int, years: tuple[int, int] | None = None,
+    def query_segments(self, cik: int, fiscal_year: int,
                        axis: str | None = None) -> list[SegmentRecord]:
-        """Records for a firm sorted by (year, reportable-first, name)."""
-        out: list[tuple] = []
-        for year, bundle in self._firm_bundles(cik, years):
-            for tier, records in ((0, bundle.reportable), (1, bundle.nested)):
-                for record in records:
-                    if axis is not None and record.axis != axis:
-                        continue
-                    out.append((year, tier, record.name, record))
-        out.sort(key=lambda row: row[:3])
-        return [row[3] for row in out]
+        """One firm-year's records, reportable first, each tier sorted by name."""
+        bundle = self._bundle((cik, fiscal_year))
+        if bundle is None:
+            return []
+        return [record for records in (bundle.reportable, bundle.nested)
+                for record in sorted(records, key=lambda r: r.name)
+                if axis is None or record.axis == axis]
 
     def segment_names_by_year(self, cik: int, years: tuple[int, int] | None = None) -> list[tuple[int, list[str]]]:
-        """(year, reportable names in disclosure order) for each stored year."""
-        return [(year, [r.name for r in bundle.reportable])
-                for year, bundle in self._firm_bundles(cik, years)]
-
-    def _firm_bundles(self, cik: int, years: tuple[int, int] | None) -> list[tuple[int, ExtractionBundle]]:
-        """(year, bundle) for one firm's stored years in range, by year."""
+        """(year, reportable names in disclosure order) for each stored year in range."""
         wanted = sorted(year for key_cik, year in self._bundles
                         if key_cik == cik and (years is None or years[0] <= year <= years[1]))
-        return [(year, self._bundle((cik, year))) for year in wanted]
+        return [(year, [r.name for r in self._bundle((cik, year)).reportable]) for year in wanted]
 
     def gap_report(self, roster: FundamentalsRoster) -> GapReport:
         missing: dict[int, list[int]] = {}
@@ -181,7 +166,7 @@ class SegmentStore:
                              "measure_kind", "value", "scale"])
             for bundle in bundles:
                 for record in [*bundle.reportable, *bundle.nested]:
-                    base = [record.cik, record.fiscal_year, record.name, record.axis,
+                    base = [bundle.cik, bundle.fiscal_year, record.name, record.axis,
                             record.parent_name or ""]
                     if not record.measures:
                         writer.writerow(base + ["", "", ""])

@@ -3,14 +3,22 @@
 Financial-table conventions: thousands separators, a leading ``$``,
 parenthesized negatives, and scale words (thousand/million/billion).
 Values are kept as :class:`decimal.Decimal` so sums and round-trips are exact.
+
+Also the one JSON codec for every persisted record: ``encode`` writes a
+dataclass tree and ``load`` reads it back.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
+from functools import cache, partial
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
+
+from .errors import SchemaError
 
 NOT_PROVIDED = "Not provided"
 
@@ -177,3 +185,98 @@ def render_fixed_width(table: list[list[str]], right_justify_values: bool = Fals
     ]
     lines.insert(1, "-" * max(len(line) for line in lines))
     return "\n".join(lines) + "\n"
+
+
+# -- persistence codec ---------------------------------------------------------
+
+
+def encode(obj):
+    """The ``json.dumps(default=encode)`` hook that writes every persisted record.
+
+    A dataclass becomes an object of its fields in declaration order, a
+    Decimal its exact string and an Enum its value. ``load`` reverses it.
+    """
+    if isinstance(obj, Decimal):
+        return str(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+def load(cls, data):
+    """Build a ``cls`` from decoded JSON written through ``encode``.
+
+    ``cls`` is a dataclass, or a list, dict, tuple or optional of one. A
+    dataclass needs every one of its fields as a key and no other key. A
+    field whose type is a dataclass, Decimal, Enum or tuple, or a container
+    of these, is converted; any other value is used as it is, so the result
+    shares plain lists and dicts with ``data``. The dataclasses' own checks
+    run. Any failure raises SchemaError.
+    """
+    try:
+        convert = _converter(cls)
+        return data if convert is None else convert(data)
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
+        name = getattr(cls, "__name__", cls)
+        raise SchemaError(f"bad {name}: {type(exc).__name__}: {exc}") from exc
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The dataclass's field names; TypeError for any other class."""
+    return tuple(f.name for f in fields(cls))
+
+
+@cache
+def _converter(hint):
+    """A function turning JSON into ``hint``, or None when the JSON value is already it.
+
+    Compiled once per type, so a load resolves no type hints.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is None:  # a plain class; Python 3.10 also calls ``list[int]`` a type
+        if hint is Decimal or isinstance(hint, type) and issubclass(hint, Enum):
+            return hint
+        return _dataclass_converter(hint) if is_dataclass(hint) else None
+    if origin in (Union, UnionType):
+        [inner] = [arg for arg in args if arg is not NoneType]
+        convert = _converter(inner)
+        return None if convert is None else lambda v: None if v is None else convert(v)
+    if origin is tuple:  # of one element type, like ``tuple[int, int]``
+        convert = _converter(args[0])
+        return tuple if convert is None else lambda v: tuple(map(convert, v))
+    if origin is list:
+        convert = _converter(args[0])
+        return None if convert is None else lambda v: list(map(convert, v))
+    if origin is dict:
+        convert = _converter(args[1])
+        return None if convert is None else lambda v: dict(zip(v, map(convert, v.values())))
+    raise TypeError(f"cannot load {hint}")
+
+
+def _dataclass_converter(cls):
+    """Compile ``cls(name=data["name"], ...)``, converting the fields whose type needs it.
+
+    With the key count equal to the field count, a missing key means an
+    unexpected one, so the generated lookups reject both.
+    """
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls) if f.init]
+    env = {"cls": cls, "wrong_keys": partial(_wrong_keys, cls, frozenset(names))}
+    args = []
+    for name in names:
+        value = f"data[{name!r}]"
+        if (convert := _converter(hints[name])) is not None:
+            env[f"convert_{name}"] = convert
+            value = f"convert_{name}({value})"
+        args.append(f"{name}={value}")
+    exec(f"def convert(data):\n"
+         f"    if len(data) != {len(names)}:\n"
+         f"        wrong_keys(data)\n"
+         f"    return cls({', '.join(args)})\n", env)
+    return env["convert"]
+
+
+def _wrong_keys(cls, names: frozenset, data: dict):
+    raise ValueError(f"{cls.__name__} keys: missing {sorted(names - data.keys())}, "
+                     f"unexpected {sorted(data.keys() - names)}")

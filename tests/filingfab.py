@@ -579,8 +579,6 @@ def geo_bundle(cik: int, year: int, conm: str, tic: str,
     })
     records = [
         SegmentRecord(
-            cik=cik,
-            fiscal_year=year,
             name=name,
             axis=AXIS_GEOGRAPHIC,
             measures={"revenue": Money(Decimal(amount), Scale.MILLIONS)},

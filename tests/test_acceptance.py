@@ -245,8 +245,7 @@ def test_criterion_08_eval_calibration(capsys):
         total_cells = 100
         scored_cik = 9000
         records = [
-            SegmentRecord(cik=scored_cik, fiscal_year=year, name=f"seg{i:03d}",
-                          axis=AXIS_BUSINESS,
+            SegmentRecord(name=f"seg{i:03d}", axis=AXIS_BUSINESS,
                           measures={"revenue": Money(Decimal(100 + i), Scale.MILLIONS)})
             for i in range(total_cells)
         ]

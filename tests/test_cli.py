@@ -19,7 +19,7 @@ import filingfab
 import paperdata
 from segforge import cli
 from segforge.cli import main
-from segforge.extraction import load_bundle
+from segforge.extraction import dump_bundle, load_bundle
 from segforge.parsing import load_json
 from segforge.store import SegmentStore
 
@@ -134,6 +134,19 @@ class TestIndex:
                 "index/index.meta.json", "index/index.bin"} <= set(manifest)
         for rel, digest in manifest.items():
             assert hashlib.sha256((run_dir / rel).read_bytes()).hexdigest() == digest
+
+    def test_malformed_parsed_file_exits_1(self, capsys, base, run_dir):
+        invoke(capsys, ["parse", *base, "--cik", str(paperdata.AVY_CIK), "--year", "2022"])
+        path = run_dir / "parsed" / f"{paperdata.AVY_CIK}_2022.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["items"]["7"]["item"]["number"] = "17"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, ["index", *base, "--corpus", str(run_dir / "parsed")])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert path.name in error["message"]
+        assert not (run_dir / "index").exists()
 
 
 class TestGaps:
@@ -257,6 +270,25 @@ class TestEvalAndExport:
         assert code == 1
         assert json.loads(err)["error"] == "CoverageError"
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda record: record["measures"]["revenue"].update(value="12 bananas"),
+        lambda record: record.pop("axis"),
+    ], ids=["bad_amount", "no_axis"])
+    def test_eval_malformed_bundle_exits_1(self, capsys, base, tmp_path, corrupt):
+        bundles = tmp_path / "bundles"
+        path = dump_bundle(filingfab.intc_bundle(2012), bundles)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        corrupt(data["reportable"][0])
+        path.write_text(json.dumps(data), encoding="utf-8")
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps(self.gold_payload()), encoding="utf-8")
+        code, out, err = invoke(capsys, ["eval", *base, "--gold", str(gold),
+                                         "--bundles", str(bundles)])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert path.name in error["message"]
+
     def test_export_csv(self, capsys, base, run_dir):
         write_panel(run_dir, [filingfab.intc_bundle(2012)])
         code, out, _ = invoke(capsys, ["export", *base, "--out", "segments.csv"])
@@ -269,6 +301,24 @@ class TestEvalAndExport:
         header = text.splitlines()[0]
         assert header == "cik,fiscal_year,name,axis,parent_name,measure_kind,value,scale"
         assert "Singapore" in text
+
+    @pytest.mark.parametrize("out", ["outside", "../escape.csv"])
+    def test_export_outside_run_dir_exits_1(self, capsys, base, run_dir, tmp_path, out):
+        write_panel(run_dir, [filingfab.intc_bundle(2012)])
+        target = tmp_path / "elsewhere" / "segments.csv" if out == "outside" else out
+        code, stdout, err = invoke(capsys, ["export", *base, "--out", str(target)])
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["error"] == "OutputPathError"
+        assert not (tmp_path / "elsewhere").exists()
+        assert not (tmp_path / "escape.csv").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == ["panel.jsonl"]
+
+    def test_export_absolute_path_inside_run_dir(self, capsys, base, run_dir):
+        write_panel(run_dir, [filingfab.intc_bundle(2012)])
+        code, out, _ = invoke(capsys, ["export", *base, "--out",
+                                       str((run_dir / "out" / "s.csv").resolve())])
+        assert code == 0
+        assert "out/s.csv" in read_manifest(run_dir)
 
 
 class TestManifest:

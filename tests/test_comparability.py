@@ -425,7 +425,7 @@ class TestAlignmentEdgeCases:
         store = SegmentStore()
         bundle = self.put_geo(store, 31, 2020, [("Asia", 100)])
         bundle.nested.append(
-            SegmentRecord(cik=31, fiscal_year=2020, name="Japan", axis="geographic",
+            SegmentRecord(name="Japan", axis="geographic",
                           parent_name="Asia",
                           measures={"revenue": Money(Decimal(40), Scale.MILLIONS)})
         )
@@ -438,7 +438,7 @@ class TestAlignmentEdgeCases:
         store = SegmentStore()
         bundle = self.put_geo(store, 31, 2020, [("Asia", 100)])
         bundle.reportable.append(
-            SegmentRecord(cik=31, fiscal_year=2020, name="Japan", axis="geographic")
+            SegmentRecord(name="Japan", axis="geographic")
         )
         store.put(bundle)
         rows = align_regions(31, 32, asia_scheme, (2020, 2020), store)
@@ -449,7 +449,7 @@ class TestAlignmentEdgeCases:
         store = SegmentStore()
         bundle = self.put_geo(store, 31, 2020, [("Asia", 100)])
         bundle.reportable.append(
-            SegmentRecord(cik=31, fiscal_year=2020, name="Japan", axis="geographic",
+            SegmentRecord(name="Japan", axis="geographic",
                           measures={"revenue": Money(Decimal(5), Scale.BILLIONS)})
         )
         store.put(bundle)

@@ -221,13 +221,31 @@ class TestFetch:
         doc1 = client.fetch(ref)
         assert transport.document_calls == 1
         assert doc1.path.exists()
-        assert doc1.ref.fetched_at != ""
+        assert doc1.fetched_at != ""
 
         doc2 = client.fetch(ref)
         assert transport.document_calls == 1  # zero transport calls on a hit
         assert doc2.content_hash == doc1.content_hash
-        # fetched_at is restored from the meta sidecar, byte-stable.
-        assert doc2.ref.fetched_at == doc1.ref.fetched_at
+        # The whole document, fetched_at included, is restored from the meta sidecar.
+        assert doc2 == doc1
+
+    @pytest.mark.parametrize("meta", [
+        '{"cik": 320193, "fiscal_year": 2024, "content_hash": "x"}',  # an older flat layout
+        '{"ref": {"cik": 320193}}',
+        "[]",
+        "{torn",
+    ], ids=["flat", "partial_ref", "list", "torn"])
+    def test_unreadable_meta_refetches(self, edgar_fixture, tmp_path, meta):
+        root, _ = edgar_fixture
+        transport = CountingTransport(FixtureTransport(root))
+        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000)
+        ref = client.resolve_filing(paperdata.APPLE_CIK, 2024)
+        doc = client.fetch(ref)
+        meta_path = doc.path.parent / "meta.json"
+        meta_path.write_text(meta, encoding="utf-8")
+        assert client.fetch(ref).content_hash == doc.content_hash
+        assert transport.document_calls == 2
+        assert json.loads(meta_path.read_text(encoding="utf-8"))["ref"]["cik"] == ref.cik
 
     def test_corrupted_cache_refetches(self, edgar_fixture, tmp_path):
         root, _ = edgar_fixture

@@ -39,7 +39,7 @@ def multi_bundle(cik: int, year: int) -> ExtractionBundle:
     bundle = filingfab.geo_bundle(cik, year, "Scored Corp", "SCR",
                                   [("Americas", 600), ("Europe", 400)], 1000)
     bundle.nested.append(
-        SegmentRecord(cik=cik, fiscal_year=year, name="Consumer", axis=AXIS_BUSINESS,
+        SegmentRecord(name="Consumer", axis=AXIS_BUSINESS,
                       parent_name="Americas",
                       measures={"revenue": Money(Decimal(250), Scale.MILLIONS)})
     )

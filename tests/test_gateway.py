@@ -7,6 +7,7 @@ calls directly instead of timing them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -35,6 +36,12 @@ def store_with(pairs: dict[str, str], file_hash: str = HASH_A) -> ScriptStore:
     for question, response in pairs.items():
         store.add(file_hash, question, response)
     return store
+
+
+def write_jsonl(store: ScriptStore, path) -> None:
+    """A script file in the format ``ScriptStore.from_jsonl`` reads."""
+    path.write_text("".join(json.dumps(dataclasses.asdict(entry), sort_keys=True) + "\n"
+                            for entry in store.entries()), encoding="utf-8")
 
 
 def request_for(question: str, request_id: str, file_hash: str = HASH_A) -> PromptRequest:
@@ -74,7 +81,7 @@ class TestScriptStore:
         store = store_with({"q1": "r1", "q2": "r2"})
         store.add(HASH_B, "q1", "other file")
         path = tmp_path / "script.jsonl"
-        store.dump_jsonl(path)
+        write_jsonl(store, path)
         reloaded = ScriptStore.from_jsonl(path)
         assert reloaded.entries() == store.entries()
         assert len(reloaded) == 3
@@ -102,13 +109,11 @@ class TestScriptStore:
         assert store.lookup(HASH_A, "q2") == "r2"
 
     def test_merge_applies_conflict_rules(self):
-        left = store_with({"q": "r"})
-        right = store_with({"q": "different"})
+        left = store_with({"q": "r"}).entries()
         with pytest.raises(SchemaError):
-            left.merge(right)
-        left2 = store_with({"q": "r"})
-        left2.merge(store_with({"q2": "r2"}))
-        assert len(left2) == 2
+            ScriptStore.from_entries(left + store_with({"q": "different"}).entries())
+        merged = ScriptStore.from_entries(left + store_with({"q ": "r", "q2": "r2"}).entries())
+        assert len(merged) == 2
 
 
 class TestPromptRequest:
@@ -141,13 +146,23 @@ class TestScriptedBackend:
 
 class TestGatewayUpload:
     def test_upload_once_per_content_hash(self):
-        gateway = Gateway(ScriptedBackend(ScriptStore()))
+        class CountingBackend(ScriptedBackend):
+            def __init__(self):
+                super().__init__(ScriptStore())
+                self.uploads: list[str] = []
+
+            def upload(self, content_hash, data, display_name):
+                self.uploads.append(content_hash)
+                return super().upload(content_hash, data, display_name)
+
+        backend = CountingBackend()
+        gateway = Gateway(backend)
         first = gateway.upload_bytes(b"data", content_hash=HASH_A)
         second = gateway.upload_bytes(b"data", content_hash=HASH_A)
         assert first is second
-        assert gateway.upload_calls == 1
+        assert backend.uploads == [HASH_A]
         gateway.upload_bytes(b"other", content_hash=HASH_B)
-        assert gateway.upload_calls == 2
+        assert backend.uploads == [HASH_A, HASH_B]
 
     def test_cached_document_upload(self, edgar_client):
         ref = edgar_client.resolve_filing(320193, 2024)
@@ -189,14 +204,14 @@ class TestGatewayAsk:
         ]
         assert all(r.backend == "scripted" for r in gateway.transcript)
 
-    def test_transcript_for_filters_by_file(self):
+    def test_transcript_records_carry_file_hash(self):
         store = store_with({"q": "ra"})
         store.add(HASH_B, "q", "rb")
         gateway = Gateway(ScriptedBackend(store))
         gateway.ask(request_for("q", "req-a", HASH_A))
         gateway.ask(request_for("q", "req-b", HASH_B))
-        assert [r.response for r in gateway.transcript_for(HASH_A)] == ["ra"]
-        assert [r.response for r in gateway.transcript_for(HASH_B)] == ["rb"]
+        assert [(r.file_hash, r.response) for r in gateway.transcript] == [
+            (HASH_A, "ra"), (HASH_B, "rb")]
 
     def test_dump_transcript_sorted_by_request_id(self, tmp_path):
         gateway = Gateway(ScriptedBackend(store_with({"q1": "r1", "q2": "r2"})))
@@ -402,7 +417,7 @@ class TestGatewayBudget:
 class TestFromConfig:
     def test_scripted_backend_from_config(self, tmp_path):
         script = tmp_path / "script.jsonl"
-        store_with({"q": "r"}).dump_jsonl(script)
+        write_jsonl(store_with({"q": "r"}), script)
         config = Config({"llm.script_path": str(script)}, use_env=False)
         gateway = Gateway.from_config(config)
         assert isinstance(gateway.backend, ScriptedBackend)

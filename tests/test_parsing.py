@@ -7,12 +7,14 @@ the expected output can be written down by hand.
 
 from __future__ import annotations
 
+import json
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import filingfab
 import paperdata
 from segforge import parsing
 from segforge.edgar import EdgarClient, FixtureTransport
@@ -22,13 +24,10 @@ from segforge.parsing import (
     CellValue,
     ItemId,
     dump_json,
-    from_json,
-    itemize,
     load_json,
     locate_segment_regions,
     parse,
     parse_text,
-    to_json,
 )
 from segforge.retrieval import build_index
 from segforge.values import Scale
@@ -63,11 +62,15 @@ class TestItemization:
 
     def test_itemize_matches_parse(self, parsed_filings):
         parsed = parsed_filings["apple"]
-        assert itemize(parsed) == parsed.items
+        assert parsing._itemize_text(parsed.full_text) == (parsed.front_matter, parsed.items)
 
     def test_unknown_item_id_rejected(self):
         with pytest.raises(ValueError):
             ItemId.of("17")
+        with pytest.raises(ValueError):
+            ItemId(part="IV", number="17")
+        with pytest.raises(ValueError):
+            ItemId(part="II", number="1")  # Item 1 is in Part I
 
     def test_heading_must_start_line(self):
         html = (
@@ -313,7 +316,7 @@ class TestFallbacks:
         assert parsed.front_matter.text == parsed.full_text
         assert parsed.front_matter.end == parsed.char_count
         with pytest.raises(NoItemsFoundError):
-            itemize(parsed)
+            parsing._itemize_text(parsed.full_text)
 
     def test_table_before_first_item_is_unassigned(self):
         html = (
@@ -369,8 +372,18 @@ class TestSerialization:
     def test_roundtrip_preserves_everything(self, parsed_filings):
         for name in ("apple", "adobe", "avy2022"):
             parsed = parsed_filings[name]
-            restored = from_json(to_json(parsed))
+            restored = load_json(dump_json(parsed))
             assert restored == parsed, name
+            assert restored.tables[0].numeric_cells == parsed.tables[0].numeric_cells, name
+
+    def test_dump_keeps_document_order_on_one_line(self, parsed_filings):
+        parsed = parsed_filings["apple"]
+        text = dump_json(parsed)
+        assert text.count("\n") == 1 and text.endswith("}\n")  # no indent
+        data = json.loads(text)
+        assert list(data) == ["ref", "front_matter", "items", "tables", "char_count"]
+        assert list(data["items"]) == list(parsed.items) == ["1", "1A", "7", "8"]
+        assert "numeric_cells" not in data["tables"][0]
 
     def test_dump_is_idempotent(self, parsed_filings):
         parsed = parsed_filings["apple"]
@@ -398,7 +411,7 @@ class TestSerialization:
             client = EdgarClient(FixtureTransport(root), cache_dir=tmp_path / cache,
                                  rate_limit_rps=10_000)
             doc = client.fetch(client.resolve_filing(paperdata.APPLE_CIK, paperdata.APPLE_FY))
-            stamps.append(doc.ref.fetched_at)
+            stamps.append(doc.fetched_at)
             dumps.append(dump_json(parse(doc)))
         assert stamps[0] != stamps[1]
         assert dumps[0] == dumps[1]
@@ -406,10 +419,59 @@ class TestSerialization:
 
     def test_numeric_cells_keep_decimal_exactness(self, parsed_filings):
         parsed = parsed_filings["apple"]
-        restored = from_json(to_json(parsed))
+        restored = load_json(dump_json(parsed))
         cells = restored.tables[0].numeric_cells
         assert cells[(0, 1)].value == Decimal("167045")
         assert isinstance(cells[(0, 1)].value, Decimal)
+
+
+_HEADINGS = [f"Item {number}. Heading" for _, number in parsing._ITEM_SEQ]
+_PROSE = st.text(alphabet=st.sampled_from("ab Z9.,$()é—\n\t&;"), max_size=120)
+
+
+@st.composite
+def _filing_html(draw) -> str:
+    """A fixture filing, or one assembled from filingfab's parts with random items."""
+    kind = draw(st.sampled_from(["avy", "apple", "adobe", "assembled"]))
+    if kind == "avy":
+        return filingfab.avy_10k_html(draw(st.sampled_from(sorted(paperdata.AVY_TABLE3))))
+    if kind != "assembled":
+        return getattr(filingfab, f"{kind}_10k_html")()
+    parts = []
+    if draw(st.booleans()):
+        parts.append(filingfab._front_matter(draw(_PROSE), "December 31, 2020", "1-1"))
+    if draw(st.booleans()):  # a table of contents ahead of the real headings
+        parts += [f"<p>{heading}</p>" for heading in _HEADINGS[:6]]
+    for heading in draw(st.lists(st.sampled_from(_HEADINGS), max_size=8)):
+        parts.append(f"<p>{heading}</p>")
+        parts += [f"<p>{text}</p>" for text in draw(st.lists(_PROSE, max_size=3))]
+        if draw(st.booleans()):
+            rows = draw(st.lists(st.tuples(_PROSE, st.integers(-10**6, 10**9)),
+                                 min_size=1, max_size=4))
+            parts.append(filingfab._segment_table(rows, draw(_PROSE)))
+    parts.append(f"<p>{draw(_PROSE)}x</p>")  # never an empty document
+    return "".join(parts)
+
+
+class TestSectionPartitionProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_filing_html())
+    def test_sections_partition_the_text_exactly(self, html):
+        parsed = parse_text(html)
+        restored = load_json(dump_json(parsed))
+        assert restored == parsed
+        for filing in (parsed, restored):
+            full_text = filing.full_text
+            assert filing.front_matter.start == 0
+            cursor = 0
+            for section in filing.sections():
+                assert section.start == cursor
+                assert section.text == full_text[section.start:section.end]
+                cursor = section.end
+            assert cursor == filing.char_count == len(full_text)
+        assert list(restored.items) == list(parsed.items)
+        assert [t.numeric_cells for t in restored.tables] == \
+            [t.numeric_cells for t in parsed.tables]
 
 
 def reference_signal_hits(text: str) -> list[tuple[int, int, float]]:

@@ -30,7 +30,7 @@ from segforge.extraction import (
     ExtractionBundle,
     SegmentationClass,
     SegmentRecord,
-    bundle_to_json,
+    bundle_from_json,
 )
 from segforge import store as store_module
 from segforge.store import (
@@ -78,6 +78,20 @@ def brute_force_gaps(store: SegmentStore, roster: FundamentalsRoster) -> set:
     return missing
 
 
+def gap_keys(report: GapReport) -> set:
+    return {(cik, year) for year, ciks in report.missing.items() for cik in ciks}
+
+
+def panel_revisions(path) -> dict:
+    """The highest revision on disk per (cik, fiscal_year)."""
+    revisions: dict = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        key = (row["cik"], row["fiscal_year"])
+        revisions[key] = max(revisions.get(key, 0), row["revision"])
+    return revisions
+
+
 def write_rows(path, rows: list[dict]) -> None:
     path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
                     encoding="utf-8")
@@ -112,19 +126,20 @@ class TestPersistence:
         second = single_unit_bundle(55, 2020)
         second.general_fields["conm"] = "Renamed Corp"
         store.put(second)
-        assert store.revision(55, 2020) == 2
         assert store.get(55, 2020).general_fields["conm"] == "Renamed Corp"
         # Both rows stay on disk; reload picks the highest revision.
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 2
+        assert [json.loads(line)["revision"] for line in lines] == [1, 2]
         reloaded = SegmentStore(path)
-        assert reloaded.revision(55, 2020) == 2
         assert reloaded.get(55, 2020).general_fields["conm"] == "Renamed Corp"
+        reloaded.put(first)
+        assert panel_revisions(path) == {(55, 2020): 3}
+        assert SegmentStore(path).get(55, 2020) == first
 
     def test_put_validates_bundle(self):
         store = SegmentStore()
         bad = single_unit_bundle(55, 2020)
-        bad.reportable.append(SegmentRecord(cik=55, fiscal_year=2020, name="X"))
+        bad.reportable.append(SegmentRecord(name="X"))
         with pytest.raises(SchemaError):
             store.put(bad)
         assert len(store) == 0
@@ -145,41 +160,40 @@ class TestPersistence:
         assert row["cik"] == paperdata.TXN_CIK
         assert row["fiscal_year"] == 2014
         assert row["revision"] == 1
-        assert row["bundle"] == bundle_to_json(filingfab.txn_bundle(2014))
+        assert bundle_from_json(row["bundle"]) == filingfab.txn_bundle(2014)
 
 
 class TestQueries:
     def test_query_segments_sorted_and_filtered(self, geo_store):
-        records = geo_store.query_segments(paperdata.INTC_CIK, years=(2014, 2015))
-        assert [r.fiscal_year for r in records] == sorted(r.fiscal_year for r in records)
-        assert {r.fiscal_year for r in records} == {2014, 2015}
-        names_2014 = [r.name for r in records if r.fiscal_year == 2014]
-        assert names_2014 == sorted(names_2014)
+        for year in (2014, 2015):
+            records = geo_store.query_segments(paperdata.INTC_CIK, year)
+            stored = geo_store.get(paperdata.INTC_CIK, year).reportable
+            assert records == sorted(stored, key=lambda r: r.name)
+        assert geo_store.query_segments(paperdata.INTC_CIK, 1999) == []
 
     def test_query_segments_axis_filter(self):
         store = SegmentStore()
         bundle = empty_multi_bundle(9, 2020)
         bundle.reportable = [
-            SegmentRecord(cik=9, fiscal_year=2020, name="Asia", axis="geographic"),
-            SegmentRecord(cik=9, fiscal_year=2020, name="Devices", axis="business"),
+            SegmentRecord(name="Asia", axis="geographic"),
+            SegmentRecord(name="Devices", axis="business"),
         ]
         store.put(bundle)
-        assert [r.name for r in store.query_segments(9, axis="geographic")] == ["Asia"]
-        assert [r.name for r in store.query_segments(9, axis="business")] == ["Devices"]
+        assert [r.name for r in store.query_segments(9, 2020, axis="geographic")] == ["Asia"]
+        assert [r.name for r in store.query_segments(9, 2020, axis="business")] == ["Devices"]
 
     def test_query_segments_reportable_before_nested(self):
         store = SegmentStore()
         bundle = empty_multi_bundle(9, 2020)
-        parent = SegmentRecord(cik=9, fiscal_year=2020, name="Zeta")
-        child = SegmentRecord(cik=9, fiscal_year=2020, name="Alpha unit",
-                              axis="other", parent_name="Zeta")
+        parent = SegmentRecord(name="Zeta")
+        child = SegmentRecord(name="Alpha unit", axis="other", parent_name="Zeta")
         bundle.reportable = [parent]
         bundle.nested = [child]
         store.put(bundle)
-        assert [r.name for r in store.query_segments(9)] == ["Zeta", "Alpha unit"]
+        assert [r.name for r in store.query_segments(9, 2020)] == ["Zeta", "Alpha unit"]
 
     def test_query_other_firm_is_empty(self, geo_store):
-        assert geo_store.query_segments(424242) == []
+        assert geo_store.query_segments(424242, 2014) == []
 
     def test_segment_names_by_year(self, avy_store):
         panel = avy_store.segment_names_by_year(paperdata.AVY_CIK)
@@ -212,8 +226,8 @@ class TestGapReport:
             (99, 2020),                    # never stored
         })
         report = store.gap_report(roster)
-        assert report.keys() == brute_force_gaps(store, roster)
-        assert report.keys() == {(paperdata.INTC_CIK, 2015), (88, 2012), (99, 2020)}
+        assert gap_keys(report) == brute_force_gaps(store, roster)
+        assert gap_keys(report) == {(paperdata.INTC_CIK, 2015), (88, 2012), (99, 2020)}
         assert report.total_missing == 3
 
     def test_report_is_sorted(self):
@@ -254,7 +268,7 @@ class TestExportCsv:
         store = SegmentStore()
         store.put(filingfab.intc_bundle(2012))
         bundle = empty_multi_bundle(9, 2020)
-        bundle.reportable = [SegmentRecord(cik=9, fiscal_year=2020, name="NoMoney")]
+        bundle.reportable = [SegmentRecord(name="NoMoney")]
         store.put(bundle)
         path = store.export_csv(tmp_path / "panel.csv")
         with open(path, newline="", encoding="utf-8") as fh:
@@ -292,7 +306,8 @@ class TestDecodeOnRead:
         store.put(bad)
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         rows[1]["bundle"]["nested"] = [{"name": "orphan", "axis": AXIS_BUSINESS,
-                                        "measures": {}, "parent_name": "gone"}]
+                                        "measures": {}, "parent_name": "gone",
+                                        "provenance": []}]
         write_rows(path, rows)
         return bad.key
 
@@ -304,7 +319,7 @@ class TestDecodeOnRead:
         with pytest.raises(SchemaError, match="orphan"):
             store.get(*bad_key)
         with pytest.raises(SchemaError):
-            store.query_segments(bad_key[0])
+            store.query_segments(*bad_key)
         with pytest.raises(SchemaError):
             store.segment_names_by_year(bad_key[0])
         with pytest.raises(SchemaError):
@@ -382,7 +397,7 @@ class TestDecodeOnRead:
         bad_key = self.orphan_panel(path)
         store = SegmentStore(path)
         roster = FundamentalsRoster(rows={bad_key, (paperdata.INTC_CIK, 2012), (1, 2000)})
-        assert store.gap_report(roster).keys() == {(1, 2000)}
+        assert gap_keys(store.gap_report(roster)) == {(1, 2000)}
 
 
 _NAMES = ["Asia", "Europe", "Devices", "Services", "Other"]
@@ -404,11 +419,10 @@ def _bundle(draw, cik: int, year: int) -> ExtractionBundle:
             measures[measure] = Money(Decimal(draw(st.integers(-10**6, 10**9))),
                                       draw(st.sampled_from(list(Scale))))
         bundle.reportable.append(SegmentRecord(
-            cik=cik, fiscal_year=year, name=name,
-            axis=draw(st.sampled_from([AXIS_BUSINESS, AXIS_GEOGRAPHIC])), measures=measures))
+            name=name, axis=draw(st.sampled_from([AXIS_BUSINESS, AXIS_GEOGRAPHIC])),
+            measures=measures))
     if draw(st.booleans()):
-        bundle.nested.append(SegmentRecord(cik=cik, fiscal_year=year, name="Unit",
-                                           parent_name=names[0]))
+        bundle.nested.append(SegmentRecord(name="Unit", parent_name=names[0]))
     return bundle
 
 
@@ -451,14 +465,14 @@ class TestPanelProperties:
             for key in sorted(latest):
                 eager.put(latest[key])
 
-            assert report.keys() == brute_force_gaps(eager, roster)
+            assert gap_keys(report) == brute_force_gaps(eager, roster)
             assert report == eager.gap_report(roster)
             lazy.export_csv(Path(tmp) / "lazy.csv")
             eager.export_csv(Path(tmp) / "eager.csv")
             assert (Path(tmp) / "lazy.csv").read_bytes() == (Path(tmp) / "eager.csv").read_bytes()
             assert lazy.keys() == sorted(latest)
+            assert panel_revisions(path) == puts
             for key, bundle in latest.items():
-                assert lazy.revision(*key) == puts[key]
                 assert lazy.get(*key) == bundle
                 assert lazy.segment_names_by_year(key[0]) == eager.segment_names_by_year(key[0])
-                assert lazy.query_segments(key[0]) == eager.query_segments(key[0])
+                assert lazy.query_segments(*key) == eager.query_segments(*key)
