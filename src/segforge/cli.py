@@ -34,7 +34,7 @@ from .evaluation import GoldLabelSet, render_table2, report_to_json, score
 from .extraction import ExtractionPipeline, dump_bundle, load_bundle
 from .gateway import Gateway
 from .parsing import dump_json, load_json, parse
-from .retrieval import build_index_from_config, load_index, save_index
+from .retrieval import build_index, load_index, save_index
 from .store import FundamentalsRoster, SegmentStore, gap_report_to_json
 
 
@@ -233,7 +233,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_index(args) -> int:
-    config = _load_config(args)
+    _load_config(args)  # only checked: the index reads no setting
     run_dir = _run_dir(args)
     filings = []
     for path in sorted(Path(args.corpus).glob("*.json")):
@@ -241,7 +241,7 @@ def cmd_index(args) -> int:
             filings.append(load_json(path.read_text(encoding="utf-8")))
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-    index = build_index_from_config(filings, config)
+    index = build_index(filings)
     index_dir = run_dir / "index"
     save_index(index, index_dir)
     _update_manifest(run_dir, [index_dir / "index.meta.json", index_dir / "index.bin"])

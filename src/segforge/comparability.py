@@ -11,27 +11,28 @@ closed vocabularies; malformed answers degrade to "unknown".
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
-from .errors import ScriptMissError, ValidationError
+from .errors import ValidationError
 from .gateway import Gateway, PromptRequest
-from .retrieval import ChunkIndex, assemble_context, retrieve
+from .retrieval import ChunkIndex, ContextBlock, RetrievalResult, assemble_context, retrieve
 from .store import SegmentStore
 from .templates import (
     CHANGE_FORMAT_RULES,
+    FORMAT_RULES,
     SYSTEM_PREAMBLE,
+    AnswerShape,
     change_explanation_question,
     region_membership_question,
 )
 from .values import (
-    Money, Scale, collapse_ws, parse_monetary, percent_of, render_amount, render_fixed_width,
+    Money, Scale, collapse_ws, parse_monetary, percent_of, render_amount, render_csv,
+    render_fixed_width,
 )
 
 REASON_CLASSES = {
@@ -165,9 +166,19 @@ def _parse_mapping(raw: str, prior_names: list[str], current_names: list[str]):
     return mapping
 
 
+def _ask_grounded(index: ChunkIndex, gateway: Gateway, results: list[RetrievalResult],
+                  budget_chars: int, display_name: str, request_id: str, question: str,
+                  format_rules: str) -> tuple[ContextBlock, str]:
+    """Upload the context assembled from ``results`` and ask ``question`` against it."""
+    context = assemble_context(index, results, budget_chars)
+    data = context.text.encode("utf-8")
+    handle = gateway.upload_bytes(data, hashlib.sha256(data).hexdigest(), display_name)
+    request = PromptRequest(handle, question, request_id, SYSTEM_PREAMBLE, format_rules)
+    return context, gateway.ask(request).text
+
+
 def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIndex,
-                    gateway: Gateway, k: int = 4, budget_chars: int = 12000,
-                    warnings: list[str] | None = None) -> list[ChangeRow]:
+                    gateway: Gateway, warnings: list[str] | None = None) -> list[ChangeRow]:
     """Grounded layer: classify each detected change with retrieved context.
 
     For every changed year the adjacent years' chunks are retrieved,
@@ -186,7 +197,7 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
         position = years.index(row.fiscal_year)
         prior_year = years[position - 1]
         results = [
-            retrieve(index, CHANGE_CONTEXT_QUERY, k,
+            retrieve(index, CHANGE_CONTEXT_QUERY, 4,
                      {"cik": cik, "fiscal_year": year})
             for year in (prior_year, row.fiscal_year)
         ]
@@ -195,26 +206,16 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
             row.reason = "unknown"
             row.reason_text = "no retrieved context"
             continue
-        context = assemble_context(index, results, budget_chars)
-        data = context.text.encode("utf-8")
-        handle = gateway.upload_bytes(
-            data,
-            content_hash=hashlib.sha256(data).hexdigest(),
+        context, answer = _ask_grounded(
+            index, gateway, results, 12000,
             display_name=f"context_{cik}_{row.fiscal_year}",
-        )
-        question = change_explanation_question(
-            cik, prior_year, row.fiscal_year, by_year[prior_year], row.segment_names
-        )
-        request = PromptRequest(
-            file=handle,
-            question=question,
             request_id=f"chg-{cik}-{row.fiscal_year}-1",
-            system_preamble=SYSTEM_PREAMBLE,
+            question=change_explanation_question(
+                cik, prior_year, row.fiscal_year, by_year[prior_year], row.segment_names),
             format_rules=CHANGE_FORMAT_RULES,
         )
         try:
-            completion = gateway.ask(request)
-            fields = _parse_change_response(completion.text)
+            fields = _parse_change_response(answer)
             reason = fields["reason"].casefold()
             linkage = fields["linkage"].casefold()
             if reason not in REASON_CLASSES:
@@ -234,8 +235,6 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
             row.cites = valid_cites
             row.reason_text = f"{explanation} [cites: {'; '.join(valid_cites)}]".strip()
             row.linkage_text = fields.get("mapping", "")
-        except ScriptMissError:
-            raise
         except ValidationError as exc:
             warnings.append(f"change explanation for {row.fiscal_year} invalid: {exc}")
             row.reason = "unknown"
@@ -324,34 +323,22 @@ def _arbitrate_label(label: str, cik: int, year: int, scheme: RegionScheme,
     if not result.hits:
         warnings.append(f"LabelAmbiguity: no context for {label!r} ({cik}, {year}); excluded")
         return False
-    context = assemble_context(index, [result], 8000)
-    data = context.text.encode("utf-8")
-    handle = gateway.upload_bytes(
-        data, content_hash=hashlib.sha256(data).hexdigest(),
+    _, answer = _ask_grounded(
+        index, gateway, [result], 8000,
         display_name=f"region_{cik}_{year}",
-    )
-    request = PromptRequest(
-        file=handle,
-        question=region_membership_question(label, scheme.region_name, year),
         request_id=f"rgn-{cik}-{year}-{normalize_label(label).replace(' ', '_')}",
-        system_preamble=SYSTEM_PREAMBLE,
-        format_rules='Return exactly "Yes" or "No".',
+        question=region_membership_question(label, scheme.region_name, year),
+        format_rules=FORMAT_RULES[AnswerShape.YES_NO],
     )
-    try:
-        answer = gateway.ask(request).text.strip().casefold()
-        if answer not in ("yes", "no"):
-            raise ValidationError(f"expected Yes or No, got {answer!r}")
-        return answer == "yes"
-    except ScriptMissError:
-        raise
-    except ValidationError as exc:
-        warnings.append(f"LabelAmbiguity: arbitration for {label!r} invalid ({exc}); excluded")
+    answer = answer.strip().casefold()
+    if answer not in ("yes", "no"):
+        warnings.append(f"LabelAmbiguity: arbitration for {label!r} invalid "
+                        f"(expected Yes or No, got {answer!r}); excluded")
         return False
+    return answer == "yes"
 
 
 def _region_total(components: list[tuple[str, Decimal, Scale]]) -> Decimal:
-    if not components:
-        return Decimal(0)
     return sum((value for _, value, _ in components), Decimal(0))
 
 
@@ -365,8 +352,7 @@ def _pct_of_revt(store: SegmentStore, cik: int, year: int,
     except ValueError:
         warnings.append(f"MissingTotalRevenue: no usable revt for ({cik}, {year}); pct omitted")
         return None
-    scale = components[0][2] if components else Scale.MILLIONS
-    region_units = Money(total, scale).units
+    region_units = Money(total, components[0][2]).units
     if revt.units == 0:
         warnings.append(f"MissingTotalRevenue: zero revt for ({cik}, {year}); pct omitted")
         return None
@@ -427,18 +413,16 @@ def _mapping_text(row: ChangeRow) -> str:
 
 
 def render_change_csv(rows: list[ChangeRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CHANGE_TABLE_HEADER)
+    table = [CHANGE_TABLE_HEADER]
     for row in rows:
-        writer.writerow([
+        table.append([
             row.fiscal_year,
             "; ".join(row.segment_names),
             "Yes" if row.changed else "No",
             row.reason_text if row.changed else "",
             _mapping_text(row) if row.changed else "",
         ])
-    return buffer.getvalue()
+    return render_csv(table)
 
 
 def render_change_text(rows: list[ChangeRow]) -> str:
@@ -476,31 +460,29 @@ def _pct_cell(pct: Decimal | None) -> str:
     return "" if pct is None else f"{pct}%"
 
 
-def _alignment_cells(row: AlignmentRow) -> list[str]:
-    return [
-        str(row.fiscal_year),
-        ", ".join(label for label, _, _ in row.firm_a_components),
-        ", ".join(label for label, _, _ in row.firm_b_components),
-        _detail_cell(row.firm_a_components),
-        _detail_cell(row.firm_b_components),
-        render_amount(row.firm_a_region_total),
-        render_amount(row.firm_b_region_total),
-        _pct_cell(row.firm_a_pct_of_total),
-        _pct_cell(row.firm_b_pct_of_total),
-    ]
+def _alignment_table(rows: list[AlignmentRow], firm_a: str, firm_b: str,
+                     region: str) -> list[list[str]]:
+    table = [alignment_table_header(firm_a, firm_b, region)]
+    for row in rows:
+        table.append([
+            str(row.fiscal_year),
+            ", ".join(label for label, _, _ in row.firm_a_components),
+            ", ".join(label for label, _, _ in row.firm_b_components),
+            _detail_cell(row.firm_a_components),
+            _detail_cell(row.firm_b_components),
+            render_amount(row.firm_a_region_total),
+            render_amount(row.firm_b_region_total),
+            _pct_cell(row.firm_a_pct_of_total),
+            _pct_cell(row.firm_b_pct_of_total),
+        ])
+    return table
 
 
 def render_alignment_csv(rows: list[AlignmentRow], firm_a: str, firm_b: str,
                          region: str) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(alignment_table_header(firm_a, firm_b, region))
-    writer.writerows(_alignment_cells(row) for row in rows)
-    return buffer.getvalue()
+    return render_csv(_alignment_table(rows, firm_a, firm_b, region))
 
 
 def render_alignment_text(rows: list[AlignmentRow], firm_a: str, firm_b: str,
                           region: str) -> str:
-    table = [alignment_table_header(firm_a, firm_b, region)]
-    table += [_alignment_cells(row) for row in rows]
-    return render_fixed_width(table)
+    return render_fixed_width(_alignment_table(rows, firm_a, firm_b, region))

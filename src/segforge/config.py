@@ -1,14 +1,17 @@
 """Flat key-value configuration with environment overrides.
 
-Config files use one ``section.key = value`` assignment per line; ``#``
-starts a comment.  Environment variables named ``SEGFORGE_<SECTION>_<KEY>``
-(upper-cased, dots replaced by underscores) override file values.
+Config files use one ``section.key = value`` assignment per line, for a
+key that ``DEFAULTS`` lists; ``#`` starts a comment.  Environment variables
+named ``SEGFORGE_<SECTION>_<KEY>`` (upper-cased, dots replaced by
+underscores) override file values.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
+
+from .errors import SchemaError
 
 ENV_PREFIX = "SEGFORGE_"
 
@@ -24,12 +27,6 @@ DEFAULTS: dict[str, str] = {
     "llm.max_in_flight": "5",
     "llm.script_path": "",
     "llm.api_key": "",
-    "retrieval.k1": "1.2",
-    "retrieval.b": "0.75",
-    "retrieval.min_chunk_chars": "800",
-    "retrieval.max_chunk_chars": "1600",
-    "retrieval.segment_boost": "1.5",
-    "retrieval.len_norm_ref": "200",
     "store.panel_path": "panel.jsonl",
     "extraction.measures": "revenue,profit_or_loss,assets",
 }
@@ -54,17 +51,16 @@ class Config:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'section.key = value'")
+                    raise SchemaError(f"{path}:{lineno}: expected 'section.key = value'")
                 key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in DEFAULTS:
+                    raise SchemaError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = value.strip()
         return cls(values, use_env=use_env)
 
-    def get(self, key: str, default: str | None = None) -> str:
-        if key in self._values:
-            return self._values[key]
-        if default is not None:
-            return default
-        raise KeyError(key)
+    def get(self, key: str) -> str:
+        return self._values[key]
 
     def get_int(self, key: str) -> int:
         return int(self.get(key))
@@ -77,9 +73,6 @@ class Config:
 
     def set(self, key: str, value: str) -> None:
         self._values[key] = value
-
-    def as_dict(self) -> dict[str, str]:
-        return dict(self._values)
 
 
 def env_var_name(key: str) -> str:

@@ -8,6 +8,9 @@ ln(1 + 1/df) (no corpus-size term) and length normalization uses a fixed
 reference length instead of the corpus average. Adding a chunk that shares
 no terms with a query therefore cannot change any existing score, which
 makes ranking stable as the corpus grows.
+
+Scoring and chunk sizes are fixed module constants: ``K1``, ``B``,
+``LEN_NORM_REF``, ``SEGMENT_BOOST``, ``MIN_CHARS`` and ``MAX_CHARS``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -26,12 +29,12 @@ from .values import encode, load
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
-DEFAULT_SEGMENT_BOOST = 1.5
-DEFAULT_LEN_NORM_REF = 200
-DEFAULT_MIN_CHARS = 800
-DEFAULT_MAX_CHARS = 1600
+K1 = 1.2  # term-frequency saturation
+B = 0.75  # weight of length normalization
+SEGMENT_BOOST = 1.5  # score multiplier for chunks overlapping a segment-note region
+LEN_NORM_REF = 200  # reference chunk length in tokens
+MIN_CHARS = 800  # chunk size bounds; only a section's last chunk may be shorter
+MAX_CHARS = 1600
 
 
 def tokenize(text: str) -> list[str]:
@@ -72,18 +75,15 @@ class ChunkIndex:
     doc_freq: dict[str, int]
     chunk_terms: list[dict[str, int] | None] | None = None
     chunk_len: list[int | None] | None = None
-    k1: float = DEFAULT_K1
-    b: float = DEFAULT_B
-    segment_boost: float = DEFAULT_SEGMENT_BOOST
-    len_norm_ref: int = DEFAULT_LEN_NORM_REF
-    _by_id: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not self._by_id:
-            self._by_id = {chunk.chunk_id: i for i, chunk in enumerate(self.chunks)}
         if self.chunk_terms is None:
             self.chunk_terms = [None] * len(self.chunks)
             self.chunk_len = [None] * len(self.chunks)
+
+    @cached_property
+    def _by_id(self) -> dict[str, int]:
+        return {chunk.chunk_id: i for i, chunk in enumerate(self.chunks)}
 
     @cached_property
     def _by_filing(self) -> dict[tuple[int, int], list[int]]:
@@ -115,7 +115,7 @@ class ChunkIndex:
         pass a sorted unique list so scores are bit-reproducible.
         """
         counts, length = self.terms(index)
-        norm = 1.0 - self.b + self.b * (length / self.len_norm_ref)
+        norm = 1.0 - B + B * (length / LEN_NORM_REF)
         total = 0.0
         for token in query_tokens:
             tf = counts.get(token, 0)
@@ -123,9 +123,9 @@ class ChunkIndex:
                 continue
             df = self.doc_freq.get(token, 0)
             idf = math.log(1.0 + 1.0 / df)
-            total += idf * (tf * (self.k1 + 1.0)) / (tf + self.k1 * norm)
+            total += idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)
         if total > 0.0 and self.chunks[index].is_segment_region:
-            total *= self.segment_boost
+            total *= SEGMENT_BOOST
         return total
 
 
@@ -171,13 +171,7 @@ def _pack_spans(spans: list[tuple[int, int]], min_chars: int, max_chars: int) ->
     return out
 
 
-def build_index(filings: list[ParsedFiling],
-                min_chars: int = DEFAULT_MIN_CHARS,
-                max_chars: int = DEFAULT_MAX_CHARS,
-                k1: float = DEFAULT_K1,
-                b: float = DEFAULT_B,
-                segment_boost: float = DEFAULT_SEGMENT_BOOST,
-                len_norm_ref: int = DEFAULT_LEN_NORM_REF) -> ChunkIndex:
+def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
     """Chunk the filings and compute term statistics."""
     chunks: list[Chunk] = []
     for parsed in filings:
@@ -190,7 +184,7 @@ def build_index(filings: list[ParsedFiling],
         for section in parsed.sections():
             if not section.text.strip():
                 continue
-            local = _pack_spans(_paragraph_spans(section.text), min_chars, max_chars)
+            local = _pack_spans(_paragraph_spans(section.text), MIN_CHARS, MAX_CHARS)
             item = section.item.number if section.item else FRONT_MATTER
             for start, end in local:
                 g_start, g_end = section.start + start, section.start + end
@@ -207,24 +201,11 @@ def build_index(filings: list[ParsedFiling],
                     )
                 )
                 seq += 1
-    index = ChunkIndex(chunks=chunks, doc_freq={}, k1=k1, b=b,
-                       segment_boost=segment_boost, len_norm_ref=len_norm_ref)
+    index = ChunkIndex(chunks=chunks, doc_freq={})
     for i in range(len(chunks)):
         for term in index.terms(i)[0]:
             index.doc_freq[term] = index.doc_freq.get(term, 0) + 1
     return index
-
-
-def build_index_from_config(filings: list[ParsedFiling], config) -> ChunkIndex:
-    return build_index(
-        filings,
-        min_chars=config.get_int("retrieval.min_chunk_chars"),
-        max_chars=config.get_int("retrieval.max_chunk_chars"),
-        k1=config.get_float("retrieval.k1"),
-        b=config.get_float("retrieval.b"),
-        segment_boost=config.get_float("retrieval.segment_boost"),
-        len_norm_ref=config.get_int("retrieval.len_norm_ref"),
-    )
 
 
 def _years(wanted) -> set | list | tuple:
@@ -325,44 +306,37 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
 
 
 def save_index(index: ChunkIndex, directory: str | Path) -> None:
-    """Write index.meta.json (params and chunk table) and index.bin (doc_freq).
+    """Write index.meta.json (the chunk table) and index.bin (doc_freq).
 
     Per-chunk term counts are not stored: they are a function of the chunk
     text, and a loaded index derives them when a chunk is first scored.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "params": {
-            "k1": index.k1,
-            "b": index.b,
-            "segment_boost": index.segment_boost,
-            "len_norm_ref": index.len_norm_ref,
-        },
-        "chunks": index.chunks,
-    }
     (directory / "index.meta.json").write_text(
-        json.dumps(meta, default=encode, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps({"chunks": index.chunks}, default=encode, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
     )
     (directory / "index.bin").write_text(
         json.dumps({"doc_freq": index.doc_freq}, sort_keys=True), encoding="utf-8"
     )
 
 
+def _read(path: Path, key: str, cls):
+    """``key`` of the JSON object in ``path``, loaded as ``cls``; SchemaError names the file."""
+    try:
+        return load(cls, json.loads(path.read_text(encoding="utf-8"))[key])
+    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_index(directory: str | Path) -> ChunkIndex:
     """Read a saved index; term counts are derived per chunk on first score.
 
-    An index.bin written with ``chunk_terms``/``chunk_len`` still loads:
-    those keys are ignored, and scores are identical.
+    Only ``chunks`` and ``doc_freq`` are read, so an index.meta.json with a
+    ``params`` block or an index.bin with ``chunk_terms``/``chunk_len`` still
+    loads and scores the same.
     """
     directory = Path(directory)
-    meta = json.loads((directory / "index.meta.json").read_text(encoding="utf-8"))
-    stats = json.loads((directory / "index.bin").read_text(encoding="utf-8"))
-    return ChunkIndex(
-        chunks=load(list[Chunk], meta["chunks"]),
-        doc_freq=stats["doc_freq"],
-        k1=meta["params"]["k1"],
-        b=meta["params"]["b"],
-        segment_boost=meta["params"]["segment_boost"],
-        len_norm_ref=meta["params"]["len_norm_ref"],
-    )
+    return ChunkIndex(chunks=_read(directory / "index.meta.json", "chunks", list[Chunk]),
+                      doc_freq=_read(directory / "index.bin", "doc_freq", dict[str, int]))

@@ -10,6 +10,8 @@ dataclass tree and ``load`` reads it back.
 
 from __future__ import annotations
 
+import csv
+import io
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
@@ -19,8 +21,6 @@ from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import SchemaError
-
-NOT_PROVIDED = "Not provided"
 
 
 class Scale(Enum):
@@ -185,6 +185,13 @@ def render_fixed_width(table: list[list[str]], right_justify_values: bool = Fals
     ]
     lines.insert(1, "-" * max(len(line) for line in lines))
     return "\n".join(lines) + "\n"
+
+
+def render_csv(table: list[list]) -> str:
+    """A table as CSV records ending in ``\\n``."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(table)
+    return buffer.getvalue()
 
 
 # -- persistence codec ---------------------------------------------------------

@@ -21,6 +21,7 @@ from segforge import cli
 from segforge.cli import main
 from segforge.extraction import dump_bundle, load_bundle
 from segforge.parsing import load_json
+from segforge.retrieval import ChunkIndex, save_index
 from segforge.store import SegmentStore
 
 
@@ -199,6 +200,61 @@ class TestChanges:
         manifest = read_manifest(run_dir)
         assert f"changes_{paperdata.AVY_CIK}.csv" in manifest
         assert "transcript.jsonl" in manifest
+
+
+class TestUnreadableIndex:
+    def query(self, command: str, tmp_path, index_dir) -> list[str]:
+        if command == "changes":
+            return ["changes", "--cik", str(paperdata.AVY_CIK), "--from", "2001",
+                    "--to", "2024", "--index", str(index_dir)]
+        scheme = filingfab.write_asia_scheme(tmp_path / "asia.json")
+        return ["align", "--firm-a", str(paperdata.INTC_CIK), "--firm-b", str(paperdata.TXN_CIK),
+                "--region", str(scheme), "--from", "2012", "--to", "2013",
+                "--index", str(index_dir)]
+
+    def test_empty_index_answers_unknown(self, capsys, base, run_dir, tmp_path, avy_bundles):
+        """An index.meta.json of ``{"chunks": []}`` loads; no year finds context."""
+        write_panel(run_dir, [avy_bundles[y] for y in sorted(avy_bundles)])
+        save_index(ChunkIndex(chunks=[], doc_freq={}), tmp_path / "index")
+        assert (tmp_path / "index" / "index.meta.json").read_text() == '{\n  "chunks": []\n}\n'
+        code, out, err = invoke(capsys, [*self.query("changes", tmp_path, tmp_path / "index"),
+                                         *base])
+        assert (code, err) == (0, "")
+        assert "unknown" in out
+
+    @pytest.mark.parametrize("command", ["changes", "align"])
+    @pytest.mark.parametrize("name,content", [
+        ("index.meta.json", "{}"),  # no chunk table
+        ("index.bin", '{"chunk_len": []}'),  # no doc_freq
+        ("index.meta.json", '{"chunks": ['),
+        ("index.bin", "not json"),
+    ])
+    def test_unreadable_index_exits_1(self, capsys, base, tmp_path, command, name, content):
+        index_dir = tmp_path / "index"
+        save_index(ChunkIndex(chunks=[], doc_freq={}), index_dir)
+        (index_dir / name).write_text(content, encoding="utf-8")
+        code, out, err = invoke(capsys, [*self.query(command, tmp_path, index_dir), *base])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert str(index_dir / name) in error["message"]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("line", ["this is not an assignment", "llm.max_inflight = 3",
+                                      "retrieval.k1 = 1.2"])
+    def test_bad_config_line_exits_1(self, capsys, run_dir, tmp_path, config_path, line):
+        config = tmp_path / "bad.conf"
+        config.write_text(config_path.read_text(encoding="utf-8") + line + "\n",
+                          encoding="utf-8")
+        roster = filingfab.write_roster(tmp_path / "roster.csv", [(paperdata.INTC_CIK, 2012)])
+        code, out, err = invoke(capsys, ["gaps", "--config", str(config), "--run-dir",
+                                         str(run_dir), "--roster", str(roster)])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        lineno = len(config.read_text(encoding="utf-8").splitlines())
+        assert error["message"].startswith(f"{config}:{lineno}: ")
 
 
 class TestAlign:

@@ -148,8 +148,7 @@ class TestReferenceOracle:
     @settings(max_examples=100, deadline=None)
     @given(chunks)
     def test_chunk_table_bytes_equal_reference(self, chunk_list):
-        params = {"k1": 1.2, "b": 0.75, "segment_boost": 1.5, "len_norm_ref": 200}
-        reference = {"params": params, "chunks": [reference_chunk_dict(c) for c in chunk_list]}
+        reference = {"chunks": [reference_chunk_dict(c) for c in chunk_list]}
         with tempfile.TemporaryDirectory() as tmp:
             save_index(ChunkIndex(chunks=chunk_list, doc_freq={}), tmp)
             written = (Path(tmp) / "index.meta.json").read_text(encoding="utf-8")

@@ -40,8 +40,21 @@ from segforge.gateway import Gateway, ScriptedBackend, ScriptStore
 from segforge.parsing import parse_text
 from segforge.retrieval import assemble_context, build_index, retrieve
 from segforge.store import SegmentStore
-from segforge.templates import change_explanation_question, region_membership_question
+from segforge.templates import (
+    CHANGE_FORMAT_RULES,
+    SYSTEM_PREAMBLE,
+    change_explanation_question,
+    region_membership_question,
+)
 from segforge.values import Money, Scale
+
+
+def record_requests(gateway: Gateway, monkeypatch) -> list:
+    """The requests ``gateway.ask`` receives from now on, in order."""
+    sent = []
+    ask = gateway.ask
+    monkeypatch.setattr(gateway, "ask", lambda request: sent.append(request) or ask(request))
+    return sent
 
 
 def filing_with_ref(html: str, cik: int, year: int):
@@ -249,7 +262,7 @@ class TestExplainChangesValidation:
             "response": "\n".join(lines),
         }])
 
-    def test_handcrafted_valid_answer(self, small_index):
+    def test_handcrafted_valid_answer(self, small_index, monkeypatch):
         context = self.context_for(small_index)
         gateway = self.gateway_with_response(small_index, [
             "reason: internal_reorganization",
@@ -258,9 +271,12 @@ class TestExplainChangesValidation:
             f"cites: {context.chunk_ids[0]}",
             "explanation: Beta Networks was folded into Gamma Services.",
         ])
+        sent = record_requests(gateway, monkeypatch)
         warnings: list[str] = []
         rows = explain_changes(31, self.PANEL, small_index, gateway, warnings=warnings)
         assert warnings == []
+        assert [(r.system_preamble, r.format_rules) for r in sent] == \
+            [(SYSTEM_PREAMBLE, CHANGE_FORMAT_RULES)]
         row = rows[1]
         assert row.reason == "internal_reorganization"
         assert row.linkage == "regrouped"
@@ -504,11 +520,12 @@ class TestArbitration:
         ))
         return store
 
-    def test_yes_and_no_arbitration(self, geo_index, asia_scheme):
+    def test_yes_and_no_arbitration(self, geo_index, asia_scheme, monkeypatch):
         gateway = scripted_gateway([
             self.arbitration_entry(geo_index, self.LABEL_IN, "Yes", asia_scheme),
             self.arbitration_entry(geo_index, self.LABEL_OUT, "No", asia_scheme),
         ])
+        sent = record_requests(gateway, monkeypatch)
         rows = align_regions(31, 32, asia_scheme, (2020, 2020),
                              self.store_with_labels(), index=geo_index, gateway=gateway)
         row = rows[0]
@@ -521,6 +538,8 @@ class TestArbitration:
             "rgn-31-2020-asia-pacific_region",
             "rgn-31-2020-south_china_sea_operations",
         }
+        assert {(r.system_preamble, r.format_rules) for r in sent} == \
+            {(SYSTEM_PREAMBLE, 'Return exactly "Yes" or "No".')}
 
     def test_invalid_arbitration_answer_excludes_label(self, geo_index, asia_scheme):
         gateway = scripted_gateway([
@@ -550,6 +569,7 @@ class TestRendering:
     def test_change_csv(self):
         text = render_change_csv(self.rows())
         lines = text.splitlines()
+        assert text == "\n".join(lines) + "\n"  # \n line ends, no \r
         assert lines[0].split(",")[0] == CHANGE_TABLE_HEADER[0]
         assert lines[1] == "2000,Alpha; Beta,No,,"
         assert "2001" in lines[2]

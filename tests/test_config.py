@@ -1,8 +1,14 @@
 """Unit tests for the layered key-value configuration."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from segforge.config import Config, env_var_name
+from segforge.errors import SchemaError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_present():
@@ -29,9 +35,31 @@ def test_file_overrides_defaults(tmp_path):
 
 def test_malformed_line_raises(tmp_path):
     path = tmp_path / "bad.conf"
-    path.write_text("this is not an assignment\n")
-    with pytest.raises(ValueError):
+    path.write_text("# comment\nthis is not an assignment\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: expected")):
         Config.load(path, use_env=False)
+
+
+@pytest.mark.parametrize("line", [
+    "llm.max_inflight = 3",  # misspelt llm.max_in_flight
+    "retrieval.k1 = 1.5",  # scoring values are constants, not settings
+])
+def test_unknown_key_raises(tmp_path, line):
+    path = tmp_path / "bad.conf"
+    path.write_text(f"llm.backend = scripted\n{line}\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}:2: unknown key")):
+        Config.load(path, use_env=False)
+
+
+def test_readme_configuration_block_loads(tmp_path):
+    """Every key the README's configuration block sets is a key a config file may set."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Configuration\n.*?```\n(.*?)```", text, re.S).group(1)
+    path = tmp_path / "readme.conf"
+    path.write_text(block, encoding="utf-8")
+    config = Config.load(path, use_env=False)
+    assert config.get("llm.max_in_flight") == "5"
+    assert config.get("edgar.fixture_dir") == "fixtures/edgar"
 
 
 def test_env_overrides_file(tmp_path, monkeypatch):
@@ -50,7 +78,6 @@ def test_get_missing_key_raises():
     config = Config(use_env=False)
     with pytest.raises(KeyError):
         config.get("no.such.key")
-    assert config.get("no.such.key", default="x") == "x"
 
 
 def test_set_mutates():

@@ -13,14 +13,15 @@ import math
 import re
 import tempfile
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paperdata
+from segforge import retrieval
 from segforge.edgar import FilingRef
-from segforge.config import Config
 from segforge.errors import BudgetTooSmallError, SchemaError
 from segforge.parsing import parse_text
 from segforge.retrieval import (
@@ -31,7 +32,6 @@ from segforge.retrieval import (
     _pack_spans,
     assemble_context,
     build_index,
-    build_index_from_config,
     load_index,
     retrieve,
     save_index,
@@ -48,7 +48,7 @@ def reference_score(index: ChunkIndex, chunk_id: str, query: str) -> float:
     chunk = index.chunks[position]
     counts = Counter(re.findall(r"[a-z0-9]+", chunk.text.casefold()))
     length = sum(counts.values())
-    norm = 1.0 - index.b + index.b * (length / index.len_norm_ref)
+    norm = 1.0 - 0.75 + 0.75 * (length / 200)
     total = 0.0
     for token in sorted(set(re.findall(r"[a-z0-9]+", query.casefold()))):
         tf = counts[token]
@@ -56,9 +56,9 @@ def reference_score(index: ChunkIndex, chunk_id: str, query: str) -> float:
             continue
         df = sum(1 for terms in index.chunk_terms if token in terms)
         idf = math.log(1.0 + 1.0 / df)
-        total += idf * (tf * (index.k1 + 1.0)) / (tf + index.k1 * norm)
+        total += idf * (tf * (1.2 + 1.0)) / (tf + 1.2 * norm)
     if total > 0.0 and chunk.is_segment_region:
-        total *= index.segment_boost
+        total *= 1.5
     return total
 
 
@@ -154,15 +154,6 @@ class TestChunking:
         parsed = parse_text("<p>Item 1. Business</p><p>text</p>")
         with pytest.raises(SchemaError):
             build_index([parsed])
-
-    def test_build_index_from_config(self, parsed_filings):
-        config = Config({"retrieval.k1": "1.5", "retrieval.segment_boost": "2.0"},
-                        use_env=False)
-        index = build_index_from_config([parsed_filings["apple"]], config)
-        assert index.k1 == 1.5
-        assert index.segment_boost == 2.0
-        assert index.b == 0.75
-        assert index.len_norm_ref == 200
 
 
 @st.composite
@@ -388,9 +379,6 @@ class TestPersistence:
         assert set(stats) == {"doc_freq"}
         for i in range(len(avy_index)):
             assert loaded.terms(i) == (avy_index.chunk_terms[i], avy_index.chunk_len[i])
-        assert (loaded.k1, loaded.b, loaded.segment_boost, loaded.len_norm_ref) == (
-            avy_index.k1, avy_index.b, avy_index.segment_boost, avy_index.len_norm_ref,
-        )
 
     def test_loaded_index_scores_identically(self, avy_index, avy_index_dir):
         loaded = load_index(avy_index_dir)
@@ -420,6 +408,16 @@ class TestPersistence:
                 retrieve(avy_index, query, 25, metadata_filter).hits
         assert [loaded.terms(i) for i in range(len(loaded))] == \
             list(zip(avy_index.chunk_terms, avy_index.chunk_len))
+
+
+    def test_meta_with_params_block_still_loads(self, avy_index, tmp_path):
+        """An index.meta.json that also stores the scoring values loads and scores the same."""
+        save_index(avy_index, tmp_path)
+        meta = json.loads((tmp_path / "index.meta.json").read_text(encoding="utf-8"))
+        meta["params"] = {"k1": 1.2, "b": 0.75, "segment_boost": 1.5, "len_norm_ref": 200}
+        (tmp_path / "index.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        query = "reportable segments segment reporting change"
+        assert retrieve(load_index(tmp_path), query, 25).hits == retrieve(avy_index, query, 25).hits
 
 
 def brute_force_hits(index: ChunkIndex, query: str, k: int,
@@ -468,9 +466,9 @@ class TestFilteredRetrievalProperty:
     def test_loaded_index_matches_brute_force_scan(self, parsed_filings, data):
         names = data.draw(st.lists(st.sampled_from(_FIXTURE_FILINGS), min_size=1,
                                    max_size=4, unique=True))
-        built = build_index([parsed_filings[name] for name in names],
-                            min_chars=data.draw(st.sampled_from([200, 800])),
-                            max_chars=data.draw(st.sampled_from([400, 1600])))
+        with mock.patch.object(retrieval, "MIN_CHARS", data.draw(st.sampled_from([200, 800]))), \
+                mock.patch.object(retrieval, "MAX_CHARS", data.draw(st.sampled_from([400, 1600]))):
+            built = build_index([parsed_filings[name] for name in names])
         with tempfile.TemporaryDirectory() as tmp:
             save_index(built, tmp)
             loaded = load_index(tmp)

@@ -77,11 +77,15 @@ class TestRenderAmount:
         for value in (Decimal("0"), Decimal("7"), Decimal("391035"), Decimal("-12")):
             assert parse_monetary(render_amount(value)).value == value
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=-10**12, max_value=10**12))
-    def test_roundtrip_property(self, n):
-        value = Decimal(n)
-        assert parse_monetary(render_amount(value)).value == value
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda places: st.builds(
+        lambda n: Decimal(n).scaleb(-places),
+        st.integers(-10**(15 + places), 10**(15 + places)))))
+    def test_roundtrip_property(self, value):
+        """Up to 6 decimal places in +-10**15; 7 or more render in exponent form."""
+        text = render_amount(value)
+        assert parse_table_cell(text) == value
+        assert parse_monetary(text).value == value
 
 
 class TestNormalizedEqual:
