@@ -272,16 +272,19 @@ def cmd_changes(args) -> int:
     run_dir = _run_dir(args)
     store = _store(config, run_dir)
     panel = store.segment_names_by_year(args.cik, (args.year_from, args.year_to))
+    warnings: list[str] = []
     if args.index_dir:
         index = load_index(args.index_dir)
         gateway = _gateway(config)
-        rows = explain_changes(args.cik, panel, index, gateway)
+        rows = explain_changes(args.cik, panel, index, gateway, warnings)
         transcript = run_dir / "transcript.jsonl"
         gateway.dump_transcript(transcript)
         extra = [transcript]
     else:
-        rows = detect_changes(panel)
+        rows = detect_changes(panel, warnings)
         extra = []
+    for warning in warnings:
+        print(warning, file=sys.stderr)
     csv_path = run_dir / f"changes_{args.cik}.csv"
     txt_path = run_dir / f"changes_{args.cik}.txt"
     csv_path.write_text(render_change_csv(rows), encoding="utf-8")
@@ -352,7 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SegforgeError as exc:
+    except (SegforgeError, OSError) as exc:  # OSError: a missing or unreadable input file
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

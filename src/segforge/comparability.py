@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 from .gateway import Gateway, PromptRequest
 from .retrieval import ChunkIndex, ContextBlock, RetrievalResult, assemble_context, retrieve
 from .store import SegmentStore
@@ -260,8 +260,11 @@ class RegionScheme:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RegionScheme":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_labels(data["region_name"], data["member_labels"])
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls.from_labels(data["region_name"], data["member_labels"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
     def contains(self, label: str) -> bool:
         return normalize_label(label) in self.member_labels

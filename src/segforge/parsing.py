@@ -531,14 +531,18 @@ def _ascending_chain(candidates: list[tuple[str, int]]) -> list[tuple[str, int]]
 
 # -- segment region location ------------------------------------------------
 
+# Matched against ``_fold_case`` text, not under re.IGNORECASE, so that sre can
+# search for literal prefixes. The fold is exact: sre matches only İ, ı, ſ and
+# the Kelvin sign (which lower() maps) to ASCII letters, and only İ changes
+# length under lower(). The IGNORECASE originals are the oracle in the tests.
 _SIGNALS: list[tuple[re.Pattern, float]] = [
-    (re.compile(r"reportable\s+segments?", re.IGNORECASE), 2.0),
-    (re.compile(r"operating\s+segments?", re.IGNORECASE), 1.5),
-    (re.compile(r"segment\s+information", re.IGNORECASE), 1.5),
-    (re.compile(r"segment\s+reporting", re.IGNORECASE), 1.5),
-    (re.compile(r"(?:asc|topic)\s*280", re.IGNORECASE), 2.0),
-    (re.compile(r"sfas\s*(?:no\.?\s*)?131", re.IGNORECASE), 1.5),
-    (re.compile(r"segments?", re.IGNORECASE), 0.25),
+    (re.compile(r"reportable\s+segments?"), 2.0),
+    (re.compile(r"operating\s+segments?"), 1.5),
+    (re.compile(r"segment\s+information"), 1.5),
+    (re.compile(r"segment\s+reporting"), 1.5),
+    (re.compile(r"(?:asc|topic)\s*280"), 2.0),
+    (re.compile(r"sfas\s*(?:no\.?\s*)?131"), 1.5),
+    (re.compile(r"segments?"), 0.25),
 ]
 _CLUSTER_GAP = 1500
 _REGION_PAD_BEFORE = 200
@@ -578,10 +582,11 @@ def _signal_hits(text: str) -> list[tuple[int, int, float]]:
     A match that overlaps an accepted span is dropped. Accepted spans are
     disjoint, so only the one starting last before the match's end can overlap it.
     """
+    folded = _fold_case(text)
     starts: list[int] = []
     taken: list[tuple[int, int, float]] = []
     for pattern, weight in _SIGNALS:
-        for match in pattern.finditer(text):
+        for match in pattern.finditer(folded):
             start, end = match.span()
             i = bisect_left(starts, end)
             if i and taken[i - 1][1] > start:
@@ -589,6 +594,10 @@ def _signal_hits(text: str) -> list[tuple[int, int, float]]:
             starts.insert(i, start)
             taken.insert(i, (start, end, weight))
     return taken
+
+
+def _fold_case(text: str) -> str:
+    return text.replace("İ", "i").lower().replace("ſ", "s").replace("ı", "i")
 
 
 def _close_cluster(cluster: list[tuple[int, int, float]], section: Section) -> SegmentRegion | None:

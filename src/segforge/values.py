@@ -142,8 +142,8 @@ def parse_table_cell(text: str) -> Decimal | None:
 
 
 def render_amount(value: Decimal) -> str:
-    """Render a Decimal with thousands separators and parenthesized negatives."""
-    text = f"{abs(value):,}"
+    """Render a Decimal in fixed point with thousands separators and parenthesized negatives."""
+    text = f"{abs(value):,f}"
     return f"({text})" if value < 0 else text
 
 

@@ -176,15 +176,23 @@ class TestGaps:
 class TestChanges:
     def test_detect_only(self, capsys, base, run_dir, avy_bundles):
         write_panel(run_dir, [avy_bundles[y] for y in sorted(avy_bundles)])
-        code, out, _ = invoke(capsys, ["changes", *base, "--cik", str(paperdata.AVY_CIK),
-                                       "--from", "2001", "--to", "2024"])
-        assert code == 0
+        code, out, err = invoke(capsys, ["changes", *base, "--cik", str(paperdata.AVY_CIK),
+                                         "--from", "2001", "--to", "2024"])
+        assert (code, err) == (0, "")
         assert out.startswith("Year")
         csv_text = (run_dir / f"changes_{paperdata.AVY_CIK}.csv").read_text(encoding="utf-8")
         yes_years = {int(line.split(",")[0]) for line in csv_text.splitlines()[1:]
                      if ",Yes," in line}
         assert yes_years == paperdata.AVY_CHANGED_YEARS
         assert not (run_dir / "transcript.jsonl").exists()
+
+    def test_gap_in_years_warns_on_stderr(self, capsys, base, run_dir, avy_bundles):
+        years = sorted(avy_bundles)
+        write_panel(run_dir, [avy_bundles[y] for y in years if y != years[2]])
+        code, _, err = invoke(capsys, ["changes", *base, "--cik", str(paperdata.AVY_CIK),
+                                       "--from", "2001", "--to", "2024"])
+        assert code == 0
+        assert err == f"GapInYears: no data between {years[1]} and {years[3]}\n"
 
     def test_grounded_explanations(self, capsys, base, run_dir, avy_bundles,
                                    avy_index_dir):
@@ -219,8 +227,10 @@ class TestUnreadableIndex:
         assert (tmp_path / "index" / "index.meta.json").read_text() == '{\n  "chunks": []\n}\n'
         code, out, err = invoke(capsys, [*self.query("changes", tmp_path, tmp_path / "index"),
                                          *base])
-        assert (code, err) == (0, "")
+        assert code == 0
         assert "unknown" in out
+        assert err.splitlines() == [f"RetrievalEmpty: no context for {paperdata.AVY_CIK} {year}"
+                                    for year in sorted(paperdata.AVY_CHANGED_YEARS)]
 
     @pytest.mark.parametrize("command", ["changes", "align"])
     @pytest.mark.parametrize("name,content", [
@@ -238,6 +248,47 @@ class TestUnreadableIndex:
         error = json.loads(err)
         assert error["error"] == "SchemaError"
         assert str(index_dir / name) in error["message"]
+
+
+class TestUnreadableInput:
+    """A missing or malformed input file exits 1 with a JSON error that names
+    it, and the run directory gets no artifact and no manifest."""
+
+    def argv(self, command: str, path) -> list[str]:
+        return {
+            "changes": ["changes", "--cik", str(paperdata.AVY_CIK), "--from", "2001",
+                        "--to", "2024", "--index", str(path)],
+            "gaps": ["gaps", "--roster", str(path)],
+            "align": ["align", "--firm-a", str(paperdata.INTC_CIK),
+                      "--firm-b", str(paperdata.TXN_CIK), "--region", str(path),
+                      "--from", "2012", "--to", "2013"],
+        }[command]
+
+    def fails(self, capsys, argv, run_dir, error: str, path) -> None:
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        payload = json.loads(err)
+        assert payload["error"] == error
+        assert str(path) in payload["message"]
+        assert list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command,name", [("changes", "nope"), ("gaps", "nope.csv"),
+                                              ("align", "nope.json")])
+    def test_missing_path_exits_1(self, capsys, base, run_dir, tmp_path, command, name):
+        path = tmp_path / name
+        self.fails(capsys, [*self.argv(command, path), *base], run_dir,
+                   "FileNotFoundError", path)
+
+    @pytest.mark.parametrize("content", [
+        "not json",
+        '{"region_name": "Asia"}',  # no member labels
+        '{"region_name": "Asia", "member_labels": []}',
+        "[]",
+    ])
+    def test_bad_region_scheme_exits_1(self, capsys, base, run_dir, tmp_path, content):
+        path = tmp_path / "scheme.json"
+        path.write_text(content, encoding="utf-8")
+        self.fails(capsys, [*self.argv("align", path), *base], run_dir, "SchemaError", path)
 
 
 class TestConfigFile:

@@ -8,6 +8,7 @@ the expected output can be written down by hand.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 
 import pytest
@@ -474,15 +475,29 @@ class TestSectionPartitionProperty:
             [t.numeric_cells for t in parsed.tables]
 
 
+# The original signal patterns, matched under IGNORECASE on the raw text. Kept
+# here, not read from ``parsing._SIGNALS``, which matches case-folded text.
+_REFERENCE_SIGNALS = [
+    (re.compile(r"reportable\s+segments?", re.IGNORECASE), 2.0),
+    (re.compile(r"operating\s+segments?", re.IGNORECASE), 1.5),
+    (re.compile(r"segment\s+information", re.IGNORECASE), 1.5),
+    (re.compile(r"segment\s+reporting", re.IGNORECASE), 1.5),
+    (re.compile(r"(?:asc|topic)\s*280", re.IGNORECASE), 2.0),
+    (re.compile(r"sfas\s*(?:no\.?\s*)?131", re.IGNORECASE), 1.5),
+    (re.compile(r"segments?", re.IGNORECASE), 0.25),
+]
+
+
 def reference_signal_hits(text: str) -> list[tuple[int, int, float]]:
     """The original pairwise scan: each match is tested against every accepted one.
 
-    Quadratic in hits per section, but obviously right; it is the oracle for
-    the sorted sweep in ``parsing._signal_hits``.
+    Quadratic in hits per section and case-insensitive by regex flag, but
+    obviously right; it is the oracle for the folded sorted sweep in
+    ``parsing._signal_hits``.
     """
     taken: list[tuple[int, int, float]] = []
     covered: list[tuple[int, int]] = []
-    for pattern, weight in parsing._SIGNALS:
+    for pattern, weight in _REFERENCE_SIGNALS:
         for match in pattern.finditer(text):
             span = (match.start(), match.end())
             if any(span[0] < e and span[1] > s for s, e in covered):
@@ -497,8 +512,11 @@ def reference_signal_hits(text: str) -> list[tuple[int, int, float]]:
 # form run-together overlaps such as "segmentsegment" or "asc280".
 _SIGNAL_WORDS = ["reportable", "operating", "segment", "segments", "information",
                  "reporting", "asc", "topic", "280", "sfas", "no.", "no", "131",
-                 "segmentsegment", "the", "x"]
-_GAPS = ["", " ", "  ", "\n", "\t ", "\n\n", ", "]
+                 "segmentsegment", "the", "x", "k"]
+_GAPS = ["", " ", "  ", "\n", "\t ", "\n\n", ", ", "\xa0", "\u2003", "\u2028"]
+# Non-ASCII letters that re.IGNORECASE matches to an ASCII one: İ and ı for
+# "i", ſ for "s" and the Kelvin sign for "k".
+_CASE_VARIANTS = {"i": "İı", "s": "ſ", "k": "\u212a"}
 
 
 @st.composite
@@ -506,8 +524,8 @@ def _signal_text(draw) -> str:
     words = draw(st.lists(st.sampled_from(_SIGNAL_WORDS), max_size=40))
     out = []
     for word in words:
-        upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
-        out.append("".join(c.upper() if u else c for c, u in zip(word, upper)))
+        out.extend(draw(st.sampled_from([c, c.upper(), *_CASE_VARIANTS.get(c, "")]))
+                   for c in word)
         out.append(draw(st.sampled_from(_GAPS)))
     return "".join(out)
 
@@ -518,8 +536,24 @@ class TestSignalSweep:
     @example("reportable segmentsegment information ASC 280 segments")
     @example("Operating  Segments\nsegment reporting TOPIC280 sfas No. 131 sfas131")
     @example("")
+    @example("segment İnformatıon İNFORMATION reportable segments")
+    @example("ſegment reporting SFAS No. 131 ASC 280 Segmentſ")
+    @example("\u212a segments kreportable segments")
+    @example("sfas\xa0no.\xa0131 asc\u2003280 topic\u2028280 operating\u2028segments")
     def test_equals_reference(self, text):
         assert parsing._signal_hits(text) == reference_signal_hits(text)
+
+    def test_fold_matches_ignorecase_on_every_code_point(self):
+        """Each character class of the signal patterns matches a code point
+        under IGNORECASE exactly where it matches that point's case fold."""
+        raw = "".join(map(chr, range(0x110000)))
+        folded = parsing._fold_case(raw)
+        assert len(folded) == len(raw)
+        classes = {re.escape(c) for pattern, _ in _REFERENCE_SIGNALS
+                   for c in pattern.pattern if c.isalnum()} | {r"\.", r"\s"}
+        for cls in sorted(classes):
+            expected = [m.start() for m in re.finditer(cls, raw, re.IGNORECASE)]
+            assert [m.start() for m in re.finditer(cls, folded)] == expected, cls
 
     def test_fixture_sections_equal_reference(self, parsed_filings):
         for name in FIXTURE_NAMES:

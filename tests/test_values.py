@@ -3,7 +3,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segforge.values import (
@@ -77,12 +77,20 @@ class TestRenderAmount:
         for value in (Decimal("0"), Decimal("7"), Decimal("391035"), Decimal("-12")):
             assert parse_monetary(render_amount(value)).value == value
 
+    def test_fixed_point_never_exponent(self):
+        assert render_amount(Decimal("1E+3")) == "1,000"
+        assert render_amount(Decimal("1E-7")) == "0.0000001"
+        assert render_amount(Decimal("-1E+1")) == "(10)"
+
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 6).flatmap(lambda places: st.builds(
+    @given(st.integers(-6, 12).flatmap(lambda places: st.builds(
         lambda n: Decimal(n).scaleb(-places),
         st.integers(-10**(15 + places), 10**(15 + places)))))
+    @example(Decimal("1E+3"))
+    @example(Decimal("1E-7"))
+    @example(Decimal("-5E-12"))
     def test_roundtrip_property(self, value):
-        """Up to 6 decimal places in +-10**15; 7 or more render in exponent form."""
+        """Up to 12 decimal places, or a positive exponent, in +-10**15."""
         text = render_amount(value)
         assert parse_table_cell(text) == value
         assert parse_monetary(text).value == value
