@@ -482,3 +482,39 @@ class TestFilteredRetrievalProperty:
             expected = brute_force_hits(built, query, k, metadata_filter)
             assert retrieve(loaded, query, k, metadata_filter).hits == expected
             assert retrieve(built, query, k, metadata_filter).hits == expected
+
+
+def _saved_and_built(parsed_filings, data):
+    """A built index over a random fixture corpus, saved to a temporary directory."""
+    names = data.draw(st.lists(st.sampled_from(_FIXTURE_FILINGS), min_size=2,
+                               max_size=5, unique=True))
+    built = build_index([parsed_filings[name] for name in names])
+    tmp = tempfile.TemporaryDirectory()
+    save_index(built, tmp.name)
+    return built, tmp
+
+
+def _query(data) -> tuple[str, int]:
+    words = data.draw(st.lists(st.sampled_from(_QUERY_WORDS), min_size=1, max_size=4))
+    return " ".join(words), data.draw(st.integers(1, 30))
+
+
+class TestSavedIndexProperty:
+    """A saved-then-loaded index answers exactly as the index it was saved from."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_loaded_hits_and_scores_equal_built(self, parsed_filings, data):
+        built, tmp = _saved_and_built(parsed_filings, data)
+        with tmp:
+            sources = list(dict.fromkeys(chunk.source for chunk in built.chunks))
+            for _ in range(3):
+                query, k = _query(data)
+                cik, year = data.draw(st.sampled_from(sources))
+                for metadata_filter in (None, {"cik": cik, "fiscal_year": year}):
+                    loaded = load_index(tmp.name)
+                    # Same ids in the same order; scores are positive floats, so
+                    # == is bit-for-bit equality.
+                    assert retrieve(loaded, query, k, metadata_filter).hits == \
+                        retrieve(built, query, k, metadata_filter).hits
+                    assert loaded.chunks == built.chunks
