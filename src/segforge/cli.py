@@ -136,12 +136,17 @@ def _artifact_path(run_dir: Path, path: str) -> Path:
 
 
 def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
-    """Add new_paths' digests to manifest.json, replacing the file atomically."""
+    """Add new_paths' digests to manifest.json, replacing the file atomically.
+
+    Entries for artifacts no longer in the run directory, such as the chunk
+    files of filings a new index leaves out, are dropped.
+    """
     manifest_path = run_dir / "manifest.json"
     entries: dict[str, str] = {}
     if manifest_path.exists():
         for item in json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]:
-            entries[item["path"]] = item["sha256"]
+            if (run_dir / item["path"]).exists():
+                entries[item["path"]] = item["sha256"]
     for path in new_paths:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries[path.relative_to(run_dir).as_posix()] = digest
@@ -236,7 +241,8 @@ def cmd_index(args) -> int:
     _load_config(args)  # only checked: the index reads no setting
     run_dir = _run_dir(args)
     filings = []
-    for path in sorted(Path(args.corpus).glob("*.json")):
+    # iterdir, not glob: a missing corpus directory raises instead of indexing nothing.
+    for path in sorted(p for p in Path(args.corpus).iterdir() if p.suffix == ".json"):
         try:
             filings.append(load_json(path.read_text(encoding="utf-8")))
         except SchemaError as exc:
@@ -244,7 +250,8 @@ def cmd_index(args) -> int:
     index = build_index(filings)
     index_dir = run_dir / "index"
     save_index(index, index_dir)
-    _update_manifest(run_dir, [index_dir / "index.meta.json", index_dir / "index.bin"])
+    _update_manifest(run_dir, [index_dir / "index.meta.json", index_dir / "index.bin",
+                               *sorted(index_dir.glob("*.chunks.json"))])
     print(json.dumps({
         "filings": len(filings),
         "chunks": len(index),

@@ -54,8 +54,11 @@ class GoldLabelSet:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GoldLabelSet":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(data)
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            return cls.from_dict(json.loads(text))
+        except (AttributeError, KeyError, SchemaError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, data: dict) -> "GoldLabelSet":

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
@@ -57,56 +58,114 @@ class Chunk:
 
 
 @dataclass(frozen=True)
+class Partition:
+    """One filing's entry in a saved index's catalog."""
+
+    cik: int
+    fiscal_year: int
+    chunk_count: int
+
+    @property
+    def source(self) -> tuple[int, int]:
+        return (self.cik, self.fiscal_year)
+
+    @property
+    def file_name(self) -> str:
+        return f"{self.cik}_{self.fiscal_year}.chunks.json"
+
+
+@dataclass(frozen=True)
 class RetrievalResult:
     query: str
     hits: list[tuple[str, float]]  # (chunk_id, score), scores non-increasing
     filter_used: dict | None
 
 
-@dataclass
 class ChunkIndex:
     """Chunks plus the term statistics that score them.
 
     ``chunk_terms``/``chunk_len`` may be omitted: a chunk's entries are then
-    derived from its text when it is first scored.
+    derived from its text when it is first scored. An index from
+    ``load_index`` holds no chunk at first and reads each filing's chunk
+    file when a query first needs it.
     """
 
-    chunks: list[Chunk]
-    doc_freq: dict[str, int]
-    chunk_terms: list[dict[str, int] | None] | None = None
-    chunk_len: list[int | None] | None = None
+    def __init__(self, chunks: list[Chunk], doc_freq: dict[str, int],
+                 chunk_terms: list[dict[str, int] | None] | None = None,
+                 chunk_len: list[int | None] | None = None):
+        self.chunks = chunks
+        self.doc_freq = doc_freq
+        if chunk_terms is None:
+            chunk_terms, chunk_len = [None] * len(chunks), [None] * len(chunks)
+        self.chunk_terms = chunk_terms
+        self.chunk_len = chunk_len
 
-    def __post_init__(self):
-        if self.chunk_terms is None:
-            self.chunk_terms = [None] * len(self.chunks)
-            self.chunk_len = [None] * len(self.chunks)
+    @property
+    def chunks(self) -> list[Chunk]:
+        """Every chunk in build order, after reading any chunk file not read yet."""
+        self._read(list(self._unread))
+        return self._chunks
 
-    @cached_property
-    def _by_id(self) -> dict[str, int]:
-        return {chunk.chunk_id: i for i, chunk in enumerate(self.chunks)}
+    @chunks.setter
+    def chunks(self, chunks: list[Chunk]) -> None:
+        self._chunks: list[Chunk | None] = chunks
+        self._unread: dict[tuple[int, int], Path] = {}  # filing -> its chunk file
+        self._by_id = {chunk.chunk_id: i for i, chunk in enumerate(chunks)}
+        # Chunk positions per (cik, fiscal_year), ascending.
+        self._by_filing: dict[tuple[int, int], list[int] | range] = {}
+        for i, chunk in enumerate(chunks):
+            self._by_filing.setdefault(chunk.source, []).append(i)
 
-    @cached_property
-    def _by_filing(self) -> dict[tuple[int, int], list[int]]:
-        """Chunk positions per (cik, fiscal_year), ascending."""
-        positions: dict[tuple[int, int], list[int]] = {}
-        for i, chunk in enumerate(self.chunks):
-            positions.setdefault(chunk.source, []).append(i)
-        return positions
+    @classmethod
+    def _saved(cls, directory: Path, catalog: list[Partition],
+               doc_freq: dict[str, int]) -> ChunkIndex:
+        """An index over the chunk files the catalog lists, none of them read yet."""
+        index = cls(chunks=[], doc_freq=doc_freq)
+        for entry in catalog:
+            if entry.source in index._unread:
+                raise SchemaError(f"cik {entry.cik}, fiscal year {entry.fiscal_year} "
+                                  f"is listed twice")
+            start = len(index._chunks)
+            index._chunks += [None] * entry.chunk_count
+            index._by_filing[entry.source] = range(start, len(index._chunks))
+            index._unread[entry.source] = directory / entry.file_name
+        index.chunk_terms = [None] * len(index._chunks)
+        index.chunk_len = [None] * len(index._chunks)
+        return index
+
+    def _read(self, sources) -> None:
+        """Read the chunk files of the filings in ``sources`` that are not read yet."""
+        for source in sources:
+            path = self._unread.get(source)
+            if path is None:
+                continue
+            positions = self._by_filing[source]
+            for i, chunk in zip(positions, _read_chunk_file(path, source, len(positions))):
+                self._chunks[i] = chunk
+                self._by_id[chunk.chunk_id] = i
+            del self._unread[source]
+
+    def _at(self, index: int) -> Chunk:
+        """The chunk at ``index``; if its filing is not read yet, every unread file is read."""
+        chunk = self._chunks[index]
+        return self.chunks[index] if chunk is None else chunk
 
     def chunk(self, chunk_id: str) -> Chunk:
-        return self.chunks[self._by_id[chunk_id]]
+        if chunk_id not in self._by_id:
+            self._read(list(self._unread))
+        return self._chunks[self._by_id[chunk_id]]
 
     def terms(self, index: int) -> tuple[dict[str, int], int]:
         """One chunk's term counts and length, derived and kept on first use."""
         counts = self.chunk_terms[index]
         if counts is None:
-            tokens = tokenize(self.chunks[index].text)
+            tokens = tokenize(self._at(index).text)
             counts, self.chunk_len[index] = dict(Counter(tokens)), len(tokens)
             self.chunk_terms[index] = counts
         return counts, self.chunk_len[index]
 
     def __len__(self) -> int:
-        return len(self.chunks)
+        return len(self._chunks)
 
     def score(self, index: int, query_tokens: list[str]) -> float:
         """Score one chunk against deduplicated, sorted query tokens.
@@ -124,7 +183,7 @@ class ChunkIndex:
             df = self.doc_freq.get(token, 0)
             idf = math.log(1.0 + 1.0 / df)
             total += idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)
-        if total > 0.0 and self.chunks[index].is_segment_region:
+        if total > 0.0 and self._at(index).is_segment_region:
             total *= SEGMENT_BOOST
         return total
 
@@ -174,11 +233,15 @@ def _pack_spans(spans: list[tuple[int, int]], min_chars: int, max_chars: int) ->
 def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
     """Chunk the filings and compute term statistics."""
     chunks: list[Chunk] = []
+    seen: set[tuple[int, int]] = set()
     for parsed in filings:
         if parsed.ref is None:
             raise SchemaError("build_index needs filings with a FilingRef (cik and year)")
         cik = parsed.ref.cik
         fy = parsed.ref.fiscal_year
+        if (cik, fy) in seen:  # their chunk ids and chunk files would collide
+            raise SchemaError(f"build_index got two filings for cik {cik}, fiscal year {fy}")
+        seen.add((cik, fy))
         regions = locate_segment_regions(parsed)
         seq = 0
         for section in parsed.sections():
@@ -231,13 +294,16 @@ def retrieve(index: ChunkIndex, query: str, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     query_tokens = sorted(set(tokenize(query)))
-    candidates = range(len(index.chunks))
     if metadata_filter and {"cik", "fiscal_year"} <= metadata_filter.keys():
-        candidates = sorted({i for year in _years(metadata_filter["fiscal_year"]) for i in
-                             index._by_filing.get((metadata_filter["cik"], year), ())})
+        cik = metadata_filter["cik"]
+        sources = [(cik, year) for year in _years(metadata_filter["fiscal_year"])]
+        index._read(sources)
+        candidates = sorted({i for source in sources for i in index._by_filing.get(source, ())})
+    else:
+        candidates = range(len(index.chunks))
     scored: list[tuple[float, int, str]] = []
     for i in candidates:
-        chunk = index.chunks[i]
+        chunk = index._chunks[i]
         if not _matches(chunk, metadata_filter):
             continue
         score = index.score(i, query_tokens)
@@ -306,37 +372,86 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
 
 
 def save_index(index: ChunkIndex, directory: str | Path) -> None:
-    """Write index.meta.json (the chunk table) and index.bin (doc_freq).
+    """Write one chunk file per filing, then index.bin, then the catalog.
 
-    Per-chunk term counts are not stored: they are a function of the chunk
-    text, and a loaded index derives them when a chunk is first scored.
+    ``<cik>_<fiscal_year>.chunks.json`` holds a filing's chunks as a
+    compact JSON list. ``index.bin`` holds ``doc_freq``, the document
+    frequencies over all filings. ``index.meta.json`` is the catalog: each
+    filing's cik, fiscal year and chunk count, in build order. Per-chunk
+    term counts are not stored: they are a function of the chunk text, and
+    a loaded index derives them when a chunk is first scored.
+
+    Each file is replaced atomically, the catalog last; chunk files the
+    new catalog does not list are then removed.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "index.meta.json").write_text(
-        json.dumps({"chunks": index.chunks}, default=encode, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    (directory / "index.bin").write_text(
-        json.dumps({"doc_freq": index.doc_freq}, sort_keys=True), encoding="utf-8"
-    )
+    chunks, catalog = index.chunks, []
+    for (cik, fiscal_year), positions in index._by_filing.items():
+        entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(positions))
+        _replace(directory / entry.file_name,
+                 json.dumps([chunks[i] for i in positions], default=encode))
+        catalog.append(entry)
+    _replace(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
+    _replace(directory / "index.meta.json",
+             json.dumps({"filings": catalog}, default=encode) + "\n")
+    listed = {entry.file_name for entry in catalog}
+    for path in directory.glob("*.chunks.json"):
+        if path.name not in listed:
+            path.unlink()
 
 
-def _read(path: Path, key: str, cls):
-    """``key`` of the JSON object in ``path``, loaded as ``cls``; SchemaError names the file."""
+def _replace(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        return load(cls, json.loads(path.read_text(encoding="utf-8"))[key])
-    except (SchemaError, KeyError, TypeError, ValueError) as exc:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def _names(path: Path, *also: type[Exception]):
+    """Re-raise bad JSON, a bad record or an ``also`` error as a SchemaError naming ``path``."""
+    try:
+        yield
+    except (SchemaError, KeyError, TypeError, ValueError, *also) as exc:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def load_index(directory: str | Path) -> ChunkIndex:
-    """Read a saved index; term counts are derived per chunk on first score.
+def _read_chunk_file(path: Path, source: tuple[int, int], count: int) -> list[Chunk]:
+    with _names(path, OSError):
+        chunks = load(list[Chunk], json.loads(path.read_text(encoding="utf-8")))
+        if len(chunks) != count or any(chunk.source != source for chunk in chunks):
+            raise SchemaError(f"the catalog lists {count} chunks of cik {source[0]}, "
+                              f"fiscal year {source[1]}; the file does not hold them")
+    return chunks
 
-    Only ``chunks`` and ``doc_freq`` are read, so an index.meta.json with a
-    ``params`` block or an index.bin with ``chunk_terms``/``chunk_len`` still
-    loads and scores the same.
+
+def load_index(directory: str | Path) -> ChunkIndex:
+    """Open a saved index: read the catalog and index.bin, and no chunk file yet.
+
+    A filing's chunk file is read through the codec when a query first
+    needs one of its chunks, and is then checked against the catalog: its
+    chunk count, and every chunk's cik and fiscal year. A ``retrieve``
+    whose filter names ``cik`` and ``fiscal_year`` reads only those
+    filings' files, and ``assemble_context`` over its hits reads no other.
+    ``.chunks``, an unfiltered ``retrieve``, and a lookup of a chunk whose
+    filing is not read yet read every file not read yet, in catalog order;
+    ``len()`` is the catalog's total. A bad or missing chunk file raises
+    SchemaError naming it when it is read. A catalog in the old
+    single-file layout (one holding ``chunks``) raises SchemaError asking
+    for a rebuild. Only ``doc_freq`` is read from index.bin.
     """
     directory = Path(directory)
-    return ChunkIndex(chunks=_read(directory / "index.meta.json", "chunks", list[Chunk]),
-                      doc_freq=_read(directory / "index.bin", "doc_freq", dict[str, int]))
+    meta, stats = directory / "index.meta.json", directory / "index.bin"
+    with _names(meta):
+        data = json.loads(meta.read_text(encoding="utf-8"))
+        if "chunks" in data:
+            raise SchemaError("an index in the old single-file layout; "
+                              "run `segforge index` again to rebuild it")
+        catalog = load(list[Partition], data["filings"])
+    with _names(stats):
+        doc_freq = load(dict[str, int], json.loads(stats.read_text(encoding="utf-8"))["doc_freq"])
+    with _names(meta):
+        return ChunkIndex._saved(directory, catalog, doc_freq)

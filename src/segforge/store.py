@@ -46,7 +46,10 @@ class FundamentalsRoster:
             if reader.fieldnames is None or not {"cik", "fiscal_year"} <= set(reader.fieldnames):
                 raise SchemaError(f"{path}: roster needs 'cik' and 'fiscal_year' columns")
             for line in reader:
-                rows.add((int(line["cik"]), int(line["fiscal_year"])))
+                try:
+                    rows.add((int(line["cik"]), int(line["fiscal_year"])))
+                except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                    raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
         return cls(rows=rows)
 
 

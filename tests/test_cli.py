@@ -132,9 +132,26 @@ class TestIndex:
         # Manifest keeps entries from earlier commands and adds the index files.
         assert {f"parsed/{paperdata.AVY_CIK}_2022.json",
                 f"parsed/{paperdata.AVY_CIK}_2023.json",
-                "index/index.meta.json", "index/index.bin"} <= set(manifest)
+                "index/index.meta.json", "index/index.bin",
+                f"index/{paperdata.AVY_CIK}_2022.chunks.json",
+                f"index/{paperdata.AVY_CIK}_2023.chunks.json"} <= set(manifest)
         for rel, digest in manifest.items():
             assert hashlib.sha256((run_dir / rel).read_bytes()).hexdigest() == digest
+        # Indexing one filing removes the other's chunk file and its manifest entry.
+        (run_dir / "parsed" / f"{paperdata.AVY_CIK}_2022.json").unlink()
+        code, out, _ = invoke(capsys, ["index", *base, "--corpus", str(run_dir / "parsed")])
+        assert (code, json.loads(out)["filings"]) == (0, 1)
+        assert sorted(p.name for p in (run_dir / "index").iterdir()) == \
+            [f"{paperdata.AVY_CIK}_2023.chunks.json", "index.bin", "index.meta.json"]
+        assert {rel for rel in read_manifest(run_dir) if rel.startswith("index/")} == \
+            {f"index/{p.name}" for p in (run_dir / "index").iterdir()}
+
+    def test_empty_corpus_directory_builds_empty_index(self, capsys, base, run_dir, tmp_path):
+        (tmp_path / "empty").mkdir()
+        code, out, _ = invoke(capsys, ["index", *base, "--corpus", str(tmp_path / "empty")])
+        assert (code, json.loads(out)["chunks"]) == (0, 0)
+        assert sorted(p.name for p in (run_dir / "index").iterdir()) == \
+            ["index.bin", "index.meta.json"]
 
     def test_malformed_parsed_file_exits_1(self, capsys, base, run_dir):
         invoke(capsys, ["parse", *base, "--cik", str(paperdata.AVY_CIK), "--year", "2022"])
@@ -221,16 +238,31 @@ class TestUnreadableIndex:
                 "--index", str(index_dir)]
 
     def test_empty_index_answers_unknown(self, capsys, base, run_dir, tmp_path, avy_bundles):
-        """An index.meta.json of ``{"chunks": []}`` loads; no year finds context."""
+        """A catalog that lists no filing loads; no year finds context."""
         write_panel(run_dir, [avy_bundles[y] for y in sorted(avy_bundles)])
         save_index(ChunkIndex(chunks=[], doc_freq={}), tmp_path / "index")
-        assert (tmp_path / "index" / "index.meta.json").read_text() == '{\n  "chunks": []\n}\n'
+        assert (tmp_path / "index" / "index.meta.json").read_text() == '{"filings": []}\n'
         code, out, err = invoke(capsys, [*self.query("changes", tmp_path, tmp_path / "index"),
                                          *base])
         assert code == 0
         assert "unknown" in out
         assert err.splitlines() == [f"RetrievalEmpty: no context for {paperdata.AVY_CIK} {year}"
                                     for year in sorted(paperdata.AVY_CHANGED_YEARS)]
+
+    def test_bad_chunk_file_exits_1(self, capsys, base, run_dir, tmp_path, avy_bundles,
+                                    avy_index):
+        """A chunk file that does not hold what the catalog lists fails when read."""
+        write_panel(run_dir, [avy_bundles[y] for y in sorted(avy_bundles)])
+        save_index(avy_index, tmp_path / "index")
+        year = min(paperdata.AVY_CHANGED_YEARS)
+        path = tmp_path / "index" / f"{paperdata.AVY_CIK}_{year}.chunks.json"
+        path.write_text("[]", encoding="utf-8")
+        code, out, err = invoke(capsys, [*self.query("changes", tmp_path, tmp_path / "index"),
+                                         *base])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert str(path) in error["message"]
 
     @pytest.mark.parametrize("command", ["changes", "align"])
     @pytest.mark.parametrize("name,content", [
@@ -262,6 +294,8 @@ class TestUnreadableInput:
             "align": ["align", "--firm-a", str(paperdata.INTC_CIK),
                       "--firm-b", str(paperdata.TXN_CIK), "--region", str(path),
                       "--from", "2012", "--to", "2013"],
+            "eval": ["eval", "--gold", str(path)],
+            "index": ["index", "--corpus", str(path)],
         }[command]
 
     def fails(self, capsys, argv, run_dir, error: str, path) -> None:
@@ -278,6 +312,24 @@ class TestUnreadableInput:
         path = tmp_path / name
         self.fails(capsys, [*self.argv(command, path), *base], run_dir,
                    "FileNotFoundError", path)
+
+    def test_missing_corpus_directory_exits_1(self, capsys, base, run_dir, tmp_path):
+        """No index and no manifest entry, not an empty index."""
+        path = tmp_path / "nope"
+        self.fails(capsys, [*self.argv("index", path), *base], run_dir,
+                   "FileNotFoundError", path)
+
+    @pytest.mark.parametrize("command,content,where", [
+        ("gaps", "cik,fiscal_year\n1,2012\nabc,2013\n", ":3: "),
+        ("eval", '{"filings": [{"cik": 1}]}', ": KeyError: "),
+        ("eval", "not json", ": JSONDecodeError: "),
+    ], ids=["roster_cik", "gold_missing_key", "gold_not_json"])
+    def test_bad_roster_or_gold_exits_1(self, capsys, base, run_dir, tmp_path, command,
+                                        content, where):
+        path = tmp_path / "input"
+        path.write_text(content, encoding="utf-8")
+        self.fails(capsys, [*self.argv(command, path), *base], run_dir, "SchemaError",
+                   f"{path}{where}")
 
     @pytest.mark.parametrize("content", [
         "not json",

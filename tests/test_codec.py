@@ -148,13 +148,20 @@ class TestReferenceOracle:
     @settings(max_examples=100, deadline=None)
     @given(chunks)
     def test_chunk_table_bytes_equal_reference(self, chunk_list):
-        reference = {"chunks": [reference_chunk_dict(c) for c in chunk_list]}
+        """Each filing's chunk file is the compact reference layout of its chunks."""
+        by_filing: dict[tuple[int, int], list[Chunk]] = {}
+        for chunk in chunk_list:
+            by_filing.setdefault(chunk.source, []).append(chunk)
         with tempfile.TemporaryDirectory() as tmp:
             save_index(ChunkIndex(chunks=chunk_list, doc_freq={}), tmp)
-            written = (Path(tmp) / "index.meta.json").read_text(encoding="utf-8")
-            assert written == both_layouts(reference)[0] + "\n"
-            assert load_index(tmp).chunks == chunk_list
-        assert load(list[Chunk], json.loads(written)["chunks"]) == chunk_list
+            assert sorted(p.name for p in Path(tmp).glob("*.chunks.json")) == \
+                sorted(f"{cik}_{year}.chunks.json" for cik, year in by_filing)
+            for (cik, year), group in by_filing.items():
+                written = (Path(tmp) / f"{cik}_{year}.chunks.json").read_text(encoding="utf-8")
+                assert written == json.dumps([reference_chunk_dict(c) for c in group])
+                assert load(list[Chunk], json.loads(written)) == group
+            # Loaded back filing by filing, in the order filings first appear.
+            assert load_index(tmp).chunks == [c for group in by_filing.values() for c in group]
 
     def test_fixture_bundles_equal_reference(self):
         for bundle in (filingfab.intc_bundle(2012), filingfab.txn_bundle(2016)):

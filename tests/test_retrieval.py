@@ -13,6 +13,7 @@ import math
 import re
 import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -37,6 +38,7 @@ from segforge.retrieval import (
     save_index,
     tokenize,
 )
+from segforge.values import encode
 
 DEFAULT_MIN = 800
 DEFAULT_MAX = 1600
@@ -154,6 +156,11 @@ class TestChunking:
         parsed = parse_text("<p>Item 1. Business</p><p>text</p>")
         with pytest.raises(SchemaError):
             build_index([parsed])
+
+    def test_build_index_rejects_two_filings_of_one_firm_year(self):
+        parsed = filing_with_ref("<p>Item 1. Business</p><p>text</p>", cik=1, year=2000)
+        with pytest.raises(SchemaError, match="two filings for cik 1, fiscal year 2000"):
+            build_index([parsed, parsed])
 
 
 @st.composite
@@ -390,7 +397,10 @@ class TestPersistence:
     def test_save_is_deterministic(self, corpus_index, tmp_path):
         save_index(corpus_index, tmp_path / "a")
         save_index(corpus_index, tmp_path / "b")
-        for name in ("index.meta.json", "index.bin"):
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert len(names) == 2 + len({chunk.source for chunk in corpus_index.chunks})
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_index_bin_with_term_counts_still_loads(self, avy_index, tmp_path):
@@ -410,14 +420,17 @@ class TestPersistence:
             list(zip(avy_index.chunk_terms, avy_index.chunk_len))
 
 
-    def test_meta_with_params_block_still_loads(self, avy_index, tmp_path):
-        """An index.meta.json that also stores the scoring values loads and scores the same."""
+    def test_single_file_meta_asks_for_rebuild(self, avy_index, tmp_path):
+        """An index.meta.json of the old layout, with or without the scoring values,
+        raises SchemaError telling the user to rebuild the index."""
         save_index(avy_index, tmp_path)
-        meta = json.loads((tmp_path / "index.meta.json").read_text(encoding="utf-8"))
-        meta["params"] = {"k1": 1.2, "b": 0.75, "segment_boost": 1.5, "len_norm_ref": 200}
-        (tmp_path / "index.meta.json").write_text(json.dumps(meta), encoding="utf-8")
-        query = "reportable segments segment reporting change"
-        assert retrieve(load_index(tmp_path), query, 25).hits == retrieve(avy_index, query, 25).hits
+        old = {"chunks": json.loads(json.dumps(avy_index.chunks, default=encode))}
+        for meta in (old, {**old, "params": {"k1": 1.2, "b": 0.75, "segment_boost": 1.5,
+                                             "len_norm_ref": 200}}):
+            (tmp_path / "index.meta.json").write_text(json.dumps(meta), encoding="utf-8")
+            with pytest.raises(SchemaError, match="run `segforge index` again") as caught:
+                load_index(tmp_path)
+            assert str(tmp_path / "index.meta.json") in str(caught.value)
 
 
 def brute_force_hits(index: ChunkIndex, query: str, k: int,
@@ -469,19 +482,19 @@ class TestFilteredRetrievalProperty:
         with mock.patch.object(retrieval, "MIN_CHARS", data.draw(st.sampled_from([200, 800]))), \
                 mock.patch.object(retrieval, "MAX_CHARS", data.draw(st.sampled_from([400, 1600]))):
             built = build_index([parsed_filings[name] for name in names])
-        with tempfile.TemporaryDirectory() as tmp:
-            save_index(built, tmp)
-            loaded = load_index(tmp)
         sources = sorted({chunk.source for chunk in built.chunks})
         items = sorted({chunk.item for chunk in built.chunks})
-        for _ in range(6):
-            query = " ".join(data.draw(st.lists(st.sampled_from(_QUERY_WORDS),
-                                                min_size=1, max_size=4)))
-            metadata_filter = data.draw(_filter(sources, items))
-            k = data.draw(st.integers(1, 30))
-            expected = brute_force_hits(built, query, k, metadata_filter)
-            assert retrieve(loaded, query, k, metadata_filter).hits == expected
-            assert retrieve(built, query, k, metadata_filter).hits == expected
+        with tempfile.TemporaryDirectory() as tmp:  # a loaded index reads chunk files lazily
+            save_index(built, tmp)
+            loaded = load_index(tmp)
+            for _ in range(6):
+                query = " ".join(data.draw(st.lists(st.sampled_from(_QUERY_WORDS),
+                                                    min_size=1, max_size=4)))
+                metadata_filter = data.draw(_filter(sources, items))
+                k = data.draw(st.integers(1, 30))
+                expected = brute_force_hits(built, query, k, metadata_filter)
+                assert retrieve(loaded, query, k, metadata_filter).hits == expected
+                assert retrieve(built, query, k, metadata_filter).hits == expected
 
 
 def _saved_and_built(parsed_filings, data):
@@ -518,3 +531,54 @@ class TestSavedIndexProperty:
                     assert retrieve(loaded, query, k, metadata_filter).hits == \
                         retrieve(built, query, k, metadata_filter).hits
                     assert loaded.chunks == built.chunks
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_corrupt_file_of_an_unasked_filing(self, parsed_filings, data):
+        """A filtered query never reads another filing's chunk file; reading all
+        of them finds the corrupt one and names it."""
+        built, tmp = _saved_and_built(parsed_filings, data)
+        with tmp:
+            sources = list(dict.fromkeys(chunk.source for chunk in built.chunks))
+            (cik, year), other = data.draw(st.permutations(sources))[:2]
+            path = Path(tmp.name) / f"{other[0]}_{other[1]}.chunks.json"
+            data.draw(st.sampled_from(_CORRUPTIONS))(path)
+            loaded = load_index(tmp.name)
+            for _ in range(3):
+                query, k = _query(data)
+                metadata_filter = {"cik": cik, "fiscal_year": year}
+                result = retrieve(loaded, query, k, metadata_filter)
+                assert result.hits == retrieve(built, query, k, metadata_filter).hits
+                if result.hits:
+                    assert assemble_context(loaded, [result], 12000) == \
+                        assemble_context(built, [result], 12000)
+            with pytest.raises(SchemaError) as caught:
+                retrieve(loaded, query, k)
+            assert str(path) in str(caught.value)
+
+
+def _rewrite(change):
+    def corrupt(path: Path) -> None:
+        path.write_text(json.dumps(change(json.loads(path.read_text(encoding="utf-8")))),
+                        encoding="utf-8")
+    return corrupt
+
+
+def _next_year(chunks: list[dict]) -> list[dict]:
+    chunks[-1]["fiscal_year"] += 1
+    return chunks
+
+
+def _no_text(chunks: list[dict]) -> list[dict]:
+    del chunks[0]["text"]
+    return chunks
+
+
+_CORRUPTIONS = [
+    lambda path: path.write_text("not json", encoding="utf-8"),
+    lambda path: path.unlink(),
+    _rewrite(lambda chunks: chunks[:-1]),  # one chunk fewer than the catalog lists
+    _rewrite(_next_year),  # a chunk of another filing
+    _rewrite(_no_text),
+    _rewrite(lambda chunks: {"chunks": chunks}),
+]
