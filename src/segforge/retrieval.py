@@ -22,6 +22,7 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
@@ -110,17 +111,27 @@ class ChunkIndex:
     def chunks(self, chunks: list[Chunk]) -> None:
         self._chunks: list[Chunk | None] = chunks
         self._unread: dict[tuple[int, int], Path] = {}  # filing -> its chunk file
-        self._by_id = {chunk.chunk_id: i for i, chunk in enumerate(chunks)}
-        # Chunk positions per (cik, fiscal_year), ascending.
-        self._by_filing: dict[tuple[int, int], list[int] | range] = {}
-        for i, chunk in enumerate(chunks):
-            self._by_filing.setdefault(chunk.source, []).append(i)
+        self.__dict__.pop("_by_id", None)
+        self.__dict__.pop("_by_filing", None)
+
+    @cached_property
+    def _by_id(self) -> dict[str, int]:
+        return {chunk.chunk_id: i for i, chunk in enumerate(self._chunks)}
+
+    @cached_property
+    def _by_filing(self) -> dict[tuple[int, int], list[int] | range]:
+        """Chunk positions per (cik, fiscal_year), ascending."""
+        positions: dict[tuple[int, int], list[int]] = {}
+        for i, chunk in enumerate(self._chunks):
+            positions.setdefault(chunk.source, []).append(i)
+        return positions
 
     @classmethod
     def _saved(cls, directory: Path, catalog: list[Partition],
                doc_freq: dict[str, int]) -> ChunkIndex:
         """An index over the chunk files the catalog lists, none of them read yet."""
         index = cls(chunks=[], doc_freq=doc_freq)
+        index._by_id, index._by_filing = {}, {}  # ids as files are read; positions now
         for entry in catalog:
             if entry.source in index._unread:
                 raise SchemaError(f"cik {entry.cik}, fiscal year {entry.fiscal_year} "
@@ -386,11 +397,13 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    chunks, catalog = index.chunks, []
-    for (cik, fiscal_year), positions in index._by_filing.items():
-        entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(positions))
-        _replace(directory / entry.file_name,
-                 json.dumps([chunks[i] for i in positions], default=encode))
+    by_filing: dict[tuple[int, int], list[Chunk]] = {}
+    for chunk in index.chunks:
+        by_filing.setdefault(chunk.source, []).append(chunk)
+    catalog = []
+    for (cik, fiscal_year), chunks in by_filing.items():
+        entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(chunks))
+        _replace(directory / entry.file_name, json.dumps(chunks, default=encode))
         catalog.append(entry)
     _replace(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
     _replace(directory / "index.meta.json",
