@@ -13,7 +13,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from .gateway import Gateway
 from .parsing import dump_json, load_json, parse
 from .retrieval import build_index, load_index, save_index
 from .store import FundamentalsRoster, SegmentStore, gap_report_to_json
+from .values import write_atomic
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -151,13 +151,8 @@ def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries[path.relative_to(run_dir).as_posix()] = digest
     artifacts = [{"path": rel, "sha256": entries[rel]} for rel in sorted(entries)]
-    tmp = manifest_path.with_name(manifest_path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, manifest_path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomic(manifest_path,
+                 json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True) + "\n")
 
 
 def _store(config: Config, run_dir: Path) -> SegmentStore:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from collections import Counter
 from contextlib import contextmanager
@@ -27,7 +26,7 @@ from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
 from .parsing import FRONT_MATTER, ParsedFiling, locate_segment_regions
-from .values import encode, load
+from .values import encode, load, write_atomic
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -65,6 +64,11 @@ class Partition:
     cik: int
     fiscal_year: int
     chunk_count: int
+
+    def __post_init__(self):
+        for name in ("cik", "fiscal_year", "chunk_count"):
+            if type(getattr(self, name)) is not int:
+                raise TypeError(f"{name} is {getattr(self, name)!r}, not an int")
 
     @property
     def source(self) -> tuple[int, int]:
@@ -403,24 +407,15 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
     catalog = []
     for (cik, fiscal_year), chunks in by_filing.items():
         entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(chunks))
-        _replace(directory / entry.file_name, json.dumps(chunks, default=encode))
+        write_atomic(directory / entry.file_name, json.dumps(chunks, default=encode))
         catalog.append(entry)
-    _replace(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
-    _replace(directory / "index.meta.json",
+    write_atomic(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
+    write_atomic(directory / "index.meta.json",
              json.dumps({"filings": catalog}, default=encode) + "\n")
     listed = {entry.file_name for entry in catalog}
     for path in directory.glob("*.chunks.json"):
         if path.name not in listed:
             path.unlink()
-
-
-def _replace(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -465,6 +460,8 @@ def load_index(directory: str | Path) -> ChunkIndex:
                               "run `segforge index` again to rebuild it")
         catalog = load(list[Partition], data["filings"])
     with _names(stats):
-        doc_freq = load(dict[str, int], json.loads(stats.read_text(encoding="utf-8"))["doc_freq"])
+        doc_freq = json.loads(stats.read_text(encoding="utf-8"))["doc_freq"]
+        if not isinstance(doc_freq, dict):
+            raise TypeError(f"doc_freq is {type(doc_freq).__name__}, not an object")
     with _names(meta):
         return ChunkIndex._saved(directory, catalog, doc_freq)

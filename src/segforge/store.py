@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +27,13 @@ from .extraction import (
 from .values import encode
 
 PanelKey = tuple[int, int]  # (cik, fiscal_year)
+
+# A panel row as ``put`` writes it: sorted keys put the key and revision
+# last. JSON escapes every quote and newline inside a string, so only the
+# row's own key can end a line this way. A line holds no newline, so DOTALL
+# changes no match; it lets ``.*`` jump straight to the line's end.
+_ROW = re.compile(rb'\{"bundle": \{.*\}, "cik": (-?\d+), "fiscal_year": (-?\d+), '
+                  rb'"revision": (-?\d+)\}', re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -56,51 +64,61 @@ class FundamentalsRoster:
 class SegmentStore:
     """Queryable panel of bundles, persisted as panel.jsonl.
 
-    Opening a panel checks every row's shape (its key matches its bundle's,
-    ``reportable`` is a list, ``classification.kind`` a string) and raises
-    SchemaError on a bad row. The winning revision's bundle is kept as JSON
-    and decoded and validated when first read (``get``, ``query_segments``,
-    ``segment_names_by_year``, ``export_csv``), which raise SchemaError for
-    an invalid bundle. ``gap_report`` reads the JSON and decodes nothing.
+    Opening a panel parses no row: it scans each line's key and revision
+    and raises SchemaError naming ``path:line`` for a line that is not a
+    row as ``put`` writes it. A winning row is parsed when its key is
+    first read: its shape is checked (its key matches its bundle's,
+    ``reportable`` is a list, ``classification.kind`` a string), and
+    ``get``, ``query_segments``, ``segment_names_by_year`` and
+    ``export_csv`` then decode and validate its bundle. ``gap_report``
+    checks the shape of the roster's rows and decodes nothing. A bad row
+    raises SchemaError naming ``path:line`` when it is read, so it fails
+    no query of another firm. Superseded revisions are never parsed.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path else None
-        # Decoded bundles, or (line number, bundle dict) until first read.
-        self._bundles: dict[PanelKey, ExtractionBundle | tuple[int, dict]] = {}
+        # Decoded bundles, or (line number, row line) until first read.
+        self._bundles: dict[PanelKey, ExtractionBundle | tuple[int, bytes]] = {}
         self._revisions: dict[PanelKey, int] = {}
         self._lock = threading.Lock()
         if self._path and self._path.exists():
             self._load()
 
     def _load(self) -> None:
-        with open(self._path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    data = row["bundle"]
-                    revision = int(row["revision"])
-                    key = (data["cik"], data["fiscal_year"])
-                    if key != (row["cik"], row["fiscal_year"]):
-                        raise ValueError(f"row key differs from its bundle's {key}")
-                    if not isinstance(data["reportable"], list) or \
-                            not isinstance(data["classification"]["kind"], str):
-                        raise TypeError("reportable or classification.kind has the wrong type")
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
-                if revision >= self._revisions.get(key, 0):
-                    self._bundles[key] = (line_no, data)
-                    self._revisions[key] = revision
+        for line_no, line in enumerate(self._path.read_bytes().split(b"\n"), start=1):
+            match = _ROW.fullmatch(line)
+            if match is None:
+                if line.strip():
+                    raise SchemaError(f"{self._path}:{line_no}: bad panel row: "
+                                      f"not a row as put writes it")
+                continue
+            cik, fiscal_year, revision = map(int, match.groups())
+            if revision >= self._revisions.get((cik, fiscal_year), 0):
+                self._bundles[(cik, fiscal_year)] = (line_no, line)
+                self._revisions[(cik, fiscal_year)] = revision
+
+    def _row_bundle(self, key: PanelKey, line_no: int, line: bytes) -> dict:
+        """The bundle JSON of the scanned row for key, after checking the row's shape."""
+        try:
+            row = json.loads(line)
+            data = row["bundle"]
+            if key != (row["cik"], row["fiscal_year"]) or key != (data["cik"], data["fiscal_year"]):
+                raise ValueError(f"row key differs from its bundle's or the scanned {key}")
+            if not isinstance(data["reportable"], list) or \
+                    not isinstance(data["classification"]["kind"], str):
+                raise TypeError("reportable or classification.kind has the wrong type")
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+            raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
+        return data
 
     def _bundle(self, key: PanelKey) -> ExtractionBundle | None:
-        """The bundle stored under key, decoded and validated on first read."""
+        """The bundle stored under key, checked, decoded and validated on first read."""
         with self._lock:
             entry = self._bundles.get(key)
             if isinstance(entry, tuple):
-                line_no, data = entry
+                line_no, line = entry
+                data = self._row_bundle(key, line_no, line)
                 try:
                     entry = bundle_from_json(data)
                 except SchemaError as exc:
@@ -151,7 +169,10 @@ class SegmentStore:
     def gap_report(self, roster: FundamentalsRoster) -> GapReport:
         missing: dict[int, list[int]] = {}
         for cik, year in roster.rows:
-            if not _covered(self._bundles.get((cik, year))):
+            entry = self._bundles.get((cik, year))
+            if isinstance(entry, tuple):
+                entry = self._row_bundle((cik, year), *entry)
+            if not _covered(entry):
                 missing.setdefault(year, []).append(cik)
         for year in missing:
             missing[year].sort()
@@ -180,11 +201,10 @@ class SegmentStore:
         return path
 
 
-def _covered(entry: ExtractionBundle | tuple[int, dict] | None) -> bool:
-    """A stored bundle covers its key when it extracted something."""
-    if isinstance(entry, tuple):
-        data = entry[1]
-        return bool(data["reportable"]) or data["classification"]["kind"] == SINGLE_UNIT
+def _covered(entry: ExtractionBundle | dict | None) -> bool:
+    """A stored bundle, decoded or its checked JSON, covers its key when it extracted something."""
+    if isinstance(entry, dict):
+        return bool(entry["reportable"]) or entry["classification"]["kind"] == SINGLE_UNIT
     return entry is not None and (bool(entry.reportable) or entry.classification.kind == SINGLE_UNIT)
 
 

@@ -5,18 +5,21 @@ parenthesized negatives, and scale words (thousand/million/billion).
 Values are kept as :class:`decimal.Decimal` so sums and round-trips are exact.
 
 Also the one JSON codec for every persisted record: ``encode`` writes a
-dataclass tree and ``load`` reads it back.
+dataclass tree and ``load`` reads it back; ``write_atomic`` replaces a
+file whole.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
 from functools import cache, partial
+from pathlib import Path
 from types import NoneType, UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -208,6 +211,20 @@ def encode(obj):
     if isinstance(obj, Enum):
         return obj.value
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to a temporary file, then move it over ``path``.
+
+    A reader sees the old file or the new one, never part of one. The
+    temporary file is removed when the write or the move fails.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load(cls, data):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -270,6 +271,9 @@ class TestUnreadableIndex:
         ("index.bin", '{"chunk_len": []}'),  # no doc_freq
         ("index.meta.json", '{"chunks": ['),
         ("index.bin", "not json"),
+        ("index.bin", '{"doc_freq": []}'),
+        ("index.meta.json", '{"filings": [{"cik": "8818", "fiscal_year": 2012, "chunk_count": 0}]}'),
+        ("index.meta.json", '{"filings": [{"cik": 8818, "fiscal_year": 2012, "chunk_count": true}]}'),
     ])
     def test_unreadable_index_exits_1(self, capsys, base, tmp_path, command, name, content):
         index_dir = tmp_path / "index"
@@ -280,6 +284,40 @@ class TestUnreadableIndex:
         error = json.loads(err)
         assert error["error"] == "SchemaError"
         assert str(index_dir / name) in error["message"]
+
+
+class TestBadPanelRow:
+    """A panel row with a bad shape fails only the commands that read it."""
+
+    def test_other_firms_answer_and_readers_of_the_row_exit_1(self, capsys, base, run_dir,
+                                                               tmp_path, avy_bundles):
+        write_panel(run_dir, [
+            filingfab.geo_bundle(55, 2020, "Firm 55", "F55", [("Asia", 10)], 20),
+            filingfab.intc_bundle(2012), filingfab.txn_bundle(2012),
+            *(avy_bundles[y] for y in sorted(avy_bundles))])
+        panel = run_dir / "panel.jsonl"
+        lines = panel.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[0])
+        row["bundle"]["reportable"] = "Asia"
+        lines[0] = json.dumps(row, sort_keys=True) + "\n"
+        panel.write_text("".join(lines), encoding="utf-8")
+
+        code, out, err = invoke(capsys, ["changes", *base, "--cik", str(paperdata.AVY_CIK),
+                                         "--from", "2001", "--to", "2024"])
+        assert (code, err) == (0, "")
+        scheme = filingfab.write_asia_scheme(tmp_path / "asia.json")
+        code, out, err = invoke(capsys, [
+            "align", *base, "--firm-a", str(paperdata.INTC_CIK),
+            "--firm-b", str(paperdata.TXN_CIK), "--region", str(scheme),
+            "--from", "2012", "--to", "2012"])
+        assert (code, err) == (0, "")
+        roster = filingfab.write_roster(tmp_path / "roster.csv", [(55, 2020)])
+        for argv in (["gaps", "--roster", str(roster)], ["export"]):
+            code, out, err = invoke(capsys, [argv[0], *base, *argv[1:]])
+            assert (code, out) == (1, ""), argv[0]
+            error = json.loads(err)
+            assert error["error"] == "SchemaError"
+            assert f"{panel}:1: bad panel row" in error["message"]
 
 
 class TestUnreadableInput:
@@ -492,7 +530,7 @@ class TestManifest:
             assert Path(src).read_bytes() != before  # the new manifest was written
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli.os, "replace", fail_replace)
+        monkeypatch.setattr(os, "replace", fail_replace)
         (run_dir / "b.csv").write_text("x\n", encoding="utf-8")
         with pytest.raises(OSError, match="disk full"):
             cli._update_manifest(run_dir, [run_dir / "b.csv"])

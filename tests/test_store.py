@@ -150,7 +150,7 @@ class TestPersistence:
         store.put(single_unit_bundle(55, 2020))
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"panel.jsonl:2: bad panel row"):
             SegmentStore(path)
 
     def test_panel_row_shape(self, tmp_path):
@@ -359,13 +359,35 @@ class TestDecodeOnRead:
         lambda row: row.pop("revision"),
     ], ids=["cik", "fiscal_year", "reportable", "kind", "no_classification", "no_revision"])
     def test_bad_row_shape_raises_at_open(self, tmp_path, corrupt):
+        """A bad row raises SchemaError naming its line when its key is read.
+
+        Only a line that is not a row as ``put`` writes it (here: one with
+        no revision) raises at open; another firm's queries never read a
+        row with a bad shape, so they still answer.
+        """
         path = tmp_path / "panel.jsonl"
-        SegmentStore(path).put(filingfab.intc_bundle(2012))
-        row = json.loads(path.read_text(encoding="utf-8"))
-        corrupt(row)
-        write_rows(path, [row])
-        with pytest.raises(SchemaError, match=r"panel.jsonl:1: bad panel row"):
-            SegmentStore(path)
+        store = SegmentStore(path)
+        store.put(filingfab.intc_bundle(2012))
+        store.put(filingfab.txn_bundle(2013))
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        corrupt(rows[0])
+        write_rows(path, rows)
+        bad_row = r"panel.jsonl:1: bad panel row"
+        if "revision" not in rows[0]:
+            with pytest.raises(SchemaError, match=bad_row):
+                SegmentStore(path)
+            return
+        store = SegmentStore(path)
+        key = (rows[0]["cik"], rows[0]["fiscal_year"])  # the key the row is stored under
+        for read in (lambda: store.get(*key), lambda: store.query_segments(*key),
+                     lambda: store.segment_names_by_year(key[0]),
+                     lambda: store.gap_report(FundamentalsRoster(rows={key})),
+                     lambda: store.export_csv(tmp_path / "out.csv")):
+            with pytest.raises(SchemaError, match=bad_row):
+                read()
+        assert store.get(paperdata.TXN_CIK, 2013) == filingfab.txn_bundle(2013)
+        assert store.segment_names_by_year(paperdata.TXN_CIK) == [
+            (2013, [r.name for r in filingfab.txn_bundle(2013).reportable])]
 
     def test_first_read_racing_a_put_keeps_the_put(self, tmp_path, monkeypatch):
         """A read that decodes the stale row while a put lands must not undo the put."""
@@ -400,7 +422,13 @@ class TestDecodeOnRead:
         assert gap_keys(store.gap_report(roster)) == {(1, 2000)}
 
 
-_NAMES = ["Asia", "Europe", "Devices", "Services", "Other"]
+# Text a row's key scan must see through: JSON escapes, line breaks, a fake
+# row tail, and non-ASCII.
+_TEXT = st.lists(st.one_of(
+    st.sampled_from(["Asia", '"', "\\", '"cik": 1, "fiscal_year": 2, "revision": 9}',
+                     "}, ", "\n", "\r", "\u2028", "\u2029", "Zürich", "日本"]),
+    st.text(st.characters(exclude_categories=["Cs"]), max_size=3)),
+    min_size=1, max_size=4).map("".join)
 
 
 @st.composite
@@ -409,10 +437,10 @@ def _bundle(draw, cik: int, year: int) -> ExtractionBundle:
     if kind == "single":
         return single_unit_bundle(cik, year)
     bundle = empty_multi_bundle(cik, year)
-    bundle.general_fields["conm"] = draw(st.sampled_from(["A Corp", "B Corp"]))
+    bundle.general_fields["conm"] = draw(_TEXT)
     if kind == "empty":
         return bundle
-    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(_TEXT.filter(str.strip), min_size=1, max_size=4, unique=True))
     for name in names:
         measures = {}
         for measure in draw(st.lists(st.sampled_from(["revenue", "assets"]), unique=True)):
@@ -439,25 +467,33 @@ def _puts(draw) -> list[list[ExtractionBundle]]:
     return sessions
 
 
+def put_shuffled(path: Path, sessions: list[list[ExtractionBundle]], rng) -> tuple[dict, dict]:
+    """Put each session through a freshly opened panel, then shuffle its lines.
+
+    Returns the last bundle put and the number of puts, per key.
+    """
+    latest: dict = {}
+    puts: dict = {}
+    for session in sessions:
+        store = SegmentStore(path)
+        for bundle in session:
+            store.put(bundle)
+            latest[bundle.key] = bundle
+            puts[bundle.key] = puts.get(bundle.key, 0) + 1
+    # Line order on disk does not matter: the highest revision wins.
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    rng.shuffle(lines)
+    path.write_text("".join(lines), encoding="utf-8")
+    return latest, puts
+
+
 class TestPanelProperties:
     @settings(max_examples=60, deadline=None)
     @given(_puts(), st.sets(_KEYS, max_size=10), st.randoms(use_true_random=False))
     def test_lazy_panel_equals_eager_panel(self, sessions, roster_keys, rng):
-        latest: dict = {}
-        puts: dict = {}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "panel.jsonl"
-            for session in sessions:
-                store = SegmentStore(path)
-                for bundle in session:
-                    store.put(bundle)
-                    latest[bundle.key] = bundle
-                    puts[bundle.key] = puts.get(bundle.key, 0) + 1
-            # Line order on disk does not matter: the highest revision wins.
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            rng.shuffle(lines)
-            path.write_text("".join(lines), encoding="utf-8")
-
+            latest, puts = put_shuffled(path, sessions, rng)
             roster = FundamentalsRoster(rows=roster_keys | set(rng.sample(sorted(latest), 1)))
             lazy = SegmentStore(path)
             report = lazy.gap_report(roster)  # before any bundle is decoded
@@ -476,3 +512,23 @@ class TestPanelProperties:
                 assert lazy.get(*key) == bundle
                 assert lazy.segment_names_by_year(key[0]) == eager.segment_names_by_year(key[0])
                 assert lazy.query_segments(*key) == eager.query_segments(*key)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_puts(), st.randoms(use_true_random=False))
+    def test_key_scan_equals_json_and_rejects_a_torn_row(self, sessions, rng):
+        """The open's key scan reads what json.loads reads; a torn append fails the open."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.jsonl"
+            put_shuffled(path, sessions, rng)
+            lines = path.read_bytes().split(b"\n")[:-1]
+            for line in lines:
+                row = json.loads(line)
+                match = store_module._ROW.fullmatch(line)
+                assert match is not None, line
+                assert tuple(map(int, match.groups())) == \
+                    (row["cik"], row["fiscal_year"], row["revision"])
+            line = rng.choice(lines)
+            with open(path, "ab") as fh:
+                fh.write(line[:rng.randrange(1, len(line))])
+            with pytest.raises(SchemaError, match=rf"panel.jsonl:{len(lines) + 1}: bad panel row"):
+                SegmentStore(path)
