@@ -411,7 +411,7 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
         catalog.append(entry)
     write_atomic(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
     write_atomic(directory / "index.meta.json",
-             json.dumps({"filings": catalog}, default=encode) + "\n")
+                 json.dumps({"filings": catalog}, default=encode) + "\n")
     listed = {entry.file_name for entry in catalog}
     for path in directory.glob("*.chunks.json"):
         if path.name not in listed:

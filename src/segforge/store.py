@@ -202,7 +202,7 @@ class SegmentStore:
 
 
 def _covered(entry: ExtractionBundle | dict | None) -> bool:
-    """A stored bundle, decoded or its checked JSON, covers its key when it extracted something."""
+    """A stored bundle (decoded, or its checked JSON) covers its key when it extracted something."""
     if isinstance(entry, dict):
         return bool(entry["reportable"]) or entry["classification"]["kind"] == SINGLE_UNIT
     return entry is not None and (bool(entry.reportable) or entry.classification.kind == SINGLE_UNIT)

@@ -296,7 +296,8 @@ class TestExportCsv:
 
 
 class TestDecodeOnRead:
-    """Open checks each row's shape; a bundle is decoded and validated when read."""
+    """Open checks each line's row form; a row's shape is checked, and its bundle
+    decoded and validated, when its key is first read."""
 
     def orphan_panel(self, path) -> tuple[int, int]:
         """A panel with one good bundle and one whose nested record is an orphan."""
