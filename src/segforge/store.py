@@ -91,7 +91,7 @@ class SegmentStore:
             if match is None:
                 if line.strip():
                     raise SchemaError(f"{self._path}:{line_no}: bad panel row: "
-                                      f"not a row as put writes it")
+                                      "not a row as put writes it")
                 continue
             cik, fiscal_year, revision = map(int, match.groups())
             if revision >= self._revisions.get((cik, fiscal_year), 0):
