@@ -26,7 +26,7 @@ from .comparability import (
     render_change_csv,
     render_change_text,
 )
-from .config import Config
+from .config import DEFAULTS, Config
 from .edgar import EdgarClient
 from .errors import OutputPathError, SchemaError, SegforgeError
 from .evaluation import GoldLabelSet, render_table2, report_to_json, score
@@ -128,11 +128,33 @@ def _run_dir(args) -> Path:
 
 
 def _artifact_path(run_dir: Path, path: str) -> Path:
-    """``path`` taken from the run directory; an artifact outside it is refused."""
-    try:
-        return run_dir / (run_dir / path).resolve().relative_to(run_dir.resolve())
-    except ValueError:
-        raise OutputPathError(f"{path} is outside the run directory {run_dir}") from None
+    """``path`` taken from the run directory; a path that leaves it (also through
+    ``..``) or names the manifest or the panel is refused."""
+    root, target = run_dir.resolve(), (run_dir / path).resolve()
+    if ".." in Path(path).parts or not target.is_relative_to(root):
+        raise OutputPathError(f"{path} is outside the run directory {run_dir}")
+    if target.parent == root and target.name in ("manifest.json", DEFAULTS["store.panel_path"]):
+        raise OutputPathError(f"{path} would replace the run directory's {target.name}")
+    return run_dir / target.relative_to(root)
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(run_dir: Path, name: str, text: str) -> Path:
+    """Replace the artifact ``name`` in the run directory whole."""
+    path = _artifact_path(run_dir, name)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, text)
+    return path
+
+
+def _publish(run_dir: Path, paths: list[Path], report: str) -> int:
+    """Record the written ``paths`` in the manifest, then print the command's report."""
+    _update_manifest(run_dir, paths)
+    print(report, end="")
+    return 0
 
 
 def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
@@ -151,8 +173,7 @@ def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries[path.relative_to(run_dir).as_posix()] = digest
     artifacts = [{"path": rel, "sha256": entries[rel]} for rel in sorted(entries)]
-    write_atomic(manifest_path,
-                 json.dumps({"artifacts": artifacts}, indent=2, sort_keys=True) + "\n")
+    write_atomic(manifest_path, _json({"artifacts": artifacts}))
 
 
 def _store(config: Config, run_dir: Path) -> SegmentStore:
@@ -160,10 +181,6 @@ def _store(config: Config, run_dir: Path) -> SegmentStore:
     if not panel.is_absolute():
         panel = run_dir / panel
     return SegmentStore(panel)
-
-
-def _gateway(config: Config) -> Gateway:
-    return Gateway.from_config(config)
 
 
 def _fetch_document(args, config: Config):
@@ -174,12 +191,13 @@ def _fetch_document(args, config: Config):
 
 
 # -- subcommands --------------------------------------------------------------
+# Each command computes its results, writes its artifacts, then publishes them.
 
 
 def cmd_fetch(args) -> int:
     config = _load_config(args)
     doc = _fetch_document(args, config)
-    print(json.dumps({
+    print(_json({
         "cik": doc.ref.cik,
         "fiscal_year": doc.ref.fiscal_year,
         "accession_number": doc.ref.accession_number,
@@ -187,7 +205,7 @@ def cmd_fetch(args) -> int:
         "media_kind": doc.media_kind,
         "path": str(doc.path),
         "content_hash": doc.content_hash,
-    }, indent=2, sort_keys=True))
+    }), end="")
     return 0
 
 
@@ -196,24 +214,20 @@ def cmd_parse(args) -> int:
     run_dir = _run_dir(args)
     doc = _fetch_document(args, config)
     parsed = parse(doc)
-    out = run_dir / "parsed" / f"{args.cik}_{args.year}.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(dump_json(parsed), encoding="utf-8")
-    _update_manifest(run_dir, [out])
-    print(json.dumps({
+    out = _write(run_dir, f"parsed/{args.cik}_{args.year}.json", dump_json(parsed))
+    return _publish(run_dir, [out], _json({
         "items": list(parsed.items),
         "tables": len(parsed.tables),
         "chars": parsed.char_count,
         "path": str(out),
-    }, indent=2, sort_keys=True))
-    return 0
+    }))
 
 
 def cmd_extract(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(args)
     doc = _fetch_document(args, config)
-    gateway = _gateway(config)
+    gateway = Gateway.from_config(config)
     pipeline = ExtractionPipeline.from_config(gateway, config)
     bundle = pipeline.run_pipeline(doc, args.cik, args.year)
     out = dump_bundle(bundle, run_dir)
@@ -221,15 +235,13 @@ def cmd_extract(args) -> int:
     store.put(bundle)
     transcript = run_dir / "transcript.jsonl"
     gateway.dump_transcript(transcript)
-    _update_manifest(run_dir, [out, transcript])
-    print(json.dumps({
+    return _publish(run_dir, [out, transcript], _json({
         "bundle": str(out),
         "classification": bundle.classification.kind,
         "reportable": [r.name for r in bundle.reportable],
         "nested": [r.name for r in bundle.nested],
         "warnings": bundle.warnings,
-    }, indent=2, sort_keys=True))
-    return 0
+    }))
 
 
 def cmd_index(args) -> int:
@@ -245,14 +257,13 @@ def cmd_index(args) -> int:
     index = build_index(filings)
     index_dir = run_dir / "index"
     save_index(index, index_dir)
-    _update_manifest(run_dir, [index_dir / "index.meta.json", index_dir / "index.bin",
-                               *sorted(index_dir.glob("*.chunks.json"))])
-    print(json.dumps({
+    written = [index_dir / "index.meta.json", index_dir / "index.bin",
+               *sorted(index_dir.glob("*.chunks.json"))]
+    return _publish(run_dir, written, _json({
         "filings": len(filings),
         "chunks": len(index),
         "index_dir": str(index_dir),
-    }, indent=2, sort_keys=True))
-    return 0
+    }))
 
 
 def cmd_gaps(args) -> int:
@@ -261,12 +272,8 @@ def cmd_gaps(args) -> int:
     store = _store(config, run_dir)
     roster = FundamentalsRoster.from_csv(args.roster)
     report = store.gap_report(roster)
-    payload = json.dumps(gap_report_to_json(report), indent=2, sort_keys=True) + "\n"
-    out = run_dir / "gaps.json"
-    out.write_text(payload, encoding="utf-8")
-    _update_manifest(run_dir, [out])
-    print(payload, end="")
-    return 0
+    payload = _json(gap_report_to_json(report))
+    return _publish(run_dir, [_write(run_dir, "gaps.json", payload)], payload)
 
 
 def cmd_changes(args) -> int:
@@ -275,26 +282,22 @@ def cmd_changes(args) -> int:
     store = _store(config, run_dir)
     panel = store.segment_names_by_year(args.cik, (args.year_from, args.year_to))
     warnings: list[str] = []
+    written = []
     if args.index_dir:
         index = load_index(args.index_dir)
-        gateway = _gateway(config)
+        gateway = Gateway.from_config(config)
         rows = explain_changes(args.cik, panel, index, gateway, warnings)
         transcript = run_dir / "transcript.jsonl"
         gateway.dump_transcript(transcript)
-        extra = [transcript]
+        written = [transcript]
     else:
         rows = detect_changes(panel, warnings)
-        extra = []
     for warning in warnings:
         print(warning, file=sys.stderr)
-    csv_path = run_dir / f"changes_{args.cik}.csv"
-    txt_path = run_dir / f"changes_{args.cik}.txt"
-    csv_path.write_text(render_change_csv(rows), encoding="utf-8")
     text = render_change_text(rows)
-    txt_path.write_text(text, encoding="utf-8")
-    _update_manifest(run_dir, [csv_path, txt_path] + extra)
-    print(text, end="")
-    return 0
+    written += [_write(run_dir, f"changes_{args.cik}.csv", render_change_csv(rows)),
+                _write(run_dir, f"changes_{args.cik}.txt", text)]
+    return _publish(run_dir, written, text)
 
 
 def cmd_align(args) -> int:
@@ -303,21 +306,15 @@ def cmd_align(args) -> int:
     store = _store(config, run_dir)
     scheme = RegionScheme.from_json(args.region)
     index = load_index(args.index_dir) if args.index_dir else None
-    gateway = _gateway(config) if args.index_dir else None
+    gateway = Gateway.from_config(config) if args.index_dir else None
     rows = align_regions(args.firm_a, args.firm_b, scheme,
                          (args.year_from, args.year_to), store, index, gateway)
-    label_a = args.label_a or str(args.firm_a)
-    label_b = args.label_b or str(args.firm_b)
-    csv_path = run_dir / f"alignment_{args.firm_a}_{args.firm_b}.csv"
-    txt_path = run_dir / f"alignment_{args.firm_a}_{args.firm_b}.txt"
-    csv_path.write_text(
-        render_alignment_csv(rows, label_a, label_b, scheme.region_name), encoding="utf-8"
-    )
-    text = render_alignment_text(rows, label_a, label_b, scheme.region_name)
-    txt_path.write_text(text, encoding="utf-8")
-    _update_manifest(run_dir, [csv_path, txt_path])
-    print(text, end="")
-    return 0
+    table = (rows, args.label_a or str(args.firm_a), args.label_b or str(args.firm_b),
+             scheme.region_name)
+    name = f"alignment_{args.firm_a}_{args.firm_b}"
+    text = render_alignment_text(*table)
+    return _publish(run_dir, [_write(run_dir, f"{name}.csv", render_alignment_csv(*table)),
+                              _write(run_dir, f"{name}.txt", text)], text)
 
 
 def cmd_eval(args) -> int:
@@ -332,12 +329,8 @@ def cmd_eval(args) -> int:
         store = _store(config, run_dir)
         bundles = [store.get(cik, year) for cik, year in store.keys()]
     report = score(gold, bundles)
-    out = run_dir / f"eval_{report.group_id}.json"
-    out.write_text(json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    _update_manifest(run_dir, [out])
-    print(render_table2([report]), end="")
-    return 0
+    out = _write(run_dir, f"eval_{report.group_id}.json", _json(report_to_json(report)))
+    return _publish(run_dir, [out], render_table2([report]))
 
 
 def cmd_export(args) -> int:
@@ -347,9 +340,7 @@ def cmd_export(args) -> int:
     store = _store(config, run_dir)
     with store.export_csv(out).open(newline="", encoding="utf-8") as fh:
         rows = sum(1 for _ in csv.reader(fh)) - 1  # data rows, not the header
-    _update_manifest(run_dir, [out])
-    print(json.dumps({"rows": rows, "path": str(out)}, indent=2, sort_keys=True))
-    return 0
+    return _publish(run_dir, [out], _json({"rows": rows, "path": str(out)}))
 
 
 def main(argv=None) -> int:

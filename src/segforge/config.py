@@ -63,10 +63,17 @@ class Config:
         return self._values[key]
 
     def get_int(self, key: str) -> int:
-        return int(self.get(key))
+        return self._number(key, int)
 
     def get_float(self, key: str) -> float:
-        return float(self.get(key))
+        return self._number(key, float)
+
+    def _number(self, key: str, kind: type) -> int | float:
+        value = self.get(key)
+        try:
+            return kind(value)
+        except ValueError:
+            raise SchemaError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
 
     def get_list(self, key: str) -> list[str]:
         return [part.strip() for part in self.get(key).split(",") if part.strip()]

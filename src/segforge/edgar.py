@@ -25,7 +25,7 @@ from .errors import (
     NotFoundError,
     SchemaError,
 )
-from .values import encode, load
+from .values import encode, load, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +130,13 @@ class FixtureTransport:
 
     def __init__(self, fixture_dir: str | Path):
         self.dir = Path(fixture_dir)
-        self._index = json.loads((self.dir / "index.json").read_text())
+        path = self.dir / "index.json"
+        try:
+            self._index = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(self._index, dict):
+            raise SchemaError(f"{path}: expected an object of cik -> submissions")
 
     def get_submissions(self, cik: int) -> dict:
         entry = self._index.get(str(cik))
@@ -310,9 +316,8 @@ class EdgarClient:
         try:
             with self._write_lock:
                 doc_path.parent.mkdir(parents=True, exist_ok=True)
-                _atomic_write(doc_path, data)
-                _atomic_write(meta_path, json.dumps(meta, default=encode, indent=2,
-                                                    sort_keys=True).encode())
+                write_atomic(doc_path, data)
+                write_atomic(meta_path, json.dumps(meta, default=encode, indent=2, sort_keys=True))
         except OSError as exc:
             raise CacheWriteError(f"failed to cache {ref.accession_number}: {exc}") from exc
         logger.info("fetched %s (%d bytes)", ref.accession_number, len(data))
@@ -365,9 +370,3 @@ def _media_kind(document_name: str, data: bytes) -> str:
         return "sgml_text"
     head = data[:2048].lstrip().lower()
     return "html" if head.startswith((b"<html", b"<!doctype")) else "sgml_text"
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)

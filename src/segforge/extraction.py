@@ -37,7 +37,7 @@ from .templates import (
     nested_measure_question,
     retry_question,
 )
-from .values import Money, encode, load, parse_monetary
+from .values import Money, encode, load, parse_monetary, write_atomic
 
 SINGLE_UNIT = "single_unit"
 MULTI_SEGMENT = "multi_segment"
@@ -522,8 +522,7 @@ def bundle_filename(cik: int, fiscal_year: int) -> str:
 def dump_bundle(bundle: ExtractionBundle, directory: str | Path) -> Path:
     path = Path(directory) / bundle_filename(bundle.cik, bundle.fiscal_year)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(bundle, default=encode, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_atomic(path, json.dumps(bundle, default=encode, indent=2, sort_keys=True) + "\n")
     return path
 
 

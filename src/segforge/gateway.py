@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .edgar import CachedDocument
 from .errors import BatchError, ProviderError, ScriptMissError, SchemaError, UploadError
+from .values import write_atomic
 
 SCRIPTED = "scripted"
 LIVE = "live"
@@ -400,6 +401,4 @@ class Gateway:
         path.parent.mkdir(parents=True, exist_ok=True)
         with self._lock:
             records = sorted(self.transcript, key=lambda r: r.request_id)
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+        write_atomic(path, "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records))

@@ -10,6 +10,7 @@ counts as covered only when a stored bundle actually extracted something
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import threading
@@ -24,7 +25,7 @@ from .extraction import (
     bundle_from_json,
     validate_bundle,
 )
-from .values import encode
+from .values import encode, write_atomic
 
 PanelKey = tuple[int, int]  # (cik, fiscal_year)
 
@@ -182,22 +183,23 @@ class SegmentStore:
     def export_csv(self, path: str | Path) -> Path:
         """One row per (record, measure); measure columns empty when absent."""
         bundles = [self._bundle(key) for key in sorted(self._bundles)]
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
+                         "measure_kind", "value", "scale"])
+        for bundle in bundles:
+            for record in [*bundle.reportable, *bundle.nested]:
+                base = [bundle.cik, bundle.fiscal_year, record.name, record.axis,
+                        record.parent_name or ""]
+                if not record.measures:
+                    writer.writerow(base + ["", "", ""])
+                    continue
+                for kind in sorted(record.measures):
+                    money = record.measures[kind]
+                    writer.writerow(base + [kind, str(money.value), money.scale.value])
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
-                             "measure_kind", "value", "scale"])
-            for bundle in bundles:
-                for record in [*bundle.reportable, *bundle.nested]:
-                    base = [bundle.cik, bundle.fiscal_year, record.name, record.axis,
-                            record.parent_name or ""]
-                    if not record.measures:
-                        writer.writerow(base + ["", "", ""])
-                        continue
-                    for kind in sorted(record.measures):
-                        money = record.measures[kind]
-                        writer.writerow(base + [kind, str(money.value), money.scale.value])
+        write_atomic(path, buffer.getvalue())
         return path
 
 

@@ -5,8 +5,8 @@ parenthesized negatives, and scale words (thousand/million/billion).
 Values are kept as :class:`decimal.Decimal` so sums and round-trips are exact.
 
 Also the one JSON codec for every persisted record: ``encode`` writes a
-dataclass tree and ``load`` reads it back; ``write_atomic`` replaces a
-file whole.
+dataclass tree and ``load`` reads it back; ``write_atomic``, the one
+file writer, replaces a file whole.
 """
 
 from __future__ import annotations
@@ -213,15 +213,17 @@ def encode(obj):
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to a temporary file, then move it over ``path``.
+def write_atomic(path: Path, data: str | bytes) -> None:
+    """Write ``data`` to a temporary file, then move it over ``path``.
 
-    A reader sees the old file or the new one, never part of one. The
-    temporary file is removed when the write or the move fails.
+    Text is encoded as UTF-8, with no newline translation. A reader sees
+    the old file or the new one, never part of one. The temporary file is
+    removed when the write or the move fails. Every file segforge writes,
+    except the panel's appends, goes through here.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -20,6 +20,7 @@ import filingfab
 import paperdata
 from segforge import cli
 from segforge.cli import main
+from segforge.config import env_var_name
 from segforge.extraction import dump_bundle, load_bundle
 from segforge.parsing import load_json
 from segforge.retrieval import ChunkIndex, save_index
@@ -52,6 +53,28 @@ def write_panel(run_dir, bundles) -> None:
     store = SegmentStore(run_dir / "panel.jsonl")
     for bundle in bundles:
         store.put(bundle)
+
+
+def snapshot(run_dir) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (None) under run_dir."""
+    return {path.relative_to(run_dir).as_posix(): path.read_bytes() if path.is_file() else None
+            for path in sorted(run_dir.rglob("*"))}
+
+
+def write_gold(path, group_id: str):
+    """Gold labels for the INTC 2012 bundle alone."""
+    path.write_text(json.dumps({
+        "group_id": group_id,
+        "filings": [{"cik": paperdata.INTC_CIK, "fiscal_year": 2012,
+                     "is_multi_segment": True, "has_nested": False}],
+        "cells": [{"cik": paperdata.INTC_CIK, "fiscal_year": 2012, "segment": "United States",
+                   "measure": "revenue", "gold_value": "1 million"}],
+    }), encoding="utf-8")
+    return path
+
+
+def fail_replace(src, dst):
+    raise OSError("disk full")
 
 
 class TestFetchAndParse:
@@ -398,6 +421,43 @@ class TestConfigFile:
         assert error["message"].startswith(f"{config}:{lineno}: ")
 
 
+    @pytest.mark.parametrize("source", ["file", "env"])
+    def test_non_numeric_value_exits_1(self, capsys, run_dir, tmp_path, config_path,
+                                       avy_index_dir, monkeypatch, source):
+        config = tmp_path / "segforge.conf"
+        text = config_path.read_text(encoding="utf-8")
+        if source == "file":
+            text += "llm.max_in_flight = abc\n"
+        else:
+            monkeypatch.setenv(env_var_name("llm.max_in_flight"), "abc")
+        config.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, [
+            "changes", "--config", str(config), "--run-dir", str(run_dir),
+            "--cik", str(paperdata.AVY_CIK), "--from", "2001", "--to", "2024",
+            "--index", str(avy_index_dir)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "SchemaError",
+                                   "message": "llm.max_in_flight = 'abc' is not a valid int"}
+        assert list(run_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("content", ["{torn", "[]"])
+    def test_malformed_fixture_index_exits_1(self, capsys, run_dir, tmp_path, config_path,
+                                             content):
+        fixture = tmp_path / "edgar"
+        fixture.mkdir()
+        (fixture / "index.json").write_text(content, encoding="utf-8")
+        config = tmp_path / "segforge.conf"
+        config.write_text(config_path.read_text(encoding="utf-8")
+                          + f"edgar.fixture_dir = {fixture}\n", encoding="utf-8")
+        code, out, err = invoke(capsys, ["parse", "--config", str(config), "--run-dir",
+                                         str(run_dir), "--cik", "320193", "--year", "2024"])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert error["message"].startswith(f"{fixture / 'index.json'}: ")
+        assert list(run_dir.iterdir()) == []
+
+
 class TestAlign:
     def test_alignment_artifacts(self, capsys, base, run_dir, tmp_path):
         bundles = []
@@ -516,6 +576,84 @@ class TestEvalAndExport:
                                        str((run_dir / "out" / "s.csv").resolve())])
         assert code == 0
         assert "out/s.csv" in read_manifest(run_dir)
+
+
+class TestRefusedTargets:
+    """No artifact may replace the manifest or the panel at its default name,
+    or leave the run directory: the command exits 1 with the JSON error and
+    writes nothing."""
+
+    def refused(self, capsys, argv, run_dir) -> None:
+        before = snapshot(run_dir)
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "OutputPathError"
+        assert snapshot(run_dir) == before
+
+    @pytest.mark.parametrize("out", ["panel.jsonl", "manifest.json", "absolute_panel"])
+    def test_export_cannot_replace_panel_or_manifest(self, capsys, base, run_dir, out):
+        write_panel(run_dir, [filingfab.intc_bundle(2012)])
+        assert invoke(capsys, ["export", *base, "--out", "segments.csv"])[0] == 0
+        if out == "absolute_panel":
+            out = str((run_dir / "panel.jsonl").resolve())
+        self.refused(capsys, ["export", *base, "--out", out], run_dir)
+        assert invoke(capsys, ["export", *base, "--out", "again.csv"])[0] == 0
+        assert set(read_manifest(run_dir)) == {"segments.csv", "again.csv"}
+
+    @pytest.mark.parametrize("group_id", ["x/../../escaped", "x/../manifest.json",
+                                          "x/../panel.jsonl"])
+    def test_eval_group_id_cannot_leave_or_replace(self, capsys, base, run_dir, tmp_path,
+                                                   group_id):
+        write_panel(run_dir, [filingfab.intc_bundle(2012)])
+        gold = write_gold(tmp_path / "gold.json", "unit")
+        assert invoke(capsys, ["eval", *base, "--gold", str(gold)])[0] == 0
+        (run_dir / "eval_x").mkdir()
+        write_gold(gold, group_id)
+        self.refused(capsys, ["eval", *base, "--gold", str(gold)], run_dir)
+        assert not (tmp_path / "escaped.json").exists()
+
+
+class TestAtomicArtifacts:
+    """A command whose file replace fails exits 1 with the JSON error; every
+    earlier artifact keeps its bytes, and no temporary file is left."""
+
+    def args(self, command: str, tmp_path, avy_index_dir) -> list[str]:
+        if command == "gaps":
+            roster = [(paperdata.INTC_CIK, 2012), (paperdata.INTC_CIK, 2015)]
+            return ["--roster", str(filingfab.write_roster(tmp_path / "roster.csv", roster))]
+        if command == "align":
+            scheme = filingfab.write_asia_scheme(tmp_path / "asia.json")
+            return ["--firm-a", str(paperdata.INTC_CIK), "--firm-b", str(paperdata.TXN_CIK),
+                    "--region", str(scheme), "--from", "2012", "--to", "2013"]
+        if command == "eval":
+            return ["--gold", str(write_gold(tmp_path / "gold.json", "unit"))]
+        return {
+            "parse": ["--cik", str(paperdata.AVY_CIK), "--year", "2022"],
+            "extract": ["--cik", str(paperdata.APPLE_CIK), "--year", "2024"],
+            "changes": ["--cik", str(paperdata.AVY_CIK), "--from", "2001", "--to", "2024",
+                        "--index", str(avy_index_dir)],
+            "export": ["--out", "segments.csv"],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["parse", "extract", "gaps", "changes", "align",
+                                         "eval", "export"])
+    def test_failed_replace_keeps_earlier_artifacts(self, capsys, base, run_dir, tmp_path,
+                                                    monkeypatch, avy_bundles, avy_index_dir,
+                                                    command):
+        write_panel(run_dir, [filingfab.intc_bundle(2012), filingfab.txn_bundle(2012),
+                              filingfab.intc_bundle(2013), filingfab.txn_bundle(2013),
+                              *(avy_bundles[y] for y in sorted(avy_bundles))])
+        argv = [command, *base, *self.args(command, tmp_path, avy_index_dir)]
+        assert invoke(capsys, argv)[0] == 0
+        for rel in read_manifest(run_dir):  # earlier artifacts, unlike what the rerun writes
+            (run_dir / rel).write_bytes(b"earlier\n")
+        before = snapshot(run_dir)
+        monkeypatch.setattr(os, "replace", fail_replace)
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err.splitlines()[-1]) == {"error": "OSError", "message": "disk full"}
+        assert snapshot(run_dir) == before
+        assert not list(run_dir.rglob("*.tmp"))
 
 
 class TestManifest:

@@ -74,6 +74,17 @@ def test_env_var_name():
     assert env_var_name("edgar.cache_dir") == "SEGFORGE_EDGAR_CACHE_DIR"
 
 
+@pytest.mark.parametrize("key,value,getter", [
+    ("llm.max_in_flight", "abc", "get_int"),
+    ("llm.max_in_flight", "2.5", "get_int"),
+    ("edgar.rate_limit_rps", "fast", "get_float"),
+])
+def test_non_numeric_value_raises_schema_error(key, value, getter):
+    config = Config({key: value}, use_env=False)
+    with pytest.raises(SchemaError, match=re.escape(f"{key} = {value!r} is not a valid")):
+        getattr(config, getter)(key)
+
+
 def test_get_missing_key_raises():
     config = Config(use_env=False)
     with pytest.raises(KeyError):

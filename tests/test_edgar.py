@@ -1,6 +1,8 @@
 """Unit tests for EDGAR resolution, rate limiting, caching, and retries."""
 
 import json
+import os
+import re
 
 import pytest
 
@@ -18,6 +20,7 @@ from segforge.errors import (
     CacheWriteError,
     NetworkError,
     NotFoundError,
+    SchemaError,
 )
 
 
@@ -276,6 +279,37 @@ class TestFetch:
         expected = tmp_path / str(paperdata.APPLE_CIK) / APPLE_ACCESSION / APPLE_DOC
         assert doc.path == expected
         assert (expected.parent / "meta.json").exists()
+
+
+    @pytest.mark.parametrize("failing", [1, 2], ids=["document", "meta"])
+    def test_failed_replace_raises_and_leaves_no_temp_file(self, edgar_fixture, tmp_path,
+                                                            monkeypatch, failing):
+        root, _ = edgar_fixture
+        client = EdgarClient(FixtureTransport(root), cache_dir=tmp_path,
+                             rate_limit_rps=10_000)
+        ref = client.resolve_filing(paperdata.APPLE_CIK, 2024)
+        real_replace, calls = os.replace, []
+
+        def replace(src, dst):
+            calls.append(dst)
+            if len(calls) == failing:
+                raise OSError("disk full")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(CacheWriteError, match="disk full"):
+            client.fetch(ref)
+        assert not list(tmp_path.rglob("*.tmp"))
+        monkeypatch.undo()
+        assert client.fetch(ref).read_bytes()  # a half-filled entry is a miss, refetched
+
+
+class TestFixtureTransport:
+    @pytest.mark.parametrize("content", ["{torn", "[]"])
+    def test_malformed_index_raises_schema_error(self, tmp_path, content):
+        (tmp_path / "index.json").write_text(content, encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{tmp_path / 'index.json'}: ")):
+            FixtureTransport(tmp_path)
 
 
 # -- retries ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for monetary parsing, rendering, and comparison."""
+"""Unit tests for monetary parsing, rendering, and comparison, and the file writer."""
 
 from decimal import Decimal
 
@@ -15,6 +15,7 @@ from segforge.values import (
     parse_table_cell,
     percent_of,
     render_amount,
+    write_atomic,
 )
 
 
@@ -126,3 +127,18 @@ def test_collapse_ws():
 def test_money_units_multiplier():
     assert Money(Decimal("2"), Scale.THOUSANDS).units == Decimal("2000")
     assert Money(Decimal("2"), Scale.BILLIONS).units == Decimal("2000000000")
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("data,expected", [
+        ("a\r\nb\n", b"a\r\nb\n"),  # no newline translation
+        ("Zürich\n", "Zürich\n".encode("utf-8")),
+        (b"\x00\r\n\xff", b"\x00\r\n\xff"),
+        ("", b""),
+    ], ids=["crlf_text", "utf8_text", "bytes", "empty"])
+    def test_writes_exact_bytes(self, tmp_path, data, expected):
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        write_atomic(path, data)
+        assert path.read_bytes() == expected
+        assert list(tmp_path.iterdir()) == [path]
