@@ -10,7 +10,6 @@ the network unless --allow-network (or --backend live) is given.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -26,7 +25,7 @@ from .comparability import (
     render_change_csv,
     render_change_text,
 )
-from .config import DEFAULTS, Config
+from .config import Config
 from .edgar import EdgarClient
 from .errors import OutputPathError, SchemaError, SegforgeError
 from .evaluation import GoldLabelSet, render_table2, report_to_json, score
@@ -127,13 +126,18 @@ def _run_dir(args) -> Path:
     return path
 
 
-def _artifact_path(run_dir: Path, path: str) -> Path:
+def _panel_path(config: Config, run_dir: Path) -> Path:
+    panel = Path(config.get("store.panel_path"))
+    return panel if panel.is_absolute() else run_dir / panel
+
+
+def _artifact_path(config: Config, run_dir: Path, path: str) -> Path:
     """``path`` taken from the run directory; a path that leaves it (also through
-    ``..``) or names the manifest or the panel is refused."""
+    ``..``) or names the manifest or the configured panel is refused."""
     root, target = run_dir.resolve(), (run_dir / path).resolve()
     if ".." in Path(path).parts or not target.is_relative_to(root):
         raise OutputPathError(f"{path} is outside the run directory {run_dir}")
-    if target.parent == root and target.name in ("manifest.json", DEFAULTS["store.panel_path"]):
+    if target in (root / "manifest.json", _panel_path(config, run_dir).resolve()):
         raise OutputPathError(f"{path} would replace the run directory's {target.name}")
     return run_dir / target.relative_to(root)
 
@@ -142,9 +146,9 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(run_dir: Path, name: str, text: str) -> Path:
+def _write(config: Config, run_dir: Path, name: str, text: str) -> Path:
     """Replace the artifact ``name`` in the run directory whole."""
-    path = _artifact_path(run_dir, name)
+    path = _artifact_path(config, run_dir, name)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(path, text)
     return path
@@ -166,9 +170,15 @@ def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
     manifest_path = run_dir / "manifest.json"
     entries: dict[str, str] = {}
     if manifest_path.exists():
-        for item in json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]:
-            if (run_dir / item["path"]).exists():
-                entries[item["path"]] = item["sha256"]
+        try:
+            for item in json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]:
+                if not isinstance(item["path"], str) or not isinstance(item["sha256"], str):
+                    raise TypeError(f"{item}: path and sha256 must be strings")
+                if (run_dir / item["path"]).exists():
+                    entries[item["path"]] = item["sha256"]
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+            raise SchemaError(f"{manifest_path}: not an artifacts list of "
+                              f"{{path, sha256}}: {exc!r}") from exc
     for path in new_paths:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries[path.relative_to(run_dir).as_posix()] = digest
@@ -177,10 +187,7 @@ def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
 
 
 def _store(config: Config, run_dir: Path) -> SegmentStore:
-    panel = Path(config.get("store.panel_path"))
-    if not panel.is_absolute():
-        panel = run_dir / panel
-    return SegmentStore(panel)
+    return SegmentStore(_panel_path(config, run_dir))
 
 
 def _fetch_document(args, config: Config):
@@ -214,7 +221,7 @@ def cmd_parse(args) -> int:
     run_dir = _run_dir(args)
     doc = _fetch_document(args, config)
     parsed = parse(doc)
-    out = _write(run_dir, f"parsed/{args.cik}_{args.year}.json", dump_json(parsed))
+    out = _write(config, run_dir, f"parsed/{args.cik}_{args.year}.json", dump_json(parsed))
     return _publish(run_dir, [out], _json({
         "items": list(parsed.items),
         "tables": len(parsed.tables),
@@ -273,7 +280,7 @@ def cmd_gaps(args) -> int:
     roster = FundamentalsRoster.from_csv(args.roster)
     report = store.gap_report(roster)
     payload = _json(gap_report_to_json(report))
-    return _publish(run_dir, [_write(run_dir, "gaps.json", payload)], payload)
+    return _publish(run_dir, [_write(config, run_dir, "gaps.json", payload)], payload)
 
 
 def cmd_changes(args) -> int:
@@ -295,8 +302,8 @@ def cmd_changes(args) -> int:
     for warning in warnings:
         print(warning, file=sys.stderr)
     text = render_change_text(rows)
-    written += [_write(run_dir, f"changes_{args.cik}.csv", render_change_csv(rows)),
-                _write(run_dir, f"changes_{args.cik}.txt", text)]
+    written += [_write(config, run_dir, f"changes_{args.cik}.csv", render_change_csv(rows)),
+                _write(config, run_dir, f"changes_{args.cik}.txt", text)]
     return _publish(run_dir, written, text)
 
 
@@ -313,8 +320,9 @@ def cmd_align(args) -> int:
              scheme.region_name)
     name = f"alignment_{args.firm_a}_{args.firm_b}"
     text = render_alignment_text(*table)
-    return _publish(run_dir, [_write(run_dir, f"{name}.csv", render_alignment_csv(*table)),
-                              _write(run_dir, f"{name}.txt", text)], text)
+    return _publish(run_dir, [_write(config, run_dir, f"{name}.csv",
+                                     render_alignment_csv(*table)),
+                              _write(config, run_dir, f"{name}.txt", text)], text)
 
 
 def cmd_eval(args) -> int:
@@ -329,17 +337,15 @@ def cmd_eval(args) -> int:
         store = _store(config, run_dir)
         bundles = [store.get(cik, year) for cik, year in store.keys()]
     report = score(gold, bundles)
-    out = _write(run_dir, f"eval_{report.group_id}.json", _json(report_to_json(report)))
+    out = _write(config, run_dir, f"eval_{report.group_id}.json", _json(report_to_json(report)))
     return _publish(run_dir, [out], render_table2([report]))
 
 
 def cmd_export(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(args)
-    out = _artifact_path(run_dir, args.out)
-    store = _store(config, run_dir)
-    with store.export_csv(out).open(newline="", encoding="utf-8") as fh:
-        rows = sum(1 for _ in csv.reader(fh)) - 1  # data rows, not the header
+    out = _artifact_path(config, run_dir, args.out)
+    rows = _store(config, run_dir).export_csv(out)
     return _publish(run_dir, [out], _json({"rows": rows, "path": str(out)}))
 
 

@@ -70,11 +70,13 @@ class SegmentStore:
     row as ``put`` writes it. A winning row is parsed when its key is
     first read: its shape is checked (its key matches its bundle's,
     ``reportable`` is a list, ``classification.kind`` a string), and
-    ``get``, ``query_segments``, ``segment_names_by_year`` and
-    ``export_csv`` then decode and validate its bundle. ``gap_report``
-    checks the shape of the roster's rows and decodes nothing. A bad row
-    raises SchemaError naming ``path:line`` when it is read, so it fails
-    no query of another firm. Superseded revisions are never parsed.
+    ``get``, ``query_segments`` and ``segment_names_by_year`` then decode,
+    validate and keep its bundle. ``export_csv`` streams: it decodes each
+    row the same way, writes its CSV rows and drops it, so it keeps no
+    decoded bundle. ``gap_report`` checks the shape of the roster's rows
+    and decodes nothing. A bad row raises SchemaError naming ``path:line``
+    when it is read, so it fails no query of another firm. Superseded
+    revisions are never parsed.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -113,18 +115,20 @@ class SegmentStore:
             raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
         return data
 
+    def _decode(self, key: PanelKey, line_no: int, line: bytes) -> ExtractionBundle:
+        """The bundle of the scanned row for key: shape-checked, decoded and validated."""
+        data = self._row_bundle(key, line_no, line)
+        try:
+            return bundle_from_json(data)
+        except SchemaError as exc:
+            raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
+
     def _bundle(self, key: PanelKey) -> ExtractionBundle | None:
-        """The bundle stored under key, checked, decoded and validated on first read."""
+        """The bundle stored under key, decoded on first read and kept."""
         with self._lock:
             entry = self._bundles.get(key)
             if isinstance(entry, tuple):
-                line_no, line = entry
-                data = self._row_bundle(key, line_no, line)
-                try:
-                    entry = bundle_from_json(data)
-                except SchemaError as exc:
-                    raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
-                self._bundles[key] = entry
+                entry = self._bundles[key] = self._decode(key, *entry)
             return entry
 
     def put(self, bundle: ExtractionBundle) -> PanelKey:
@@ -180,27 +184,33 @@ class SegmentStore:
         ordered = {year: missing[year] for year in sorted(missing)}
         return GapReport(missing=ordered, total_missing=sum(len(v) for v in ordered.values()))
 
-    def export_csv(self, path: str | Path) -> Path:
-        """One row per (record, measure); measure columns empty when absent."""
-        bundles = [self._bundle(key) for key in sorted(self._bundles)]
+    def export_csv(self, path: str | Path) -> int:
+        """One row per (record, measure), measure columns empty when absent.
+
+        One pass in key order: a bundle not yet decoded is decoded, written
+        and dropped. The file is written only after every row is decoded, so
+        a bad row leaves no file. Returns the number of data rows.
+        """
+        with self._lock:
+            entries = sorted(self._bundles.items())
         buffer = io.StringIO(newline="")
         writer = csv.writer(buffer)
         writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
                          "measure_kind", "value", "scale"])
-        for bundle in bundles:
+        rows = 0
+        for key, entry in entries:
+            bundle = self._decode(key, *entry) if isinstance(entry, tuple) else entry
             for record in [*bundle.reportable, *bundle.nested]:
                 base = [bundle.cik, bundle.fiscal_year, record.name, record.axis,
                         record.parent_name or ""]
-                if not record.measures:
-                    writer.writerow(base + ["", "", ""])
-                    continue
-                for kind in sorted(record.measures):
-                    money = record.measures[kind]
-                    writer.writerow(base + [kind, str(money.value), money.scale.value])
+                measures = [[kind, str(money.value), money.scale.value]
+                            for kind, money in sorted(record.measures.items())]
+                writer.writerows(base + measure for measure in measures or [["", "", ""]])
+                rows += len(measures) or 1
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, buffer.getvalue())
-        return path
+        return rows
 
 
 def _covered(entry: ExtractionBundle | dict | None) -> bool:

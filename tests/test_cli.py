@@ -579,9 +579,9 @@ class TestEvalAndExport:
 
 
 class TestRefusedTargets:
-    """No artifact may replace the manifest or the panel at its default name,
-    or leave the run directory: the command exits 1 with the JSON error and
-    writes nothing."""
+    """No artifact may replace the manifest or the configured panel, or leave
+    the run directory: the command exits 1 with the JSON error and writes
+    nothing."""
 
     def refused(self, capsys, argv, run_dir) -> None:
         before = snapshot(run_dir)
@@ -611,6 +611,32 @@ class TestRefusedTargets:
         write_gold(gold, group_id)
         self.refused(capsys, ["eval", *base, "--gold", str(gold)], run_dir)
         assert not (tmp_path / "escaped.json").exists()
+
+
+    def panel_at(self, config_path, tmp_path, run_dir, name: str) -> list[str]:
+        """Common options for a config whose panel is ``name`` in the run directory,
+        with the INTC 2012 bundle stored there."""
+        config = tmp_path / "panel.conf"
+        config.write_text(config_path.read_text(encoding="utf-8")
+                          + f"store.panel_path = {name}\n", encoding="utf-8")
+        run_dir.mkdir(parents=True)
+        SegmentStore(run_dir / name).put(filingfab.intc_bundle(2012))
+        return ["--config", str(config), "--run-dir", str(run_dir)]
+
+    def test_export_cannot_replace_configured_panel(self, capsys, config_path, tmp_path,
+                                                    run_dir):
+        base = self.panel_at(config_path, tmp_path, run_dir, "p.jsonl")
+        self.refused(capsys, ["export", *base, "--out", "p.jsonl"], run_dir)
+        panel = (run_dir / "p.jsonl").read_bytes()
+        # panel.jsonl is not the panel under this config, so it may be written.
+        assert invoke(capsys, ["export", *base, "--out", "panel.jsonl"])[0] == 0
+        assert (run_dir / "p.jsonl").read_bytes() == panel
+
+    def test_gaps_cannot_replace_panel_named_gaps_json(self, capsys, config_path, tmp_path,
+                                                       run_dir):
+        base = self.panel_at(config_path, tmp_path, run_dir, "gaps.json")
+        roster = filingfab.write_roster(tmp_path / "roster.csv", [(paperdata.INTC_CIK, 2012)])
+        self.refused(capsys, ["gaps", *base, "--roster", str(roster)], run_dir)
 
 
 class TestAtomicArtifacts:
@@ -674,6 +700,18 @@ class TestManifest:
             cli._update_manifest(run_dir, [run_dir / "b.csv"])
         assert (run_dir / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in run_dir.iterdir()) == sorted(files + ["b.csv"])
+
+
+    @pytest.mark.parametrize("content", ["{", "{}"], ids=["not_json", "no_artifacts"])
+    def test_bad_manifest_exits_1(self, capsys, base, run_dir, content):
+        write_panel(run_dir, [filingfab.intc_bundle(2012)])
+        (run_dir / "manifest.json").write_text(content, encoding="utf-8")
+        code, out, err = invoke(capsys, ["export", *base, "--out", "a.csv"])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert "manifest.json" in error["message"]
+        assert (run_dir / "manifest.json").read_text(encoding="utf-8") == content
 
 
 class TestUsageErrors:
