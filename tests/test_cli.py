@@ -612,7 +612,6 @@ class TestRefusedTargets:
         self.refused(capsys, ["eval", *base, "--gold", str(gold)], run_dir)
         assert not (tmp_path / "escaped.json").exists()
 
-
     def panel_at(self, config_path, tmp_path, run_dir, name: str) -> list[str]:
         """Common options for a config whose panel is ``name`` in the run directory,
         with the INTC 2012 bundle stored there."""
@@ -700,7 +699,6 @@ class TestManifest:
             cli._update_manifest(run_dir, [run_dir / "b.csv"])
         assert (run_dir / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in run_dir.iterdir()) == sorted(files + ["b.csv"])
-
 
     @pytest.mark.parametrize("content", ["{", "{}"], ids=["not_json", "no_artifacts"])
     def test_bad_manifest_exits_1(self, capsys, base, run_dir, content):
