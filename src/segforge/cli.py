@@ -10,6 +10,7 @@ the network unless --allow-network (or --backend live) is given.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -121,8 +122,11 @@ def _load_config(args) -> Config:
 
 
 def _run_dir(args) -> Path:
+    """The run directory, made if missing. Its manifest is read first, so a
+    command refuses a bad one before it writes anything."""
     path = Path(args.run_dir)
     path.mkdir(parents=True, exist_ok=True)
+    _read_manifest(path)
     return path
 
 
@@ -161,29 +165,40 @@ def _publish(run_dir: Path, paths: list[Path], report: str) -> int:
     return 0
 
 
+def _read_manifest(run_dir: Path) -> dict[str, str]:
+    """manifest.json's {path: sha256} entries, none when there is no manifest.
+
+    A manifest that is not JSON or not an ``artifacts`` list of
+    ``{path, sha256}`` raises SchemaError naming the file.
+    """
+    manifest_path = run_dir / "manifest.json"
+    if not manifest_path.exists():
+        return {}
+    entries: dict[str, str] = {}
+    try:
+        for item in json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]:
+            if not isinstance(item["path"], str) or not isinstance(item["sha256"], str):
+                raise TypeError(f"{item}: path and sha256 must be strings")
+            entries[item["path"]] = item["sha256"]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
+        raise SchemaError(f"{manifest_path}: not an artifacts list of "
+                          f"{{path, sha256}}: {exc!r}") from exc
+    return entries
+
+
 def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
     """Add new_paths' digests to manifest.json, replacing the file atomically.
 
     Entries for artifacts no longer in the run directory, such as the chunk
     files of filings a new index leaves out, are dropped.
     """
-    manifest_path = run_dir / "manifest.json"
-    entries: dict[str, str] = {}
-    if manifest_path.exists():
-        try:
-            for item in json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]:
-                if not isinstance(item["path"], str) or not isinstance(item["sha256"], str):
-                    raise TypeError(f"{item}: path and sha256 must be strings")
-                if (run_dir / item["path"]).exists():
-                    entries[item["path"]] = item["sha256"]
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
-            raise SchemaError(f"{manifest_path}: not an artifacts list of "
-                              f"{{path, sha256}}: {exc!r}") from exc
+    entries = {rel: digest for rel, digest in _read_manifest(run_dir).items()
+               if (run_dir / rel).exists()}
     for path in new_paths:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         entries[path.relative_to(run_dir).as_posix()] = digest
     artifacts = [{"path": rel, "sha256": entries[rel]} for rel in sorted(entries)]
-    write_atomic(manifest_path, _json({"artifacts": artifacts}))
+    write_atomic(run_dir / "manifest.json", _json({"artifacts": artifacts}))
 
 
 def _store(config: Config, run_dir: Path) -> SegmentStore:
@@ -345,7 +360,8 @@ def cmd_export(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(args)
     out = _artifact_path(config, run_dir, args.out)
-    rows = _store(config, run_dir).export_csv(out)
+    with _store(config, run_dir).export_csv(out).open(newline="", encoding="utf-8") as fh:
+        rows = sum(1 for _ in csv.reader(fh)) - 1  # data rows, not the header
     return _publish(run_dir, [out], _json({"rows": rows, "path": str(out)}))
 
 

@@ -184,12 +184,12 @@ class SegmentStore:
         ordered = {year: missing[year] for year in sorted(missing)}
         return GapReport(missing=ordered, total_missing=sum(len(v) for v in ordered.values()))
 
-    def export_csv(self, path: str | Path) -> int:
+    def export_csv(self, path: str | Path) -> Path:
         """One row per (record, measure), measure columns empty when absent.
 
         One pass in key order: a bundle not yet decoded is decoded, written
         and dropped. The file is written only after every row is decoded, so
-        a bad row leaves no file. Returns the number of data rows.
+        a bad row leaves no file.
         """
         with self._lock:
             entries = sorted(self._bundles.items())
@@ -197,7 +197,6 @@ class SegmentStore:
         writer = csv.writer(buffer)
         writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
                          "measure_kind", "value", "scale"])
-        rows = 0
         for key, entry in entries:
             bundle = self._decode(key, *entry) if isinstance(entry, tuple) else entry
             for record in [*bundle.reportable, *bundle.nested]:
@@ -206,11 +205,10 @@ class SegmentStore:
                 measures = [[kind, str(money.value), money.scale.value]
                             for kind, money in sorted(record.measures.items())]
                 writer.writerows(base + measure for measure in measures or [["", "", ""]])
-                rows += len(measures) or 1
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, buffer.getvalue())
-        return rows
+        return path
 
 
 def _covered(entry: ExtractionBundle | dict | None) -> bool:

@@ -7,6 +7,7 @@ into the working tree.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -559,6 +560,21 @@ class TestEvalAndExport:
         assert header == "cik,fiscal_year,name,axis,parent_name,measure_kind,value,scale"
         assert "Singapore" in text
 
+    def test_export_rows_are_records_not_lines(self, capsys, base, run_dir):
+        """The reported rows are csv.reader's data records, also when a name
+        holds a comma, a quote and a line break."""
+        name = 'Asia, "Pacific"\nand Japan'
+        write_panel(run_dir, [filingfab.geo_bundle(9, 2020, "Firm", "F",
+                                                   [(name, 5), ("Europe", 7)], 12)])
+        code, out, _ = invoke(capsys, ["export", *base, "--out", "segments.csv"])
+        assert code == 0
+        with open(run_dir / "segments.csv", newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))[1:]
+        assert [r[2] for r in records] == [name, "Europe"]
+        assert json.loads(out)["rows"] == len(records) == 2
+        lines = (run_dir / "segments.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) - 1 == 3
+
     @pytest.mark.parametrize("out", ["outside", "../escape.csv"])
     def test_export_outside_run_dir_exits_1(self, capsys, base, run_dir, tmp_path, out):
         write_panel(run_dir, [filingfab.intc_bundle(2012)])
@@ -710,6 +726,7 @@ class TestManifest:
         assert error["error"] == "SchemaError"
         assert "manifest.json" in error["message"]
         assert (run_dir / "manifest.json").read_text(encoding="utf-8") == content
+        assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", "panel.jsonl"]
 
 
 class TestUsageErrors:
