@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from .comparability import (
@@ -28,14 +29,14 @@ from .comparability import (
 )
 from .config import Config
 from .edgar import EdgarClient
-from .errors import OutputPathError, SchemaError, SegforgeError
+from .errors import OutputPathError, SegforgeError
 from .evaluation import GoldLabelSet, render_table2, report_to_json, score
-from .extraction import ExtractionPipeline, dump_bundle, load_bundle
+from .extraction import ExtractionPipeline, bundle_filename, dump_bundle, load_bundle
 from .gateway import Gateway
-from .parsing import dump_json, load_json, parse
+from .parsing import ParsedFiling, dump_json, parse
 from .retrieval import build_index, load_index, save_index
 from .store import FundamentalsRoster, SegmentStore, gap_report_to_json
-from .values import write_atomic
+from .values import read, write_atomic
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -137,12 +138,14 @@ def _panel_path(config: Config, run_dir: Path) -> Path:
 
 def _artifact_path(config: Config, run_dir: Path, path: str) -> Path:
     """``path`` taken from the run directory; a path that leaves it (also through
-    ``..``) or names the manifest or the configured panel is refused."""
+    ``..``), names the manifest, or names the configured panel or a directory
+    holding it is refused."""
     root, target = run_dir.resolve(), (run_dir / path).resolve()
     if ".." in Path(path).parts or not target.is_relative_to(root):
         raise OutputPathError(f"{path} is outside the run directory {run_dir}")
-    if target in (root / "manifest.json", _panel_path(config, run_dir).resolve()):
-        raise OutputPathError(f"{path} would replace the run directory's {target.name}")
+    if target == root / "manifest.json" or \
+            _panel_path(config, run_dir).resolve().is_relative_to(target):
+        raise OutputPathError(f"{path} would replace the run directory's manifest or panel")
     return run_dir / target.relative_to(root)
 
 
@@ -165,25 +168,27 @@ def _publish(run_dir: Path, paths: list[Path], report: str) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class _Artifact:
+    path: str  # relative to the run directory
+    sha256: str
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    artifacts: list[_Artifact]
+
+
 def _read_manifest(run_dir: Path) -> dict[str, str]:
     """manifest.json's {path: sha256} entries, none when there is no manifest.
 
     A manifest that is not JSON or not an ``artifacts`` list of
     ``{path, sha256}`` raises SchemaError naming the file.
     """
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.exists():
+    path = run_dir / "manifest.json"
+    if not path.exists():
         return {}
-    entries: dict[str, str] = {}
-    try:
-        for item in json.loads(manifest_path.read_text(encoding="utf-8"))["artifacts"]:
-            if not isinstance(item["path"], str) or not isinstance(item["sha256"], str):
-                raise TypeError(f"{item}: path and sha256 must be strings")
-            entries[item["path"]] = item["sha256"]
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON too
-        raise SchemaError(f"{manifest_path}: not an artifacts list of "
-                          f"{{path, sha256}}: {exc!r}") from exc
-    return entries
+    return {item.path: item.sha256 for item in read(_Manifest, path).artifacts}
 
 
 def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
@@ -248,6 +253,8 @@ def cmd_parse(args) -> int:
 def cmd_extract(args) -> int:
     config = _load_config(args)
     run_dir = _run_dir(args)
+    _artifact_path(config, run_dir, bundle_filename(args.cik, args.year))  # refused up front
+    transcript = _artifact_path(config, run_dir, "transcript.jsonl")
     doc = _fetch_document(args, config)
     gateway = Gateway.from_config(config)
     pipeline = ExtractionPipeline.from_config(gateway, config)
@@ -255,7 +262,6 @@ def cmd_extract(args) -> int:
     out = dump_bundle(bundle, run_dir)
     store = _store(config, run_dir)
     store.put(bundle)
-    transcript = run_dir / "transcript.jsonl"
     gateway.dump_transcript(transcript)
     return _publish(run_dir, [out, transcript], _json({
         "bundle": str(out),
@@ -267,17 +273,12 @@ def cmd_extract(args) -> int:
 
 
 def cmd_index(args) -> int:
-    _load_config(args)  # only checked: the index reads no setting
+    config = _load_config(args)
     run_dir = _run_dir(args)
-    filings = []
+    index_dir = _artifact_path(config, run_dir, "index")
     # iterdir, not glob: a missing corpus directory raises instead of indexing nothing.
-    for path in sorted(p for p in Path(args.corpus).iterdir() if p.suffix == ".json"):
-        try:
-            filings.append(load_json(path.read_text(encoding="utf-8")))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
+    filings = [read(ParsedFiling, p) for p in sorted(Path(args.corpus).iterdir()) if p.suffix == ".json"]
     index = build_index(filings)
-    index_dir = run_dir / "index"
     save_index(index, index_dir)
     written = [index_dir / "index.meta.json", index_dir / "index.bin",
                *sorted(index_dir.glob("*.chunks.json"))]
@@ -304,21 +305,21 @@ def cmd_changes(args) -> int:
     store = _store(config, run_dir)
     panel = store.segment_names_by_year(args.cik, (args.year_from, args.year_to))
     warnings: list[str] = []
-    written = []
     if args.index_dir:
+        transcript = _artifact_path(config, run_dir, "transcript.jsonl")
         index = load_index(args.index_dir)
         gateway = Gateway.from_config(config)
         rows = explain_changes(args.cik, panel, index, gateway, warnings)
-        transcript = run_dir / "transcript.jsonl"
-        gateway.dump_transcript(transcript)
-        written = [transcript]
     else:
         rows = detect_changes(panel, warnings)
     for warning in warnings:
         print(warning, file=sys.stderr)
     text = render_change_text(rows)
-    written += [_write(config, run_dir, f"changes_{args.cik}.csv", render_change_csv(rows)),
-                _write(config, run_dir, f"changes_{args.cik}.txt", text)]
+    written = [_write(config, run_dir, f"changes_{args.cik}.csv", render_change_csv(rows)),
+               _write(config, run_dir, f"changes_{args.cik}.txt", text)]
+    if args.index_dir:
+        gateway.dump_transcript(transcript)
+        written.append(transcript)
     return _publish(run_dir, written, text)
 
 

@@ -31,7 +31,7 @@ from .templates import (
     region_membership_question,
 )
 from .values import (
-    Money, Scale, collapse_ws, parse_monetary, percent_of, render_amount, render_csv,
+    Money, Scale, collapse_ws, load, parse_monetary, percent_of, render_amount, render_csv,
     render_fixed_width,
 )
 
@@ -262,8 +262,8 @@ class RegionScheme:
     def from_json(cls, path: str | Path) -> "RegionScheme":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls.from_labels(data["region_name"], data["member_labels"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls.from_labels(load(str, data["region_name"]), load(list[str], data["member_labels"]))
+        except (KeyError, SchemaError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
     def contains(self, label: str) -> bool:

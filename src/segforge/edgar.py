@@ -25,7 +25,7 @@ from .errors import (
     NotFoundError,
     SchemaError,
 )
-from .values import encode, load, write_atomic
+from .values import encode, load, read, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -130,13 +130,7 @@ class FixtureTransport:
 
     def __init__(self, fixture_dir: str | Path):
         self.dir = Path(fixture_dir)
-        path = self.dir / "index.json"
-        try:
-            self._index = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-        if not isinstance(self._index, dict):
-            raise SchemaError(f"{path}: expected an object of cik -> submissions")
+        self._index = read(dict, self.dir / "index.json")
 
     def get_submissions(self, cik: int) -> dict:
         entry = self._index.get(str(cik))
@@ -328,7 +322,7 @@ class EdgarClient:
         if not (doc_path.exists() and meta_path.exists()):
             return None
         try:
-            cached = load(CachedDocument, {**json.loads(meta_path.read_text()), "path": doc_path})
+            cached = load(CachedDocument, {**json.loads(meta_path.read_text()), "path": str(doc_path)})
             data = doc_path.read_bytes()
         except (OSError, json.JSONDecodeError, TypeError, SchemaError):
             return None

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import CoverageError, SampleTooLargeError, SchemaError
 from .extraction import ExtractionBundle, MULTI_SEGMENT
-from .values import normalized_value_equal, render_amount, render_fixed_width
+from .values import load, normalized_value_equal, render_amount, render_fixed_width
 
 PanelKey = tuple[int, int]
 
@@ -62,15 +62,7 @@ class GoldLabelSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GoldLabelSet":
-        filings = [
-            GoldFiling(
-                cik=int(row["cik"]),
-                fiscal_year=int(row["fiscal_year"]),
-                is_multi_segment=bool(row["is_multi_segment"]),
-                has_nested=bool(row["has_nested"]),
-            )
-            for row in data.get("filings", [])
-        ]
+        filings = load(list[GoldFiling], data.get("filings", []))
         cells = []
         for row in data.get("cells", []):
             if not str(row.get("gold_value", "")).strip():

@@ -37,7 +37,7 @@ from .templates import (
     nested_measure_question,
     retry_question,
 )
-from .values import Money, encode, load, parse_monetary, write_atomic
+from .values import Money, encode, load, parse_monetary, read, write_atomic
 
 SINGLE_UNIT = "single_unit"
 MULTI_SEGMENT = "multi_segment"
@@ -527,9 +527,10 @@ def dump_bundle(bundle: ExtractionBundle, directory: str | Path) -> Path:
 
 
 def load_bundle(path: str | Path) -> ExtractionBundle:
-    """Read a bundle file; a malformed or invalid one raises SchemaError."""
+    """Read a bundle file; a malformed or invalid one raises SchemaError naming it."""
+    bundle = read(ExtractionBundle, path)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return bundle_from_json(data)
-    except (json.JSONDecodeError, SchemaError) as exc:
+        validate_bundle(bundle)
+    except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    return bundle

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .edgar import CachedDocument
 from .errors import BatchError, ProviderError, ScriptMissError, SchemaError, UploadError
-from .values import write_atomic
+from .values import load, write_atomic
 
 SCRIPTED = "scripted"
 LIVE = "live"
@@ -93,17 +93,13 @@ class ScriptStore:
         store = cls()
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise SchemaError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-                for key in ("file_hash", "question", "response"):
-                    if key not in record:
-                        raise SchemaError(f"{path}:{line_no}: missing field {key!r}")
-                store.add(record["file_hash"], record["question"], record["response"])
+                    entry = load(ScriptEntry, json.loads(line))
+                except (SchemaError, ValueError) as exc:  # ValueError: bad JSON
+                    raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+                store.add(entry.file_hash, entry.question, entry.response)
         return store
 
     def add(self, file_hash: str, question: str, response: str) -> None:

@@ -16,8 +16,8 @@ from decimal import Decimal
 from html.parser import HTMLParser
 
 from .edgar import CachedDocument, FilingRef
-from .errors import DecodeError, EmptyDocumentError, NoItemsFoundError, SchemaError
-from .values import Scale, encode, load, parse_table_cell
+from .errors import DecodeError, EmptyDocumentError, NoItemsFoundError
+from .values import Scale, encode, parse_table_cell
 
 # 10-K item catalog: item number -> (part, position). Positions order the
 # headings so boundary detection can require an ascending chain.
@@ -618,12 +618,3 @@ def _close_cluster(cluster: list[tuple[int, int, float]], section: Section) -> S
 def dump_json(parsed: ParsedFiling) -> str:
     """Parsed-filing JSON: the dataclass fields, ``items`` in document order."""
     return json.dumps(parsed, default=encode) + "\n"
-
-
-def load_json(text: str) -> ParsedFiling:
-    """Read ``dump_json`` output; a malformed filing raises SchemaError."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"bad parsed filing JSON: {exc}") from exc
-    return load(ParsedFiling, data)

@@ -19,14 +19,13 @@ import json
 import math
 import re
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
 from .parsing import FRONT_MATTER, ParsedFiling, locate_segment_regions
-from .values import encode, load, write_atomic
+from .values import encode, load, read, write_atomic
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -65,11 +64,6 @@ class Partition:
     fiscal_year: int
     chunk_count: int
 
-    def __post_init__(self):
-        for name in ("cik", "fiscal_year", "chunk_count"):
-            if type(getattr(self, name)) is not int:
-                raise TypeError(f"{name} is {getattr(self, name)!r}, not an int")
-
     @property
     def source(self) -> tuple[int, int]:
         return (self.cik, self.fiscal_year)
@@ -77,6 +71,11 @@ class Partition:
     @property
     def file_name(self) -> str:
         return f"{self.cik}_{self.fiscal_year}.chunks.json"
+
+
+@dataclass(frozen=True)
+class _Catalog:  # index.meta.json
+    filings: list[Partition]  # in build order
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ class ChunkIndex:
         index._by_id, index._by_filing = {}, {}  # ids as files are read; positions now
         for entry in catalog:
             if entry.source in index._unread:
-                raise SchemaError(f"cik {entry.cik}, fiscal year {entry.fiscal_year} "
-                                  f"is listed twice")
+                raise SchemaError(f"{directory / 'index.meta.json'}: cik {entry.cik}, "
+                                  f"fiscal year {entry.fiscal_year} is listed twice")
             start = len(index._chunks)
             index._chunks += [None] * entry.chunk_count
             index._by_filing[entry.source] = range(start, len(index._chunks))
@@ -411,28 +410,21 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
         catalog.append(entry)
     write_atomic(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
     write_atomic(directory / "index.meta.json",
-                 json.dumps({"filings": catalog}, default=encode) + "\n")
+                 json.dumps(_Catalog(catalog), default=encode) + "\n")
     listed = {entry.file_name for entry in catalog}
     for path in directory.glob("*.chunks.json"):
         if path.name not in listed:
             path.unlink()
 
 
-@contextmanager
-def _names(path: Path, *also: type[Exception]):
-    """Re-raise bad JSON, a bad record or an ``also`` error as a SchemaError naming ``path``."""
-    try:
-        yield
-    except (SchemaError, KeyError, TypeError, ValueError, *also) as exc:
-        raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
-
-
 def _read_chunk_file(path: Path, source: tuple[int, int], count: int) -> list[Chunk]:
-    with _names(path, OSError):
-        chunks = load(list[Chunk], json.loads(path.read_text(encoding="utf-8")))
-        if len(chunks) != count or any(chunk.source != source for chunk in chunks):
-            raise SchemaError(f"the catalog lists {count} chunks of cik {source[0]}, "
-                              f"fiscal year {source[1]}; the file does not hold them")
+    try:
+        chunks = read(list[Chunk], path)
+    except OSError as exc:
+        raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if len(chunks) != count or any(chunk.source != source for chunk in chunks):
+        raise SchemaError(f"{path}: the catalog lists {count} chunks of cik {source[0]}, "
+                          f"fiscal year {source[1]}; the file does not hold them")
     return chunks
 
 
@@ -452,16 +444,15 @@ def load_index(directory: str | Path) -> ChunkIndex:
     for a rebuild. Only ``doc_freq`` is read from index.bin.
     """
     directory = Path(directory)
-    meta, stats = directory / "index.meta.json", directory / "index.bin"
-    with _names(meta):
-        data = json.loads(meta.read_text(encoding="utf-8"))
-        if "chunks" in data:
-            raise SchemaError("an index in the old single-file layout; "
-                              "run `segforge index` again to rebuild it")
-        catalog = load(list[Partition], data["filings"])
-    with _names(stats):
-        doc_freq = json.loads(stats.read_text(encoding="utf-8"))["doc_freq"]
-        if not isinstance(doc_freq, dict):
-            raise TypeError(f"doc_freq is {type(doc_freq).__name__}, not an object")
-    with _names(meta):
-        return ChunkIndex._saved(directory, catalog, doc_freq)
+    meta = directory / "index.meta.json"
+    if "chunks" in read(dict, meta):
+        raise SchemaError(f"{meta}: an index in the old single-file layout; "
+                          "run `segforge index` again to rebuild it")
+    catalog = read(_Catalog, meta).filings
+    stats = directory / "index.bin"
+    doc_freq = read(dict, stats).get("doc_freq")  # it may also hold per-chunk term counts
+    try:
+        doc_freq = load(dict[str, int], doc_freq)
+    except SchemaError as exc:
+        raise SchemaError(f"{stats}: doc_freq: {exc}") from exc
+    return ChunkIndex._saved(directory, catalog, doc_freq)

@@ -5,14 +5,16 @@ parenthesized negatives, and scale words (thousand/million/billion).
 Values are kept as :class:`decimal.Decimal` so sums and round-trips are exact.
 
 Also the one JSON codec for every persisted record: ``encode`` writes a
-dataclass tree and ``load`` reads it back; ``write_atomic``, the one
-file writer, replaces a file whole.
+dataclass tree, ``load`` reads it back and checks the type of every
+value, and ``read`` loads a JSON file through it; ``write_atomic``, the
+one file writer, replaces a file whole.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import re
 from dataclasses import dataclass, fields, is_dataclass
@@ -230,21 +232,26 @@ def write_atomic(path: Path, data: str | bytes) -> None:
 
 
 def load(cls, data):
-    """Build a ``cls`` from decoded JSON written through ``encode``.
+    """Build a ``cls`` from JSON that ``encode`` wrote: a dataclass, Decimal, Path,
+    Enum, bool, int, str or dict, or a list, dict, tuple or optional of one.
 
-    ``cls`` is a dataclass, or a list, dict, tuple or optional of one. A
-    dataclass needs every one of its fields as a key and no other key. A
-    field whose type is a dataclass, Decimal, Enum or tuple, or a container
-    of these, is converted; any other value is used as it is, so the result
-    shares plain lists and dicts with ``data``. The dataclasses' own checks
-    run. Any failure raises SchemaError.
+    Every value is checked: an int is exactly an int, not a bool; a Decimal or
+    Path is built from a string, a tuple from a list of its length; a dataclass
+    needs its fields as keys and no other key, and its own checks run. Plain
+    lists and dicts are checked in place. Any failure raises SchemaError.
     """
     try:
-        convert = _converter(cls)
-        return data if convert is None else convert(data)
+        return _converter(cls)(data)
     except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        name = getattr(cls, "__name__", cls)
-        raise SchemaError(f"bad {name}: {type(exc).__name__}: {exc}") from exc
+        raise SchemaError(f"bad {_name(cls)}: {type(exc).__name__}: {exc}") from exc
+
+
+def read(cls, path: str | Path):
+    """``load(cls, ...)`` of a JSON file; a bad one raises SchemaError naming ``path``."""
+    try:  # an OSError passes through
+        return load(cls, json.loads(Path(path).read_text(encoding="utf-8")))
+    except (SchemaError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 @cache
@@ -253,56 +260,82 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-@cache
-def _converter(hint):
-    """A function turning JSON into ``hint``, or None when the JSON value is already it.
+def _name(hint) -> str:
+    """``hint`` as an annotation writes it: ``int``, ``list[Chunk]``."""
+    return hint.__name__ if get_origin(hint) is None else re.sub(r"\w+\.", "", str(hint))
 
-    Compiled once per type, so a load resolves no type hints.
-    """
+
+_PLAIN = (bool, int, str, dict)  # JSON values used as they are
+
+
+def _source(hint, v: str, env: dict) -> tuple[str | None, str]:
+    """Source of a test of the JSON value named ``v`` (None when a converter
+    tests it) and of the ``hint`` built from it; what they call goes into ``env``."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin is None:  # a plain class; Python 3.10 also calls ``list[int]`` a type
-        if hint is Decimal or isinstance(hint, type) and issubclass(hint, Enum):
-            return hint
-        return _dataclass_converter(hint) if is_dataclass(hint) else None
+    if hint in _PLAIN:
+        return f"type({v}) is {hint.__name__}", v
+    if hint in (Decimal, Path):
+        env[hint.__name__] = hint
+        return f"type({v}) is str", f"{hint.__name__}({v})"
     if origin in (Union, UnionType):
         [inner] = [arg for arg in args if arg is not NoneType]
-        convert = _converter(inner)
-        return None if convert is None else lambda v: None if v is None else convert(v)
-    if origin is tuple:  # of one element type, like ``tuple[int, int]``
-        convert = _converter(args[0])
-        return tuple if convert is None else lambda v: tuple(map(convert, v))
-    if origin is list:
-        convert = _converter(args[0])
-        return None if convert is None else lambda v: list(map(convert, v))
-    if origin is dict:
-        convert = _converter(args[1])
-        return None if convert is None else lambda v: dict(zip(v, map(convert, v.values())))
+        check, value = _source(inner, v, env)
+        return check and f"({v} is None or {check})", f"None if {v} is None else {value}"
+    if origin in (list, tuple, dict):  # a tuple has one item type, like ``tuple[int, int]``
+        item, items = (args[1], f"{v}.values()") if origin is dict else (args[0], v)
+        test = f"type({v}) is {'dict' if origin is dict else 'list'}"
+        test += f" and len({v}) == {len(args)}" if origin is tuple else ""
+        check, value = _source(item, f"{v}_", env)
+        if check is None or value != f"{v}_":  # items built by a converter that tests them
+            env[name := f"convert{len(env)}"] = _converter(item)
+            built = f"map({name}, {items})"
+            return test, f"dict(zip({v}, {built}))" if origin is dict else f"{origin.__name__}({built})"
+        test += f" and set(map(type, {items})) <= {{{item.__name__}}}" if item in _PLAIN else \
+            f" and all({check} for {v}_ in {items})"
+        return test, f"tuple({v})" if origin is tuple else v
+    if origin is None and (is_dataclass(hint) or issubclass(hint, Enum)):
+        env[name := f"convert{len(env)}"] = _converter(hint) if is_dataclass(hint) else hint
+        return None, f"{name}({v})"
     raise TypeError(f"cannot load {hint}")
 
 
-def _dataclass_converter(cls):
-    """Compile ``cls(name=data["name"], ...)``, converting the fields whose type needs it.
+@cache
+def _converter(hint):
+    """One function, compiled once per type, turning JSON into ``hint``.
 
-    With the key count equal to the field count, a missing key means an
-    unexpected one, so the generated lookups reject both.
+    For a dataclass it is ``cls(name=data["name"], ...)``; with the key count
+    equal to the field count, the lookups reject a missing or unexpected key.
     """
-    hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls) if f.init]
-    env = {"cls": cls, "wrong_keys": partial(_wrong_keys, cls, frozenset(names))}
-    args = []
-    for name in names:
-        value = f"data[{name!r}]"
-        if (convert := _converter(hints[name])) is not None:
-            env[f"convert_{name}"] = convert
-            value = f"convert_{name}({value})"
-        args.append(f"{name}={value}")
-    exec(f"def convert(data):\n"
-         f"    if len(data) != {len(names)}:\n"
-         f"        wrong_keys(data)\n"
-         f"    return cls({', '.join(args)})\n", env)
+    if hint in _PLAIN:  # one test: nothing to compile
+        return partial(_exactly, hint)
+    record = get_origin(hint) is None and is_dataclass(hint)
+    env, lines, parts = {"cls": hint}, [], [("value", hint, "data", "")]
+    if record:
+        hints, names = get_type_hints(hint), [f.name for f in fields(hint) if f.init]
+        env["wrong_keys"] = partial(_wrong_keys, hint, frozenset(names))
+        lines.append(f"if type(data) is not dict or len(data) != {len(names)}: wrong_keys(data)")
+        parts = [(f"{hint.__name__}.{name}", hints[name], f"data[{name!r}]", f"{name}=")
+                 for name in names]
+    values = []
+    for i, (where, part, source, keyword) in enumerate(parts):
+        check, value = _source(part, f"v{i}", env)
+        lines.append(f"v{i} = {source}")
+        if check:
+            lines.append(f"if not ({check}): "
+                         f"raise TypeError(f'{where} is {{v{i}!r:.80}}, not {_name(part)}')")
+        values.append(keyword + value)
+    lines.append(f"return cls({', '.join(values)})" if record else f"return {values[0]}")
+    exec("def convert(data):\n" + "".join(f"    {line}\n" for line in lines), env)
     return env["convert"]
 
 
-def _wrong_keys(cls, names: frozenset, data: dict):
+def _exactly(cls, value):
+    if type(value) is not cls:
+        raise TypeError(f"{value!r:.80} is not a {cls.__name__}")
+    return value
+
+
+def _wrong_keys(cls, names: frozenset, data):
+    _exactly(dict, data)
     raise ValueError(f"{cls.__name__} keys: missing {sorted(names - data.keys())}, "
                      f"unexpected {sorted(data.keys() - names)}")

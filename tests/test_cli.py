@@ -23,9 +23,10 @@ from segforge import cli
 from segforge.cli import main
 from segforge.config import env_var_name
 from segforge.extraction import dump_bundle, load_bundle
-from segforge.parsing import load_json
+from segforge.parsing import ParsedFiling, dump_json
 from segforge.retrieval import ChunkIndex, save_index
 from segforge.store import SegmentStore
+from segforge.values import read
 
 
 def invoke(capsys, argv: list[str]):
@@ -107,7 +108,7 @@ class TestFetchAndParse:
         assert set(payload["items"]) >= {"1", "1A", "7", "8"}
         artifact = run_dir / "parsed" / f"{paperdata.AVY_CIK}_2022.json"
         assert artifact.exists()
-        parsed = load_json(artifact.read_text(encoding="utf-8"))
+        parsed = read(ParsedFiling, artifact)
         assert parsed.ref.cik == paperdata.AVY_CIK
         manifest = read_manifest(run_dir)
         rel = f"parsed/{paperdata.AVY_CIK}_2022.json"
@@ -383,7 +384,7 @@ class TestUnreadableInput:
 
     @pytest.mark.parametrize("command,content,where", [
         ("gaps", "cik,fiscal_year\n1,2012\nabc,2013\n", ":3: "),
-        ("eval", '{"filings": [{"cik": 1}]}', ": KeyError: "),
+        ("eval", '{"filings": [{"cik": 1}]}', ": SchemaError: bad list[GoldFiling]: "),
         ("eval", "not json", ": JSONDecodeError: "),
     ], ids=["roster_cik", "gold_missing_key", "gold_not_json"])
     def test_bad_roster_or_gold_exits_1(self, capsys, base, run_dir, tmp_path, command,
@@ -398,11 +399,88 @@ class TestUnreadableInput:
         '{"region_name": "Asia"}',  # no member labels
         '{"region_name": "Asia", "member_labels": []}',
         "[]",
+        '{"region_name": "Asia", "member_labels": "Japan"}',  # not split into letters
+        '{"region_name": 5, "member_labels": ["Japan"]}',
     ])
     def test_bad_region_scheme_exits_1(self, capsys, base, run_dir, tmp_path, content):
         path = tmp_path / "scheme.json"
         path.write_text(content, encoding="utf-8")
         self.fails(capsys, [*self.argv("align", path), *base], run_dir, "SchemaError", path)
+
+
+def first_key(data: dict) -> str:
+    return next(iter(data))
+
+
+class TestWrongTypedInput:
+    """Every JSON file a command reads exits 1 with the JSON SchemaError naming
+    it when one of its values has the wrong type."""
+
+    # input -> (file, change to its JSON, command); a file ending in .jsonl
+    # has its first line changed.
+    CHANGES = ["changes", "--cik", str(paperdata.AVY_CIK), "--from", "2001", "--to", "2024",
+               "--index", "{tmp}/index"]
+    CASES = {
+        "bundle_file": (f"bundles/{paperdata.INTC_CIK}_2012.bundle.json",
+                        lambda d: d.update(warnings=[1, None]),
+                        ["eval", "--gold", "{tmp}/gold.json", "--bundles", "{tmp}/bundles"]),
+        "parsed_file": ("corpus/avy2022.json", lambda d: d.update(char_count="143"),
+                        ["index", "--corpus", "{tmp}/corpus"]),
+        "catalog": ("index/index.meta.json",
+                    lambda d: d["filings"][0].update(cik=str(paperdata.AVY_CIK)), CHANGES),
+        "index_bin": ("index/index.bin",
+                      lambda d: d["doc_freq"].update({first_key(d["doc_freq"]): "1"}), CHANGES),
+        "chunk_file": (f"index/{paperdata.AVY_CIK}_{min(paperdata.AVY_CHANGED_YEARS)}"
+                       f".chunks.json", lambda d: d[0].update(text=3), CHANGES),
+        "panel_row": ("run/panel.jsonl",
+                      lambda d: d["bundle"]["general_fields"].update(
+                          {first_key(d["bundle"]["general_fields"]): 5}),
+                      ["export"]),
+        "script": ("script.jsonl", lambda d: d.update(question=5), CHANGES),
+        "region": ("asia.json", lambda d: d.update(member_labels="Japan"),
+                   ["align", "--firm-a", str(paperdata.INTC_CIK), "--firm-b",
+                    str(paperdata.TXN_CIK), "--region", "{tmp}/asia.json", "--from", "2012",
+                    "--to", "2012"]),
+        "gold": ("gold.json", lambda d: d["filings"][0].update(is_multi_segment="false"),
+                 ["eval", "--gold", "{tmp}/gold.json"]),
+        "manifest": ("run/manifest.json", lambda d: d["artifacts"][0].update(sha256=5),
+                     ["export"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_wrong_typed_value_exits_1(self, capsys, config_path, tmp_path, run_dir,
+                                       avy_bundles, avy_index, parsed_filings, script_path,
+                                       name):
+        write_panel(run_dir, [filingfab.intc_bundle(2012), filingfab.txn_bundle(2012),
+                              *(avy_bundles[y] for y in sorted(avy_bundles))])
+        (run_dir / "manifest.json").write_text(json.dumps(
+            {"artifacts": [{"path": "panel.jsonl", "sha256": "0" * 64}]}), encoding="utf-8")
+        dump_bundle(filingfab.intc_bundle(2012), tmp_path / "bundles")
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "avy2022.json").write_text(
+            dump_json(parsed_filings["avy2022"]), encoding="utf-8")
+        save_index(avy_index, tmp_path / "index")
+        shutil.copy(script_path, tmp_path / "script.jsonl")
+        filingfab.write_asia_scheme(tmp_path / "asia.json")
+        write_gold(tmp_path / "gold.json", "unit")
+        config = tmp_path / "segforge.conf"
+        config.write_text(config_path.read_text(encoding="utf-8")
+                          + f"llm.script_path = {tmp_path / 'script.jsonl'}\n", encoding="utf-8")
+
+        file, change, argv = self.CASES[name]
+        path = tmp_path / file
+        text = path.read_text(encoding="utf-8")
+        first, newline, rest = text.partition("\n") if path.suffix == ".jsonl" else (text, "", "")
+        data = json.loads(first)
+        change(data)
+        path.write_text(json.dumps(data) + newline + rest, encoding="utf-8")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = invoke(capsys, [argv[0], "--config", str(config),
+                                         "--run-dir", str(run_dir), *argv[1:]])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert str(path) in error["message"]
 
 
 class TestConfigFile:
@@ -652,6 +730,25 @@ class TestRefusedTargets:
         base = self.panel_at(config_path, tmp_path, run_dir, "gaps.json")
         roster = filingfab.write_roster(tmp_path / "roster.csv", [(paperdata.INTC_CIK, 2012)])
         self.refused(capsys, ["gaps", *base, "--roster", str(roster)], run_dir)
+
+    @pytest.mark.parametrize("name", ["transcript.jsonl", "320193_2024.bundle.json"])
+    def test_extract_cannot_replace_panel(self, capsys, config_path, tmp_path, run_dir, name):
+        base = self.panel_at(config_path, tmp_path, run_dir, name)
+        self.refused(capsys, ["extract", *base, "--cik", "320193", "--year", "2024"], run_dir)
+
+    def test_changes_cannot_replace_panel_named_transcript(self, capsys, config_path, tmp_path,
+                                                           run_dir, avy_index_dir):
+        base = self.panel_at(config_path, tmp_path, run_dir, "transcript.jsonl")
+        self.refused(capsys, ["changes", *base, "--cik", str(paperdata.INTC_CIK),
+                              "--from", "2012", "--to", "2012", "--index", str(avy_index_dir)],
+                     run_dir)
+
+    @pytest.mark.parametrize("name", ["index", "index/p.jsonl", "index/index.bin"])
+    def test_index_cannot_replace_or_remove_panel(self, capsys, config_path, tmp_path, run_dir,
+                                                   name):
+        base = self.panel_at(config_path, tmp_path, run_dir, name)
+        (tmp_path / "corpus").mkdir()
+        self.refused(capsys, ["index", *base, "--corpus", str(tmp_path / "corpus")], run_dir)
 
 
 class TestAtomicArtifacts:

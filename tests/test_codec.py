@@ -2,8 +2,9 @@
 
 The hand-written encoders it replaced are kept here as reference oracles:
 the codec must write the same bytes for bundles and index chunks, and
-``load`` must give back an equal record. A malformed record of any kind
-must raise SchemaError from its loader.
+``load`` must give back an equal record. A malformed record of any kind,
+also one with a single value of the wrong JSON type, must raise
+SchemaError from its loader.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import filingfab
-from segforge.edgar import FilingRef
+from segforge.edgar import CachedDocument, FilingRef
 from segforge.errors import SchemaError
 from segforge.extraction import (
     AXES,
@@ -29,8 +30,8 @@ from segforge.extraction import (
     SegmentRecord,
     bundle_from_json,
 )
-from segforge.parsing import dump_json, load_json, parse_text
-from segforge.retrieval import Chunk, ChunkIndex, load_index, save_index
+from segforge.parsing import ParsedFiling, dump_json, parse_text
+from segforge.retrieval import Chunk, ChunkIndex, Partition, load_index, save_index
 from segforge.templates import GENERAL_FIELD_NAMES
 from segforge.values import Money, Scale, encode, load
 
@@ -175,6 +176,8 @@ def _bundle_json() -> dict:
 
 def _parsed_json() -> dict:
     html = "<p>Cover page.</p><p>Item 1. Business</p><p>We sell widgets.</p>" \
+           "<table><caption>Revenue (in millions)</caption><tr><th>Segment</th><th>2024</th>" \
+           "</tr><tr><td>Americas</td><td>1,200</td></tr></table>" \
            "<p>Item 7. Management's Discussion</p><p>Sales grew.</p>"
     ref = FilingRef(cik=320193, fiscal_year=2024, accession_number="0000320193-24-000123",
                     document_url="fixture", primary_document="doc.htm")
@@ -198,7 +201,7 @@ def _drop(path: list):
 
 
 def _load_parsed(data: dict):
-    return load_json(json.dumps(data))
+    return load(ParsedFiling, data)
 
 
 @pytest.mark.parametrize("make, decode, corrupt", [
@@ -240,3 +243,70 @@ def test_load_takes_containers_and_encode_refuses_other_types():
     assert load(list[int], [1, 2]) == [1, 2]
     with pytest.raises(TypeError):
         json.dumps(Path("x"), default=encode)
+
+
+# -- one value of another JSON type --------------------------------------------
+
+_JSON_VALUES = [None, True, 7, 2.5, "text", [], {}]  # one of each JSON type
+
+
+def _leaves(data, path: tuple = ()) -> list[tuple]:
+    """The path to every scalar in decoded JSON but null.
+
+    A null is where an optional record is absent, and there a value of its
+    own type is as valid, so nulls are not swapped.
+    """
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+    return [] if data is None else [path]
+
+
+def _swapped(data, path: tuple, value):
+    copy = json.loads(json.dumps(data))
+    _set(list(path), value)(copy)
+    return copy
+
+
+def _as_json(record) -> dict:
+    return json.loads(json.dumps(record, default=encode))
+
+
+_CACHED_DOCUMENT = {
+    "ref": _as_json(FilingRef(cik=320193, fiscal_year=2024,
+                              accession_number="0000320193-24-000123",
+                              document_url="fixture", primary_document="doc.htm")),
+    "content_hash": "ab" * 32, "byte_length": 2048, "media_kind": "html",
+    "path": "/cache/320193/doc.htm", "fetched_at": "",
+}
+
+# record kind -> (strategy for a valid record as JSON, the loader that reads it)
+_RECORDS = {
+    "bundle": (bundles().map(_as_json), bundle_from_json),
+    "parsed_filing": (st.builds(_parsed_json), lambda data: load(ParsedFiling, data)),
+    "chunks": (chunks.filter(bool).map(_as_json), lambda data: load(list[Chunk], data)),
+    "partition": (st.builds(Partition, cik=st.integers(1, 10**10),
+                            fiscal_year=st.integers(1993, 2026),
+                            chunk_count=st.integers(0, 10**4)).map(_as_json),
+                  lambda data: load(Partition, data)),
+    "cached_document": (st.just(_CACHED_DOCUMENT), lambda data: load(CachedDocument, data)),
+    "doc_freq": (st.dictionaries(_TEXT, st.integers(1, 10**6), min_size=1),
+                 lambda data: load(dict[str, int], data)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RECORDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_leaf_of_another_json_type_raises_schema_error(kind, data):
+    """Never another exception, and never a record."""
+    make, decode = _RECORDS[kind]
+    record = data.draw(make)
+    decode(record)  # the untouched record loads
+    path = data.draw(st.sampled_from(_leaves(record)))
+    leaf = record
+    for key in path:
+        leaf = leaf[key]
+    value = data.draw(st.sampled_from([v for v in _JSON_VALUES if type(v) is not type(leaf)]))
+    with pytest.raises(SchemaError):
+        decode(_swapped(record, path, value))

@@ -147,6 +147,15 @@ class TestGoldLabels:
     def test_group_id_defaults(self):
         assert GoldLabelSet.from_dict({}).group_id == "group"
 
+    @pytest.mark.parametrize("key,value", [("is_multi_segment", "false"), ("has_nested", 0),
+                                           ("cik", "10"), ("fiscal_year", 2020.0)])
+    def test_filing_of_the_wrong_type_rejected(self, key, value):
+        """No bool() or int() coercion: "false" would read as True."""
+        data = dict(self.DATA)
+        data["filings"] = [dict(self.DATA["filings"][0], **{key: value})]
+        with pytest.raises(SchemaError, match=f"GoldFiling.{key}"):
+            GoldLabelSet.from_dict(data)
+
     def test_audit_verdict_key_is_ignored(self):
         # Gold files from the audit workflow carry a per-cell "correct" verdict;
         # scoring derives correctness itself, so the key loads and is dropped.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 import threading
 import time
@@ -97,6 +98,19 @@ class TestScriptStore:
         path.write_text(json.dumps({"file_hash": HASH_A, "question": "q"}) + "\n",
                         encoding="utf-8")
         with pytest.raises(SchemaError):
+            ScriptStore.from_jsonl(path)
+
+    @pytest.mark.parametrize("record", [
+        {"file_hash": HASH_A, "question": 5, "response": "r"},
+        {"file_hash": HASH_A, "question": "q", "response": None},
+        {"file_hash": HASH_A, "question": "q", "response": "r", "note": "x"},
+        ["file_hash", "question", "response"],
+    ], ids=["int_question", "null_response", "unexpected_key", "not_an_object"])
+    def test_from_jsonl_rejects_wrong_record_naming_its_line(self, tmp_path, record):
+        path = tmp_path / "typed.jsonl"
+        path.write_text(json.dumps({"file_hash": HASH_A, "question": "q", "response": "r"})
+                        + "\n\n" + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: "):
             ScriptStore.from_jsonl(path)
 
     def test_from_entries_accepts_dicts_and_objects(self):

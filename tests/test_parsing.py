@@ -24,16 +24,21 @@ from segforge.parsing import (
     UNASSIGNED,
     CellValue,
     ItemId,
+    ParsedFiling,
     dump_json,
-    load_json,
     locate_segment_regions,
     parse,
     parse_text,
 )
 from segforge.retrieval import build_index
-from segforge.values import Scale
+from segforge.values import Scale, load
 
 FIXTURE_NAMES = ["apple", "adobe"] + [f"avy{y}" for y in sorted(paperdata.AVY_TABLE3)]
+
+
+def from_json(text: str) -> ParsedFiling:
+    """The parsed filing that ``dump_json`` wrote as ``text``, read through the codec."""
+    return load(ParsedFiling, json.loads(text))
 
 
 class TestItemization:
@@ -373,7 +378,7 @@ class TestSerialization:
     def test_roundtrip_preserves_everything(self, parsed_filings):
         for name in ("apple", "adobe", "avy2022"):
             parsed = parsed_filings[name]
-            restored = load_json(dump_json(parsed))
+            restored = from_json(dump_json(parsed))
             assert restored == parsed, name
             assert restored.tables[0].numeric_cells == parsed.tables[0].numeric_cells, name
 
@@ -389,19 +394,19 @@ class TestSerialization:
     def test_dump_is_idempotent(self, parsed_filings):
         parsed = parsed_filings["apple"]
         text = dump_json(parsed)
-        assert dump_json(load_json(text)) == text
+        assert dump_json(from_json(text)) == text
 
     def test_ref_survives_roundtrip(self, parsed_filings):
         parsed = parsed_filings["apple"]
         assert parsed.ref is not None
-        restored = load_json(dump_json(parsed))
+        restored = from_json(dump_json(parsed))
         assert restored.ref == parsed.ref
         assert restored.ref.cik == paperdata.APPLE_CIK
 
     def test_refless_filing_roundtrips(self):
         parsed = parse_text("<p>Item 1. Business</p><p>Narrative text.</p>")
         assert parsed.ref is None
-        assert load_json(dump_json(parsed)) == parsed
+        assert from_json(dump_json(parsed)) == parsed
 
     def test_parsed_json_is_independent_of_fetch_time(self, edgar_fixture, tmp_path):
         # The fetch stamp belongs to the cache; the parsed JSON under a run
@@ -420,7 +425,7 @@ class TestSerialization:
 
     def test_numeric_cells_keep_decimal_exactness(self, parsed_filings):
         parsed = parsed_filings["apple"]
-        restored = load_json(dump_json(parsed))
+        restored = from_json(dump_json(parsed))
         cells = restored.tables[0].numeric_cells
         assert cells[(0, 1)].value == Decimal("167045")
         assert isinstance(cells[(0, 1)].value, Decimal)
@@ -459,7 +464,7 @@ class TestSectionPartitionProperty:
     @given(_filing_html())
     def test_sections_partition_the_text_exactly(self, html):
         parsed = parse_text(html)
-        restored = load_json(dump_json(parsed))
+        restored = from_json(dump_json(parsed))
         assert restored == parsed
         for filing in (parsed, restored):
             full_text = filing.full_text
