@@ -25,6 +25,8 @@ from .store import SegmentStore
 from .templates import (
     CHANGE_FORMAT_RULES,
     FORMAT_RULES,
+    LINKAGE_CLASSES,
+    REASON_CLASSES,
     SYSTEM_PREAMBLE,
     AnswerShape,
     change_explanation_question,
@@ -34,19 +36,6 @@ from .values import (
     Money, Scale, collapse_ws, load, parse_monetary, percent_of, render_amount, render_csv,
     render_fixed_width,
 )
-
-REASON_CLASSES = {
-    "internal_reorganization",
-    "divestiture",
-    "acquisition",
-    "new_segment_added",
-    "reporting_reclassification",
-    "renaming_only",
-    "unknown",
-}
-LINKAGE_CLASSES = {
-    "continuation", "merged", "split", "added", "discontinued", "regrouped", "partial",
-}
 
 CHANGE_CONTEXT_QUERY = "reportable segments segment reporting change"
 CHANGE_TABLE_HEADER = [

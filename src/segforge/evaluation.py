@@ -63,21 +63,14 @@ class GoldLabelSet:
     @classmethod
     def from_dict(cls, data: dict) -> "GoldLabelSet":
         filings = load(list[GoldFiling], data.get("filings", []))
-        cells = []
-        for row in data.get("cells", []):
-            if not str(row.get("gold_value", "")).strip():
-                raise SchemaError(f"gold cell with empty gold_value: {row!r}")
-            cells.append(
-                GoldCell(
-                    cik=int(row["cik"]),
-                    fiscal_year=int(row["fiscal_year"]),
-                    segment=row["segment"],
-                    measure=row["measure"],
-                    gold_value=str(row["gold_value"]),
-                    tier=row.get("tier", ""),
-                )
-            )
-        return cls(group_id=str(data.get("group_id", "group")), filings=filings, cells=cells)
+        rows = [{"tier": "", **row} for row in data.get("cells", [])]  # "tier" is optional
+        for row in rows:
+            row.pop("correct", None)  # an audit file's verdict; scoring derives its own
+        cells = load(list[GoldCell], rows)
+        for cell in cells:
+            if not cell.gold_value.strip():
+                raise SchemaError(f"gold cell with empty gold_value: {cell!r}")
+        return cls(group_id=load(str, data.get("group_id", "group")), filings=filings, cells=cells)
 
 
 @dataclass(frozen=True)

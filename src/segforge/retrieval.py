@@ -19,8 +19,10 @@ import json
 import math
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
@@ -79,6 +81,11 @@ class _Catalog:  # index.meta.json
 
 
 @dataclass(frozen=True)
+class _Stats:  # index.bin
+    doc_freq: dict[str, int]
+
+
+@dataclass(frozen=True)
 class RetrievalResult:
     query: str
     hits: list[tuple[str, float]]  # (chunk_id, score), scores non-increasing
@@ -88,10 +95,14 @@ class RetrievalResult:
 class ChunkIndex:
     """Chunks plus the term statistics that score them.
 
-    ``chunk_terms``/``chunk_len`` may be omitted: a chunk's entries are then
-    derived from its text when it is first scored. An index from
-    ``load_index`` holds no chunk at first and reads each filing's chunk
-    file when a query first needs it.
+    Built, constructed or loaded, an index is one structure: a catalog that
+    maps each filing ``(cik, fiscal_year)`` to the range of its chunks'
+    positions in one chunk list, plus the chunk files not read yet. The id
+    ``f"{cik}_{fiscal_year}_{seq:04d}"`` names the ``seq``-th chunk of its
+    filing, so a filing's chunks must be consecutive. ``chunk_terms``/
+    ``chunk_len`` may be omitted: a chunk's entries are then derived from its
+    text when it is first scored. An index from ``load_index`` holds no chunk
+    at first and reads each filing's chunk file when a query first needs it.
     """
 
     def __init__(self, chunks: list[Chunk], doc_freq: dict[str, int],
@@ -114,50 +125,40 @@ class ChunkIndex:
     def chunks(self, chunks: list[Chunk]) -> None:
         self._chunks: list[Chunk | None] = chunks
         self._unread: dict[tuple[int, int], Path] = {}  # filing -> its chunk file
-        self.__dict__.pop("_by_id", None)
-        self.__dict__.pop("_by_filing", None)
+        self._partition([(source, len(list(run))) for source, run
+                         in groupby(chunks, attrgetter("source"))], "ChunkIndex")
 
-    @cached_property
-    def _by_id(self) -> dict[str, int]:
-        return {chunk.chunk_id: i for i, chunk in enumerate(self._chunks)}
-
-    @cached_property
-    def _by_filing(self) -> dict[tuple[int, int], list[int] | range]:
-        """Chunk positions per (cik, fiscal_year), ascending."""
-        positions: dict[tuple[int, int], list[int]] = {}
-        for i, chunk in enumerate(self._chunks):
-            positions.setdefault(chunk.source, []).append(i)
-        return positions
+    def _partition(self, counts: list[tuple[tuple[int, int], int]], where: str | Path) -> int:
+        """Give each filing in turn its next ``count`` positions; return the total."""
+        self._filings: dict[tuple[int, int], range] = {}  # filing -> its chunks' positions
+        stop = 0
+        for source, count in counts:
+            if source in self._filings:
+                raise SchemaError(f"{where}: cik {source[0]}, fiscal year {source[1]} appears twice")
+            self._filings[source] = range(stop, stop + count)
+            stop += count
+        return stop
 
     @classmethod
     def _saved(cls, directory: Path, catalog: list[Partition],
                doc_freq: dict[str, int]) -> ChunkIndex:
         """An index over the chunk files the catalog lists, none of them read yet."""
         index = cls(chunks=[], doc_freq=doc_freq)
-        index._by_id, index._by_filing = {}, {}  # ids as files are read; positions now
-        for entry in catalog:
-            if entry.source in index._unread:
-                raise SchemaError(f"{directory / 'index.meta.json'}: cik {entry.cik}, "
-                                  f"fiscal year {entry.fiscal_year} is listed twice")
-            start = len(index._chunks)
-            index._chunks += [None] * entry.chunk_count
-            index._by_filing[entry.source] = range(start, len(index._chunks))
-            index._unread[entry.source] = directory / entry.file_name
-        index.chunk_terms = [None] * len(index._chunks)
-        index.chunk_len = [None] * len(index._chunks)
+        size = index._partition([(entry.source, entry.chunk_count) for entry in catalog],
+                                directory / "index.meta.json")
+        index._chunks, index.chunk_terms, index.chunk_len = [None] * size, [None] * size, [None] * size
+        index._unread = {entry.source: directory / entry.file_name for entry in catalog}
         return index
 
     def _read(self, sources) -> None:
         """Read the chunk files of the filings in ``sources`` that are not read yet."""
         for source in sources:
             path = self._unread.get(source)
-            if path is None:
-                continue
-            positions = self._by_filing[source]
-            for i, chunk in zip(positions, _read_chunk_file(path, source, len(positions))):
-                self._chunks[i] = chunk
-                self._by_id[chunk.chunk_id] = i
-            del self._unread[source]
+            if path is not None:
+                positions = self._filings[source]
+                self._chunks[positions.start:positions.stop] = \
+                    _read_chunk_file(path, source, len(positions))
+                del self._unread[source]
 
     def _at(self, index: int) -> Chunk:
         """The chunk at ``index``; if its filing is not read yet, every unread file is read."""
@@ -165,9 +166,33 @@ class ChunkIndex:
         return self.chunks[index] if chunk is None else chunk
 
     def chunk(self, chunk_id: str) -> Chunk:
-        if chunk_id not in self._by_id:
-            self._read(list(self._unread))
-        return self._chunks[self._by_id[chunk_id]]
+        """The chunk with this id, found by the position the id names; only its
+        own filing's chunk file is read. KeyError if no chunk has this id."""
+        try:
+            cik, fiscal_year, seq = map(int, chunk_id.split("_"))
+            position = self._filings[cik, fiscal_year][seq]
+        except (IndexError, KeyError, ValueError):
+            raise KeyError(chunk_id) from None
+        self._read([(cik, fiscal_year)])
+        if self._chunks[position].chunk_id != chunk_id:  # a constructed index may hold any id
+            raise KeyError(chunk_id)
+        return self._chunks[position]
+
+    def select(self, metadata_filter: dict | None) -> Iterator[tuple[int, Chunk]]:
+        """Each chunk the filter admits, with its position, in build order.
+
+        The filter's ``cik`` and ``fiscal_year`` (a year or a collection of
+        years) pick the filings, and only their chunk files are read; ``item``
+        is then checked per chunk. A key the filter leaves out admits any value.
+        """
+        wanted = metadata_filter or {}
+        sources = [(cik, year) for cik, year in self._filings if wanted.get("cik", cik) == cik
+                   and year in _years(wanted.get("fiscal_year", year))]
+        self._read(sources)
+        for source in sources:
+            for i in self._filings[source]:
+                if wanted.get("item", self._chunks[i].item) == self._chunks[i].item:
+                    yield i, self._chunks[i]
 
     def terms(self, index: int) -> tuple[dict[str, int], int]:
         """One chunk's term counts and length, derived and kept on first use."""
@@ -289,37 +314,14 @@ def _years(wanted) -> set | list | tuple:
     return wanted if isinstance(wanted, (set, list, tuple)) else {wanted}
 
 
-def _matches(chunk: Chunk, metadata_filter: dict | None) -> bool:
-    if not metadata_filter:
-        return True
-    if "cik" in metadata_filter and chunk.cik != metadata_filter["cik"]:
-        return False
-    if "fiscal_year" in metadata_filter and \
-            chunk.fiscal_year not in _years(metadata_filter["fiscal_year"]):
-        return False
-    if "item" in metadata_filter and chunk.item != metadata_filter["item"]:
-        return False
-    return True
-
-
 def retrieve(index: ChunkIndex, query: str, k: int,
              metadata_filter: dict | None = None) -> RetrievalResult:
     """Top-k chunks by score; ties broken by (fiscal_year, chunk_id)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     query_tokens = sorted(set(tokenize(query)))
-    if metadata_filter and {"cik", "fiscal_year"} <= metadata_filter.keys():
-        cik = metadata_filter["cik"]
-        sources = [(cik, year) for year in _years(metadata_filter["fiscal_year"])]
-        index._read(sources)
-        candidates = sorted({i for source in sources for i in index._by_filing.get(source, ())})
-    else:
-        candidates = range(len(index.chunks))
     scored: list[tuple[float, int, str]] = []
-    for i in candidates:
-        chunk = index._chunks[i]
-        if not _matches(chunk, metadata_filter):
-            continue
+    for i, chunk in index.select(metadata_filter):
         score = index.score(i, query_tokens)
         if score > 0.0:
             scored.append((score, chunk.fiscal_year, chunk.chunk_id))
@@ -334,12 +336,6 @@ class ContextBlock:
     text: str
     chunk_ids: list[str]
     spans: list[tuple[str, int, int]]  # every char of text belongs to one chunk
-
-    def provenance_of(self, position: int) -> str:
-        for chunk_id, start, end in self.spans:
-            if start <= position < end:
-                return chunk_id
-        raise IndexError(position)
 
 
 def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
@@ -400,15 +396,14 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    by_filing: dict[tuple[int, int], list[Chunk]] = {}
-    for chunk in index.chunks:
-        by_filing.setdefault(chunk.source, []).append(chunk)
-    catalog = []
-    for (cik, fiscal_year), chunks in by_filing.items():
-        entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(chunks))
-        write_atomic(directory / entry.file_name, json.dumps(chunks, default=encode))
+    chunks, catalog = index.chunks, []
+    for (cik, fiscal_year), positions in index._filings.items():
+        entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(positions))
+        write_atomic(directory / entry.file_name,
+                     json.dumps(chunks[positions.start:positions.stop], default=encode))
         catalog.append(entry)
-    write_atomic(directory / "index.bin", json.dumps({"doc_freq": index.doc_freq}, sort_keys=True))
+    write_atomic(directory / "index.bin", json.dumps(_Stats(index.doc_freq), default=encode,
+                                                     sort_keys=True))
     write_atomic(directory / "index.meta.json",
                  json.dumps(_Catalog(catalog), default=encode) + "\n")
     listed = {entry.file_name for entry in catalog}
@@ -422,9 +417,12 @@ def _read_chunk_file(path: Path, source: tuple[int, int], count: int) -> list[Ch
         chunks = read(list[Chunk], path)
     except OSError as exc:
         raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
-    if len(chunks) != count or any(chunk.source != source for chunk in chunks):
-        raise SchemaError(f"{path}: the catalog lists {count} chunks of cik {source[0]}, "
-                          f"fiscal year {source[1]}; the file does not hold them")
+    cik, fiscal_year = source
+    if len(chunks) != count or any(chunk.source != source or
+                                   chunk.chunk_id != f"{cik}_{fiscal_year}_{seq:04d}"
+                                   for seq, chunk in enumerate(chunks)):
+        raise SchemaError(f"{path}: the catalog lists {count} chunks of cik {cik}, fiscal year "
+                          f"{fiscal_year}, ids {cik}_{fiscal_year}_0000 on; the file does not hold them")
     return chunks
 
 
@@ -433,26 +431,24 @@ def load_index(directory: str | Path) -> ChunkIndex:
 
     A filing's chunk file is read through the codec when a query first
     needs one of its chunks, and is then checked against the catalog: its
-    chunk count, and every chunk's cik and fiscal year. A ``retrieve``
-    whose filter names ``cik`` and ``fiscal_year`` reads only those
-    filings' files, and ``assemble_context`` over its hits reads no other.
-    ``.chunks``, an unfiltered ``retrieve``, and a lookup of a chunk whose
-    filing is not read yet read every file not read yet, in catalog order;
-    ``len()`` is the catalog's total. A bad or missing chunk file raises
-    SchemaError naming it when it is read. A catalog in the old
-    single-file layout (one holding ``chunks``) raises SchemaError asking
-    for a rebuild. Only ``doc_freq`` is read from index.bin.
+    chunk count, and every chunk's cik, fiscal year and id. ``retrieve``
+    reads only the files of the filings its filter's ``cik`` and
+    ``fiscal_year`` pick, and ``chunk(id)`` only its own filing's file;
+    ``.chunks`` and a ``retrieve`` whose filter names neither read every
+    file not read yet, in catalog order. ``len()`` is the catalog's total.
+    A bad or missing chunk file raises SchemaError naming it when it is
+    read. A catalog in the old single-file layout (one holding ``chunks``)
+    raises SchemaError asking for a rebuild.
     """
     directory = Path(directory)
     meta = directory / "index.meta.json"
-    if "chunks" in read(dict, meta):
+    catalog = read(dict, meta)
+    if "chunks" in catalog:
         raise SchemaError(f"{meta}: an index in the old single-file layout; "
                           "run `segforge index` again to rebuild it")
-    catalog = read(_Catalog, meta).filings
-    stats = directory / "index.bin"
-    doc_freq = read(dict, stats).get("doc_freq")  # it may also hold per-chunk term counts
     try:
-        doc_freq = load(dict[str, int], doc_freq)
+        catalog = load(_Catalog, catalog).filings
     except SchemaError as exc:
-        raise SchemaError(f"{stats}: doc_freq: {exc}") from exc
+        raise SchemaError(f"{meta}: {exc}") from exc
+    doc_freq = read(_Stats, directory / "index.bin").doc_freq
     return ChunkIndex._saved(directory, catalog, doc_freq)

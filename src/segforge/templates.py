@@ -175,16 +175,18 @@ def retry_question(question: str, shape: AnswerShape) -> str:
 
 # -- comparability prompts ---------------------------------------------------
 
-CHANGE_REASON_KEYWORDS = (
-    "internal_reorganization, divestiture, acquisition, new_segment_added, "
-    "reporting_reclassification, renaming_only, unknown"
+REASON_CLASSES = (
+    "internal_reorganization", "divestiture", "acquisition", "new_segment_added",
+    "reporting_reclassification", "renaming_only", "unknown",
 )
-CHANGE_LINKAGE_KEYWORDS = "continuation, merged, split, added, discontinued, regrouped, partial"
+LINKAGE_CLASSES = (
+    "continuation", "merged", "split", "added", "discontinued", "regrouped", "partial",
+)
 
 CHANGE_FORMAT_RULES = (
     "Respond with exactly five lines:\n"
-    f"reason: one of {CHANGE_REASON_KEYWORDS}\n"
-    f"linkage: one of {CHANGE_LINKAGE_KEYWORDS}\n"
+    f"reason: one of {', '.join(REASON_CLASSES)}\n"
+    f"linkage: one of {', '.join(LINKAGE_CLASSES)}\n"
     "mapping: prior segment names mapped to current names as "
     "'Old -> New' pairs separated by ' | ' (use 'discontinued' as the target "
     "for removed segments)\n"

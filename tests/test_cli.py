@@ -443,6 +443,8 @@ class TestWrongTypedInput:
                     "--to", "2012"]),
         "gold": ("gold.json", lambda d: d["filings"][0].update(is_multi_segment="false"),
                  ["eval", "--gold", "{tmp}/gold.json"]),
+        "gold_cell": ("gold.json", lambda d: d["cells"][0].update(cik=True, segment=5),
+                      ["eval", "--gold", "{tmp}/gold.json"]),
         "manifest": ("run/manifest.json", lambda d: d["artifacts"][0].update(sha256=5),
                      ["export"]),
     }

@@ -125,16 +125,17 @@ def bundles(draw) -> ExtractionBundle:
     return bundle
 
 
-chunks = st.lists(st.builds(
-    Chunk,
-    chunk_id=_TEXT,
-    cik=st.integers(1, 10**10),
-    fiscal_year=st.integers(1993, 2026),
-    item=_TEXT,
-    char_range=st.tuples(st.integers(0, 10**7), st.integers(0, 10**7)),
-    text=_TEXT,
-    is_segment_region=st.booleans(),
-), max_size=5)
+@st.composite
+def chunks(draw) -> list[Chunk]:
+    """Up to three filings' chunks as an index holds them: each filing's
+    chunks together, each id naming its filing and its position there."""
+    filings = draw(st.lists(st.tuples(st.integers(1, 10**10), st.integers(1993, 2026)),
+                            unique=True, max_size=3))
+    return [Chunk(chunk_id=f"{cik}_{year}_{seq:04d}", cik=cik, fiscal_year=year,
+                  item=draw(_TEXT),
+                  char_range=draw(st.tuples(st.integers(0, 10**7), st.integers(0, 10**7))),
+                  text=draw(_TEXT), is_segment_region=draw(st.booleans()))
+            for cik, year in filings for seq in range(draw(st.integers(1, 3)))]
 
 
 class TestReferenceOracle:
@@ -147,7 +148,7 @@ class TestReferenceOracle:
             assert bundle_from_json(json.loads(text)) == bundle
 
     @settings(max_examples=100, deadline=None)
-    @given(chunks)
+    @given(chunks())
     def test_chunk_table_bytes_equal_reference(self, chunk_list):
         """Each filing's chunk file is the compact reference layout of its chunks."""
         by_filing: dict[tuple[int, int], list[Chunk]] = {}
@@ -161,8 +162,7 @@ class TestReferenceOracle:
                 written = (Path(tmp) / f"{cik}_{year}.chunks.json").read_text(encoding="utf-8")
                 assert written == json.dumps([reference_chunk_dict(c) for c in group])
                 assert load(list[Chunk], json.loads(written)) == group
-            # Loaded back filing by filing, in the order filings first appear.
-            assert load_index(tmp).chunks == [c for group in by_filing.values() for c in group]
+            assert load_index(tmp).chunks == chunk_list
 
     def test_fixture_bundles_equal_reference(self):
         for bundle in (filingfab.intc_bundle(2012), filingfab.txn_bundle(2016)):
@@ -284,7 +284,7 @@ _CACHED_DOCUMENT = {
 _RECORDS = {
     "bundle": (bundles().map(_as_json), bundle_from_json),
     "parsed_filing": (st.builds(_parsed_json), lambda data: load(ParsedFiling, data)),
-    "chunks": (chunks.filter(bool).map(_as_json), lambda data: load(list[Chunk], data)),
+    "chunks": (chunks().filter(bool).map(_as_json), lambda data: load(list[Chunk], data)),
     "partition": (st.builds(Partition, cik=st.integers(1, 10**10),
                             fiscal_year=st.integers(1993, 2026),
                             chunk_count=st.integers(0, 10**4)).map(_as_json),

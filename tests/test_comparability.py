@@ -346,6 +346,20 @@ class TestExplainChangesValidation:
         assert gateway.transcript == []
 
 
+def test_change_format_rules_text_is_pinned():
+    """The rules a live model gets with each change question, byte for byte."""
+    assert CHANGE_FORMAT_RULES == (
+        "Respond with exactly five lines:\n"
+        "reason: one of internal_reorganization, divestiture, acquisition, new_segment_added, "
+        "reporting_reclassification, renaming_only, unknown\n"
+        "linkage: one of continuation, merged, split, added, discontinued, regrouped, partial\n"
+        "mapping: prior segment names mapped to current names as 'Old -> New' pairs separated "
+        "by ' | ' (use 'discontinued' as the target for removed segments)\n"
+        "cites: semicolon-separated chunk ids from the provided context\n"
+        "explanation: one sentence grounded in the cited context"
+    )
+
+
 class TestRegionScheme:
     def test_membership_is_normalized(self, asia_scheme):
         assert asia_scheme.contains("  ASIA ")

@@ -147,6 +147,12 @@ class TestGoldLabels:
     def test_group_id_defaults(self):
         assert GoldLabelSet.from_dict({}).group_id == "group"
 
+    @pytest.mark.parametrize("group_id", [None, 5, ["a"]])
+    def test_group_id_of_the_wrong_type_rejected(self, group_id):
+        """No str() coercion: a null group_id would name the report eval_None.json."""
+        with pytest.raises(SchemaError, match="is not a str"):
+            GoldLabelSet.from_dict(dict(self.DATA, group_id=group_id))
+
     @pytest.mark.parametrize("key,value", [("is_multi_segment", "false"), ("has_nested", 0),
                                            ("cik", "10"), ("fiscal_year", 2020.0)])
     def test_filing_of_the_wrong_type_rejected(self, key, value):
@@ -154,6 +160,15 @@ class TestGoldLabels:
         data = dict(self.DATA)
         data["filings"] = [dict(self.DATA["filings"][0], **{key: value})]
         with pytest.raises(SchemaError, match=f"GoldFiling.{key}"):
+            GoldLabelSet.from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [("cik", True), ("fiscal_year", "2020"), ("segment", 5),
+                                           ("measure", None), ("gold_value", 600), ("tier", 1)])
+    def test_cell_of_the_wrong_type_rejected(self, key, value):
+        """No int() or str() coercion: a cik of true would read as cik 1."""
+        data = dict(self.DATA)
+        data["cells"] = [dict(self.DATA["cells"][0], **{key: value})]
+        with pytest.raises(SchemaError, match=f"GoldCell.{key}"):
             GoldLabelSet.from_dict(data)
 
     def test_audit_verdict_key_is_ignored(self):

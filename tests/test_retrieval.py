@@ -29,7 +29,6 @@ from segforge.retrieval import (
     Chunk,
     ChunkIndex,
     RetrievalResult,
-    _matches,
     _pack_spans,
     assemble_context,
     build_index,
@@ -327,9 +326,6 @@ class TestAssembleContext:
             header = (f"[cik={chunk.cik}, fy={chunk.fiscal_year}, "
                       f"item={chunk.item}, chunk={chunk.chunk_id}]")
             assert context.text[start:end] == f"{header}\n{chunk.text}\n\n"
-        assert context.provenance_of(0) == context.spans[0][0]
-        with pytest.raises(IndexError):
-            context.provenance_of(len(context.text))
 
     def test_duplicate_chunks_keep_max_score(self):
         index = handmade_index([
@@ -403,22 +399,23 @@ class TestPersistence:
         for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_index_bin_with_term_counts_still_loads(self, avy_index, tmp_path):
-        """An index.bin that also stores per-chunk counts loads and scores the same."""
+    def test_index_bin_with_term_counts_is_refused(self, avy_index, tmp_path):
+        """index.bin holds doc_freq only. One that also stores per-chunk counts
+        raises SchemaError naming it; with an old single-file catalog beside it,
+        the rebuild message comes first."""
         save_index(avy_index, tmp_path)
         (tmp_path / "index.bin").write_text(json.dumps({
             "doc_freq": dict(sorted(avy_index.doc_freq.items())),
             "chunk_terms": [dict(sorted(t.items())) for t in avy_index.chunk_terms],
             "chunk_len": avy_index.chunk_len,
         }, sort_keys=True), encoding="utf-8")
-        loaded = load_index(tmp_path)
-        query = "reportable segments segment reporting change"
-        for metadata_filter in (None, {"cik": paperdata.AVY_CIK, "fiscal_year": 2022}):
-            assert retrieve(loaded, query, 25, metadata_filter).hits == \
-                retrieve(avy_index, query, 25, metadata_filter).hits
-        assert [loaded.terms(i) for i in range(len(loaded))] == \
-            list(zip(avy_index.chunk_terms, avy_index.chunk_len))
-
+        with pytest.raises(SchemaError, match="chunk_len") as caught:
+            load_index(tmp_path)
+        assert str(tmp_path / "index.bin") in str(caught.value)
+        old = {"chunks": json.loads(json.dumps(avy_index.chunks, default=encode))}
+        (tmp_path / "index.meta.json").write_text(json.dumps(old), encoding="utf-8")
+        with pytest.raises(SchemaError, match="run `segforge index` again"):
+            load_index(tmp_path)
 
     def test_single_file_meta_asks_for_rebuild(self, avy_index, tmp_path):
         """An index.meta.json of the old layout, with or without the scoring values,
@@ -433,12 +430,22 @@ class TestPersistence:
             assert str(tmp_path / "index.meta.json") in str(caught.value)
 
 
+def passes(chunk: Chunk, metadata_filter: dict | None) -> bool:
+    """The documented filter: each key it names must match; a year may be a collection."""
+    wanted = metadata_filter or {}
+    years = wanted.get("fiscal_year", chunk.fiscal_year)
+    return ("cik" not in wanted or chunk.cik == wanted["cik"]) and \
+        ("item" not in wanted or chunk.item == wanted["item"]) and \
+        (chunk.fiscal_year in years if isinstance(years, (set, list, tuple))
+         else chunk.fiscal_year == years)
+
+
 def brute_force_hits(index: ChunkIndex, query: str, k: int,
                      metadata_filter: dict | None) -> list[tuple[str, float]]:
     """Score every chunk that passes the filter; order by the documented tie rule."""
     tokens = sorted(set(tokenize(query)))
     scored = [(index.score(i, tokens), chunk.fiscal_year, chunk.chunk_id)
-              for i, chunk in enumerate(index.chunks) if _matches(chunk, metadata_filter)]
+              for i, chunk in enumerate(index.chunks) if passes(chunk, metadata_filter)]
     scored = sorted((row for row in scored if row[0] > 0.0), key=lambda r: (-r[0], r[1], r[2]))
     return [(chunk_id, score) for score, _, chunk_id in scored[:k]]
 
@@ -555,6 +562,71 @@ class TestSavedIndexProperty:
             with pytest.raises(SchemaError) as caught:
                 retrieve(loaded, query, k)
             assert str(path) in str(caught.value)
+
+
+class TestChunkLookup:
+    """A chunk id names its filing and its position there, so a lookup reads one file."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_chunk_by_id_is_the_chunk_with_that_id(self, parsed_filings, data):
+        built, tmp = _saved_and_built(parsed_filings, data)
+        with tmp:
+            ids = data.draw(st.lists(st.sampled_from([c.chunk_id for c in built.chunks]),
+                                     min_size=1, max_size=6))
+            for index in (built, load_index(tmp.name)):
+                found = [index.chunk(chunk_id) for chunk_id in ids]  # before .chunks reads all
+                by_id = {chunk.chunk_id: chunk for chunk in index.chunks}
+                assert found == [by_id[chunk_id] for chunk_id in ids]
+
+    def test_unknown_id_raises_key_error(self, avy_index, avy_index_dir):
+        last = avy_index.chunks[-1]
+        filing = f"{last.cik}_{last.fiscal_year}"
+        past_the_end = f"{filing}_{int(last.chunk_id[-4:]) + 1:04d}"
+        for index in (avy_index, load_index(avy_index_dir)):
+            for chunk_id in (past_the_end, f"{filing}_-001", f"{filing}_00000",
+                             f"{last.cik}_1990_0000", "1_2000", "x_y_z"):
+                with pytest.raises(KeyError):
+                    index.chunk(chunk_id)
+
+    def test_fresh_loaded_index_reads_only_the_chunks_own_file(self, avy_index, avy_index_dir):
+        for chunk in {chunk.source: chunk for chunk in avy_index.chunks}.values():
+            loaded = load_index(avy_index_dir)
+            with mock.patch.object(retrieval, "_read_chunk_file",
+                                   wraps=retrieval._read_chunk_file) as spy:
+                assert loaded.chunk(chunk.chunk_id) == chunk
+                assert loaded.chunk(chunk.chunk_id) == chunk
+            assert [call.args[0] for call in spy.call_args_list] == \
+                [avy_index_dir / f"{chunk.cik}_{chunk.fiscal_year}.chunks.json"]
+
+    def test_cik_only_filter_reads_only_that_firms_files(self, corpus_index, tmp_path):
+        save_index(corpus_index, tmp_path)
+        for cik, year in {chunk.source for chunk in corpus_index.chunks}:
+            if cik != paperdata.AVY_CIK:
+                (tmp_path / f"{cik}_{year}.chunks.json").unlink()
+        query, metadata_filter = "reportable segments", {"cik": paperdata.AVY_CIK}
+        assert retrieve(load_index(tmp_path), query, 20, metadata_filter).hits == \
+            retrieve(corpus_index, query, 20, metadata_filter).hits
+
+    @pytest.mark.parametrize("change", [
+        lambda chunks: [chunks[1], chunks[0], *chunks[2:]],
+        lambda chunks: [dict(c, chunk_id=f"{c['chunk_id'][:-4]}{i + 1:04d}")
+                        for i, c in enumerate(chunks)],
+        lambda chunks: [dict(chunks[0], chunk_id=chunks[0]["chunk_id"].replace("_", "0_", 1)),
+                        *chunks[1:]],
+    ], ids=["swapped", "renumbered", "other_cik"])
+    def test_chunk_ids_out_of_position_raise_naming_the_file(self, avy_index, tmp_path, change):
+        save_index(avy_index, tmp_path)
+        chunk = avy_index.chunks[0]
+        path = tmp_path / f"{chunk.cik}_{chunk.fiscal_year}.chunks.json"
+        _rewrite(change)(path)
+        with pytest.raises(SchemaError, match="ids ") as caught:
+            load_index(tmp_path).chunk(chunk.chunk_id)
+        assert str(path) in str(caught.value)
+
+    def test_a_filings_chunks_must_be_consecutive(self):
+        with pytest.raises(SchemaError, match="cik 1, fiscal year 2000 appears twice"):
+            handmade_index([{"text": "a"}, {"text": "b", "fy": 2001}, {"text": "c"}])
 
 
 def _rewrite(change):
