@@ -7,6 +7,7 @@ the expected output can be written down by hand.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from decimal import Decimal
@@ -429,6 +430,50 @@ class TestSerialization:
         cells = restored.tables[0].numeric_cells
         assert cells[(0, 1)].value == Decimal("167045")
         assert isinstance(cells[(0, 1)].value, Decimal)
+
+
+# sha256 of ``dump_json(parse_text(html))`` for every fixture filing. A change
+# to the HTML tokenizer or the text assembly must keep these bytes.
+_FIXTURE_DIGESTS = {
+    "apple": "6a86830384fb0a47e6152a2ae0f949d73fcbbeb0ef3abab9260c4dcd7e51e864",
+    "adobe": "64fb821188b8c928cb4c3e9f072b1ef0f2966693efaf9fc0234142aeba2eb5ab",
+    "avy2001": "dd3fd24e3a01ea7a551c79bae5334d9eb8708fe30ad203166da59aa24eba3fd1",
+    "avy2002": "1da1535c4b7243ac757f55ac9f6df1d8976b8aceed65f5b2999ba73a975867c5",
+    "avy2003": "7c7db95d97988cac2b4cbc6f6f61c354644bfb5ecda12d975059abb3a1961699",
+    "avy2004": "4dfbaee2aa536042c156b46b2b73e4e2bda60d5fae21e1497756b41fd527e5f6",
+    "avy2005": "ac4fd0d8a1bae3564e04393311f5792cac92c1768ce328e955e2db1ccc047c9b",
+    "avy2006": "eebe7b76668d9d118f5540299be715d3a89743bd86d5faedc8965416e75022a2",
+    "avy2007": "fbe4fe76eaa74a4f30bd7d0162377d4113daff07023446c089b583cdd11bf1ec",
+    "avy2008": "a4f82d24a71f650e38eb367cda277a8576f73bec15028ed8a6fc0f80a5b26062",
+    "avy2009": "ee19ede3bf1995f73da224f457d4760de8d95fc482a87c79005cef09f31784aa",
+    "avy2010": "69a544f759dcdc5e6d23ab98a3a6ee06d1e1f29297f232ebbb538e02c4046b72",
+    "avy2011": "a10318d405a4b60f59e0f7f3edb5f8d7d7bd3012b8f5b1275c3569b5ad00637d",
+    "avy2012": "ec9905a5ec788b0cbbb8d2a14c8e7c40b72aea0e7e7c5f5744ec70fc164c874f",
+    "avy2013": "ed44d699067d79eb9c2c0c8a8db8dbd578522fb8ebe7a636d72f3caad16dfb94",
+    "avy2014": "53a111fd10030b846306c8d4f6b4ea4050a6bf62e05be5446fc701db1b744d61",
+    "avy2015": "797d67753e7a3ef69d9194da20acddc1948d23d5cd18229756d6271824abd63e",
+    "avy2016": "541f72b5de78729fb3e8398afe371571a862229e22a2ddd34bbbd69ff9a3737d",
+    "avy2017": "43b7a9d71eba0df4fb8fc2a521ad7bec4feaf37870bbb1bf89fc86107f302a50",
+    "avy2018": "f97685dc3fd1db0ccff58d0cbb04f119277ad378877187832fda0c13c8fe89da",
+    "avy2019": "94e02b1cc458559cbd432f05b5c8c256d5d4faaaad35061dc80512ce8646c1f4",
+    "avy2020": "b0e66293bf2dad78bc4e947ab2079f1a10b1cd04670c1bb06f9b2af951ffa1a1",
+    "avy2021": "c74f588ef1024782b708f38194f7141b0f0cec9204e0abb29dbbb36e98f1fa09",
+    "avy2022": "2297a6abe3f0e0eeb387939074874a4af42ed21af9b6f112e5a4404898ccf700",
+    "avy2023": "a1499d383aba6f02129a6b7e9fa6529879d0e56e45638377b9f2419d44d12914",
+    "avy2024": "e83ff31d26c1e5846a366b342ca132705f577941fdfa8e40aaf9735f4d94ff65",
+}
+
+
+def _fixture_html(name: str) -> str:
+    if name.startswith("avy"):
+        return filingfab.avy_10k_html(int(name[3:]))
+    return getattr(filingfab, f"{name}_10k_html")()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_dump_digest_is_pinned(name):
+    dumped = dump_json(parse_text(_fixture_html(name))).encode()
+    assert hashlib.sha256(dumped).hexdigest() == _FIXTURE_DIGESTS[name]
 
 
 _HEADINGS = [f"Item {number}. Heading" for _, number in parsing._ITEM_SEQ]
