@@ -13,7 +13,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal
-from html.parser import HTMLParser
+from html import unescape
 
 from .edgar import CachedDocument, FilingRef
 from .errors import DecodeError, EmptyDocumentError, NoItemsFoundError
@@ -190,9 +190,10 @@ class _TableFrame:
     in_caption: bool = False
 
 
-class _HtmlExtractor(HTMLParser):
+class _HtmlExtractor:
+    """Builds the text and raw tables from the events of ``_tokenize``."""
+
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.assembler = _TextAssembler()
         self.raw_tables: list[_TableFrame] = []
         self._frames: list[_TableFrame] = []
@@ -299,6 +300,176 @@ def _colspan(attrs) -> int:
     return 1
 
 
+# -- HTML tokenizer ----------------------------------------------------------
+#
+# The events that the standard library's HTMLParser of CPython 3.11.7 sends
+# for one feed() of the whole document and a close(), with convert_charrefs
+# on: data is unescaped, and split only where the events do not depend on
+# it. Comments, declarations and processing instructions send nothing. Later
+# CPython releases changed how HTMLParser ends a document, a comment and a
+# script, so the parsed text is segforge's own, not the running Python's.
+
+# Every part after the tag name is optional, so this match never fails and
+# never backtracks: whether the tag is whole is decided by the character after
+# the match. A pattern that must also reach ">" after the attribute run
+# backtracks exponentially in the attribute count on an unterminated tag.
+_START_TAG = re.compile(r"""
+  <([a-zA-Z][^\t\n\r\f />\x00]*)     # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+_NAME_RUN = re.compile(r"<[a-zA-Z][^\t\n\r\f />\x00]*")
+_TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
+_ATTR = re.compile(r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
+_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+_COMMENT_END = re.compile(r"--\s*>")
+_MARKED_NAME = re.compile(r"[a-zA-Z][-_.a-zA-Z0-9]*\s*")
+_MARKED_END = {
+    **dict.fromkeys(("temp", "cdata", "ignore", "include", "rcdata"), re.compile(r"]\s*]\s*>")),
+    **dict.fromkeys(("if", "else", "endif"), re.compile(r"]\s*>")),
+}
+# Raw text ends only at its own end tag, in ASCII case.
+_RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % "".join(f"[{c}{c.upper()}]" for c in tag))
+                 for tag in ("script", "style")}
+_ATTR_TAGS = {"td", "th"}  # the only tags whose attributes are read (_colspan)
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+
+
+def _tokenize(raw: str, sink: _HtmlExtractor) -> None:
+    """Send ``raw``'s start, start-end, end and data events to ``sink``.
+
+    Attributes are parsed only for ``_ATTR_TAGS`` and for tags that may end
+    in ``/>``; other tags get an empty list. No tag can end after the last
+    ">", so ``_text_tail`` sends the rest from there; before it, every search
+    for ">" finds one.
+    """
+    data = sink.handle_data
+    i, n = 0, len(raw)
+    last_gt = raw.rfind(">")
+    while i < n:
+        j = raw.find("<", i)
+        if j < 0:
+            j = n
+        if i < j:
+            data(unescape(raw[i:j]))
+        if j == n:
+            break
+        if j > last_gt:
+            _text_tail(raw, j, data)
+            break
+        i = j
+        after = raw[i + 1:i + 2]
+        if after in _LETTERS:
+            k = _start_tag(raw, i, sink)
+        elif after == "/":  # "</>" and "</" before a non-letter send nothing
+            match = _END_TAG.match(raw, i) or _TAG_NAME.match(raw, i + 2)
+            if match:
+                sink.handle_endtag(match.group(1).lower())
+            k = raw.find(">", i + 1) + 1
+        elif raw.startswith("<!--", i):
+            match = _COMMENT_END.search(raw, i + 4)
+            k = match.end() if match else -1
+        elif raw.startswith("<![", i):
+            k = _marked_section(raw, i)
+        elif after in ("!", "?"):
+            k = raw.find(">", i + 2) + 1
+        else:
+            data("<")
+            k = i + 1
+        if k < 0:  # an unterminated construct is text through the next ">"
+            k = raw.find(">", i + 1) + 1
+            data(unescape(raw[i:k]))
+        i = k
+
+
+def _text_tail(raw: str, i: int, data) -> None:
+    """Send ``raw[i:]``, where no ">" follows, so that no tag can end there.
+
+    It is all text, unescaped, except that a ``<name`` directly before a NUL
+    is sent as it is. Every "<" inside one name run would get the same answer,
+    so one pass over the runs replaces a tag match from each "<", which can
+    read to the end of the document every time.
+    """
+    for run in _NAME_RUN.finditer(raw, i):
+        end = run.end()
+        if raw[end:end + 1] == "\x00" and not (raw[end - 1] in "'\"" or raw[end - 1].isspace()):
+            if i < run.start():
+                data(unescape(raw[i:run.start()]))
+            data(run.group())
+            i = end
+    if i < len(raw):
+        data(unescape(raw[i:]))
+
+
+def _start_tag(raw: str, i: int, sink: _HtmlExtractor) -> int:
+    match = _START_TAG.match(raw, i)
+    j = match.end()
+    after = raw[j:j + 1]
+    if after == ">":
+        end = j + 1
+    elif raw.startswith("/>", j):
+        end = j + 2
+    elif after in ("", "/", "=") or after in _LETTERS:
+        return -1
+    else:
+        sink.handle_data(raw[i:j])
+        return j
+    tag = match.group(1).lower()
+    attrs: list[tuple[str, str | None]] = []
+    if tag in _ATTR_TAGS or raw[end - 2] == "/":
+        k = _TAG_NAME.match(raw, i + 1).end()
+        while k < end and (attr := _ATTR.match(raw, k)):
+            name, rest, value = attr.group(1, 2, 3)
+            if not rest:
+                value = None
+            elif value[:1] == value[-1:] and value[:1] in ("'", '"'):
+                value = value[1:-1]
+            attrs.append((name.lower(), unescape(value) if value else value))
+            k = attr.end()
+        closing = raw[k:end].strip()
+        if closing not in (">", "/>"):
+            sink.handle_data(raw[i:end])
+            return end
+        if closing == "/>":
+            sink.handle_startendtag(tag, attrs)
+            return end
+    sink.handle_starttag(tag, attrs)
+    if tag not in _RAW_TEXT_END:
+        return end
+    match = _RAW_TEXT_END[tag].search(raw, end)
+    if match is None:  # raw text left open runs to the end and is dropped
+        return len(raw)
+    if end < match.start():
+        sink.handle_data(raw[end:match.start()])
+    sink.handle_endtag(tag)
+    return match.end()
+
+
+def _marked_section(raw: str, i: int) -> int:
+    """``<![name ...]]>`` or ``<![if ...]>``; any other ``<![`` ends at ``>``.
+
+    HTMLParser raises ``AssertionError`` on the other ``<![`` forms; here
+    they end at the next ``>``, as a declaration does.
+    """
+    name = _MARKED_NAME.match(raw, i + 3)
+    close = name and _MARKED_END.get(name.group().strip().lower())
+    if close is None:
+        return raw.find(">", i + 2) + 1
+    match = close.search(raw, i + 3)
+    return match.end() if match else -1
+
+
+
 _SCALE_HINT_RE = re.compile(r"in\s+(millions|thousands|billions)", re.IGNORECASE)
 
 
@@ -382,8 +553,7 @@ def parse_text(raw: str, media_kind: str = "html", ref: FilingRef | None = None)
     tables: list[NormalizedTable] = []
     if media_kind == "html":
         extractor = _HtmlExtractor()
-        extractor.feed(raw)
-        extractor.close()
+        _tokenize(raw, extractor)
         full_text = extractor.assembler.finish()
         raw_tables = sorted(extractor.raw_tables, key=lambda f: f.char_start)
         for i, frame in enumerate(raw_tables):

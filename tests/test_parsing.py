@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import time
 from decimal import Decimal
+from html.parser import HTMLParser
 
 import pytest
 from hypothesis import example, given, settings
@@ -474,6 +476,147 @@ def _fixture_html(name: str) -> str:
 def test_fixture_dump_digest_is_pinned(name):
     dumped = dump_json(parse_text(_fixture_html(name))).encode()
     assert hashlib.sha256(dumped).hexdigest() == _FIXTURE_DIGESTS[name]
+
+
+class _Events:
+    """The tokenizer events a sink receives, adjacent data merged.
+
+    Attributes are kept only for the tags whose attributes segforge reads.
+    """
+
+    def __init__(self):
+        self.events: list[tuple] = []
+
+    def handle_data(self, data):
+        if self.events and self.events[-1][0] == "data":
+            self.events[-1] = ("data", self.events[-1][1] + data)
+        elif data:
+            self.events.append(("data", data))
+
+    def handle_starttag(self, tag, attrs):
+        self.events.append(("start", tag, attrs if tag in parsing._ATTR_TAGS else None))
+
+    def handle_startendtag(self, tag, attrs):
+        self.events.append(("startend", tag, attrs if tag in parsing._ATTR_TAGS else None))
+
+    def handle_endtag(self, tag):
+        self.events.append(("end", tag))
+
+
+class _StdlibEvents(_Events, HTMLParser):
+    """The reference: html.parser's events for one feed() and close()."""
+
+    def __init__(self):
+        _Events.__init__(self)
+        HTMLParser.__init__(self, convert_charrefs=True)
+
+
+def _stdlib_events(html: str) -> list[tuple]:
+    parser = _StdlibEvents()
+    parser.feed(html)
+    parser.close()
+    return parser.events
+
+
+def _events(html: str) -> list[tuple]:
+    sink = _Events()
+    parsing._tokenize(html, sink)
+    return sink.events
+
+
+# Only constructs that html.parser handles alike in every CPython 3.10 and 3.11
+# patch release: every construct is closed, and no "</script" sits inside a
+# script. End of input and comments are pinned in TestTokenizerPins.
+_TEXT = st.text(alphabet="ab Z9.,\n\t", max_size=12)
+_ENTITY = st.sampled_from(["&amp;", "&amp", "&lt;", "&LT", "&#65;", "&#65", "&#x41;", "&copy",
+                           "&nbsp;", "&notit;", "& ", "&;", "&#;", "&bogus;"])
+_VALUE_PART = st.sampled_from(["a", "B", "2", " ", ">", "&amp;", "&lt", "&#50;"])
+_ATTR_VALUE = st.one_of(
+    st.lists(_VALUE_PART | st.just("'"), max_size=4).map(lambda v: '"%s"' % "".join(v)),
+    st.lists(_VALUE_PART | st.just('"'), max_size=4).map(lambda v: "'%s'" % "".join(v)),
+    st.sampled_from(["2", "3", "ab", "2&amp;"]),
+)
+_ATTR = st.builds(lambda name, value: name if value is None else f"{name}={value}",
+                  st.sampled_from(["colspan", "COLSPAN", "ColSpan", "class", "id"]),
+                  st.none() | _ATTR_VALUE)
+_TAG = st.sampled_from(["p", "P", "td", "TD", "Th", "tr", "table", "TABLE", "div", "br", "BR",
+                        "b", "span", "caption", "h2", "li"])
+
+
+@st.composite
+def _start_tag(draw) -> str:
+    attrs = "".join(" " + a for a in draw(st.lists(_ATTR, max_size=3)))
+    ending = draw(st.sampled_from([">", " />"] + (["/>"] if not attrs else [])))
+    return f"<{draw(_TAG)}{attrs}{ending}"
+
+
+@st.composite
+def _raw_text(draw) -> str:
+    tag = draw(st.sampled_from(["script", "SCRIPT", "style", "Style"]))
+    body = draw(st.lists(_TEXT | st.sampled_from(["</b>", "<", "a < b", "</p>", "&amp;", "<p>"]),
+                         max_size=4))
+    end = draw(st.sampled_from([tag, tag.lower(), tag.upper()]))
+    return f"<{tag}>{''.join(body)}</{end}>"
+
+
+_HTML = st.lists(
+    _TEXT | _ENTITY | _start_tag() | _raw_text()
+    | _TAG.map(lambda tag: f"</{tag}>")
+    | st.sampled_from(["< ", "<9", "<!-- note -->", "<!DOCTYPE html>", "<?xml version='1.0'?>",
+                       "<title>Form 10-K</title>"]),
+    max_size=25,
+).map("".join)
+
+
+class TestTokenizer:
+    @settings(max_examples=400, deadline=None)
+    @given(_HTML)
+    @example('<TD COLSPAN="3">a &amp b</td><br/><script>if (a < b) {}</b></SCRIPT>')
+    @example("<p class='x>y'>&#65&lt;</P><th colspan='&#50;'>")
+    def test_events_equal_html_parser(self, html):
+        assert _events(html) == _stdlib_events(html)
+
+    @pytest.mark.parametrize("html, text", [
+        ("<p>text <b class=x", "text <b class=x\n"),
+        ("<!-- never closed <p>x", "<!-- never closed <p>x\n"),
+        ("<p>a</p><script>var x = 1; <p>hidden", "a\n"),
+        ("<p>a <", "a <\n"),
+        ("<p>a </b", "a </b\n"),
+        ("<p>a &amp", "a &\n"),
+        ("<p>a<!-- c --!><p>b", "a<!-- c --!>\n\nb\n"),
+        ("<p>a<!---><p>b", "a<!--->\n\nb\n"),
+        ("<p>a<!--><p>b", "a<!-->\n\nb\n"),
+        ("<p>a</p><script>x</script <p>b", "a\n"),
+        ("<p>a</p><![CDATA[x > y]]><p>b", "a\n\nb\n"),
+        ("<p>a</p><![if !supportLists]><p>b<![endif]>", "a\n\nb\n"),
+        ("<p>a<!DOCTYPE x<p>b", "ab\n"),
+        ("<p>a<?pi x<p>b", "ab\n"),
+        ("<p>a <b x='>' <p>c", "a c\n"),
+        ("<p>a</ b>c</>d", "acd\n"),
+        ("<p>x</p><title>t<p>y</title><p>z", "x\n\nz\n"),
+        ("x<a&amp;\x00y&amp;", "x<a&amp;\x00y&\n"),
+        ("x<a&amp;\x00y&amp;<p>z", "x<a&amp;\x00y&\n\nz\n"),
+        ("<p>a<td colspan='2'/>b<br/>c<br x=y/>d", "ab\nc\nd\n"),
+        ("<p>a<![x]>b", "ab\n"),  # html.parser raises AssertionError here
+    ])
+    def test_pinned_text(self, html, text):
+        """End of input, comments and declarations, as html.parser gave them in CPython 3.11.7."""
+        assert parse_text(html).full_text == text
+
+    @pytest.mark.parametrize("html", [
+        "<a" + " b=c" * 10_000,
+        "<a" + " b='x'  " * 10_000,
+        "<a b" * 16_000,
+    ])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_unterminated_tag_parses_in_linear_time(self, html, closed):
+        # Unclosed, every "<" is text; with a ">" after it, the whole run is
+        # one start tag. A pattern that backtracks over the attribute run
+        # takes seconds at a dozen attributes.
+        started = time.perf_counter()
+        parsed = parse_text(html + "<p>end</p>" if closed else html)
+        assert time.perf_counter() - started < 2.0
+        assert parsed.full_text == ("end\n" if closed else " ".join(html.split()) + "\n")
 
 
 _HEADINGS = [f"Item {number}. Heading" for _, number in parsing._ITEM_SEQ]
