@@ -16,6 +16,8 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
+from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -34,6 +36,7 @@ EARLIEST_FISCAL_YEAR = 1993  # 10-K coverage on EDGAR starts here
 ACCESSION_RE = re.compile(r"^\d{10}-\d{2}-\d{6}$")
 
 SUBMISSIONS_URL = "https://data.sec.gov/submissions/CIK{cik:010d}.json"
+SUBMISSIONS_PAGE_URL = "https://data.sec.gov/submissions/{name}"
 ARCHIVES_URL = "https://www.sec.gov/Archives/edgar/data/{cik}/{acc}/{doc}"
 
 
@@ -169,7 +172,8 @@ class LiveTransport:
         except requests.RequestException as exc:
             raise NetworkError(f"GET {url} failed: {exc}") from exc
         if response.status_code in (429, 500, 502, 503, 504):
-            raise NetworkError(f"GET {url} -> {response.status_code}", retryable=True)
+            raise NetworkError(f"GET {url} -> {response.status_code}", retryable=True,
+                               retry_after=retry_after(response))
         if response.status_code == 404:
             raise NotFoundError(f"GET {url} -> 404")
         if response.status_code != 200:
@@ -177,24 +181,49 @@ class LiveTransport:
         return response
 
     def get_submissions(self, cik: int) -> dict:
-        data = self._get(SUBMISSIONS_URL.format(cik=cik)).json()
-        recent = data.get("filings", {}).get("recent", {})
-        filings = []
-        forms = recent.get("form", [])
-        for i, form in enumerate(forms):
-            filings.append(
-                {
-                    "form": form,
-                    "accession_number": recent["accessionNumber"][i],
-                    "period_of_report": recent["reportDate"][i],
-                    "primary_document": recent["primaryDocument"][i],
-                    "filing_date": recent["filingDate"][i],
-                }
-            )
-        return {"filings": filings}
+        """The recent filings, and in ``pages`` the names of the older pages."""
+        filings = self._get(SUBMISSIONS_URL.format(cik=cik)).json().get("filings", {})
+        return {"filings": _filing_rows(filings.get("recent", {})),
+                "pages": [page["name"] for page in filings.get("files", [])]}
+
+    def get_submissions_page(self, name: str) -> dict:
+        return {"filings": _filing_rows(self._get(SUBMISSIONS_PAGE_URL.format(name=name)).json())}
 
     def get_document(self, ref: FilingRef) -> bytes:
         return self._get(ref.document_url).content
+
+
+def _filing_rows(columns: dict) -> list[dict]:
+    """EDGAR's column-wise filing lists as one dict per filing."""
+    return [
+        {
+            "form": form,
+            "accession_number": columns["accessionNumber"][i],
+            "period_of_report": columns["reportDate"][i],
+            "primary_document": columns["primaryDocument"][i],
+            "filing_date": columns["filingDate"][i],
+        }
+        for i, form in enumerate(columns.get("form", []))
+    ]
+
+
+def retry_after(response) -> float | None:
+    """The seconds a 429 or 503 response asks to wait in ``Retry-After``, or None.
+
+    The header holds either a count of seconds or an HTTP date.
+    """
+    if response.status_code not in (429, 503):
+        return None
+    value = response.headers.get("Retry-After", "").strip()
+    if value.isdigit():
+        return float(value)
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
 class EdgarClient:
@@ -245,7 +274,9 @@ class EdgarClient:
         """Find the 10-K whose period-of-report falls in ``fiscal_year``.
 
         Prefers the original 10-K; falls back to the latest 10-K/A only when
-        no original exists, marking the ref as amended.
+        no original exists, marking the ref as amended. Each page of older
+        filings that the submissions list names is one more request, under
+        the rate limit and retry loop like the first.
         """
         if cik <= 0:
             raise ValueError(f"cik must be positive, got {cik}")
@@ -255,8 +286,11 @@ class EdgarClient:
                 f"fiscal year {fiscal_year} outside 10-K coverage [{EARLIEST_FISCAL_YEAR}, {current_year}]"
             )
         submissions = self._with_retries(lambda: self.transport.get_submissions(cik))
+        filings = list(submissions.get("filings", []))
+        for name in submissions.get("pages", []):
+            filings += self._with_retries(partial(self.transport.get_submissions_page, name))["filings"]
         matches = {"10-K": [], "10-K/A": []}
-        for filing in submissions.get("filings", []):
+        for filing in filings:
             form = filing.get("form", "")
             if form not in matches:
                 continue
@@ -345,7 +379,7 @@ class EdgarClient:
                 if not exc.retryable or attempt == attempts:
                     raise
                 logger.debug("transient failure (attempt %d/%d): %s", attempt, attempts, exc)
-                self._clock.sleep(delay)
+                self._clock.sleep(max(delay, exc.retry_after or 0.0))
                 delay *= 2
 
 

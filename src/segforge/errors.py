@@ -14,11 +14,15 @@ class AmbiguousFilingError(SegforgeError):
 
 
 class NetworkError(SegforgeError):
-    """Transport failure. ``retryable`` marks transient conditions (5xx, timeouts)."""
+    """Transport failure. ``retryable`` marks transient conditions (5xx, timeouts).
 
-    def __init__(self, message: str, retryable: bool = True):
+    ``retry_after`` is the wait in seconds that the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retryable: bool = True, retry_after: float | None = None):
         super().__init__(message)
         self.retryable = retryable
+        self.retry_after = retry_after
 
 
 class CacheWriteError(SegforgeError):

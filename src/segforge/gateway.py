@@ -19,7 +19,7 @@ from concurrent.futures import Future
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .edgar import CachedDocument
+from .edgar import CachedDocument, SystemClock, retry_after
 from .errors import BatchError, ProviderError, ScriptMissError, SchemaError, UploadError
 from .values import load, write_atomic
 
@@ -168,7 +168,8 @@ class LiveBackend:
     name = LIVE
     max_attempts = 3
 
-    def __init__(self, api_base: str, model: str, api_key: str = "", timeout: float = 60.0, session=None):
+    def __init__(self, api_base: str, model: str, api_key: str = "", timeout: float = 60.0, session=None,
+                 clock=None):
         if not api_base:
             raise ProviderError("llm.api_base is not configured")
         import requests
@@ -177,6 +178,7 @@ class LiveBackend:
         self.model = model
         self.timeout = timeout
         self.session = session or requests.Session()
+        self._clock = clock or SystemClock()
         if api_key:
             self.session.headers["Authorization"] = f"Bearer {api_key}"
 
@@ -197,7 +199,7 @@ class LiveBackend:
         )
 
     def ask(self, request: PromptRequest) -> Completion:
-        started = time.monotonic()
+        started = self._clock.monotonic()
         payload = {
             "model": self.model,
             "file_id": request.file.provider_file_id,
@@ -210,7 +212,7 @@ class LiveBackend:
             text = response["text"]
         except (TypeError, KeyError) as exc:
             raise ProviderError(f"provider returned no completion text: {response!r}") from exc
-        latency_ms = int((time.monotonic() - started) * 1000)
+        latency_ms = int((self._clock.monotonic() - started) * 1000)
         return Completion(
             request_id=request.request_id,
             text=text,
@@ -219,10 +221,12 @@ class LiveBackend:
         )
 
     def _post(self, route: str, **kwargs):
+        """POST with up to ``max_attempts`` tries, backing off from 1 s or for ``Retry-After``."""
         import requests
 
         delay = 1.0
         for attempt in range(self.max_attempts):
+            wait = delay
             try:
                 resp = self.session.post(self.api_base + route, timeout=self.timeout, **kwargs)
             except requests.RequestException as exc:
@@ -233,7 +237,8 @@ class LiveBackend:
                     return resp.json()
                 if resp.status_code not in (429, 500, 502, 503, 504) or attempt + 1 == self.max_attempts:
                     raise ProviderError(f"provider error HTTP {resp.status_code}: {resp.text[:200]}")
-            time.sleep(delay)
+                wait = max(delay, retry_after(resp) or 0.0)
+            self._clock.sleep(wait)
             delay *= 2
         raise ProviderError("provider retries exhausted")
 

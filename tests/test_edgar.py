@@ -3,15 +3,21 @@
 import json
 import os
 import re
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
+import requests
 
 import paperdata
 from filingfab import APPLE_ACCESSION, APPLE_DOC
 from segforge.edgar import (
+    SUBMISSIONS_PAGE_URL,
+    SUBMISSIONS_URL,
     EdgarClient,
     FilingRef,
     FixtureTransport,
+    LiveTransport,
     RateLimiter,
     _media_kind,
 )
@@ -80,6 +86,37 @@ class FlakyTransport:
 
     def get_document(self, ref):
         return b"<html><body><p>hello</p></body></html>"
+
+
+def http_response(status: int, body=None, headers: dict | None = None) -> requests.Response:
+    response = requests.Response()
+    response.status_code = status
+    response.headers.update(headers or {})
+    response._content = json.dumps(body).encode() if body is not None else b""
+    return response
+
+
+class FakeSession:
+    """Answers each GET with the next queued response for its URL, and logs the URLs."""
+
+    def __init__(self, responses: dict[str, list[requests.Response]]):
+        self.responses = responses
+        self.urls: list[str] = []
+
+    def get(self, url, headers=None, timeout=None):
+        self.urls.append(url)
+        return self.responses[url].pop(0)
+
+
+def filing_columns(*filings: tuple[str, int]) -> dict:
+    """EDGAR's column-wise filing list for (form, fiscal year) pairs."""
+    return {
+        "form": [form for form, _ in filings],
+        "accessionNumber": [f"0000000042-{(year + 1) % 100:02d}-{i:06d}" for i, (_, year) in enumerate(filings)],
+        "reportDate": [f"{year}-12-31" for _, year in filings],
+        "primaryDocument": [f"doc{year}.htm" for _, year in filings],
+        "filingDate": [f"{year + 1}-02-20" for _, year in filings],
+    }
 
 
 # -- rate limiter -----------------------------------------------------------------
@@ -344,6 +381,70 @@ class TestRetries:
         with pytest.raises(NetworkError):
             client.resolve_filing(1, 2019)
         assert transport.calls == 3  # max_retries + 1 attempts
+
+
+class TestLiveTransport:
+    """LiveTransport behind EdgarClient, over a fake requests session."""
+
+    def client(self, tmp_path, session, clock=None):
+        return EdgarClient(LiveTransport("segforge tests test@example.com", session=session),
+                           cache_dir=tmp_path, rate_limit_rps=10_000, clock=clock or FakeClock())
+
+    def test_older_years_come_from_the_submission_pages(self, tmp_path):
+        page = "CIK0000000042-submissions-001.json"
+        session = FakeSession({
+            SUBMISSIONS_URL.format(cik=42): [http_response(200, {"filings": {
+                "recent": filing_columns(("10-K", 2023), ("8-K", 2023)),
+                "files": [{"name": page, "filingCount": 2}],
+            }})] * 3,
+            SUBMISSIONS_PAGE_URL.format(name=page): [
+                http_response(200, filing_columns(("10-K", 2001), ("10-Q", 2001)))] * 3,
+        })
+        client = self.client(tmp_path, session)
+        old = client.resolve_filing(42, 2001)
+        assert (old.primary_document, old.accession_number) == ("doc2001.htm", "0000000042-02-000000")
+        assert client.resolve_filing(42, 2023).primary_document == "doc2023.htm"
+        with pytest.raises(NotFoundError):
+            client.resolve_filing(42, 2010)
+        assert session.urls == [SUBMISSIONS_URL.format(cik=42),
+                                SUBMISSIONS_PAGE_URL.format(name=page)] * 3
+
+    @pytest.mark.parametrize("status, header, wait", [
+        (429, "7", 7.0),       # longer than the 0.5 s backoff
+        (503, "0", 0.5),       # shorter: the backoff stands
+        (500, "9", 0.5),       # only 429 and 503 carry Retry-After
+        (429, "soon", 0.5),    # unreadable
+    ])
+    def test_retry_after_sets_the_wait(self, tmp_path, status, header, wait):
+        clock = FakeClock()
+        session = FakeSession({SUBMISSIONS_URL.format(cik=42): [
+            http_response(status, headers={"Retry-After": header}),
+            http_response(200, {"filings": {"recent": filing_columns(("10-K", 2023))}}),
+        ]})
+        assert self.client(tmp_path, session, clock).resolve_filing(42, 2023).fiscal_year == 2023
+        assert clock.sleeps == [wait]
+
+    def test_retry_after_as_an_http_date(self, tmp_path):
+        clock = FakeClock()
+        when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True)
+        session = FakeSession({SUBMISSIONS_URL.format(cik=42): [
+            http_response(503, headers={"Retry-After": when}),
+            http_response(200, {"filings": {"recent": filing_columns(("10-K", 2023))}}),
+        ]})
+        self.client(tmp_path, session, clock).resolve_filing(42, 2023)
+        assert len(clock.sleeps) == 1 and 25 < clock.sleeps[0] <= 30
+
+    def test_retry_after_on_a_document_fetch(self, tmp_path):
+        clock = FakeClock()
+        ref = FilingRef(cik=42, fiscal_year=2023, accession_number="0000000042-24-000000",
+                        document_url="https://example.test/doc.htm", primary_document="doc.htm")
+        session = FakeSession({ref.document_url: [
+            http_response(429, headers={"Retry-After": "3"}),
+            http_response(429, headers={"Retry-After": "2"}),
+            http_response(200, "body"),
+        ]})
+        assert self.client(tmp_path, session, clock).fetch(ref).read_bytes() == b'"body"'
+        assert clock.sleeps == [3.0, 2.0]  # the second backoff is 1 s
 
 
 # -- config and misc ---------------------------------------------------------------

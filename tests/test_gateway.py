@@ -15,13 +15,15 @@ import threading
 import time
 
 import pytest
+import requests
 
 from segforge.config import Config
-from segforge.errors import BatchError, SchemaError, ScriptMissError, UploadError
+from segforge.errors import BatchError, ProviderError, SchemaError, ScriptMissError, UploadError
 from segforge.gateway import (
     Completion,
     FileHandle,
     Gateway,
+    LiveBackend,
     PromptRequest,
     ScriptedBackend,
     ScriptEntry,
@@ -453,3 +455,65 @@ class TestFromConfig:
         config = Config({"llm.backend": "mystery"}, use_env=False)
         with pytest.raises(SchemaError):
             Gateway.from_config(config)
+
+
+class TestLiveBackend:
+    """LiveBackend's retry loop over a fake requests session and clock."""
+
+    class Clock:
+        def __init__(self):
+            self.now = 0.0
+            self.sleeps = []
+
+        def monotonic(self):
+            return self.now
+
+        def sleep(self, seconds):
+            self.sleeps.append(seconds)
+            self.now += seconds
+
+    class Session:
+        def __init__(self, *responses):
+            self.headers = {}
+            self.responses = list(responses)
+            self.posts = 0
+
+        def post(self, url, timeout=None, **kwargs):
+            self.posts += 1
+            return self.responses.pop(0)
+
+    @staticmethod
+    def response(status, body=None, retry_after=None):
+        response = requests.Response()
+        response.status_code = status
+        if retry_after is not None:
+            response.headers["Retry-After"] = retry_after
+        response._content = json.dumps(body).encode()
+        return response
+
+    def backend(self, *responses):
+        clock, session = self.Clock(), self.Session(*responses)
+        return LiveBackend("https://llm.example.test", "m", session=session, clock=clock), clock
+
+    @pytest.mark.parametrize("first, sleeps", [
+        (response(429, retry_after="5"), [5.0]),
+        (response(503, retry_after="0"), [1.0]),  # the 1 s backoff stands
+        (response(502, retry_after="5"), [1.0]),  # only 429 and 503 carry Retry-After
+        (response(503), [1.0]),
+    ])
+    def test_retry_after_sets_the_wait(self, first, sleeps):
+        backend, clock = self.backend(first, self.response(200, {"id": "file-1"}))
+        assert backend.upload(HASH_A, b"doc", "doc.htm").provider_file_id == "file-1"
+        assert clock.sleeps == sleeps
+
+    def test_waits_then_gives_up_after_max_attempts(self):
+        backend, clock = self.backend(*[self.response(429, retry_after="4")] * 3)
+        with pytest.raises(ProviderError, match="HTTP 429"):
+            backend.upload(HASH_A, b"doc", "doc.htm")
+        assert clock.sleeps == [4.0, 4.0]
+
+    def test_latency_comes_from_the_clock(self):
+        backend, clock = self.backend(self.response(429, retry_after="2"),
+                                      self.response(200, {"text": "answer"}))
+        completion = backend.ask(request_for("q", "req-1"))
+        assert (completion.text, completion.latency_ms) == ("answer", 2000)
