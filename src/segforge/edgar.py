@@ -16,7 +16,6 @@ import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from email.utils import parsedate_to_datetime
 from functools import partial
 from pathlib import Path
 
@@ -217,6 +216,8 @@ def retry_after(response) -> float | None:
     value = response.headers.get("Retry-After", "").strip()
     if value.isdigit():
         return float(value)
+    from email.utils import parsedate_to_datetime  # 1.4 MB of modules that most runs never need
+
     try:
         when = parsedate_to_datetime(value)
     except (TypeError, ValueError):
