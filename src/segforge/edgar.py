@@ -231,7 +231,8 @@ class EdgarClient:
     """Resolve and fetch 10-K filings under a polite rate limit.
 
     The limiter and cache are shared, internally synchronized resources;
-    fetches for distinct refs may run concurrently from many threads.
+    fetches for distinct refs may run concurrently from many threads. Each
+    CIK's filing list, once read, is kept for the client's lifetime.
     """
 
     def __init__(
@@ -248,6 +249,7 @@ class EdgarClient:
         self._clock = clock or SystemClock()
         self._limiter = RateLimiter(rate_limit_rps, clock=self._clock)
         self._write_lock = threading.Lock()
+        self._filings: dict[int, list[dict]] = {}
 
     @classmethod
     def from_config(cls, config, allow_network: bool = False) -> "EdgarClient":
@@ -277,7 +279,9 @@ class EdgarClient:
         Prefers the original 10-K; falls back to the latest 10-K/A only when
         no original exists, marking the ref as amended. Each page of older
         filings that the submissions list names is one more request, under
-        the rate limit and retry loop like the first.
+        the rate limit and retry loop like the first. The client keeps the
+        list once every page has arrived, so a failed read is retried by the
+        next resolve.
         """
         if cik <= 0:
             raise ValueError(f"cik must be positive, got {cik}")
@@ -286,10 +290,13 @@ class EdgarClient:
             raise NotFoundError(
                 f"fiscal year {fiscal_year} outside 10-K coverage [{EARLIEST_FISCAL_YEAR}, {current_year}]"
             )
-        submissions = self._with_retries(lambda: self.transport.get_submissions(cik))
-        filings = list(submissions.get("filings", []))
-        for name in submissions.get("pages", []):
-            filings += self._with_retries(partial(self.transport.get_submissions_page, name))["filings"]
+        filings = self._filings.get(cik)
+        if filings is None:
+            submissions = self._with_retries(lambda: self.transport.get_submissions(cik))
+            filings = list(submissions.get("filings", []))
+            for name in submissions.get("pages", []):
+                filings += self._with_retries(partial(self.transport.get_submissions_page, name))["filings"]
+            self._filings[cik] = filings
         matches = {"10-K": [], "10-K/A": []}
         for filing in filings:
             form = filing.get("form", "")

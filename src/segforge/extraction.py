@@ -218,12 +218,16 @@ class ExtractionPipeline:
 
     ``run_pipeline`` schedules a firm-year's prompts by dependency, not by
     stage, under the gateway's one in-flight budget. The 17 general fields
-    go out with classify as filler and are joined at the end. The chain
-    runs classify, then the segment names, then their measures together
-    with nested detection; the nested names for every flagged parent go out
-    in one batch as soon as detection answers, and their measures after
-    them. A chain request takes the next free slot before any waiting
-    general field.
+    go out with classify and are joined at the end. The chain runs
+    classify, then the segment names, then their measures together with
+    nested detection; the nested names for every flagged parent go out in
+    one batch as soon as detection answers, and their measures after them.
+
+    A prompt is filler when nothing but the bundle waits on its answer: the
+    general fields and every measure of both tiers, with their retries.
+    Classify, the segment names, nested detection and the nested names are
+    critical, because another prompt is planned from each answer; a waiting
+    critical prompt takes the next free slot before any waiting filler.
 
     Request ids are "<cik>-<fy>-<seq>" and never depend on completion
     order. Classify is always 0001 and the general fields 0002-0018, in
@@ -281,8 +285,10 @@ class ExtractionPipeline:
 
         Returns a list aligned with items; each element is (value, raw text,
         request ids used). The items are numbered from ``first_seq`` when
-        given, else from the firm-year's counter, and all go out at once;
-        ``alongside()``, when given, is called as soon as they are queued.
+        given, else from the firm-year's counter, and all go out at once,
+        in the gateway's ``filler`` class when ``filler`` is set (their
+        retries too); ``alongside()``, when given, is called as soon as they
+        are queued.
         Each answer is checked as it arrives, and an invalid one is retried
         at once. With ``warnings=None`` the answers are required and a
         terminal failure raises: the request's own error, or the last
@@ -372,7 +378,8 @@ class ExtractionPipeline:
         ]
         if alongside is not None:
             alongside = partial(alongside, records)
-        answers = self._ask_all(handle, items, cik, fy, warnings, alongside=alongside)
+        answers = self._ask_all(handle, items, cik, fy, warnings, filler=True,
+                                alongside=alongside)
         for i, answer in enumerate(answers):
             if answer is None:
                 continue

@@ -79,13 +79,11 @@ class ScriptStore:
         self._entries: dict[tuple[str, str], str] = {}
 
     @classmethod
-    def from_entries(cls, entries) -> "ScriptStore":
+    def from_entries(cls, entries: list[dict]) -> "ScriptStore":
+        """A store of ``{"file_hash", "question", "response"}`` dicts."""
         store = cls()
         for entry in entries:
-            if isinstance(entry, ScriptEntry):
-                store.add(entry.file_hash, entry.question, entry.response)
-            else:
-                store.add(entry["file_hash"], entry["question"], entry["response"])
+            store.add(entry["file_hash"], entry["question"], entry["response"])
         return store
 
     @classmethod
@@ -259,8 +257,10 @@ class Gateway:
     ``max_in_flight`` is one budget for the whole gateway: however many
     threads call ask(), submit() or ask_many() at once, no more than that
     many prompts are with the backend. Queued prompts start in two classes,
-    each first come, first served: a waiting critical-path request gets the
-    next free slot before any waiting ``filler`` request.
+    each first come, first served: a waiting critical request gets the next
+    free slot before any waiting ``filler`` request. A request is filler
+    when nothing but the bundle waits on its answer, and critical when
+    another prompt is planned from it.
 
     The gateway never numbers requests; callers give each one an id, and
     reusing an id is an error.
@@ -334,7 +334,11 @@ class Gateway:
         return completion
 
     def submit(self, request: PromptRequest, filler: bool = False) -> Future:
-        """Queue one prompt; the future holds its Completion or its error."""
+        """Queue one prompt; the future holds its Completion or its error.
+
+        Pass ``filler=True`` when nothing but the bundle waits on the
+        answer: the prompt then starts only when no critical one is queued.
+        """
         future: Future = Future()
         with self._lock:
             heapq.heappush(self._queue, (filler, next(self._arrivals), request, future))

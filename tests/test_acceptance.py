@@ -18,6 +18,8 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from decimal import Decimal
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +38,7 @@ from segforge.extraction import (
     SegmentRecord,
     validate_bundle,
 )
+from segforge import gateway as gateway_module
 from segforge.gateway import Gateway, PromptRequest, ScriptedBackend, ScriptStore
 from segforge.retrieval import retrieve
 from segforge.store import FundamentalsRoster, SegmentStore
@@ -328,75 +331,131 @@ def test_criterion_09_concurrency_contract(capsys):
         assert peak >= 2  # the pool actually overlapped work
 
 
+def write_run_inputs(directory: Path) -> tuple[Path, Path, Path]:
+    """The roster, region scheme and gold file that the criterion-10 commands read."""
+    roster = filingfab.write_roster(directory / "roster.csv", [
+        (paperdata.AVY_CIK, 2012),
+        (paperdata.KMI_CIK, paperdata.KMI_MISSING_YEAR),
+    ])
+    scheme = filingfab.write_asia_scheme(directory / "asia.json")
+    gold = directory / "gold.json"
+    gold.write_text(json.dumps({
+        "group_id": "unit",
+        "filings": [
+            {"cik": paperdata.APPLE_CIK, "fiscal_year": 2024,
+             "is_multi_segment": False, "has_nested": False},
+            {"cik": paperdata.ADOBE_CIK, "fiscal_year": 2024,
+             "is_multi_segment": True, "has_nested": True},
+        ],
+        "cells": [
+            {"cik": paperdata.ADOBE_CIK, "fiscal_year": 2024,
+             "segment": "Digital Media", "measure": "revenue",
+             "gold_value": "$16,200 million"},
+        ],
+    }), encoding="utf-8")
+    return roster, scheme, gold
+
+
+def full_run(config_path: Path, run_dir: Path, inputs: tuple[Path, Path, Path]) -> None:
+    """The criterion-10 command sequence: every subcommand on one run directory."""
+    roster, scheme, gold = inputs
+    avy_years = sorted(paperdata.AVY_TABLE3)
+    run_dir.mkdir()
+    base = ["--config", str(config_path), "--run-dir", str(run_dir)]
+    panel = SegmentStore(run_dir / "panel.jsonl")
+    for year in sorted(paperdata.INTC_ASIA):
+        panel.put(filingfab.intc_bundle(year))
+        panel.put(filingfab.txn_bundle(year))
+    for year in avy_years:
+        assert main(["parse", *base, "--cik", str(paperdata.AVY_CIK),
+                     "--year", str(year)]) == 0
+    assert main(["index", *base, "--corpus", str(run_dir / "parsed")]) == 0
+    for cik, year in ([(paperdata.APPLE_CIK, 2024), (paperdata.ADOBE_CIK, 2024)]
+                      + [(paperdata.AVY_CIK, y) for y in avy_years]):
+        assert main(["extract", *base, "--cik", str(cik), "--year", str(year)]) == 0
+    assert main(["changes", *base, "--cik", str(paperdata.AVY_CIK),
+                 "--from", str(avy_years[0]), "--to", str(avy_years[-1]),
+                 "--index", str(run_dir / "index")]) == 0
+    assert main(["align", *base,
+                 "--firm-a", str(paperdata.INTC_CIK),
+                 "--firm-b", str(paperdata.TXN_CIK),
+                 "--label-a", "INTC", "--label-b", "TXN",
+                 "--region", str(scheme),
+                 "--from", "2012", "--to", "2024"]) == 0
+    assert main(["gaps", *base, "--roster", str(roster)]) == 0
+    assert main(["eval", *base, "--gold", str(gold), "--bundles", str(run_dir)]) == 0
+    assert main(["export", *base, "--out", "segments.csv"]) == 0
+
+
+def snapshot(run_dir: Path) -> dict[str, bytes]:
+    return {
+        path.relative_to(run_dir).as_posix(): path.read_bytes()
+        for path in sorted(run_dir.rglob("*"))
+        if path.is_file()
+    }
+
+
+def assert_same_artifacts(first: dict[str, bytes], second: dict[str, bytes]) -> None:
+    assert sorted(first) == sorted(second)
+    for rel in sorted(first):
+        assert first[rel] == second[rel], f"artifact differs between runs: {rel}"
+
+
 def test_criterion_10_determinism(capsys, config_path, tmp_path, avy_index_dir):
     """Tolerance: byte-identical artifacts; the fetch timestamp stays in the
     EDGAR cache and never reaches the run directory, so nothing needs
     excluding. Budget: 30 s."""
     with criterion(capsys, 10, "two full scripted runs are byte-identical", 30.0):
-        roster = filingfab.write_roster(tmp_path / "roster.csv", [
-            (paperdata.AVY_CIK, 2012),
-            (paperdata.KMI_CIK, paperdata.KMI_MISSING_YEAR),
-        ])
-        scheme = filingfab.write_asia_scheme(tmp_path / "asia.json")
-        gold = tmp_path / "gold.json"
-        gold.write_text(json.dumps({
-            "group_id": "unit",
-            "filings": [
-                {"cik": paperdata.APPLE_CIK, "fiscal_year": 2024,
-                 "is_multi_segment": False, "has_nested": False},
-                {"cik": paperdata.ADOBE_CIK, "fiscal_year": 2024,
-                 "is_multi_segment": True, "has_nested": True},
-            ],
-            "cells": [
-                {"cik": paperdata.ADOBE_CIK, "fiscal_year": 2024,
-                 "segment": "Digital Media", "measure": "revenue",
-                 "gold_value": "$16,200 million"},
-            ],
-        }), encoding="utf-8")
-
-        avy_years = sorted(paperdata.AVY_TABLE3)
-
-        def full_run(run_dir) -> None:
-            run_dir.mkdir()
-            base = ["--config", str(config_path), "--run-dir", str(run_dir)]
-            panel = SegmentStore(run_dir / "panel.jsonl")
-            for year in sorted(paperdata.INTC_ASIA):
-                panel.put(filingfab.intc_bundle(year))
-                panel.put(filingfab.txn_bundle(year))
-            for year in avy_years:
-                assert main(["parse", *base, "--cik", str(paperdata.AVY_CIK),
-                             "--year", str(year)]) == 0
-            assert main(["index", *base, "--corpus", str(run_dir / "parsed")]) == 0
-            for cik, year in ([(paperdata.APPLE_CIK, 2024), (paperdata.ADOBE_CIK, 2024)]
-                              + [(paperdata.AVY_CIK, y) for y in avy_years]):
-                assert main(["extract", *base, "--cik", str(cik),
-                             "--year", str(year)]) == 0
-            assert main(["changes", *base, "--cik", str(paperdata.AVY_CIK),
-                         "--from", str(avy_years[0]), "--to", str(avy_years[-1]),
-                         "--index", str(run_dir / "index")]) == 0
-            assert main(["align", *base,
-                         "--firm-a", str(paperdata.INTC_CIK),
-                         "--firm-b", str(paperdata.TXN_CIK),
-                         "--label-a", "INTC", "--label-b", "TXN",
-                         "--region", str(scheme),
-                         "--from", "2012", "--to", "2024"]) == 0
-            assert main(["gaps", *base, "--roster", str(roster)]) == 0
-            assert main(["eval", *base, "--gold", str(gold),
-                         "--bundles", str(run_dir)]) == 0
-            assert main(["export", *base, "--out", "segments.csv"]) == 0
-
-        def snapshot(run_dir) -> dict[str, bytes]:
-            return {
-                path.relative_to(run_dir).as_posix(): path.read_bytes()
-                for path in sorted(run_dir.rglob("*"))
-                if path.is_file()
-            }
-
+        inputs = write_run_inputs(tmp_path)
         run_a, run_b = tmp_path / "run_a", tmp_path / "run_b"
-        full_run(run_a)
-        full_run(run_b)
-        first, second = snapshot(run_a), snapshot(run_b)
-        assert sorted(first) == sorted(second)
-        for rel in sorted(first):
-            assert first[rel] == second[rel], f"artifact differs between runs: {rel}"
+        full_run(config_path, run_a, inputs)
+        full_run(config_path, run_b, inputs)
+        first = snapshot(run_a)
+        assert_same_artifacts(first, snapshot(run_b))
         assert len(first) > 30  # parses, bundles, index, tables, reports, manifest
+
+
+# -- determinism matrix: criterion 10 under other schedules ----------------------
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory, config_path) -> tuple[tuple[Path, Path, Path], dict]:
+    """The criterion-10 inputs and the run directory of the default configuration."""
+    directory = tmp_path_factory.mktemp("matrix")
+    inputs = write_run_inputs(directory)
+    full_run(config_path, directory / "default", inputs)
+    return inputs, snapshot(directory / "default")
+
+
+@pytest.mark.parametrize("max_in_flight, jitter_seed", [
+    (1, None), (5, None), (32, None), (5, 1), (5, 2),
+], ids=["cap1", "cap5", "cap32", "jitter1", "jitter2"])
+def test_run_directory_does_not_depend_on_the_schedule(
+        monkeypatch, config_path, tmp_path, default_run, max_in_flight, jitter_seed):
+    """Every file of the run directory is byte-identical to the default run's,
+    whatever the in-flight budget and however long each prompt takes; the
+    budget bounds the prompts with the backend at once."""
+    lock = threading.Lock()
+    active = peak = 0
+
+    def probe(question: str) -> float:
+        nonlocal active, peak
+        with lock:
+            active += 1
+            peak = max(peak, active)
+        if jitter_seed is not None:
+            time.sleep(random.Random(f"{jitter_seed}:{question}").choice(
+                [0, 0.0005, 0.001, 0.003]))
+        with lock:
+            active -= 1
+        return 0.0
+
+    monkeypatch.setattr(gateway_module, "ScriptedBackend",
+                        partial(ScriptedBackend, delay_fn=probe))
+    config = tmp_path / "segforge.conf"
+    config.write_text(config_path.read_text(encoding="utf-8")
+                      + f"llm.max_in_flight = {max_in_flight}\n", encoding="utf-8")
+    inputs, reference = default_run
+    full_run(config, tmp_path / "run", inputs)
+    assert_same_artifacts(reference, snapshot(tmp_path / "run"))
+    assert 1 <= peak <= max_in_flight

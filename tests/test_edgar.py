@@ -396,9 +396,9 @@ class TestLiveTransport:
             SUBMISSIONS_URL.format(cik=42): [http_response(200, {"filings": {
                 "recent": filing_columns(("10-K", 2023), ("8-K", 2023)),
                 "files": [{"name": page, "filingCount": 2}],
-            }})] * 3,
+            }})],
             SUBMISSIONS_PAGE_URL.format(name=page): [
-                http_response(200, filing_columns(("10-K", 2001), ("10-Q", 2001)))] * 3,
+                http_response(200, filing_columns(("10-K", 2001), ("10-Q", 2001)))],
         })
         client = self.client(tmp_path, session)
         old = client.resolve_filing(42, 2001)
@@ -406,8 +406,31 @@ class TestLiveTransport:
         assert client.resolve_filing(42, 2023).primary_document == "doc2023.htm"
         with pytest.raises(NotFoundError):
             client.resolve_filing(42, 2010)
+        # Three fiscal years of one CIK read its list and each page once.
         assert session.urls == [SUBMISSIONS_URL.format(cik=42),
-                                SUBMISSIONS_PAGE_URL.format(name=page)] * 3
+                                SUBMISSIONS_PAGE_URL.format(name=page)]
+
+    def test_a_failed_list_read_is_not_kept(self, tmp_path):
+        page = "CIK0000000042-submissions-001.json"
+        session = FakeSession({
+            SUBMISSIONS_URL.format(cik=42): [http_response(404)] + [
+                http_response(200, {"filings": {
+                    "recent": filing_columns(("10-K", 2023)),
+                    "files": [{"name": page, "filingCount": 1}],
+                }})] * 2,
+            SUBMISSIONS_PAGE_URL.format(name=page): [
+                http_response(403),
+                http_response(200, filing_columns(("10-K", 2001)))],
+        })
+        client = self.client(tmp_path, session)
+        with pytest.raises(NotFoundError):
+            client.resolve_filing(42, 2023)
+        with pytest.raises(NetworkError):
+            client.resolve_filing(42, 2023)
+        assert client.resolve_filing(42, 2001).primary_document == "doc2001.htm"
+        assert client.resolve_filing(42, 2023).primary_document == "doc2023.htm"
+        assert session.urls == [SUBMISSIONS_URL.format(cik=42)] + [
+            SUBMISSIONS_URL.format(cik=42), SUBMISSIONS_PAGE_URL.format(name=page)] * 2
 
     @pytest.mark.parametrize("status, header, wait", [
         (429, "7", 7.0),       # longer than the 0.5 s backoff

@@ -538,6 +538,46 @@ class TestScheduling:
             pipeline.run_pipeline(doc, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
 
 
+    def test_only_prompts_that_another_waits_on_are_critical(self, edgar_client,
+                                                             edgar_fixture):
+        # A prompt is critical when another prompt is planned from its
+        # answer, and filler when only the bundle waits on it.
+        class RecordingGateway(Gateway):
+            def __init__(self, backend):
+                super().__init__(backend, max_in_flight=5)
+                self.filler: dict[str, bool] = {}
+
+            def submit(self, request, filler=False):
+                self.filler[request.request_id] = filler
+                return super().submit(request, filler)
+
+        _, hashes = edgar_fixture
+        entries = filingfab.adobe_script(hashes["adobe"])
+        answer = {e["question"]: e["response"] for e in entries}
+        revenue = measure_question("revenue", paperdata.ADOBE_SEGMENTS[1])
+        replace_response(entries, SEGMENT_NAMES_QUESTION, " ", answer[SEGMENT_NAMES_QUESTION],
+                         AnswerShape.DELIMITED_LIST)
+        replace_response(entries, revenue, "about 4.5 billion", answer[revenue])
+        gateway = RecordingGateway(ScriptedBackend(ScriptStore.from_entries(entries)))
+        doc = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        ExtractionPipeline(gateway).run_pipeline(doc, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+
+        parent = paperdata.ADOBE_NESTED_PARENT
+        critical = [CLASSIFY_QUESTION, SEGMENT_NAMES_QUESTION,
+                    retry_question(SEGMENT_NAMES_QUESTION, AnswerShape.DELIMITED_LIST),
+                    *(nested_detect_question(s) for s in paperdata.ADOBE_SEGMENTS),
+                    nested_names_question(parent)]
+        filler = [*(spec.question for spec in GENERAL_FIELDS),
+                  *(measure_question(m, s) for s in paperdata.ADOBE_SEGMENTS
+                    for m in DEFAULT_MEASURES),
+                  retry_question(revenue, AnswerShape.MONETARY),
+                  *(nested_measure_question(m, n, parent) for n, _ in paperdata.ADOBE_NESTED
+                    for m in DEFAULT_MEASURES)]
+        asked = {r.question: gateway.filler[r.request_id] for r in gateway.transcript}
+        assert len(gateway.filler) == len(gateway.transcript) == len(critical) + len(filler)
+        assert asked == {**{q: False for q in critical}, **{q: True for q in filler}}
+
+
 class TestValidators:
     def test_yes_no(self):
         assert validate_yes_no("Yes") is True

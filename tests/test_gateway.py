@@ -26,7 +26,6 @@ from segforge.gateway import (
     LiveBackend,
     PromptRequest,
     ScriptedBackend,
-    ScriptEntry,
     ScriptStore,
 )
 
@@ -115,20 +114,24 @@ class TestScriptStore:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: "):
             ScriptStore.from_jsonl(path)
 
-    def test_from_entries_accepts_dicts_and_objects(self):
+    def test_from_entries_reads_dicts(self):
         entries = [
             {"file_hash": HASH_A, "question": "q1", "response": "r1"},
-            ScriptEntry(file_hash=HASH_A, question="q2", response="r2"),
+            {"file_hash": HASH_B, "question": "q1", "response": "r2"},
         ]
         store = ScriptStore.from_entries(entries)
         assert store.lookup(HASH_A, "q1") == "r1"
-        assert store.lookup(HASH_A, "q2") == "r2"
+        assert store.lookup(HASH_B, "q1") == "r2"
+        assert [dataclasses.asdict(e) for e in store.entries()] == entries
 
     def test_merge_applies_conflict_rules(self):
-        left = store_with({"q": "r"}).entries()
+        def dicts(store: ScriptStore) -> list[dict]:
+            return [dataclasses.asdict(e) for e in store.entries()]
+
+        left = dicts(store_with({"q": "r"}))
         with pytest.raises(SchemaError):
-            ScriptStore.from_entries(left + store_with({"q": "different"}).entries())
-        merged = ScriptStore.from_entries(left + store_with({"q ": "r", "q2": "r2"}).entries())
+            ScriptStore.from_entries(left + dicts(store_with({"q": "different"})))
+        merged = ScriptStore.from_entries(left + dicts(store_with({"q ": "r", "q2": "r2"})))
         assert len(merged) == 2
 
 
