@@ -232,7 +232,11 @@ class EdgarClient:
 
     The limiter and cache are shared, internally synchronized resources;
     fetches for distinct refs may run concurrently from many threads. Each
-    CIK's filing list, once read, is kept for the client's lifetime.
+    CIK's filing list, once read, is kept for the client's lifetime and
+    never refreshed: a 10-K filed after that read stays NotFound until a
+    new client resolves it. Only a caller that resolves several fiscal
+    years of one CIK on one client gains; the CLI builds a client per
+    command.
     """
 
     def __init__(

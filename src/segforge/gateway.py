@@ -258,9 +258,7 @@ class Gateway:
     threads call ask(), submit() or ask_many() at once, no more than that
     many prompts are with the backend. Queued prompts start in two classes,
     each first come, first served: a waiting critical request gets the next
-    free slot before any waiting ``filler`` request. A request is filler
-    when nothing but the bundle waits on its answer, and critical when
-    another prompt is planned from it.
+    free slot before any waiting ``filler`` request.
 
     The gateway never numbers requests; callers give each one an id, and
     reusing an id is an error.
@@ -336,8 +334,8 @@ class Gateway:
     def submit(self, request: PromptRequest, filler: bool = False) -> Future:
         """Queue one prompt; the future holds its Completion or its error.
 
-        Pass ``filler=True`` when nothing but the bundle waits on the
-        answer: the prompt then starts only when no critical one is queued.
+        With ``filler=True`` the prompt starts only when no critical one is
+        queued; the caller decides which of its prompts are filler.
         """
         future: Future = Future()
         with self._lock:

@@ -420,7 +420,8 @@ def test_criterion_10_determinism(capsys, config_path, tmp_path, avy_index_dir):
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory, config_path) -> tuple[tuple[Path, Path, Path], dict]:
-    """The criterion-10 inputs and the run directory of the default configuration."""
+    """The criterion-10 inputs and the run directory of the default configuration,
+    whose budget (5) the jitter cases share."""
     directory = tmp_path_factory.mktemp("matrix")
     inputs = write_run_inputs(directory)
     full_run(config_path, directory / "default", inputs)
@@ -428,8 +429,8 @@ def default_run(tmp_path_factory, config_path) -> tuple[tuple[Path, Path, Path],
 
 
 @pytest.mark.parametrize("max_in_flight, jitter_seed", [
-    (1, None), (5, None), (32, None), (5, 1), (5, 2),
-], ids=["cap1", "cap5", "cap32", "jitter1", "jitter2"])
+    (1, None), (32, None), (5, 1), (5, 2),
+], ids=["cap1", "cap32", "jitter1", "jitter2"])
 def test_run_directory_does_not_depend_on_the_schedule(
         monkeypatch, config_path, tmp_path, default_run, max_in_flight, jitter_seed):
     """Every file of the run directory is byte-identical to the default run's,
