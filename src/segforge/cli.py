@@ -328,6 +328,7 @@ def cmd_align(args) -> int:
     run_dir = _run_dir(args)
     store = _store(config, run_dir)
     scheme = RegionScheme.from_json(args.region)
+    transcript = _artifact_path(config, run_dir, "transcript.jsonl") if args.index_dir else None
     index = load_index(args.index_dir) if args.index_dir else None
     gateway = Gateway.from_config(config) if args.index_dir else None
     rows = align_regions(args.firm_a, args.firm_b, scheme,
@@ -336,9 +337,12 @@ def cmd_align(args) -> int:
              scheme.region_name)
     name = f"alignment_{args.firm_a}_{args.firm_b}"
     text = render_alignment_text(*table)
-    return _publish(run_dir, [_write(config, run_dir, f"{name}.csv",
-                                     render_alignment_csv(*table)),
-                              _write(config, run_dir, f"{name}.txt", text)], text)
+    written = [_write(config, run_dir, f"{name}.csv", render_alignment_csv(*table)),
+               _write(config, run_dir, f"{name}.txt", text)]
+    if args.index_dir:
+        gateway.dump_transcript(transcript)
+        written.append(transcript)
+    return _publish(run_dir, written, text)
 
 
 def cmd_eval(args) -> int:

@@ -6,7 +6,8 @@ declared region schemes with exact arithmetic. A grounded layer asks the
 gateway to interpret detected changes (reason, linkage, prior-to-current
 mapping) against retrieved multi-year context, and to arbitrate geographic
 labels the scheme does not list. Model answers are validated against
-closed vocabularies; malformed answers degrade to "unknown".
+closed vocabularies; malformed answers degrade after one format retry
+to "unknown" (a change) or to an excluded label.
 """
 
 from __future__ import annotations
@@ -14,19 +15,23 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 from .errors import SchemaError, ValidationError
-from .gateway import Gateway, PromptRequest
+from .extraction import SegmentRecord, validate_yes_no
+from .gateway import Gateway, PromptRequest, ask_checked
 from .retrieval import ChunkIndex, ContextBlock, RetrievalResult, assemble_context, retrieve
 from .store import SegmentStore
 from .templates import (
     CHANGE_FORMAT_RULES,
+    CHANGE_RETRY_REMINDER,
     FORMAT_RULES,
     LINKAGE_CLASSES,
     REASON_CLASSES,
+    RETRY_REMINDERS,
     SYSTEM_PREAMBLE,
     AnswerShape,
     change_explanation_question,
@@ -116,19 +121,6 @@ def detect_changes(panel: list[tuple[int, list[str]]],
 # -- grounded change explanation ---------------------------------------------
 
 
-def _parse_change_response(text: str) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, value = line.split(":", 1)
-        fields[key.strip().casefold()] = value.strip()
-    for required in ("reason", "linkage", "cites"):
-        if required not in fields:
-            raise ValidationError(f"change answer missing {required!r} line: {text!r}")
-    return fields
-
-
 def _parse_mapping(raw: str, prior_names: list[str], current_names: list[str]):
     mapping: list[tuple[tuple[str, ...], str]] = []
     if not raw:
@@ -155,15 +147,44 @@ def _parse_mapping(raw: str, prior_names: list[str], current_names: list[str]):
     return mapping
 
 
-def _ask_grounded(index: ChunkIndex, gateway: Gateway, results: list[RetrievalResult],
-                  budget_chars: int, display_name: str, request_id: str, question: str,
-                  format_rules: str) -> tuple[ContextBlock, str]:
-    """Upload the context assembled from ``results`` and ask ``question`` against it."""
+def _grounded_request(index: ChunkIndex, gateway: Gateway, results: list[RetrievalResult],
+                      budget_chars: int, display_name: str, request_id: str, question: str,
+                      format_rules: str) -> tuple[ContextBlock, PromptRequest]:
+    """Upload the context assembled from ``results``; the request asking ``question`` against it."""
     context = assemble_context(index, results, budget_chars)
     data = context.text.encode("utf-8")
     handle = gateway.upload_bytes(data, hashlib.sha256(data).hexdigest(), display_name)
-    request = PromptRequest(handle, question, request_id, SYSTEM_PREAMBLE, format_rules)
-    return context, gateway.ask(request).text
+    return context, PromptRequest(handle, question, request_id, SYSTEM_PREAMBLE, format_rules)
+
+
+def _check_change(row: ChangeRow, prior_names: list[str], chunk_ids: list[str],
+                  text: str) -> ChangeRow:
+    """``row`` explained by the change answer ``text``; ValidationError if it is not valid."""
+    fields: dict[str, str] = {}
+    for line in text.splitlines():
+        if ":" not in line:
+            continue
+        key, value = line.split(":", 1)
+        fields[key.strip().casefold()] = value.strip()
+    for required in ("reason", "linkage", "cites"):
+        if required not in fields:
+            raise ValidationError(f"change answer missing {required!r} line: {text!r}")
+    reason = fields["reason"].casefold()
+    linkage = fields["linkage"].casefold()
+    if reason not in REASON_CLASSES:
+        raise ValidationError(f"reason {reason!r} outside ReasonClass")
+    if linkage not in LINKAGE_CLASSES:
+        raise ValidationError(f"linkage {linkage!r} outside LinkageClass")
+    cites = [c.strip() for c in fields["cites"].split(";") if c.strip()]
+    valid_cites = [c for c in cites if c in chunk_ids]
+    if not valid_cites:
+        raise ValidationError(f"no cited chunk id is in the retrieved context: {cites!r}")
+    return replace(
+        row, reason=reason, linkage=linkage, cites=valid_cites,
+        mapping=_parse_mapping(fields.get("mapping", ""), prior_names, row.segment_names),
+        reason_text=f"{fields.get('explanation', '')} [cites: {'; '.join(valid_cites)}]".strip(),
+        linkage_text=fields.get("mapping", ""),
+    )
 
 
 def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIndex,
@@ -174,12 +195,14 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
     assembled into a provenance-headed context, uploaded as the grounding
     document, and the gateway must answer with one ReasonClass keyword, one
     LinkageClass keyword, a prior-to-current mapping, and chunk citations.
-    Any validation failure degrades the row to reason="unknown".
+    All the years are asked in one ``ask_checked`` batch; an answer still
+    invalid after its format retry degrades the row to reason="unknown".
     """
     warnings = warnings if warnings is not None else []
     rows = detect_changes(panel, warnings)
     by_year = {year: names for year, names in panel}
     years = sorted(by_year)
+    asked = {}
     for row in rows:
         if not row.changed:
             continue
@@ -191,11 +214,8 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
             for year in (prior_year, row.fiscal_year)
         ]
         if not any(result.hits for result in results):
-            warnings.append(f"RetrievalEmpty: no context for {cik} {row.fiscal_year}")
-            row.reason = "unknown"
-            row.reason_text = "no retrieved context"
             continue
-        context, answer = _ask_grounded(
+        context, request = _grounded_request(
             index, gateway, results, 12000,
             display_name=f"context_{cik}_{row.fiscal_year}",
             request_id=f"chg-{cik}-{row.fiscal_year}-1",
@@ -203,32 +223,25 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
                 cik, prior_year, row.fiscal_year, by_year[prior_year], row.segment_names),
             format_rules=CHANGE_FORMAT_RULES,
         )
-        try:
-            fields = _parse_change_response(answer)
-            reason = fields["reason"].casefold()
-            linkage = fields["linkage"].casefold()
-            if reason not in REASON_CLASSES:
-                raise ValidationError(f"reason {reason!r} outside ReasonClass")
-            if linkage not in LINKAGE_CLASSES:
-                raise ValidationError(f"linkage {linkage!r} outside LinkageClass")
-            cites = [c.strip() for c in fields["cites"].split(";") if c.strip()]
-            valid_cites = [c for c in cites if c in context.chunk_ids]
-            if not valid_cites:
-                raise ValidationError(f"no cited chunk id is in the retrieved context: {cites!r}")
-            mapping = _parse_mapping(fields.get("mapping", ""), by_year[prior_year],
-                                     row.segment_names)
-            explanation = fields.get("explanation", "")
-            row.reason = reason
-            row.linkage = linkage
-            row.mapping = mapping
-            row.cites = valid_cites
-            row.reason_text = f"{explanation} [cites: {'; '.join(valid_cites)}]".strip()
-            row.linkage_text = fields.get("mapping", "")
-        except ValidationError as exc:
-            warnings.append(f"change explanation for {row.fiscal_year} invalid: {exc}")
+        asked[row.fiscal_year] = (request, partial(_check_change, row, by_year[prior_year],
+                                                   context.chunk_ids), CHANGE_RETRY_REMINDER)
+    answers = dict(zip(asked, ask_checked(gateway, list(asked.values()))))
+    for i, row in enumerate(rows):
+        if not row.changed:
+            continue
+        answer = answers.get(row.fiscal_year)
+        if answer is None:
+            warnings.append(f"RetrievalEmpty: no context for {cik} {row.fiscal_year}")
             row.reason = "unknown"
-            row.linkage = None
-            row.reason_text = f"validation failed: {exc}"
+            row.reason_text = "no retrieved context"
+        elif answer.invalid is not None:
+            warnings.append(f"change explanation for {row.fiscal_year} invalid: {answer.invalid}")
+            row.reason = "unknown"
+            row.reason_text = f"validation failed: {answer.invalid}"
+        elif answer.error is not None:
+            raise answer.error
+        else:
+            rows[i] = answer.value
     return rows
 
 
@@ -283,16 +296,34 @@ class AlignmentRow:
     warnings: list[str] = field(default_factory=list)
 
 
-def _firm_components(store: SegmentStore, cik: int, year: int, scheme: RegionScheme,
-                     index: ChunkIndex | None, gateway: Gateway | None,
-                     warnings: list[str]) -> list[tuple[str, Decimal, Scale]]:
+def _arbitration(label: str, cik: int, year: int, scheme: RegionScheme,
+                 index: ChunkIndex | None, gateway: Gateway | None):
+    """The yes/no item that arbitrates a label absent from the scheme, or the
+    warning that excludes it unasked."""
+    if index is None or gateway is None:
+        return f"LabelAmbiguity: {label!r} ({cik}, {year}) unresolved; excluded"
+    result = retrieve(index, f"{label} geographic revenue", 4,
+                      {"cik": cik, "fiscal_year": year})
+    if not result.hits:
+        return f"LabelAmbiguity: no context for {label!r} ({cik}, {year}); excluded"
+    _, request = _grounded_request(
+        index, gateway, [result], 8000,
+        display_name=f"region_{cik}_{year}",
+        request_id=f"rgn-{cik}-{year}-{normalize_label(label).replace(' ', '_')}",
+        question=region_membership_question(label, scheme.region_name, year),
+        format_rules=FORMAT_RULES[AnswerShape.YES_NO],
+    )
+    return request, validate_yes_no, RETRY_REMINDERS[AnswerShape.YES_NO]
+
+
+def _firm_components(records: list[SegmentRecord], cik: int, year: int, scheme: RegionScheme,
+                     verdicts: dict, warnings: list[str]) -> list[tuple[str, Decimal, Scale]]:
     components: list[tuple[str, Decimal, Scale]] = []
-    for record in store.query_segments(cik, year, axis="geographic"):
-        if record.parent_name is not None:
+    for record in records:
+        member = scheme.contains(record.name) or verdicts.get((cik, year, record.name), False)
+        if isinstance(member, str):  # the warning that excludes the label
+            warnings.append(member)
             continue
-        member = scheme.contains(record.name)
-        if not member and _label_ambiguous(record.name, scheme):
-            member = _arbitrate_label(record.name, cik, year, scheme, index, gateway, warnings)
         if not member:
             continue
         money = record.measures.get("revenue")
@@ -301,33 +332,6 @@ def _firm_components(store: SegmentStore, cik: int, year: int, scheme: RegionSch
             continue
         components.append((record.name, money.value, money.scale))
     return components
-
-
-def _arbitrate_label(label: str, cik: int, year: int, scheme: RegionScheme,
-                     index: ChunkIndex | None, gateway: Gateway | None,
-                     warnings: list[str]) -> bool:
-    """Resolve a label absent from the scheme via grounded yes/no arbitration."""
-    if index is None or gateway is None:
-        warnings.append(f"LabelAmbiguity: {label!r} ({cik}, {year}) unresolved; excluded")
-        return False
-    result = retrieve(index, f"{label} geographic revenue", 4,
-                      {"cik": cik, "fiscal_year": year})
-    if not result.hits:
-        warnings.append(f"LabelAmbiguity: no context for {label!r} ({cik}, {year}); excluded")
-        return False
-    _, answer = _ask_grounded(
-        index, gateway, [result], 8000,
-        display_name=f"region_{cik}_{year}",
-        request_id=f"rgn-{cik}-{year}-{normalize_label(label).replace(' ', '_')}",
-        question=region_membership_question(label, scheme.region_name, year),
-        format_rules=FORMAT_RULES[AnswerShape.YES_NO],
-    )
-    answer = answer.strip().casefold()
-    if answer not in ("yes", "no"):
-        warnings.append(f"LabelAmbiguity: arbitration for {label!r} invalid "
-                        f"(expected Yes or No, got {answer!r}); excluded")
-        return False
-    return answer == "yes"
 
 
 def _region_total(components: list[tuple[str, Decimal, Scale]]) -> Decimal:
@@ -363,12 +367,34 @@ def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
     Components come from stored geographic records whose normalized label
     is a scheme member; totals are exact Decimal sums, and percentages use
     the bundle's consolidated revt (never re-derived from segment sums).
+    Labels the scheme does not list but shares a word with are arbitrated
+    by the gateway, all in one ``ask_checked`` batch.
     """
-    rows: list[AlignmentRow] = []
+    plan = []
+    verdicts = {}  # (cik, year, label) -> arbitration item, then True, False or a warning
     for year in range(years[0], years[1] + 1):
+        firms = [[record for record in store.query_segments(cik, year, axis="geographic")
+                  if record.parent_name is None] for cik in (firm_a, firm_b)]
+        plan.append((year, firms))
+        for cik, records in zip((firm_a, firm_b), firms):
+            for record in records:
+                if not scheme.contains(record.name) and _label_ambiguous(record.name, scheme):
+                    verdicts[(cik, year, record.name)] = _arbitration(
+                        record.name, cik, year, scheme, index, gateway)
+    asked = {key: item for key, item in verdicts.items() if isinstance(item, tuple)}
+    for key, answer in zip(asked, ask_checked(gateway, list(asked.values()))):
+        if answer.invalid is not None:
+            verdicts[key] = (f"LabelAmbiguity: arbitration for {key[2]!r} invalid (expected Yes "
+                             f"or No, got {answer.text.strip().casefold()!r}); excluded")
+        elif answer.error is not None:
+            raise answer.error
+        else:
+            verdicts[key] = answer.value
+    rows: list[AlignmentRow] = []
+    for year, (records_a, records_b) in plan:
         warnings: list[str] = []
-        parts_a = _firm_components(store, firm_a, year, scheme, index, gateway, warnings)
-        parts_b = _firm_components(store, firm_b, year, scheme, index, gateway, warnings)
+        parts_a = _firm_components(records_a, firm_a, year, scheme, verdicts, warnings)
+        parts_b = _firm_components(records_b, firm_b, year, scheme, verdicts, warnings)
         if not parts_a and not parts_b and store.get(firm_a, year) is None \
                 and store.get(firm_b, year) is None:
             continue

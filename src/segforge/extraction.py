@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import re
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .edgar import CachedDocument
-from .errors import SchemaError, ScriptMissError, ValidationError
-from .gateway import FileHandle, Gateway, PromptRequest
+from .errors import SchemaError, ValidationError
+from .gateway import FileHandle, Gateway, PromptRequest, ask_checked
 from .templates import (
     AnswerShape,
     CLASSIFY_QUESTION,
@@ -28,6 +28,7 @@ from .templates import (
     GENERAL_FIELD_NAMES,
     GENERAL_FIELDS,
     NOT_PROVIDED,
+    RETRY_REMINDERS,
     SEGMENT_NAMES_QUESTION,
     SYSTEM_PREAMBLE,
     TEMPLATE_VERSION,
@@ -35,7 +36,6 @@ from .templates import (
     nested_detect_question,
     nested_names_question,
     nested_measure_question,
-    retry_question,
 )
 from .values import Money, encode, load, parse_monetary, read, write_atomic
 
@@ -237,17 +237,14 @@ class ExtractionPipeline:
     thread starts once the measures are numbered. A format retry's id is
     its original's id plus "-r".
 
-    Every answer goes through one validate-and-retry path, ``_ask_all``: an
-    answer that fails its shape check gets one format-reminder retry, sent
-    as soon as that answer fails. Required answers (the classification,
-    segment names and nested names) raise on a terminal failure, since no
-    bundle can be built without them. Optional answers (measures, nested
-    detection and general fields) become a warning and are left out of the
-    bundle (general fields read "Not provided"). A script miss on a first
-    ask always raises: in scripted mode it is a fixture bug, never data.
-    Bundle warnings list the general fields' first, then the chain's, each
-    in plan order; when stages fail together, the failure of the earliest
-    stage in plan order is raised.
+    Every answer is checked, and retried once, by ``gateway.ask_checked``.
+    Required answers (the classification, segment names and nested names)
+    raise on a terminal failure, since no bundle can be built without them.
+    Optional answers (measures, nested detection and general fields) become
+    a warning and are left out of the bundle (general fields read "Not
+    provided"). Bundle warnings list the general fields' first, then the
+    chain's, each in plan order; when stages fail together, the failure of
+    the earliest stage in plan order is raised.
     """
 
     def __init__(self, gateway: Gateway, measures: list[str] | None = None):
@@ -268,78 +265,32 @@ class ExtractionPipeline:
             self._seq[(cik, fy)] = seq
         return seq
 
-    def _request(self, handle: FileHandle, question: str, shape: AnswerShape,
-                 request_id: str) -> PromptRequest:
-        return PromptRequest(
-            file=handle,
-            question=question,
-            request_id=request_id,
-            system_preamble=SYSTEM_PREAMBLE,
-            format_rules=FORMAT_RULES[shape],
-        )
-
     def _ask_all(self, handle: FileHandle, items: list[tuple[str, AnswerShape]],
                  cik: int, fy: int, warnings: list[str] | None = None, *,
                  first_seq: int | None = None, filler: bool = False, alongside=None) -> list:
-        """Validated asks with one format-reminder retry per invalid answer.
+        """Number the items from ``first_seq`` (else the firm-year's counter) and
+        ask them through ``ask_checked``; each item's Answer, in order.
 
-        Returns a list aligned with items; each element is (value, raw text,
-        request ids used). The items are numbered from ``first_seq`` when
-        given, else from the firm-year's counter, and all go out at once,
-        in the gateway's ``filler`` class when ``filler`` is set (their
-        retries too); ``alongside()``, when given, is called as soon as they
-        are queued.
-        Each answer is checked as it arrives, and an invalid one is retried
-        at once. With ``warnings=None`` the answers are required and a
-        terminal failure raises: the request's own error, or the last
-        ValidationError (the first one when the retry has no script entry).
-        Otherwise a failed answer is None and the failure is recorded in
-        warnings. Failures are raised or recorded in item order, after
-        every ask has settled.
+        With ``warnings=None`` the answers are required and the earliest
+        failure raises: the request's own error, or the ValidationError that
+        stands for the answer. Otherwise a failed answer is None and each
+        failure is recorded in warnings, in item order.
         """
         seqs = (range(first_seq, first_seq + len(items)) if first_seq
                 else [self._next_seq(cik, fy) for _ in items])
-        requests = [self._request(handle, question, shape, f"{cik}-{fy}-{seq:04d}")
-                    for (question, shape), seq in zip(items, seqs)]
-        pending = {self.gateway.submit(request, filler): i for i, request in enumerate(requests)}
-        if alongside is not None:
-            alongside()
-        results: list = [None] * len(items)
-        ids = [[request.request_id] for request in requests]
-        first_errors: dict[int, ValidationError] = {}
-        failed: dict[int, Exception] = {}
-        unanswered: dict[int, Exception] = {}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = pending.pop(future)
-                question, shape = items[i]
-                try:
-                    text = future.result().text
-                except Exception as exc:  # noqa: BLE001 - raised or recorded below
-                    retry_missed = i in first_errors and isinstance(exc, ScriptMissError)
-                    (unanswered if retry_missed else failed)[i] = exc
-                    continue
-                try:
-                    results[i] = (_VALIDATORS[shape](text), text, ids[i])
-                except ValidationError as exc:
-                    if i in first_errors:
-                        unanswered[i] = exc
-                        continue
-                    first_errors[i] = exc
-                    retry = self._request(handle, retry_question(question, shape), shape,
-                                          f"{requests[i].request_id}-r")
-                    ids[i].append(retry.request_id)
-                    pending[self.gateway.submit(retry, filler)] = i
-        for i, error in sorted(failed.items()):
-            if warnings is None or isinstance(error, ScriptMissError):
-                raise error
-            warnings.append(f"request {requests[i].request_id} failed: {error}")
-        for i, error in sorted(unanswered.items()):
+        answers = ask_checked(self.gateway, [
+            (PromptRequest(handle, question, f"{cik}-{fy}-{seq:04d}", SYSTEM_PREAMBLE,
+                           FORMAT_RULES[shape]), _VALIDATORS[shape], RETRY_REMINDERS[shape])
+            for (question, shape), seq in zip(items, seqs)
+        ], filler, alongside)
+        for answer in answers:
+            if answer.error is None:
+                continue
             if warnings is None:
-                raise first_errors[i] if isinstance(error, ScriptMissError) else error
-            warnings.append(f"request {requests[i].request_id} invalid after retry: {error}")
-        return results
+                raise answer.invalid or answer.error
+            failure = "failed" if answer.invalid is None else "invalid after retry"
+            warnings.append(f"request {answer.ids[0]} {failure}: {answer.error}")
+        return [None if answer.error else answer for answer in answers]
 
     def _extract_tier(self, handle: FileHandle, parents: list[str | None], cik: int, fy: int,
                       warnings: list[str], alongside=None) -> list[SegmentRecord]:
@@ -357,7 +308,7 @@ class ExtractionPipeline:
         )
         records: list[SegmentRecord] = []
         for parent, question, answer in zip(parents, questions, named):
-            (names, list_warnings), _, name_ids = answer
+            names, list_warnings = answer.value
             warnings.extend(list_warnings)
             nested = parent is not None
             records += [
@@ -365,7 +316,7 @@ class ExtractionPipeline:
                     name=name,
                     axis=infer_axis(name, nested=nested, question=question if nested else ""),
                     parent_name=parent,
-                    provenance=list(name_ids),
+                    provenance=list(answer.ids),
                 )
                 for name in names
             ]
@@ -385,8 +336,8 @@ class ExtractionPipeline:
                 continue
             record = records[i // len(self.measures)]
             measure = self.measures[i % len(self.measures)]
-            money, _, ids = answer
-            record.provenance.extend(ids)
+            money = answer.value
+            record.provenance.extend(answer.ids)
             if money is None:  # "Not provided"
                 continue
             if record.parent_name is None and not money.scale_explicit:
@@ -400,11 +351,12 @@ class ExtractionPipeline:
 
     def classify_segmentation(self, handle: FileHandle, cik: int, fy: int,
                               alongside=None) -> SegmentationClass:
-        [(is_multi, raw, _)] = self._ask_all(
+        [answer] = self._ask_all(
             handle, [(CLASSIFY_QUESTION, AnswerShape.YES_NO)], cik, fy,
             first_seq=_CLASSIFY_SEQ, alongside=alongside,
         )
-        return SegmentationClass(kind=MULTI_SEGMENT if is_multi else SINGLE_UNIT, raw_response=raw)
+        return SegmentationClass(kind=MULTI_SEGMENT if answer.value else SINGLE_UNIT,
+                                 raw_response=answer.text)
 
     def extract_reportable(self, handle: FileHandle, cik: int, fy: int,
                            warnings: list[str], alongside=None) -> list[SegmentRecord]:
@@ -416,7 +368,7 @@ class ExtractionPipeline:
             (nested_detect_question(record.name), AnswerShape.YES_NO) for record in reportable
         ]
         answers = self._ask_all(handle, items, cik, fy, warnings)
-        return {record.name: answer[0]
+        return {record.name: answer.value
                 for record, answer in zip(reportable, answers) if answer is not None}
 
     def extract_nested(self, handle: FileHandle, parents: list[SegmentRecord],
@@ -430,7 +382,7 @@ class ExtractionPipeline:
                                 first_seq=_GENERAL_SEQ, filler=True)
         # Store the raw validated text; interpretation (e.g. parsing revt
         # into a number) happens at point of use.
-        return {spec.field_name: NOT_PROVIDED if answer is None else answer[1].strip()
+        return {spec.field_name: NOT_PROVIDED if answer is None else answer.text.strip()
                 for spec, answer in zip(GENERAL_FIELDS, answers)}
 
     def _detect_and_extract_nested(self, handle: FileHandle, cik: int, fy: int,

@@ -15,12 +15,12 @@ import itertools
 import json
 import threading
 import time
-from concurrent.futures import Future
-from dataclasses import asdict, dataclass
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .edgar import CachedDocument, SystemClock, retry_after
-from .errors import BatchError, ProviderError, ScriptMissError, SchemaError, UploadError
+from .errors import BatchError, ProviderError, ScriptMissError, SchemaError, UploadError, ValidationError
 from .values import load, write_atomic
 
 SCRIPTED = "scripted"
@@ -405,3 +405,64 @@ class Gateway:
         with self._lock:
             records = sorted(self.transcript, key=lambda r: r.request_id)
         write_atomic(path, "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records))
+
+
+# -- checked asks ---------------------------------------------------------------
+
+
+@dataclass
+class Answer:
+    """One item's outcome from ``ask_checked``: ``value`` when ``error`` is None.
+
+    ``text`` is the last answer received and ``ids`` the request ids asked.
+    ``invalid`` is set when the answer kept failing its check: to the retry's
+    ValidationError, or the first one when the retry has no script entry.
+    """
+
+    ids: list[str]
+    text: str = ""
+    value: object = None
+    error: Exception | None = None
+    invalid: ValidationError | None = None
+
+
+def ask_checked(gateway: Gateway, items: list, filler: bool = False, alongside=None) -> list[Answer]:
+    """Queue every ``(request, validator, reminder)`` item at once; their Answers, in order.
+
+    ``alongside()``, when given, is called as soon as they are queued.
+    Each answer is checked as it arrives, and one the validator rejects is
+    asked once more at once, as "<question> <reminder>" with id "<id>-r",
+    in the same ``filler`` class. A script miss on a first ask is a fixture
+    bug, never data: the earliest one is raised once every ask has settled.
+    """
+    answers = [Answer([request.request_id]) for request, _, _ in items]
+    first_invalid: dict[int, ValidationError] = {}
+    pending = {gateway.submit(request, filler): i for i, (request, _, _) in enumerate(items)}
+    if alongside is not None:
+        alongside()
+    while pending:
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            i = pending.pop(future)
+            request, validator, reminder = items[i]
+            answer = answers[i]
+            try:
+                answer.text = future.result().text
+                answer.value = validator(answer.text)
+            except ValidationError as exc:
+                if i in first_invalid:
+                    answer.error = answer.invalid = exc
+                    continue
+                first_invalid[i] = exc
+                retry = replace(request, question=f"{request.question} {reminder}",
+                                request_id=f"{request.request_id}-r")
+                answer.ids.append(retry.request_id)
+                pending[gateway.submit(retry, filler)] = i
+            except Exception as exc:  # noqa: BLE001 - the caller raises or degrades it
+                answer.error = exc
+                if isinstance(exc, ScriptMissError):
+                    answer.invalid = first_invalid.get(i)
+    for answer in answers:
+        if isinstance(answer.error, ScriptMissError) and answer.invalid is None:
+            raise answer.error
+    return answers

@@ -194,6 +194,11 @@ CHANGE_FORMAT_RULES = (
     "explanation: one sentence grounded in the cited context"
 )
 
+CHANGE_RETRY_REMINDER = (
+    "Reminder: respond with only the five lines reason, linkage, mapping, cites and "
+    "explanation, using the listed keywords and chunk ids from the provided context."
+)
+
 
 def change_explanation_question(cik: int, prior_year: int, year: int,
                                 prior_names: list[str], names: list[str]) -> str:

@@ -14,6 +14,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import paperdata
+from segforge.edgar import FilingRef
 from segforge.extraction import (
     AXIS_GEOGRAPHIC,
     DEFAULT_MEASURES,
@@ -22,6 +23,7 @@ from segforge.extraction import (
     SegmentationClass,
     SegmentRecord,
 )
+from segforge.parsing import ParsedFiling, parse_text
 from segforge.retrieval import assemble_context, retrieve
 from segforge.templates import (
     CLASSIFY_QUESTION,
@@ -32,11 +34,24 @@ from segforge.templates import (
     nested_detect_question,
     nested_measure_question,
     nested_names_question,
+    region_membership_question,
 )
 from segforge.values import Money, Scale
 
 CHANGE_K = 4
 CHANGE_BUDGET = 12000
+REGION_K = 4
+REGION_BUDGET = 8000
+
+# Two geographic labels that share a word with the Asia scheme's members
+# without being members, so alignment has to arbitrate both.
+REGION_LABELS = ("Asia-Pacific region", "South China Sea Operations")
+REGION_HTML = (
+    "<p>Item 1. Business</p>"
+    "<p>Revenue by geographic area: the Asia-Pacific region generated "
+    "$500 million of revenue, while the South China Sea Operations "
+    "unit contributed $200 million of revenue in the same period.</p>"
+)
 
 
 def sha256_hex(data: bytes) -> str:
@@ -607,6 +622,32 @@ def txn_bundle(year: int) -> ExtractionBundle:
     domestic = paperdata.TXN_REVT[year] - paperdata.TXN_ASIA_TOTAL[year]
     return geo_bundle(paperdata.TXN_CIK, year, "Texas Instruments Incorporated", "TXN",
                       [("United States", domestic)] + asia, paperdata.TXN_REVT[year])
+
+
+def filing_with_ref(html: str, cik: int, year: int) -> ParsedFiling:
+    """``html`` parsed as the filing of (cik, year), for indexing."""
+    parsed = parse_text(html)
+    parsed.ref = FilingRef(
+        cik=cik,
+        fiscal_year=year,
+        accession_number=f"{cik:010d}-{year % 100:02d}-000001",
+        document_url="fixture",
+        primary_document="doc.htm",
+    )
+    return parsed
+
+
+def region_entry(index, cik: int, year: int, label: str, region: str, response: str) -> dict:
+    """The script entry answering the arbitration of ``label``, keyed on the
+    context the alignment assembles for it."""
+    result = retrieve(index, f"{label} geographic revenue", REGION_K,
+                      {"cik": cik, "fiscal_year": year})
+    context = assemble_context(index, [result], REGION_BUDGET)
+    return {
+        "file_hash": sha256_hex(context.text.encode("utf-8")),
+        "question": region_membership_question(label, region, year),
+        "response": response,
+    }
 
 
 def write_asia_scheme(path: Path) -> Path:

@@ -24,7 +24,7 @@ from segforge.cli import main
 from segforge.config import env_var_name
 from segforge.extraction import dump_bundle, load_bundle
 from segforge.parsing import ParsedFiling, dump_json
-from segforge.retrieval import ChunkIndex, save_index
+from segforge.retrieval import ChunkIndex, build_index, save_index
 from segforge.store import SegmentStore
 from segforge.values import read
 
@@ -560,6 +560,34 @@ class TestAlign:
         row_2012 = next(line for line in lines if line.startswith("2012,"))
         assert f"{paperdata.INTC_PCT[2012]}%" in row_2012
         assert f"{paperdata.TXN_PCT[2012]}%" in row_2012
+        assert not (run_dir / "transcript.jsonl").exists()
+
+    def test_arbitration_transcript(self, capsys, base, run_dir, tmp_path, monkeypatch):
+        # The raw answers behind an in-region and an excluded label are kept.
+        label_in, label_out = filingfab.REGION_LABELS
+        write_panel(run_dir, [filingfab.geo_bundle(31, 2020, "Synth Corp", "SYN",
+                                                   [(label_in, 500), (label_out, 200)], 1000)])
+        index = build_index([filingfab.filing_with_ref(filingfab.REGION_HTML, 31, 2020)])
+        save_index(index, tmp_path / "index")
+        script = filingfab.write_script(tmp_path / "script.jsonl", [
+            filingfab.region_entry(index, 31, 2020, label, "Asia", answer)
+            for label, answer in [(label_in, "Yes"), (label_out, "No")]
+        ])
+        monkeypatch.setenv(env_var_name("llm.script_path"), str(script))
+        code, out, _ = invoke(capsys, [
+            "align", *base, "--firm-a", "31", "--firm-b", "32",
+            "--region", str(filingfab.write_asia_scheme(tmp_path / "asia.json")),
+            "--from", "2020", "--to", "2020", "--index", str(tmp_path / "index"),
+        ])
+        assert code == 0
+        assert label_in in out and label_out not in out
+        records = [json.loads(line) for line in
+                   (run_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(r["request_id"], r["response"]) for r in records] == [
+            ("rgn-31-2020-asia-pacific_region", "Yes"),
+            ("rgn-31-2020-south_china_sea_operations", "No"),
+        ]
+        assert "transcript.jsonl" in read_manifest(run_dir)
 
 
 class TestEvalAndExport:
@@ -742,6 +770,15 @@ class TestRefusedTargets:
                                                            run_dir, avy_index_dir):
         base = self.panel_at(config_path, tmp_path, run_dir, "transcript.jsonl")
         self.refused(capsys, ["changes", *base, "--cik", str(paperdata.INTC_CIK),
+                              "--from", "2012", "--to", "2012", "--index", str(avy_index_dir)],
+                     run_dir)
+
+    def test_align_cannot_replace_panel_named_transcript(self, capsys, config_path, tmp_path,
+                                                         run_dir, avy_index_dir):
+        base = self.panel_at(config_path, tmp_path, run_dir, "transcript.jsonl")
+        scheme = filingfab.write_asia_scheme(tmp_path / "asia.json")
+        self.refused(capsys, ["align", *base, "--firm-a", str(paperdata.INTC_CIK),
+                              "--firm-b", str(paperdata.TXN_CIK), "--region", str(scheme),
                               "--from", "2012", "--to", "2012", "--index", str(avy_index_dir)],
                      run_dir)
 

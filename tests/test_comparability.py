@@ -8,7 +8,12 @@ scripted answers addressed by the exact context the code assembles.
 from __future__ import annotations
 
 import hashlib
+import random
+import threading
+import time
+from dataclasses import dataclass
 from decimal import Decimal
+from typing import Callable
 
 import pytest
 
@@ -33,18 +38,20 @@ from segforge.comparability import (
     render_change_csv,
     render_change_text,
 )
-from segforge.edgar import FilingRef
 from segforge.errors import ScriptMissError, ValidationError
-from segforge.extraction import SegmentRecord
+from segforge.extraction import ExtractionPipeline, SegmentRecord
 from segforge.gateway import Gateway, ScriptedBackend, ScriptStore
-from segforge.parsing import parse_text
 from segforge.retrieval import assemble_context, build_index, retrieve
 from segforge.store import SegmentStore
 from segforge.templates import (
     CHANGE_FORMAT_RULES,
+    CHANGE_RETRY_REMINDER,
+    RETRY_REMINDERS,
+    AnswerShape,
     SYSTEM_PREAMBLE,
+    SEGMENT_NAMES_QUESTION,
     change_explanation_question,
-    region_membership_question,
+    measure_question,
 )
 from segforge.values import Money, Scale
 
@@ -55,18 +62,6 @@ def record_requests(gateway: Gateway, monkeypatch) -> list:
     ask = gateway.ask
     monkeypatch.setattr(gateway, "ask", lambda request: sent.append(request) or ask(request))
     return sent
-
-
-def filing_with_ref(html: str, cik: int, year: int):
-    parsed = parse_text(html)
-    parsed.ref = FilingRef(
-        cik=cik,
-        fiscal_year=year,
-        accession_number=f"{cik:010d}-{year % 100:02d}-000001",
-        document_url="fixture",
-        primary_document="doc.htm",
-    )
-    return parsed
 
 
 def sha(data: bytes) -> str:
@@ -221,36 +216,48 @@ class TestExplainChangesReplay:
                 assert row.cites == []
 
 
-class TestExplainChangesValidation:
-    PANEL = [
-        (2000, ["Alpha Systems", "Beta Networks"]),
-        (2001, ["Alpha Systems", "Gamma Services"]),
+CHANGE_PANEL = [
+    (2000, ["Alpha Systems", "Beta Networks"]),
+    (2001, ["Alpha Systems", "Gamma Services"]),
+]
+
+
+def change_index():
+    """Two filings of CIK 31 whose retrieved context explains CHANGE_PANEL's change."""
+    html_2000 = (
+        "<p>Item 1. Business</p>"
+        "<p>The company manages two reportable segments, Alpha Systems and "
+        "Beta Networks, under its segment reporting policy.</p>"
+    )
+    html_2001 = (
+        "<p>Item 1. Business</p>"
+        "<p>The company changed its reportable segments in fiscal 2001; the "
+        "new segment reporting presents Alpha Systems and Gamma Services "
+        "after a reorganization of Beta Networks.</p>"
+    )
+    return build_index([
+        filingfab.filing_with_ref(html_2000, cik=31, year=2000),
+        filingfab.filing_with_ref(html_2001, cik=31, year=2001),
+    ])
+
+
+def change_context(index, cik=31, prior=2000, year=2001):
+    results = [
+        retrieve(index, CHANGE_CONTEXT_QUERY, 4, {"cik": cik, "fiscal_year": y})
+        for y in (prior, year)
     ]
+    return assemble_context(index, results, 12000)
+
+
+class TestExplainChangesValidation:
+    PANEL = CHANGE_PANEL
 
     @pytest.fixture()
     def small_index(self):
-        html_2000 = (
-            "<p>Item 1. Business</p>"
-            "<p>The company manages two reportable segments, Alpha Systems and "
-            "Beta Networks, under its segment reporting policy.</p>"
-        )
-        html_2001 = (
-            "<p>Item 1. Business</p>"
-            "<p>The company changed its reportable segments in fiscal 2001; the "
-            "new segment reporting presents Alpha Systems and Gamma Services "
-            "after a reorganization of Beta Networks.</p>"
-        )
-        return build_index([
-            filing_with_ref(html_2000, cik=31, year=2000),
-            filing_with_ref(html_2001, cik=31, year=2001),
-        ])
+        return change_index()
 
-    def context_for(self, index, cik=31, prior=2000, year=2001):
-        results = [
-            retrieve(index, CHANGE_CONTEXT_QUERY, 4, {"cik": cik, "fiscal_year": y})
-            for y in (prior, year)
-        ]
-        return assemble_context(index, results, 12000)
+    def context_for(self, index):
+        return change_context(index)
 
     def gateway_with_response(self, index, lines: list[str]) -> Gateway:
         context = self.context_for(index)
@@ -347,7 +354,8 @@ class TestExplainChangesValidation:
 
 
 def test_change_format_rules_text_is_pinned():
-    """The rules a live model gets with each change question, byte for byte."""
+    """The rules a live model gets with each change question, and the reminder its
+    format retry adds, byte for byte."""
     assert CHANGE_FORMAT_RULES == (
         "Respond with exactly five lines:\n"
         "reason: one of internal_reorganization, divestiture, acquisition, new_segment_added, "
@@ -357,6 +365,10 @@ def test_change_format_rules_text_is_pinned():
         "by ' | ' (use 'discontinued' as the target for removed segments)\n"
         "cites: semicolon-separated chunk ids from the provided context\n"
         "explanation: one sentence grounded in the cited context"
+    )
+    assert CHANGE_RETRY_REMINDER == (
+        "Reminder: respond with only the five lines reason, linkage, mapping, cites and "
+        "explanation, using the listed keywords and chunk ids from the provided context."
     )
 
 
@@ -501,38 +513,30 @@ class TestAlignmentEdgeCases:
         assert any("LabelAmbiguity" in w for w in rows[0].warnings)
 
 
+def region_index():
+    return build_index([filingfab.filing_with_ref(filingfab.REGION_HTML, cik=31, year=2020)])
+
+
+def region_store(components: list[tuple[str, int]]) -> SegmentStore:
+    """CIK 31's 2020 panel: ``components`` beside a United States one, out of 1000."""
+    store = SegmentStore()
+    store.put(filingfab.geo_bundle(31, 2020, "Synth Corp", "SYN",
+                                   [*components, ("United States", 300)], 1000))
+    return store
+
+
 class TestArbitration:
-    LABEL_IN = "Asia-Pacific region"
-    LABEL_OUT = "South China Sea Operations"
+    LABEL_IN, LABEL_OUT = filingfab.REGION_LABELS
 
     @pytest.fixture()
     def geo_index(self):
-        html = (
-            "<p>Item 1. Business</p>"
-            "<p>Revenue by geographic area: the Asia-Pacific region generated "
-            "$500 million of revenue, while the South China Sea Operations "
-            "unit contributed $200 million of revenue in the same period.</p>"
-        )
-        return build_index([filing_with_ref(html, cik=31, year=2020)])
+        return region_index()
 
     def arbitration_entry(self, index, label: str, response: str, scheme) -> dict:
-        result = retrieve(index, f"{label} geographic revenue", 4,
-                          {"cik": 31, "fiscal_year": 2020})
-        context = assemble_context(index, [result], 8000)
-        return {
-            "file_hash": sha(context.text.encode("utf-8")),
-            "question": region_membership_question(label, scheme.region_name, 2020),
-            "response": response,
-        }
+        return filingfab.region_entry(index, 31, 2020, label, scheme.region_name, response)
 
     def store_with_labels(self) -> SegmentStore:
-        store = SegmentStore()
-        store.put(filingfab.geo_bundle(
-            31, 2020, "Synth Corp", "SYN",
-            [(self.LABEL_IN, 500), (self.LABEL_OUT, 200), ("United States", 300)],
-            1000,
-        ))
-        return store
+        return region_store([(self.LABEL_IN, 500), (self.LABEL_OUT, 200)])
 
     def test_yes_and_no_arbitration(self, geo_index, asia_scheme, monkeypatch):
         gateway = scripted_gateway([
@@ -555,6 +559,16 @@ class TestArbitration:
         assert {(r.system_preamble, r.format_rules) for r in sent} == \
             {(SYSTEM_PREAMBLE, 'Return exactly "Yes" or "No".')}
 
+    def test_answers_are_read_as_extraction_reads_yes_and_no(self, geo_index, asia_scheme):
+        gateway = scripted_gateway([
+            self.arbitration_entry(geo_index, self.LABEL_IN, "Yes.", asia_scheme),
+            self.arbitration_entry(geo_index, self.LABEL_OUT, " no ", asia_scheme),
+        ])
+        [row] = align_regions(31, 32, asia_scheme, (2020, 2020),
+                              self.store_with_labels(), index=geo_index, gateway=gateway)
+        assert [n for n, _, _ in row.firm_a_components] == [self.LABEL_IN]
+        assert row.warnings == []
+
     def test_invalid_arbitration_answer_excludes_label(self, geo_index, asia_scheme):
         gateway = scripted_gateway([
             self.arbitration_entry(geo_index, self.LABEL_IN, "Perhaps", asia_scheme),
@@ -569,6 +583,238 @@ class TestArbitration:
         with pytest.raises(ScriptMissError):
             align_regions(31, 32, asia_scheme, (2020, 2020), self.store_with_labels(),
                           index=geo_index, gateway=scripted_gateway([]))
+
+
+# -- one validate-and-retry path at every call site ----------------------------
+
+
+@dataclass
+class Site:
+    """One kind of model answer: how it is scripted, asked and read back.
+
+    ``run(gateway)`` returns the outcome the answer decides and the
+    warnings; ``accepted`` is the outcome of a valid answer, ``degraded``
+    and ``warnings`` what is left when no valid answer comes.
+    """
+
+    request_id: str
+    file_hash: str
+    question: str
+    reminder: str
+    others: list[dict]  # the script entries of the call's other questions
+    invalid: str  # a first answer the check rejects
+    valid: str  # a retry answer the check accepts
+    run: Callable[[Gateway], tuple[object, list[str]]]
+    accepted: object
+    degraded: object
+    warnings: list[str]
+
+    @property
+    def retry(self) -> str:
+        return f"{self.question} {self.reminder}"
+
+    def gateway(self, first: str | None, retry: str | None) -> Gateway:
+        """A gateway that answers the question ``first`` and its retry ``retry``;
+        None leaves the entry out."""
+        entries = list(self.others)
+        for question, response in ((self.question, first), (self.retry, retry)):
+            if response is not None:
+                entries.append({"file_hash": self.file_hash, "question": question,
+                                "response": response})
+        return scripted_gateway(entries)
+
+
+def measure_site() -> Site:
+    file_hash = "f" * 64
+    question = measure_question("revenue", "Alpha")
+    others = [{"file_hash": file_hash, "question": q, "response": r} for q, r in [
+        (SEGMENT_NAMES_QUESTION, "Alpha"),
+        (measure_question("profit_or_loss", "Alpha"), "Not provided"),
+        (measure_question("assets", "Alpha"), "Not provided"),
+    ]]
+
+    def run(gateway: Gateway):
+        warnings: list[str] = []
+        handle = gateway.upload_bytes(b"doc", content_hash=file_hash)
+        [record] = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, warnings)
+        return record.measures.get("revenue"), warnings
+
+    reminder = RETRY_REMINDERS[AnswerShape.MONETARY]
+    miss = ScriptMissError(file_hash, f"{question} {reminder}")
+    return Site("1-2000-0020", file_hash, question, reminder, others,
+                "around five million", "$5 million", run,
+                accepted=Money(Decimal(5), Scale.MILLIONS), degraded=None,
+                warnings=[f"request 1-2000-0020 invalid after retry: {miss}"])
+
+
+def change_site() -> Site:
+    index = change_index()
+    context = change_context(index)
+    cite = context.chunk_ids[0]
+
+    def run(gateway: Gateway):
+        warnings: list[str] = []
+        rows = explain_changes(31, CHANGE_PANEL, index, gateway, warnings=warnings)
+        return rows[1].reason_text, warnings
+
+    reason = "reason 'gut_feeling' outside ReasonClass"
+    return Site(
+        "chg-31-2001-1", sha(context.text.encode("utf-8")),
+        change_explanation_question(31, 2000, 2001, CHANGE_PANEL[0][1], CHANGE_PANEL[1][1]),
+        CHANGE_RETRY_REMINDER, [],
+        f"reason: gut_feeling\nlinkage: regrouped\ncites: {cite}",
+        "\n".join(["reason: internal_reorganization", "linkage: regrouped",
+                   "mapping: Beta Networks -> Gamma Services", f"cites: {cite}",
+                   "explanation: Beta Networks was folded into Gamma Services."]),
+        run,
+        accepted=f"Beta Networks was folded into Gamma Services. [cites: {cite}]",
+        degraded=f"validation failed: {reason}",
+        warnings=[f"change explanation for 2001 invalid: {reason}"],
+    )
+
+
+def label_site() -> Site:
+    index = region_index()
+    label = filingfab.REGION_LABELS[0]
+    scheme = RegionScheme.from_labels("Asia", paperdata.ASIA_MEMBER_LABELS)
+    store = region_store([(label, 500)])
+    entry = filingfab.region_entry(index, 31, 2020, label, "Asia", "")
+
+    def run(gateway: Gateway):
+        [row] = align_regions(31, 32, scheme, (2020, 2020), store, index=index, gateway=gateway)
+        return [name for name, _, _ in row.firm_a_components], row.warnings
+
+    return Site("rgn-31-2020-asia-pacific_region", entry["file_hash"], entry["question"],
+                RETRY_REMINDERS[AnswerShape.YES_NO], [], "Perhaps", "Yes.", run,
+                accepted=[label], degraded=[],
+                warnings=[f"LabelAmbiguity: arbitration for {label!r} invalid "
+                          "(expected Yes or No, got 'perhaps'); excluded"])
+
+
+SITES = pytest.mark.parametrize("make_site", [measure_site, change_site, label_site],
+                                ids=["measure", "change", "label"])
+
+
+@SITES
+def test_invalid_answer_is_retried_once_with_the_reminder(make_site):
+    site = make_site()
+    gateway = site.gateway(site.invalid, site.valid)
+    assert site.run(gateway) == (site.accepted, [])
+    asked = {r.request_id: r.question for r in gateway.transcript}
+    assert asked[site.request_id] == site.question
+    assert asked[f"{site.request_id}-r"] == site.retry
+
+
+@SITES
+def test_retry_without_a_script_entry_degrades_as_a_single_ask_did(make_site):
+    site = make_site()
+    gateway = site.gateway(site.invalid, None)
+    assert site.run(gateway) == (site.degraded, site.warnings)
+    asked = {r.request_id for r in gateway.transcript}
+    assert site.request_id in asked
+    assert f"{site.request_id}-r" not in asked
+
+
+@SITES
+def test_first_ask_script_miss_raises(make_site):
+    site = make_site()
+    with pytest.raises(ScriptMissError) as excinfo:
+        site.run(site.gateway(None, site.valid))
+    assert excinfo.value.question == site.question
+
+
+class TestLatency:
+    """Grounded questions go out in one batch under the gateway's budget."""
+
+    L = 0.2
+
+    def test_changed_years_ask_in_rounds(self, avy_index, avy_store, script_entries):
+        # Six changed years on five slots: two rounds of L, where one ask at
+        # a time would take six.
+        lock = threading.Lock()
+        active = peak = 0
+
+        def slow(question: str) -> float:
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            time.sleep(self.L)
+            with lock:
+                active -= 1
+            return 0.0
+
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(script_entries),
+                                          delay_fn=slow), max_in_flight=5)
+        panel = avy_store.segment_names_by_year(paperdata.AVY_CIK)
+        started = time.monotonic()
+        rows = explain_changes(paperdata.AVY_CIK, panel, avy_index, gateway)
+        elapsed = time.monotonic() - started
+        assert len(gateway.transcript) == len(paperdata.AVY_CHANGED_YEARS) == 6
+        assert peak == 5
+        assert elapsed < 4 * self.L
+        assert all(row.cites for row in rows if row.changed)
+
+    def test_ambiguous_labels_are_in_flight_together(self, asia_scheme):
+        # Each arbitration answer is held until the other label is asked too.
+        index = region_index()
+        both = threading.Barrier(2)
+        held_too_long: list[str] = []
+
+        def gate(question: str) -> float:
+            try:
+                both.wait(timeout=5)
+            except threading.BrokenBarrierError:
+                held_too_long.append(question)
+            return 0.0
+
+        entries = [filingfab.region_entry(index, 31, 2020, label, "Asia", answer)
+                   for label, answer in zip(filingfab.REGION_LABELS, ["Yes", "No"])]
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(entries), delay_fn=gate))
+        [row] = align_regions(31, 32, asia_scheme, (2020, 2020),
+                              region_store([(label, 100) for label in filingfab.REGION_LABELS]),
+                              index=index, gateway=gateway)
+        assert held_too_long == []
+        assert [n for n, _, _ in row.firm_a_components] == [filingfab.REGION_LABELS[0]]
+
+    def run_both(self, entries, avy_index, avy_store, asia_scheme, seed: int | None):
+        """Changes over AVY and one alignment on one gateway, under seeded delays."""
+
+        def jitter(question: str) -> float:
+            if seed is None:
+                return 0.0
+            return random.Random(f"{seed}:{question}").choice([0, 0.001, 0.003, 0.005])
+
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(entries), delay_fn=jitter),
+                          max_in_flight=5)
+        warnings: list[str] = []
+        rows = explain_changes(paperdata.AVY_CIK,
+                               avy_store.segment_names_by_year(paperdata.AVY_CIK),
+                               avy_index, gateway, warnings=warnings)
+        aligned = align_regions(31, 32, asia_scheme, (2020, 2020),
+                                region_store([(label, 100) for label in filingfab.REGION_LABELS]),
+                                index=region_index(), gateway=gateway)
+        return rows, warnings, aligned, sorted(gateway.transcript, key=lambda r: r.request_id)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_outputs_do_not_depend_on_completion_order(self, seed, avy_index, avy_store,
+                                                       script_entries, asia_scheme):
+        # One changed year and one label are retried, and one label degrades.
+        entries = [dict(entry) for entry in script_entries]
+        first_year = next(e for e in entries if e["question"].startswith("The firm with CIK"))
+        entries.append({**first_year, "question": f"{first_year['question']} "
+                                                  f"{CHANGE_RETRY_REMINDER}"})
+        first_year["response"] = "reason: gut_feeling"
+        index = region_index()
+        label_in, label_out = filingfab.REGION_LABELS
+        retried = filingfab.region_entry(index, 31, 2020, label_in, "Asia", "Yes")
+        retried["question"] += f" {RETRY_REMINDERS[AnswerShape.YES_NO]}"
+        entries += [filingfab.region_entry(index, 31, 2020, label_in, "Asia", "It is."), retried,
+                    filingfab.region_entry(index, 31, 2020, label_out, "Asia", "Perhaps")]
+        reference = self.run_both(entries, avy_index, avy_store, asia_scheme, None)
+        assert len([r for r in reference[3] if r.request_id.endswith("-r")]) == 2
+        assert reference[2][0].warnings and reference[1] == []
+        assert self.run_both(entries, avy_index, avy_store, asia_scheme, seed) == reference
 
 
 class TestRendering:
