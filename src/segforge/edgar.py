@@ -2,8 +2,10 @@
 
 Documents come either from the live EDGAR system (explicitly enabled) or
 from a local fixture directory holding an index snapshot plus documents.
-All transport calls pass through a shared rate limiter and retry loop;
-fetched bytes land in an on-disk cache keyed by accession number.
+All transport calls pass through a shared rate limiter and ``with_retries``;
+fetched bytes land in an on-disk cache keyed by accession number. ``send``
+and ``with_retries`` are the one HTTP failure table and backoff loop for the
+live LLM provider in ``segforge.gateway`` too.
 """
 
 from __future__ import annotations
@@ -164,20 +166,7 @@ class LiveTransport:
         self._timeout = timeout
 
     def _get(self, url: str):
-        import requests
-
-        try:
-            response = self._session.get(url, headers=self._headers, timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise NetworkError(f"GET {url} failed: {exc}") from exc
-        if response.status_code in (429, 500, 502, 503, 504):
-            raise NetworkError(f"GET {url} -> {response.status_code}", retryable=True,
-                               retry_after=retry_after(response))
-        if response.status_code == 404:
-            raise NotFoundError(f"GET {url} -> 404")
-        if response.status_code != 200:
-            raise NetworkError(f"GET {url} -> {response.status_code}", retryable=False)
-        return response
+        return send(partial(self._session.get, url, headers=self._headers, timeout=self._timeout))
 
     def get_submissions(self, cik: int) -> dict:
         """The recent filings, and in ``pages`` the names of the older pages."""
@@ -204,6 +193,42 @@ def _filing_rows(columns: dict) -> list[dict]:
         }
         for i, form in enumerate(columns.get("form", []))
     ]
+
+
+def send(request):
+    """The response of ``request()``, an HTTP call, if 2xx; else NetworkError, or NotFoundError for a 404."""
+    import requests
+
+    try:
+        response = request()
+    except requests.RequestException as exc:
+        raise NetworkError(f"request failed: {exc}") from exc
+    status = response.status_code
+    if 200 <= status < 300:
+        return response
+    message = f"HTTP {status} from {response.url}: {response.text[:200]}"
+    if status == 404:
+        raise NotFoundError(message)
+    raise NetworkError(message, retryable=status in (429, 500, 502, 503, 504),
+                       retry_after=retry_after(response))
+
+
+def with_retries(call, attempts: int, delay: float, clock, before=None):
+    """``call()``, tried up to ``attempts`` times while it raises a retryable NetworkError.
+
+    Each wait is ``max(delay, Retry-After)`` and doubles ``delay``; ``before()`` runs ahead of each attempt.
+    """
+    for attempt in range(1, attempts + 1):
+        if before is not None:
+            before()
+        try:
+            return call()
+        except NetworkError as exc:
+            if not exc.retryable or attempt == attempts:
+                raise
+            logger.debug("transient failure (attempt %d/%d): %s", attempt, attempts, exc)
+            clock.sleep(max(delay, exc.retry_after or 0.0))
+            delay *= 2
 
 
 def retry_after(response) -> float | None:
@@ -381,18 +406,7 @@ class EdgarClient:
         return self.cache_dir / str(ref.cik) / ref.accession_number / ref.primary_document
 
     def _with_retries(self, call):
-        attempts = self.max_retries + 1
-        delay = 0.5
-        for attempt in range(1, attempts + 1):
-            self._limiter.acquire()
-            try:
-                return call()
-            except NetworkError as exc:
-                if not exc.retryable or attempt == attempts:
-                    raise
-                logger.debug("transient failure (attempt %d/%d): %s", attempt, attempts, exc)
-                self._clock.sleep(max(delay, exc.retry_after or 0.0))
-                delay *= 2
+        return with_retries(call, self.max_retries + 1, 0.5, self._clock, self._limiter.acquire)
 
 
 def _period_year(period: str) -> int | None:

@@ -29,10 +29,6 @@ class CacheWriteError(SegforgeError):
     """Failed to persist a fetched document to the on-disk cache."""
 
 
-class DecodeError(SegforgeError):
-    """Document bytes could not be decoded as text."""
-
-
 class EmptyDocumentError(SegforgeError):
     """Document contained no visible text."""
 

@@ -17,11 +17,13 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
-from .edgar import CachedDocument, SystemClock, retry_after
-from .errors import BatchError, ProviderError, ScriptMissError, SchemaError, UploadError, ValidationError
-from .values import load, write_atomic
+from .edgar import CachedDocument, SystemClock, send, with_retries
+from .errors import (BatchError, NetworkError, NotFoundError, ProviderError, ScriptMissError, SchemaError,
+                     UploadError, ValidationError)
+from .values import collapse_ws, load, write_atomic
 
 SCRIPTED = "scripted"
 LIVE = "live"
@@ -64,10 +66,6 @@ class ScriptEntry:
     response: str
 
 
-def _normalize_question(question: str) -> str:
-    return " ".join(question.split())
-
-
 class ScriptStore:
     """Read-only map (file_hash, normalized question) -> scripted response.
 
@@ -101,7 +99,7 @@ class ScriptStore:
         return store
 
     def add(self, file_hash: str, question: str, response: str) -> None:
-        key = (file_hash, _normalize_question(question))
+        key = (file_hash, collapse_ws(question))
         existing = self._entries.get(key)
         if existing is not None and existing != response:
             raise SchemaError(
@@ -111,7 +109,7 @@ class ScriptStore:
         self._entries[key] = response
 
     def lookup(self, file_hash: str, question: str) -> str:
-        key = (file_hash, _normalize_question(question))
+        key = (file_hash, collapse_ws(question))
         if key not in self._entries:
             raise ScriptMissError(file_hash=file_hash, question=question)
         return self._entries[key]
@@ -220,25 +218,11 @@ class LiveBackend:
 
     def _post(self, route: str, **kwargs):
         """POST with up to ``max_attempts`` tries, backing off from 1 s or for ``Retry-After``."""
-        import requests
-
-        delay = 1.0
-        for attempt in range(self.max_attempts):
-            wait = delay
-            try:
-                resp = self.session.post(self.api_base + route, timeout=self.timeout, **kwargs)
-            except requests.RequestException as exc:
-                if attempt + 1 == self.max_attempts:
-                    raise ProviderError(f"provider request failed: {exc}") from exc
-            else:
-                if resp.status_code < 400:
-                    return resp.json()
-                if resp.status_code not in (429, 500, 502, 503, 504) or attempt + 1 == self.max_attempts:
-                    raise ProviderError(f"provider error HTTP {resp.status_code}: {resp.text[:200]}")
-                wait = max(delay, retry_after(resp) or 0.0)
-            self._clock.sleep(wait)
-            delay *= 2
-        raise ProviderError("provider retries exhausted")
+        post = partial(self.session.post, self.api_base + route, timeout=self.timeout, **kwargs)
+        try:
+            return with_retries(partial(send, post), self.max_attempts, 1.0, self._clock).json()
+        except (NetworkError, NotFoundError) as exc:
+            raise ProviderError(f"provider error: {exc}") from exc
 
 
 @dataclass
@@ -264,7 +248,7 @@ class Gateway:
     reusing an id is an error.
     """
 
-    def __init__(self, backend, max_in_flight: int = 8):
+    def __init__(self, backend, max_in_flight: int = 5):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.backend = backend

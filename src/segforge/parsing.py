@@ -12,11 +12,10 @@ import json
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from decimal import Decimal
 from html import unescape
 
 from .edgar import CachedDocument, FilingRef
-from .errors import DecodeError, EmptyDocumentError, NoItemsFoundError
+from .errors import EmptyDocumentError, NoItemsFoundError
 from .values import Scale, encode, parse_table_cell
 
 # 10-K item catalog: item number -> (part, position). Positions order the
@@ -60,12 +59,6 @@ class Section:
     end: int
 
 
-@dataclass(frozen=True)
-class CellValue:
-    value: Decimal
-    scale: Scale
-
-
 @dataclass
 class NormalizedTable:
     table_id: str
@@ -76,13 +69,6 @@ class NormalizedTable:
     char_start: int = 0
     scale: Scale = Scale.UNITS
     scale_assumed: bool = False
-
-    @property
-    def numeric_cells(self) -> dict[tuple[int, int], CellValue]:
-        """The numeric body cells by (row, column), each at the table's scale."""
-        return {(r, c): CellValue(value, self.scale)
-                for r, cells in enumerate(self.body_rows)
-                for c, value in enumerate(map(parse_table_cell, cells)) if value is not None}
 
 
 @dataclass
@@ -585,12 +571,12 @@ def parse_text(raw: str, media_kind: str = "html", ref: FilingRef | None = None)
 
 
 def _decode(data: bytes) -> str:
-    for encoding in ("utf-8", "cp1252", "latin-1"):
+    for encoding in ("utf-8", "cp1252"):
         try:
             return data.decode(encoding)
         except UnicodeDecodeError:
             continue
-    raise DecodeError("unrecognized document encoding")
+    return data.decode("latin-1")  # decodes any bytes
 
 
 def _caption_before(full_text: str, pos: int, window: int = 400) -> str:

@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from segforge.config import Config, env_var_name
+from segforge.edgar import EdgarClient
 from segforge.errors import SchemaError
+from segforge.extraction import ExtractionPipeline
+from segforge.gateway import Gateway, ScriptedBackend, ScriptStore
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,6 +20,17 @@ def test_defaults_present():
     assert config.get_int("llm.max_in_flight") == 5
     assert config.get_float("edgar.rate_limit_rps") == 8.0
     assert config.get_list("extraction.measures") == ["revenue", "profit_or_loss", "assets"]
+
+
+def test_constructor_defaults_equal_config_defaults(tmp_path):
+    # A component built without a setting runs as the product runs by default.
+    config = Config(use_env=False)
+    client = EdgarClient(None, cache_dir=tmp_path)
+    assert client._limiter.rate == config.get_float("edgar.rate_limit_rps")
+    assert client.max_retries == config.get_int("edgar.max_retries")
+    gateway = Gateway(ScriptedBackend(ScriptStore()))
+    assert gateway.max_in_flight == config.get_int("llm.max_in_flight")
+    assert ExtractionPipeline(gateway).measures == config.get_list("extraction.measures")
 
 
 def test_file_overrides_defaults(tmp_path):

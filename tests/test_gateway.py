@@ -18,7 +18,9 @@ import pytest
 import requests
 
 from segforge.config import Config
-from segforge.errors import BatchError, ProviderError, SchemaError, ScriptMissError, UploadError
+from segforge.edgar import EdgarClient, FilingRef, LiveTransport
+from segforge.errors import (BatchError, NetworkError, NotFoundError, ProviderError, SchemaError, ScriptMissError,
+                             UploadError)
 from segforge.gateway import (
     Completion,
     FileHandle,
@@ -28,6 +30,7 @@ from segforge.gateway import (
     ScriptedBackend,
     ScriptStore,
 )
+from test_edgar import FakeClock, FakeSession, http_response
 
 HASH_A = "a" * 64
 HASH_B = "b" * 64
@@ -520,3 +523,75 @@ class TestLiveBackend:
                                       self.response(200, {"text": "answer"}))
         completion = backend.ask(request_for("q", "req-1"))
         assert (completion.text, completion.latency_ms) == ("answer", 2000)
+
+
+def answer(outcome):
+    """A queued outcome: an exception is raised, a response returned."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class TestTransportParity:
+    """EDGAR and the provider meet the same outcomes through one send-and-retry path.
+
+    EDGAR fetches a document through LiveTransport under EdgarClient; the
+    provider uploads one through LiveBackend. Each side keeps its own
+    backoff and its own final exception type.
+    """
+
+    class EdgarSession(FakeSession):
+        def get(self, url, headers=None, timeout=None):
+            return answer(super().get(url, headers, timeout))
+
+    class ProviderSession(TestLiveBackend.Session):
+        def post(self, url, timeout=None, **kwargs):
+            return answer(super().post(url, timeout=timeout, **kwargs))
+
+    BODY = {"id": "file-1"}
+    REF = FilingRef(cik=42, fiscal_year=2023, accession_number="0000000042-24-000000",
+                    document_url="https://example.test/doc.htm", primary_document="doc.htm")
+
+    def edgar(self, tmp_path, outcomes):
+        clock, session = FakeClock(), self.EdgarSession({self.REF.document_url: outcomes})
+        client = EdgarClient(LiveTransport("segforge tests test@example.com", session=session),
+                             cache_dir=tmp_path, rate_limit_rps=10_000, clock=clock)
+        return lambda: client.fetch(self.REF).read_bytes(), clock
+
+    def provider(self, tmp_path, outcomes):
+        clock, session = FakeClock(), self.ProviderSession(*outcomes)
+        backend = LiveBackend("https://llm.example.test", "m", session=session, clock=clock)
+        return lambda: backend.upload(HASH_A, b"doc", "doc.htm").provider_file_id, clock
+
+    # side: (backoff between attempts, final error, error for a 404, what a success returns)
+    SIDES = {
+        "edgar": ([0.5, 1.0, 2.0, 4.0, 8.0], NetworkError, NotFoundError, json.dumps(BODY).encode()),
+        "provider": ([1.0, 2.0], ProviderError, ProviderError, "file-1"),
+    }
+
+    @pytest.fixture(params=sorted(SIDES))
+    def side(self, request, tmp_path):
+        """``(run, backoff, error, missing, result)``; ``run(*outcomes)`` returns a call and its clock."""
+        make = getattr(self, request.param)
+        return (lambda *outcomes: make(tmp_path, list(outcomes)), *self.SIDES[request.param])
+
+    def test_a_lost_connection_is_retried_with_backoff_then_fails(self, side):
+        run, backoff, error, _, _ = side
+        lost = [requests.ConnectionError("connection reset") for _ in range(len(backoff) + 1)]
+        call, clock = run(*lost, http_response(200, self.BODY))
+        with pytest.raises(error, match="connection reset"):
+            call()
+        assert clock.sleeps == backoff
+
+    def test_any_2xx_succeeds(self, side):
+        run, _, _, _, result = side
+        call, clock = run(http_response(201, self.BODY))
+        assert call() == result
+        assert clock.sleeps == []
+
+    def test_a_404_is_final(self, side):
+        run, _, _, missing, _ = side
+        call, clock = run(http_response(404), http_response(200, self.BODY))
+        with pytest.raises(missing, match="HTTP 404"):
+            call()
+        assert clock.sleeps == []

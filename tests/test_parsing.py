@@ -25,7 +25,6 @@ from segforge.edgar import EdgarClient, FixtureTransport
 from segforge.errors import EmptyDocumentError, NoItemsFoundError
 from segforge.parsing import (
     UNASSIGNED,
-    CellValue,
     ItemId,
     ParsedFiling,
     dump_json,
@@ -34,7 +33,7 @@ from segforge.parsing import (
     parse_text,
 )
 from segforge.retrieval import build_index
-from segforge.values import Scale, load
+from segforge.values import Scale, load, parse_table_cell
 
 FIXTURE_NAMES = ["apple", "adobe"] + [f"avy{y}" for y in sorted(paperdata.AVY_TABLE3)]
 
@@ -150,9 +149,9 @@ class TestFixtureTables:
         table = parsed_filings["apple"].tables[0]
         amounts = [amt for _, amt in paperdata.APPLE_GEO_SALES]
         total = sum(amounts)
-        expected = {(r, 1): Decimal(v) for r, v in enumerate(amounts + [total])}
-        assert {k: c.value for k, c in table.numeric_cells.items()} == expected
-        assert all(c.scale == Scale.MILLIONS for c in table.numeric_cells.values())
+        assert [[parse_table_cell(cell) for cell in row] for row in table.body_rows] == \
+            [[None, Decimal(v)] for v in amounts + [total]]
+        assert table.scale == Scale.MILLIONS
 
     def test_apple_char_start_is_exact(self, parsed_filings):
         parsed = parsed_filings["apple"]
@@ -198,10 +197,11 @@ class TestTableNormalization:
             ["Beta", "current", "1,250.5"],
             ["Gamma", "", ""],
         ]
-        assert table.numeric_cells == {
-            (0, 2): CellValue(Decimal("-2500"), Scale.UNITS),
-            (1, 2): CellValue(Decimal("1250.5"), Scale.UNITS),
-        }
+        assert [[parse_table_cell(cell) for cell in row] for row in table.body_rows] == [
+            [None, None, Decimal("-2500")],
+            [None, None, Decimal("1250.5")],
+            [None, None, None],
+        ]
         assert table.scale == Scale.UNITS
         assert table.scale_assumed is True
         assert table.item == UNASSIGNED
@@ -217,7 +217,7 @@ class TestTableNormalization:
         assert table.caption_text == caption_line
         assert table.scale == Scale.THOUSANDS
         assert table.scale_assumed is False
-        assert table.numeric_cells[(0, 1)].scale == Scale.THOUSANDS
+        assert parse_table_cell(table.body_rows[0][1]) == Decimal(12)
 
     def test_scale_hint_from_caption_element(self):
         html = (
@@ -245,7 +245,6 @@ class TestTableNormalization:
         html = "<p>Intro.</p><table><tr><th>Only headers here</th></tr></table>"
         table = parse_text(html).tables[0]
         assert table.body_rows == []
-        assert table.numeric_cells == {}
         # No numeric content means nothing was assumed about its scale.
         assert table.scale_assumed is False
 
@@ -348,22 +347,30 @@ class TestFallbacks:
         assert list(parsed.items) == ["1", "8"]
         assert "single line of business" in parsed.items["1"].text
 
+    class FakeDoc:
+        media_kind = "html"
+        ref = None
+
+        def __init__(self, data: bytes):
+            self._data = data
+
+        def read_bytes(self) -> bytes:
+            return self._data
+
     def test_cp1252_bytes_decode(self):
-        class FakeDoc:
-            media_kind = "html"
-            ref = None
-
-            def __init__(self, data: bytes):
-                self._data = data
-
-            def read_bytes(self) -> bytes:
-                return self._data
-
         data = (
             b"<p>Item 1. Business</p><p>Results \x93quoted\x94 here.</p>"
         )
-        parsed = parse(FakeDoc(data))
+        parsed = parse(self.FakeDoc(data))
         assert "“quoted”" in parsed.full_text
+
+    def test_bytes_invalid_in_utf8_and_cp1252_decode_as_latin1(self):
+        # 0x81 is a stray continuation byte in UTF-8 and unassigned in cp1252.
+        data = b"<p>Item 1. Business</p><p>Caf\xe9 \x81 results.</p>"
+        for encoding in ("utf-8", "cp1252"):
+            with pytest.raises(UnicodeDecodeError):
+                data.decode(encoding)
+        assert "Caf\xe9 \x81 results." in parse(self.FakeDoc(data)).full_text
 
     def test_script_and_style_content_skipped(self):
         html = (
@@ -383,7 +390,6 @@ class TestSerialization:
             parsed = parsed_filings[name]
             restored = from_json(dump_json(parsed))
             assert restored == parsed, name
-            assert restored.tables[0].numeric_cells == parsed.tables[0].numeric_cells, name
 
     def test_dump_keeps_document_order_on_one_line(self, parsed_filings):
         parsed = parsed_filings["apple"]
@@ -392,7 +398,8 @@ class TestSerialization:
         data = json.loads(text)
         assert list(data) == ["ref", "front_matter", "items", "tables", "char_count"]
         assert list(data["items"]) == list(parsed.items) == ["1", "1A", "7", "8"]
-        assert "numeric_cells" not in data["tables"][0]
+        assert list(data["tables"][0]) == ["table_id", "caption_text", "header_rows", "body_rows", "item",
+                                           "char_start", "scale", "scale_assumed"]
 
     def test_dump_is_idempotent(self, parsed_filings):
         parsed = parsed_filings["apple"]
@@ -429,9 +436,9 @@ class TestSerialization:
     def test_numeric_cells_keep_decimal_exactness(self, parsed_filings):
         parsed = parsed_filings["apple"]
         restored = from_json(dump_json(parsed))
-        cells = restored.tables[0].numeric_cells
-        assert cells[(0, 1)].value == Decimal("167045")
-        assert isinstance(cells[(0, 1)].value, Decimal)
+        table = restored.tables[0]
+        assert parse_table_cell(table.body_rows[0][1]) == Decimal("167045")
+        assert table.scale == Scale.MILLIONS
 
 
 # sha256 of ``dump_json(parse_text(html))`` for every fixture filing. A change
@@ -664,8 +671,6 @@ class TestSectionPartitionProperty:
                 cursor = section.end
             assert cursor == filing.char_count == len(full_text)
         assert list(restored.items) == list(parsed.items)
-        assert [t.numeric_cells for t in restored.tables] == \
-            [t.numeric_cells for t in parsed.tables]
 
 
 # The original signal patterns, matched under IGNORECASE on the raw text. Kept
