@@ -39,6 +39,17 @@ from .store import FundamentalsRoster, SegmentStore, gap_report_to_json
 from .values import read, write_atomic
 
 
+def _cik(text: str) -> int:
+    """A CIK argument: a positive integer, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key-value config file")
@@ -57,17 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fetch", parents=[common], help="resolve and cache a 10-K")
-    p.add_argument("--cik", type=int, required=True)
+    p.add_argument("--cik", type=_cik, required=True)
     p.add_argument("--year", type=int, required=True)
     p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("parse", parents=[common], help="parse a cached 10-K")
-    p.add_argument("--cik", type=int, required=True)
+    p.add_argument("--cik", type=_cik, required=True)
     p.add_argument("--year", type=int, required=True)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("extract", parents=[common], help="run the extraction pipeline")
-    p.add_argument("--cik", type=int, required=True)
+    p.add_argument("--cik", type=_cik, required=True)
     p.add_argument("--year", type=int, required=True)
     p.set_defaults(func=cmd_extract)
 
@@ -80,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("changes", parents=[common], help="segment changes for one firm")
-    p.add_argument("--cik", type=int, required=True)
+    p.add_argument("--cik", type=_cik, required=True)
     p.add_argument("--from", dest="year_from", type=int, required=True)
     p.add_argument("--to", dest="year_to", type=int, required=True)
     p.add_argument("--index", dest="index_dir", default=None,
@@ -88,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_changes)
 
     p = sub.add_parser("align", parents=[common], help="cross-firm regional alignment")
-    p.add_argument("--firm-a", type=int, required=True)
-    p.add_argument("--firm-b", type=int, required=True)
+    p.add_argument("--firm-a", type=_cik, required=True)
+    p.add_argument("--firm-b", type=_cik, required=True)
     p.add_argument("--label-a", default=None, help="display name for firm A")
     p.add_argument("--label-b", default=None, help="display name for firm B")
     p.add_argument("--region", required=True, help="region scheme JSON file")
@@ -373,6 +384,8 @@ def cmd_export(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "year_from", 0) > getattr(args, "year_to", 0):
+        parser.error(f"{args.command}: --from {args.year_from} is later than --to {args.year_to}")
     try:
         return args.func(args)
     except (SegforgeError, OSError) as exc:  # OSError: a missing or unreadable input file

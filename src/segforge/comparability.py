@@ -225,7 +225,7 @@ def explain_changes(cik: int, panel: list[tuple[int, list[str]]], index: ChunkIn
         )
         asked[row.fiscal_year] = (request, partial(_check_change, row, by_year[prior_year],
                                                    context.chunk_ids), CHANGE_RETRY_REMINDER)
-    answers = dict(zip(asked, ask_checked(gateway, list(asked.values()))))
+    answers = dict(zip(asked, ask_checked(gateway, list(asked.values())).result()))
     for i, row in enumerate(rows):
         if not row.changed:
             continue
@@ -382,7 +382,8 @@ def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
                     verdicts[(cik, year, record.name)] = _arbitration(
                         record.name, cik, year, scheme, index, gateway)
     asked = {key: item for key, item in verdicts.items() if isinstance(item, tuple)}
-    for key, answer in zip(asked, ask_checked(gateway, list(asked.values()))):
+    answers = ask_checked(gateway, list(asked.values())).result() if asked else []  # gateway may be None
+    for key, answer in zip(asked, answers):
         if answer.invalid is not None:
             verdicts[key] = (f"LabelAmbiguity: arbitration for {key[2]!r} invalid (expected Yes "
                              f"or No, got {answer.text.strip().casefold()!r}); excluded")

@@ -8,6 +8,7 @@ underscores) override file values.
 
 from __future__ import annotations
 
+import operator
 import os
 from pathlib import Path
 
@@ -30,6 +31,14 @@ DEFAULTS: dict[str, str] = {
     "store.panel_path": "panel.jsonl",
     "extraction.measures": "revenue,profit_or_loss,assets",
 }
+
+# How far down each numeric key's value may go: no component runs with a smaller one.
+BOUNDS: dict[str, tuple[str, int]] = {
+    "edgar.max_retries": (">=", 0),
+    "edgar.rate_limit_rps": (">", 0),
+    "llm.max_in_flight": (">=", 1),
+}
+_ABOVE = {">=": operator.ge, ">": operator.gt}
 
 
 class Config:
@@ -71,9 +80,13 @@ class Config:
     def _number(self, key: str, kind: type) -> int | float:
         value = self.get(key)
         try:
-            return kind(value)
+            number = kind(value)
         except ValueError:
             raise SchemaError(f"{key} = {value!r} is not a valid {kind.__name__}") from None
+        bound = BOUNDS.get(key)
+        if bound and not _ABOVE[bound[0]](number, bound[1]):
+            raise SchemaError(f"{key} = {value!r} must be {bound[0]} {bound[1]}")
+        return number
 
     def get_list(self, key: str) -> list[str]:
         return [part.strip() for part in self.get(key).split(",") if part.strip()]

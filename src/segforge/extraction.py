@@ -10,17 +10,18 @@ declared answer shape before it may enter a bundle.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Iterable, Iterator
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .edgar import CachedDocument
 from .errors import SchemaError, ValidationError
-from .gateway import FileHandle, Gateway, PromptRequest, ask_checked
+from .gateway import FileHandle, Gateway, PromptRequest, ask_checked, then
 from .templates import (
     AnswerShape,
     CLASSIFY_QUESTION,
@@ -217,11 +218,15 @@ class ExtractionPipeline:
     """Runs the staged workflow for one firm-year at a time.
 
     ``run_pipeline`` schedules a firm-year's prompts by dependency, not by
-    stage, under the gateway's one in-flight budget. The 17 general fields
-    go out with classify and are joined at the end. The chain runs
-    classify, then the segment names, then their measures together with
-    nested detection; the nested names for every flagged parent go out in
-    one batch as soon as detection answers, and their measures after them.
+    stage, under the gateway's one in-flight budget. Each stage queues its
+    prompts and returns a future; a step planned from an answer is a
+    continuation, run on the worker that settles that answer before any
+    worker takes another prompt, so no step blocks or holds a thread. The
+    17 general fields go out with classify and are joined at the end. The
+    chain runs classify, then the segment names, then their measures
+    together with nested detection; the nested names for every flagged
+    parent go out in one batch as soon as detection answers, and their
+    measures after them.
 
     A prompt is filler when nothing but the bundle waits on its answer: the
     general fields and every measure of both tiers, with their retries.
@@ -232,10 +237,9 @@ class ExtractionPipeline:
     Request ids are "<cik>-<fy>-<seq>" and never depend on completion
     order. Classify is always 0001 and the general fields 0002-0018, in
     template order. Every later first ask takes the next number from 0019
-    in plan order: names, measures, detection, nested names, nested
-    measures. Only one thread numbers at a time, because the detection
-    thread starts once the measures are numbered. A format retry's id is
-    its original's id plus "-r".
+    off the run's counter, which only continuations advance, in plan order:
+    names, measures, detection, nested names, nested measures. A format
+    retry's id is its original's id plus "-r".
 
     Every answer is checked, and retried once, by ``gateway.ask_checked``.
     Required answers (the classification, segment names and nested names)
@@ -250,190 +254,164 @@ class ExtractionPipeline:
     def __init__(self, gateway: Gateway, measures: list[str] | None = None):
         self.gateway = gateway
         self.measures = list(measures) if measures else list(DEFAULT_MEASURES)
-        if not self.measures:
-            raise ValueError("measure list must be non-empty")
-        self._seq: dict[tuple[int, int], int] = {}
-        self._lock = threading.Lock()
 
     @classmethod
     def from_config(cls, gateway: Gateway, config) -> "ExtractionPipeline":
         return cls(gateway, measures=config.get_list("extraction.measures"))
 
-    def _next_seq(self, cik: int, fy: int) -> int:
-        with self._lock:
-            seq = self._seq.get((cik, fy), _CHAIN_SEQ - 1) + 1
-            self._seq[(cik, fy)] = seq
-        return seq
-
-    def _ask_all(self, handle: FileHandle, items: list[tuple[str, AnswerShape]],
-                 cik: int, fy: int, warnings: list[str] | None = None, *,
-                 first_seq: int | None = None, filler: bool = False, alongside=None) -> list:
-        """Number the items from ``first_seq`` (else the firm-year's counter) and
-        ask them through ``ask_checked``; each item's Answer, in order.
+    def _ask_all(self, handle: FileHandle, items: list[tuple[str, AnswerShape]], cik: int,
+                 fy: int, seqs: Iterable[int], read, warnings: list[str] | None = None,
+                 filler: bool = False) -> Future:
+        """Number the items from ``seqs`` and ask them through ``ask_checked``; the
+        future of ``read`` of each item's Answer, in order.
 
         With ``warnings=None`` the answers are required and the earliest
         failure raises: the request's own error, or the ValidationError that
         stands for the answer. Otherwise a failed answer is None and each
         failure is recorded in warnings, in item order.
         """
-        seqs = (range(first_seq, first_seq + len(items)) if first_seq
-                else [self._next_seq(cik, fy) for _ in items])
-        answers = ask_checked(self.gateway, [
+        def settle(asked: Future):
+            answers = asked.result()
+            for answer in answers:
+                if answer.error is None:
+                    continue
+                if warnings is None:
+                    raise answer.invalid or answer.error
+                failure = "failed" if answer.invalid is None else "invalid after retry"
+                warnings.append(f"request {answer.ids[0]} {failure}: {answer.error}")
+            return read([None if answer.error else answer for answer in answers])
+
+        return then([ask_checked(self.gateway, [
             (PromptRequest(handle, question, f"{cik}-{fy}-{seq:04d}", SYSTEM_PREAMBLE,
                            FORMAT_RULES[shape]), _VALIDATORS[shape], RETRY_REMINDERS[shape])
             for (question, shape), seq in zip(items, seqs)
-        ], filler, alongside)
-        for answer in answers:
-            if answer.error is None:
-                continue
-            if warnings is None:
-                raise answer.invalid or answer.error
-            failure = "failed" if answer.invalid is None else "invalid after retry"
-            warnings.append(f"request {answer.ids[0]} {failure}: {answer.error}")
-        return [None if answer.error else answer for answer in answers]
+        ], filler)], settle)
 
     def _extract_tier(self, handle: FileHandle, parents: list[str | None], cik: int, fy: int,
-                      warnings: list[str], alongside=None) -> list[SegmentRecord]:
-        """Ask for the names under every parent in one batch, then every measure per name.
+                      warnings: list[str], seqs: Iterator[int] | None) -> tuple[Future, Future]:
+        """Ask for the names under every parent in one batch, then every measure per name:
+        the futures of the named records and of the same records once measured.
 
         ``parents`` is ``[None]`` for reportable segments. Only reportable
         measures warn on a missing scale word; only nested names feed the
-        names question to ``infer_axis``. ``alongside(records)``, when
-        given, is called as soon as the measures are queued.
+        names question to ``infer_axis``. ``seqs`` is the run's request
+        counter; without one, numbering starts at 0019.
         """
+        seqs = seqs or itertools.count(_CHAIN_SEQ)
         questions = [SEGMENT_NAMES_QUESTION if parent is None else nested_names_question(parent)
                      for parent in parents]
-        named = self._ask_all(
-            handle, [(question, AnswerShape.DELIMITED_LIST) for question in questions], cik, fy
-        )
-        records: list[SegmentRecord] = []
-        for parent, question, answer in zip(parents, questions, named):
-            names, list_warnings = answer.value
-            warnings.extend(list_warnings)
-            nested = parent is not None
-            records += [
-                SegmentRecord(
-                    name=name,
-                    axis=infer_axis(name, nested=nested, question=question if nested else ""),
-                    parent_name=parent,
-                    provenance=list(answer.ids),
-                )
-                for name in names
-            ]
-        items = [
-            (measure_question(measure, record.name) if record.parent_name is None
-             else nested_measure_question(measure, record.name, record.parent_name),
-             AnswerShape.MONETARY)
-            for record in records
-            for measure in self.measures
-        ]
-        if alongside is not None:
-            alongside = partial(alongside, records)
-        answers = self._ask_all(handle, items, cik, fy, warnings, filler=True,
-                                alongside=alongside)
-        for i, answer in enumerate(answers):
-            if answer is None:
-                continue
-            record = records[i // len(self.measures)]
-            measure = self.measures[i % len(self.measures)]
-            money = answer.value
-            record.provenance.extend(answer.ids)
-            if money is None:  # "Not provided"
-                continue
-            if record.parent_name is None and not money.scale_explicit:
-                warnings.append(
-                    f"measure {measure} for {record.name!r} has no scale word; taking value as-is"
-                )
-            record.measures[measure] = money
-        return records
+
+        def name(answers: list) -> list[SegmentRecord]:
+            records: list[SegmentRecord] = []
+            for parent, question, answer in zip(parents, questions, answers):
+                names, list_warnings = answer.value
+                warnings.extend(list_warnings)
+                nested = parent is not None
+                records += [SegmentRecord(name, infer_axis(name, nested, question if nested else ""),
+                                          parent_name=parent, provenance=list(answer.ids))
+                            for name in names]
+            return records
+
+        def measure(named: Future) -> Future:
+            asked = [(record, measure) for record in named.result() for measure in self.measures]
+            items = [(measure_question(measure, record.name) if record.parent_name is None
+                      else nested_measure_question(measure, record.name, record.parent_name),
+                      AnswerShape.MONETARY) for record, measure in asked]
+            return self._ask_all(handle, items, cik, fy, seqs, partial(fill, named.result(), asked),
+                                 warnings, filler=True)
+
+        def fill(records: list[SegmentRecord], asked: list, answers: list) -> list[SegmentRecord]:
+            for (record, measure), answer in zip(asked, answers):
+                if answer is None:
+                    continue
+                money = answer.value
+                record.provenance.extend(answer.ids)
+                if money is None:  # "Not provided"
+                    continue
+                if record.parent_name is None and not money.scale_explicit:
+                    warnings.append(
+                        f"measure {measure} for {record.name!r} has no scale word; taking value as-is"
+                    )
+                record.measures[measure] = money
+            return records
+
+        named = self._ask_all(handle, [(q, AnswerShape.DELIMITED_LIST) for q in questions], cik, fy,
+                              seqs, name)
+        return named, then([named], measure)
 
     # -- stages -------------------------------------------------------------
+    # Each queues its prompts and returns at once: the future of its result,
+    # or for a tier the futures of its named and of its measured records.
 
-    def classify_segmentation(self, handle: FileHandle, cik: int, fy: int,
-                              alongside=None) -> SegmentationClass:
-        [answer] = self._ask_all(
-            handle, [(CLASSIFY_QUESTION, AnswerShape.YES_NO)], cik, fy,
-            first_seq=_CLASSIFY_SEQ, alongside=alongside,
-        )
-        return SegmentationClass(kind=MULTI_SEGMENT if answer.value else SINGLE_UNIT,
-                                 raw_response=answer.text)
+    def classify_segmentation(self, handle: FileHandle, cik: int, fy: int) -> Future:
+        return self._ask_all(handle, [(CLASSIFY_QUESTION, AnswerShape.YES_NO)], cik, fy,
+                             [_CLASSIFY_SEQ], lambda answers: SegmentationClass(
+                                 kind=MULTI_SEGMENT if answers[0].value else SINGLE_UNIT,
+                                 raw_response=answers[0].text))
 
-    def extract_reportable(self, handle: FileHandle, cik: int, fy: int,
-                           warnings: list[str], alongside=None) -> list[SegmentRecord]:
-        return self._extract_tier(handle, [None], cik, fy, warnings, alongside)
+    def extract_reportable(self, handle: FileHandle, cik: int, fy: int, warnings: list[str],
+                           seqs: Iterator[int] | None = None) -> tuple[Future, Future]:
+        return self._extract_tier(handle, [None], cik, fy, warnings, seqs)
 
-    def detect_nested(self, handle: FileHandle, reportable: list[SegmentRecord],
-                      cik: int, fy: int, warnings: list[str]) -> dict[str, bool]:
-        items = [
-            (nested_detect_question(record.name), AnswerShape.YES_NO) for record in reportable
-        ]
-        answers = self._ask_all(handle, items, cik, fy, warnings)
-        return {record.name: answer.value
-                for record, answer in zip(reportable, answers) if answer is not None}
+    def detect_nested(self, handle: FileHandle, reportable: list[SegmentRecord], cik: int, fy: int,
+                      warnings: list[str], seqs: Iterator[int] | None = None) -> Future:
+        items = [(nested_detect_question(record.name), AnswerShape.YES_NO) for record in reportable]
+        return self._ask_all(handle, items, cik, fy, seqs or itertools.count(_CHAIN_SEQ),
+                             lambda answers: {record.name: answer.value
+                                              for record, answer in zip(reportable, answers)
+                                              if answer is not None}, warnings)
 
-    def extract_nested(self, handle: FileHandle, parents: list[SegmentRecord],
-                       cik: int, fy: int, warnings: list[str]) -> list[SegmentRecord]:
-        return self._extract_tier(handle, [parent.name for parent in parents], cik, fy, warnings)
+    def extract_nested(self, handle: FileHandle, parents: list[SegmentRecord], cik: int, fy: int,
+                       warnings: list[str],
+                       seqs: Iterator[int] | None = None) -> tuple[Future, Future]:
+        return self._extract_tier(handle, [parent.name for parent in parents], cik, fy, warnings,
+                                  seqs)
 
     def extract_general_fields(self, handle: FileHandle, cik: int, fy: int,
-                               warnings: list[str]) -> dict[str, str]:
+                               warnings: list[str]) -> Future:
         items = [(spec.question, spec.answer_shape) for spec in GENERAL_FIELDS]
-        answers = self._ask_all(handle, items, cik, fy, warnings,
-                                first_seq=_GENERAL_SEQ, filler=True)
         # Store the raw validated text; interpretation (e.g. parsing revt
         # into a number) happens at point of use.
-        return {spec.field_name: NOT_PROVIDED if answer is None else answer.text.strip()
-                for spec, answer in zip(GENERAL_FIELDS, answers)}
-
-    def _detect_and_extract_nested(self, handle: FileHandle, cik: int, fy: int,
-                                   warnings: list[str],
-                                   reportable: list[SegmentRecord]) -> list[SegmentRecord]:
-        flags = self.detect_nested(handle, reportable, cik, fy, warnings)
-        parents = [record for record in reportable if flags.get(record.name)]
-        return self.extract_nested(handle, parents, cik, fy, warnings) if parents else []
+        return self._ask_all(handle, items, cik, fy, itertools.count(_GENERAL_SEQ), lambda answers: {
+            spec.field_name: NOT_PROVIDED if answer is None else answer.text.strip()
+            for spec, answer in zip(GENERAL_FIELDS, answers)
+        }, warnings, filler=True)
 
     def run_pipeline(self, doc: CachedDocument, cik: int, fy: int) -> ExtractionBundle:
         handle = self.gateway.upload(doc)
+        seqs = itertools.count(_CHAIN_SEQ)
         general_warnings: list[str] = []
         warnings: list[str] = []
         nested_warnings: list[str] = []
-        reportable: list[SegmentRecord] = []
-        nested: list[SegmentRecord] = []
-        started: dict[str, Future] = {}
-        with ThreadPoolExecutor(max_workers=2, thread_name_prefix="stage") as stages:
 
-            def start(name: str, stage, *args) -> None:
-                started[name] = stages.submit(stage, *args)
+        def nested(named: Future) -> Future:
+            reportable = named.result()
+            # With no parent flagged, extract_nested asks nothing.
+            return then([self.detect_nested(handle, reportable, cik, fy, nested_warnings, seqs)],
+                        lambda flagged: self.extract_nested(handle, [
+                            record for record in reportable if flagged.result().get(record.name)
+                        ], cik, fy, nested_warnings, seqs)[1])
 
-            classification = self.classify_segmentation(
-                handle, cik, fy,
-                alongside=partial(start, "general", self.extract_general_fields,
-                                  handle, cik, fy, general_warnings),
-            )
-            try:
-                if classification.kind == MULTI_SEGMENT:
-                    reportable = self.extract_reportable(
-                        handle, cik, fy, warnings,
-                        alongside=partial(start, "nested", self._detect_and_extract_nested,
-                                          handle, cik, fy, nested_warnings),
-                    )
-                    nested = started["nested"].result()
-            finally:
-                # The general fields come before the chain in plan order, so
-                # their failure is the one raised when both fail.
-                general_fields = started["general"].result()
-        bundle = ExtractionBundle(
-            cik=cik,
-            fiscal_year=fy,
-            classification=classification,
-            general_fields=general_fields,
-            reportable=reportable,
-            nested=nested,
-            warnings=general_warnings + warnings + nested_warnings,
-        )
-        audit_nested_sums(bundle)
-        validate_bundle(bundle)
-        return bundle
+        def segments(classified: Future):
+            if classified.result().kind == SINGLE_UNIT:
+                return [], []
+            named, measured = self.extract_reportable(handle, cik, fy, warnings, seqs)
+            return then([measured, then([named], nested)],
+                        lambda *tiers: [tier.result() for tier in tiers])
+
+        def build(classified: Future, general: Future, chain: Future) -> ExtractionBundle:
+            # Read in plan order, so that the earliest stage's failure is raised.
+            bundle = ExtractionBundle(cik, fy, classified.result(), general.result(), *chain.result(),
+                                      warnings=general_warnings + warnings + nested_warnings)
+            audit_nested_sums(bundle)
+            validate_bundle(bundle)
+            return bundle
+
+        with self.gateway.paused():  # so that the chain runs on the worker that answers classify
+            classified = self.classify_segmentation(handle, cik, fy)
+            chain = then([classified], segments)
+        general = self.extract_general_fields(handle, cik, fy, general_warnings)
+        return then([classified, general, chain], build).result()
 
 
 def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> None:

@@ -15,7 +15,7 @@ import itertools
 import json
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -238,11 +238,13 @@ class TranscriptRecord:
 class Gateway:
     """Upload-once, file-grounded prompting with a transcript log.
 
-    ``max_in_flight`` is one budget for the whole gateway: however many
-    threads call ask(), submit() or ask_many() at once, no more than that
-    many prompts are with the backend. Queued prompts start in two classes,
-    each first come, first served: a waiting critical request gets the next
-    free slot before any waiting ``filler`` request.
+    ``max_in_flight`` is one budget for the whole gateway: at most that
+    many prompts are with the backend at once. Queued prompts are sent by
+    at most that many workers, in two classes, each first come, first
+    served: a waiting critical request gets the next free slot before any
+    waiting ``filler`` request. A worker settles each future with the
+    gateway paused, so the continuations that run on it queue their
+    follow-ups before any worker takes another prompt.
 
     The gateway never numbers requests; callers give each one an id, and
     reusing an id is an error.
@@ -256,7 +258,7 @@ class Gateway:
         self.transcript: list[TranscriptRecord] = []
         self._handles: dict[str, FileHandle] = {}
         self._seen_request_ids: set[str] = set()
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # re-entered by continuations that queue prompts
         self._slots = threading.BoundedSemaphore(max_in_flight)
         # (filler, arrival, request, future); a heap serves critical first.
         self._queue: list[tuple[bool, int, PromptRequest, Future]] = []
@@ -341,9 +343,16 @@ class Gateway:
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                future.set_result(self.ask(request))
+                settle = partial(future.set_result, self.ask(request))
             except Exception as exc:  # noqa: BLE001 - handed to the future's reader
-                future.set_exception(exc)
+                settle = partial(future.set_exception, exc)
+            with self.paused():
+                settle()
+
+    def paused(self):
+        """A context in which no worker takes a prompt: a continuation attached inside it
+        to a prompt queued inside it runs on the worker that settles that prompt."""
+        return self._lock
 
     def ask_many(self, requests: list[PromptRequest]) -> list[Completion]:
         """Run requests concurrently; results come back in input order.
@@ -394,6 +403,40 @@ class Gateway:
 # -- checked asks ---------------------------------------------------------------
 
 
+def then(futures: list[Future], fn) -> Future:
+    """The future of ``fn(*futures)``, called once every one of ``futures`` is done.
+
+    ``fn`` runs on the thread that settles the last of them (at once, if all
+    are done already) and must not block. An exception it raises settles
+    the result; a Future it returns is followed.
+    """
+    result: Future = Future()
+    waiting = list(futures)  # emptied once fn is called, so no future keeps the others alive
+    arrivals, last = itertools.count(1), len(waiting) + 1  # next() is atomic: no lock needed
+
+    def arrive(_=None) -> None:
+        if next(arrivals) == last:  # the last one, counting the call below
+            done, waiting[:] = waiting[:], []
+            _settle(result, partial(fn, *done))
+
+    for future in waiting:
+        future.add_done_callback(arrive)
+    arrive()
+    return result
+
+
+def _settle(result: Future, get) -> None:
+    """Settle ``result`` with what ``get()`` returns or raises; follow a returned Future."""
+    try:
+        value = get()
+        if isinstance(value, Future):
+            value.add_done_callback(lambda done: _settle(result, done.result))
+        else:
+            result.set_result(value)
+    except Exception as exc:  # noqa: BLE001 - handed to the result's reader
+        result.set_exception(exc)
+
+
 @dataclass
 class Answer:
     """One item's outcome from ``ask_checked``: ``value`` when ``error`` is None.
@@ -410,43 +453,46 @@ class Answer:
     invalid: ValidationError | None = None
 
 
-def ask_checked(gateway: Gateway, items: list, filler: bool = False, alongside=None) -> list[Answer]:
-    """Queue every ``(request, validator, reminder)`` item at once; their Answers, in order.
+def ask_checked(gateway: Gateway, items: list, filler: bool = False) -> Future:
+    """Queue every ``(request, validator, reminder)`` item at once; the future of
+    their Answers, in order, which settles with the last of them.
 
-    ``alongside()``, when given, is called as soon as they are queued.
-    Each answer is checked as it arrives, and one the validator rejects is
-    asked once more at once, as "<question> <reminder>" with id "<id>-r",
-    in the same ``filler`` class. A script miss on a first ask is a fixture
-    bug, never data: the earliest one is raised once every ask has settled.
+    Each answer is checked on the worker that receives it, and one the
+    validator rejects is asked once more at once, as "<question> <reminder>"
+    with id "<id>-r", in the same ``filler`` class. A script miss on a first
+    ask is a fixture bug, never data: the future raises the earliest one.
     """
-    answers = [Answer([request.request_id]) for request, _, _ in items]
-    first_invalid: dict[int, ValidationError] = {}
-    pending = {gateway.submit(request, filler): i for i, (request, _, _) in enumerate(items)}
-    if alongside is not None:
-        alongside()
-    while pending:
-        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            i = pending.pop(future)
-            request, validator, reminder = items[i]
-            answer = answers[i]
-            try:
-                answer.text = future.result().text
-                answer.value = validator(answer.text)
-            except ValidationError as exc:
-                if i in first_invalid:
-                    answer.error = answer.invalid = exc
-                    continue
-                first_invalid[i] = exc
-                retry = replace(request, question=f"{request.question} {reminder}",
-                                request_id=f"{request.request_id}-r")
-                answer.ids.append(retry.request_id)
-                pending[gateway.submit(retry, filler)] = i
-            except Exception as exc:  # noqa: BLE001 - the caller raises or degrades it
-                answer.error = exc
-                if isinstance(exc, ScriptMissError):
-                    answer.invalid = first_invalid.get(i)
-    for answer in answers:
-        if isinstance(answer.error, ScriptMissError) and answer.invalid is None:
-            raise answer.error
-    return answers
+    def collect(*asked: Future) -> list[Answer]:
+        answers = [future.result() for future in asked]
+        for answer in answers:
+            if isinstance(answer.error, ScriptMissError) and answer.invalid is None:
+                raise answer.error
+        return answers
+
+    with gateway.paused():  # every item is queued, and its check attached, before any starts
+        return then([then([gateway.submit(item[0], filler)],
+                          partial(_check, gateway, filler, item, Answer([item[0].request_id]), None))
+                     for item in items], collect)
+
+
+def _check(gateway: Gateway, filler: bool, item: tuple, answer: Answer,
+           first_invalid: ValidationError | None, done: Future) -> Answer | Future:
+    """``answer`` completed from ``done``, the settled ask of ``item``; or the future of its retry."""
+    request, validator, reminder = item
+    try:
+        answer.text = done.result().text
+        answer.value = validator(answer.text)
+    except ValidationError as exc:
+        if first_invalid is not None:
+            answer.error = answer.invalid = exc
+            return answer
+        retry = replace(request, question=f"{request.question} {reminder}",
+                        request_id=f"{request.request_id}-r")
+        answer.ids.append(retry.request_id)
+        return then([gateway.submit(retry, filler)],
+                    partial(_check, gateway, filler, (retry, validator, reminder), answer, exc))
+    except Exception as exc:  # noqa: BLE001 - the caller raises or degrades it
+        answer.error = exc
+        if isinstance(exc, ScriptMissError):
+            answer.invalid = first_invalid
+    return answer

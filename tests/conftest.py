@@ -6,6 +6,8 @@ mutates (stores with on-disk panels, run directories) is function-scoped.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 import filingfab
@@ -15,6 +17,34 @@ from segforge.extraction import ExtractionPipeline
 from segforge.gateway import Gateway, ScriptedBackend, ScriptStore
 from segforge.retrieval import build_index, save_index
 from segforge.store import SegmentStore
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def no_lost_callback_errors():
+    """Fail a test in which a future's done-callback raised.
+
+    concurrent.futures only logs such an exception ("exception calling
+    callback for ..."), so a continuation that raised would otherwise pass
+    unseen, or leave a future that never settles.
+    """
+    logger = logging.getLogger("concurrent.futures")
+    handler = _Records()
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail("\n".join(handler.format(record) for record in handler.records))
 
 
 @pytest.fixture(scope="session")

@@ -521,6 +521,21 @@ class TestConfigFile:
                                    "message": "llm.max_in_flight = 'abc' is not a valid int"}
         assert list(run_dir.iterdir()) == []
 
+    @pytest.mark.parametrize("key, value, bound", [
+        ("llm.max_in_flight", "0", ">= 1"),
+        ("edgar.rate_limit_rps", "0", "> 0"),
+        ("edgar.max_retries", "-1", ">= 0"),
+    ])
+    def test_out_of_range_value_exits_1(self, capsys, base, run_dir, monkeypatch, key, value,
+                                        bound):
+        monkeypatch.setenv(env_var_name(key), value)
+        code, out, err = invoke(capsys, ["extract", *base, "--cik", str(paperdata.APPLE_CIK),
+                                         "--year", str(paperdata.APPLE_FY)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "SchemaError",
+                                   "message": f"{key} = {value!r} must be {bound}"}
+        assert list(run_dir.iterdir()) == []
+
     @pytest.mark.parametrize("content", ["{torn", "[]"])
     def test_malformed_fixture_index_exits_1(self, capsys, run_dir, tmp_path, config_path,
                                              content):
@@ -875,6 +890,33 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["fetch", *base, "--year", "2024"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fetch", "--cik", "0", "--year", "2024"],
+        ["extract", "--cik", "-5", "--year", "2024"],
+        ["changes", "--cik", "0", "--from", "2000", "--to", "2010"],
+        ["align", "--firm-a", "0", "--firm-b", "1", "--region", "r.json",
+         "--from", "2000", "--to", "2010"],
+        ["align", "--firm-a", "1", "--firm-b", "-1", "--region", "r.json",
+         "--from", "2000", "--to", "2010"],
+    ], ids=["fetch_cik", "extract_cik", "changes_cik", "align_firm_a", "align_firm_b"])
+    def test_non_positive_cik_exits_2(self, capsys, base, run_dir, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *base])
+        assert excinfo.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["changes", "--cik", "1"],
+        ["align", "--firm-a", "1", "--firm-b", "2", "--region", "r.json"],
+    ], ids=["changes", "align"])
+    def test_from_later_than_to_exits_2(self, capsys, base, run_dir, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *base, "--from", "2010", "--to", "2000"])
+        assert excinfo.value.code == 2
+        assert "--from 2010 is later than --to 2000" in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_console_script_installed(self):
         assert shutil.which("segforge")

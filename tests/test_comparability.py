@@ -636,7 +636,8 @@ def measure_site() -> Site:
     def run(gateway: Gateway):
         warnings: list[str] = []
         handle = gateway.upload_bytes(b"doc", content_hash=file_hash)
-        [record] = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, warnings)
+        _, measured = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, warnings)
+        [record] = measured.result()
         return record.measures.get("revenue"), warnings
 
     reminder = RETRY_REMINDERS[AnswerShape.MONETARY]

@@ -33,6 +33,18 @@ def test_constructor_defaults_equal_config_defaults(tmp_path):
     assert ExtractionPipeline(gateway).measures == config.get_list("extraction.measures")
 
 
+@pytest.mark.parametrize("key, least, below", [
+    ("edgar.max_retries", "0", "-1"),
+    ("edgar.rate_limit_rps", "0.001", "0"),
+    ("llm.max_in_flight", "1", "0"),
+])
+def test_numeric_settings_are_read_within_their_bounds(key, least, below):
+    read = Config.get_float if key == "edgar.rate_limit_rps" else Config.get_int
+    assert read(Config({key: least}, use_env=False), key) == float(least)
+    with pytest.raises(SchemaError, match=re.escape(f"{key} = {below!r} must be ")):
+        read(Config({key: below}, use_env=False), key)
+
+
 def test_file_overrides_defaults(tmp_path):
     path = tmp_path / "segforge.conf"
     path.write_text(

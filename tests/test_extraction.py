@@ -8,6 +8,7 @@ model quality.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import threading
@@ -19,6 +20,7 @@ import pytest
 
 import filingfab
 import paperdata
+from segforge import extraction
 from segforge.edgar import EdgarClient
 from segforge.errors import SchemaError, ScriptMissError, ValidationError
 from segforge.extraction import (
@@ -230,7 +232,8 @@ class TestRetries:
         gateway = self.gateway_for(entries)
         pipeline = ExtractionPipeline(gateway)
         warnings: list[str] = []
-        [record] = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        _, measured = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        [record] = measured.result()
         assert record.measures == {"revenue": Money(Decimal(5), Scale.MILLIONS)}
         assert warnings == []
         # Classify and the general fields own 0001-0018, so the names are
@@ -248,7 +251,7 @@ class TestRetries:
         ])
         pipeline = ExtractionPipeline(gateway)
         with pytest.raises(ValidationError) as excinfo:
-            pipeline.classify_segmentation(self.handle(gateway), 1, 2000)
+            pipeline.classify_segmentation(self.handle(gateway), 1, 2000).result()
         assert "maybe" in str(excinfo.value)
 
     def test_batch_retry_failure_degrades_to_warning(self):
@@ -266,7 +269,8 @@ class TestRetries:
         gateway = self.gateway_for(entries)
         pipeline = ExtractionPipeline(gateway)
         warnings: list[str] = []
-        records = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        _, measured = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        records = measured.result()
         assert [r.name for r in records] == ["Alpha"]
         assert records[0].measures == {}
         assert len(warnings) == 1
@@ -280,7 +284,7 @@ class TestRetries:
              "response": "Yes"},
         ])
         pipeline = ExtractionPipeline(gateway)
-        result = pipeline.classify_segmentation(self.handle(gateway), 1, 2000)
+        result = pipeline.classify_segmentation(self.handle(gateway), 1, 2000).result()
         assert result.kind == MULTI_SEGMENT
 
     def test_general_field_script_miss_raises(self, edgar_client, edgar_fixture):
@@ -319,15 +323,18 @@ class TestTierDifferences:
         handle = gateway.upload_bytes(b"doc", content_hash=self.HASH)
         pipeline = ExtractionPipeline(gateway)
 
+        # One request counter for both tiers, as one run_pipeline has: the
+        # names take 0019 and every later first ask the next number.
+        seqs = itertools.count(19)
         warnings: list[str] = []
-        [segment] = pipeline.extract_reportable(handle, 1, 2000, warnings)
+        [segment] = pipeline.extract_reportable(handle, 1, 2000, warnings, seqs)[1].result()
         assert segment.measures == {"revenue": Money(Decimal(5), Scale.UNITS, False)}
         assert warnings == ["measure revenue for 'Alpha' has no scale word; taking value as-is"]
         assert segment.axis == AXIS_BUSINESS
 
         warnings = []
         parent = SegmentRecord(name="Americas")
-        [component] = pipeline.extract_nested(handle, [parent], 1, 2000, warnings)
+        [component] = pipeline.extract_nested(handle, [parent], 1, 2000, warnings, seqs)[1].result()
         assert component.measures == {"revenue": Money(Decimal(7), Scale.UNITS, False)}
         assert warnings == []
         assert component.parent_name == "Americas"
@@ -444,7 +451,8 @@ class TestScheduling:
             [{"file_hash": file_hash, "question": q, "response": r} for q, r in answers.items()]
         ), delay_fn=gate))
         handle = gateway.upload_bytes(b"doc", content_hash=file_hash)
-        [record] = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, [])
+        _, measured = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, [])
+        [record] = measured.result()
         assert held_too_long == []
         assert record.measures["revenue"] == Money(Decimal(5), Scale.MILLIONS)
 
@@ -515,8 +523,9 @@ class TestScheduling:
         ]
 
     def test_general_field_failure_surfaces(self, edgar_client, edgar_fixture):
-        # The filler stage runs on its own thread; its script miss must still
-        # raise from run_pipeline, after the multi-segment chain has run.
+        # The general fields are filler, planned beside the chain; their
+        # script miss must still raise from run_pipeline, once the
+        # multi-segment chain has settled.
         _, hashes = edgar_fixture
         dropped = GENERAL_FIELDS[-1].question
         entries = [e for e in filingfab.adobe_script(hashes["adobe"])
@@ -528,7 +537,8 @@ class TestScheduling:
         assert excinfo.value.question == dropped
 
     def test_nested_names_failure_surfaces(self, edgar_client, edgar_fixture):
-        # Nested names are required and are asked on the detection thread.
+        # Nested names are required, and are planned by the continuation of
+        # nested detection on a gateway worker.
         _, hashes = edgar_fixture
         entries = filingfab.adobe_script(hashes["adobe"])
         replace_response(entries, nested_names_question(paperdata.ADOBE_NESTED_PARENT), " ")
@@ -576,6 +586,93 @@ class TestScheduling:
         asked = {r.question: gateway.filler[r.request_id] for r in gateway.transcript}
         assert len(gateway.filler) == len(gateway.transcript) == len(critical) + len(filler)
         assert asked == {**{q: False for q in critical}, **{q: True for q in filler}}
+
+
+class TestContinuations:
+    """run_pipeline's steps run as continuations on the gateway's workers."""
+
+    CRITICAL = [CLASSIFY_QUESTION, SEGMENT_NAMES_QUESTION,
+                *(nested_detect_question(s) for s in paperdata.ADOBE_SEGMENTS),
+                nested_names_question(paperdata.ADOBE_NESTED_PARENT)]
+
+    def run_adobe(self, edgar_client, script_entries, max_in_flight: int,
+                  latency: float) -> tuple[ExtractionBundle, list[str]]:
+        """Adobe's bundle and the questions in the order the backend received them."""
+        asked: list[str] = []
+
+        def record(question: str) -> float:
+            asked.append(question)
+            return latency
+
+        gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(script_entries),
+                                          delay_fn=record), max_in_flight=max_in_flight)
+        doc = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
+        bundle = ExtractionPipeline(gateway).run_pipeline(doc, paperdata.ADOBE_CIK,
+                                                          paperdata.ADOBE_FY)
+        return bundle, asked
+
+    @pytest.mark.parametrize("latency", [0, 0.002], ids=["0ms", "2ms"])
+    def test_critical_prompts_reach_the_backend_before_any_filler(
+            self, edgar_client, script_entries, latency):
+        # With one slot there is one worker. Each continuation queues its
+        # critical follow-up before that worker takes another prompt, so no
+        # general field or measure can slip in ahead of it.
+        _, asked = self.run_adobe(edgar_client, script_entries, 1, latency)
+        assert asked[:len(self.CRITICAL)] == self.CRITICAL
+        assert len(asked) == 38
+
+    @pytest.mark.parametrize("latency", [0, 0.02], ids=["0ms", "20ms"])
+    def test_no_thread_starts_besides_the_gateway_workers(
+            self, edgar_client, script_entries, monkeypatch, latency):
+        started: list[threading.Thread] = []
+        peak = 0
+        start = threading.Thread.start
+
+        def counting_start(thread: threading.Thread) -> None:
+            nonlocal peak
+            started.append(thread)
+            peak = max(peak, sum(t.is_alive() for t in started) + 1)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        bundle, _ = self.run_adobe(edgar_client, script_entries, 5, latency)
+        monkeypatch.undo()
+        assert {thread.name for thread in started} == {"gateway-worker"}
+        assert peak <= 5
+        assert [r.name for r in bundle.nested] == [n for n, _ in paperdata.ADOBE_NESTED]
+
+    @staticmethod
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    @pytest.mark.parametrize("patch", [
+        lambda mp, boom: mp.setitem(extraction._VALIDATORS, AnswerShape.YES_NO, boom),
+        lambda mp, boom: mp.setitem(extraction._VALIDATORS, AnswerShape.DELIMITED_LIST, boom),
+        lambda mp, boom: mp.setattr(extraction, "infer_axis", boom),
+        lambda mp, boom: mp.setattr(extraction, "nested_names_question", boom),
+        lambda mp, boom: mp.setattr(extraction, "audit_nested_sums", boom),
+    ], ids=["classify_validator", "names_validator", "names_step", "nested_step",
+            "bundle_step"])
+    def test_unexpected_error_in_a_step_is_raised(self, edgar_client, script_entries,
+                                                  monkeypatch, patch):
+        # A continuation's exception settles the bundle future, so
+        # run_pipeline raises it instead of waiting for ever; concurrent.futures
+        # would only have logged it.
+        patch(monkeypatch, self.boom)
+        outcome: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                self.run_adobe(edgar_client, script_entries, 5, 0)
+            except Exception as exc:  # noqa: BLE001 - examined below
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "run_pipeline did not return"
+        assert [type(exc) for exc in outcome] == [RuntimeError]
+        assert str(outcome[0]) == "boom"
 
 
 class TestValidators:

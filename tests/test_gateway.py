@@ -13,6 +13,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 import requests
@@ -29,6 +30,7 @@ from segforge.gateway import (
     PromptRequest,
     ScriptedBackend,
     ScriptStore,
+    then,
 )
 from test_edgar import FakeClock, FakeSession, http_response
 
@@ -300,9 +302,10 @@ class TestAskMany:
         with pytest.raises(ValueError):
             Gateway(ScriptedBackend(ScriptStore()), max_in_flight=0)
         # The one cap is the gateway's, so a zero llm.max_in_flight is
-        # refused when the gateway is built, before any prompt is queued.
+        # refused when the gateway is built, before any prompt is queued:
+        # the setting is read out of range.
         config = Config({"llm.max_in_flight": "0"}, use_env=False)
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaError, match="llm.max_in_flight = '0' must be >= 1"):
             Gateway.from_config(config, script_store=store_with({"q": "r"}))
 
     def test_request_ids_unique_across_batches(self):
@@ -434,6 +437,85 @@ class TestGatewayBudget:
         future = gateway.submit(request_for("missing", "req-1"))
         with pytest.raises(ScriptMissError):
             future.result(timeout=5)
+
+    def test_no_prompt_starts_while_paused(self):
+        # A filler queued first still starts after a critical prompt queued
+        # later in the same pause: no worker takes a prompt until it ends.
+        probe = InFlightProbe(hold=0.0)
+        gateway = Gateway(ScriptedBackend(store_with({"f": "F", "c": "C"}), delay_fn=probe),
+                          max_in_flight=1)
+        with gateway.paused():
+            filler = gateway.submit(request_for("f", "req-f"), filler=True)
+            time.sleep(0.05)
+            assert probe.started == []
+            critical = gateway.submit(request_for("c", "req-c"))
+        assert [filler.result(timeout=5).text, critical.result(timeout=5).text] == ["F", "C"]
+        assert probe.started == ["c", "f"]
+
+
+class TestThen:
+    """``then``, the one combinator a firm-year's plan is built from."""
+
+    def test_fn_runs_once_all_are_done_on_the_thread_that_settles_the_last(self):
+        first, second = Future(), Future()
+        ran_on: list[str] = []
+
+        def add(a: Future, b: Future) -> int:
+            ran_on.append(threading.current_thread().name)
+            return a.result() + b.result()
+
+        joined = then([first, second], add)
+        first.set_result(1)
+        assert not joined.done()
+        settler = threading.Thread(target=second.set_result, args=(2,), name="settler")
+        settler.start()
+        settler.join(timeout=5)
+        assert not settler.is_alive()
+        assert joined.result(timeout=5) == 3
+        assert ran_on == ["settler"]
+
+    def test_fn_runs_at_once_when_all_are_done(self):
+        done: Future = Future()
+        done.set_result(1)
+        assert then([done], lambda f: f.result() + 1).result(timeout=0) == 2
+        assert then([], lambda: "none").result(timeout=0) == "none"
+
+    def test_an_exception_settles_the_result(self):
+        failed: Future = Future()
+        failed.set_exception(ScriptMissError(HASH_A, "q"))
+        with pytest.raises(ScriptMissError):
+            then([failed], lambda f: f.result()).result(timeout=0)
+        with pytest.raises(ZeroDivisionError):
+            then([], lambda: 1 / 0).result(timeout=0)
+
+    def test_a_returned_future_is_followed(self):
+        inner: Future = Future()
+        outer = then([], lambda: inner)
+        assert not outer.done()
+        inner.set_result("x")
+        assert outer.result(timeout=0) == "x"
+
+    def test_stress_futures_settled_together(self):
+        # Only the last arrival may call fn: a lost or doubled count would
+        # leave the result unsettled or call fn twice.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                futures: list[Future] = [Future() for _ in range(8)]
+                calls: list[int] = []
+                joined = then(futures, lambda *done: calls.append(1) or sum(f.result() for f in done))
+                threads = [threading.Thread(target=future.set_result, args=(i,))
+                           for i, future in enumerate(futures)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5)
+                    assert not thread.is_alive()
+                assert joined.result(timeout=5) == sum(range(8))
+                assert calls == [1]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFromConfig:
