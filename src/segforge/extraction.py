@@ -313,11 +313,12 @@ class ExtractionPipeline:
             return records
 
         def measure(named: Future) -> Future:
-            asked = [(record, measure) for record in named.result() for measure in self.measures]
+            records = named.result()
+            asked = [(record, measure) for record in records for measure in self.measures]
             items = [(measure_question(measure, record.name) if record.parent_name is None
                       else nested_measure_question(measure, record.name, record.parent_name),
                       AnswerShape.MONETARY) for record, measure in asked]
-            return self._ask_all(handle, items, cik, fy, seqs, partial(fill, named.result(), asked),
+            return self._ask_all(handle, items, cik, fy, seqs, partial(fill, records, asked),
                                  warnings, filler=True)
 
         def fill(records: list[SegmentRecord], asked: list, answers: list) -> list[SegmentRecord]:
