@@ -272,8 +272,6 @@ class EdgarClient:
         max_retries: int = 5,
         clock=None,
     ):
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.transport = transport
         self.cache_dir = Path(cache_dir)
         self.max_retries = max_retries

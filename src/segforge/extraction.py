@@ -288,16 +288,14 @@ class ExtractionPipeline:
         ], filler)], settle)
 
     def _extract_tier(self, handle: FileHandle, parents: list[str | None], cik: int, fy: int,
-                      warnings: list[str], seqs: Iterator[int] | None) -> tuple[Future, Future]:
+                      warnings: list[str], seqs: Iterator[int]) -> tuple[Future, Future]:
         """Ask for the names under every parent in one batch, then every measure per name:
         the futures of the named records and of the same records once measured.
 
         ``parents`` is ``[None]`` for reportable segments. Only reportable
         measures warn on a missing scale word; only nested names feed the
-        names question to ``infer_axis``. ``seqs`` is the run's request
-        counter; without one, numbering starts at 0019.
+        names question to ``infer_axis``. ``seqs`` is the run's request counter.
         """
-        seqs = seqs or itertools.count(_CHAIN_SEQ)
         questions = [SEGMENT_NAMES_QUESTION if parent is None else nested_names_question(parent)
                      for parent in parents]
 
@@ -351,22 +349,20 @@ class ExtractionPipeline:
                                  raw_response=answers[0].text))
 
     def extract_reportable(self, handle: FileHandle, cik: int, fy: int, warnings: list[str],
-                           seqs: Iterator[int] | None = None) -> tuple[Future, Future]:
+                           seqs: Iterator[int]) -> tuple[Future, Future]:
         return self._extract_tier(handle, [None], cik, fy, warnings, seqs)
 
     def detect_nested(self, handle: FileHandle, reportable: list[SegmentRecord], cik: int, fy: int,
-                      warnings: list[str], seqs: Iterator[int] | None = None) -> Future:
+                      warnings: list[str], seqs: Iterator[int]) -> Future:
         items = [(nested_detect_question(record.name), AnswerShape.YES_NO) for record in reportable]
-        return self._ask_all(handle, items, cik, fy, seqs or itertools.count(_CHAIN_SEQ),
+        return self._ask_all(handle, items, cik, fy, seqs,
                              lambda answers: {record.name: answer.value
                                               for record, answer in zip(reportable, answers)
                                               if answer is not None}, warnings)
 
     def extract_nested(self, handle: FileHandle, parents: list[SegmentRecord], cik: int, fy: int,
-                       warnings: list[str],
-                       seqs: Iterator[int] | None = None) -> tuple[Future, Future]:
-        return self._extract_tier(handle, [parent.name for parent in parents], cik, fy, warnings,
-                                  seqs)
+                       warnings: list[str], seqs: Iterator[int]) -> tuple[Future, Future]:
+        return self._extract_tier(handle, [parent.name for parent in parents], cik, fy, warnings, seqs)
 
     def extract_general_fields(self, handle: FileHandle, cik: int, fy: int,
                                warnings: list[str]) -> Future:
@@ -402,17 +398,17 @@ class ExtractionPipeline:
 
         def build(classified: Future, general: Future, chain: Future) -> ExtractionBundle:
             # Read in plan order, so that the earliest stage's failure is raised.
-            bundle = ExtractionBundle(cik, fy, classified.result(), general.result(), *chain.result(),
-                                      warnings=general_warnings + warnings + nested_warnings)
-            audit_nested_sums(bundle)
-            validate_bundle(bundle)
-            return bundle
+            return ExtractionBundle(cik, fy, classified.result(), general.result(), *chain.result(),
+                                    warnings=general_warnings + warnings + nested_warnings)
 
         with self.gateway.paused():  # so that the chain runs on the worker that answers classify
             classified = self.classify_segmentation(handle, cik, fy)
             chain = then([classified], segments)
         general = self.extract_general_fields(handle, cik, fy, general_warnings)
-        return then([classified, general, chain], build).result()
+        bundle = then([classified, general, chain], build).result()
+        audit_nested_sums(bundle)
+        validate_bundle(bundle)
+        return bundle
 
 
 def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> None:

@@ -350,8 +350,9 @@ class Gateway:
                 settle()
 
     def paused(self):
-        """A context in which no worker takes a prompt: a continuation attached inside it
-        to a prompt queued inside it runs on the worker that settles that prompt."""
+        """A context in which no worker takes a prompt, so a continuation attached inside it
+        to a prompt queued inside it runs on the worker that settles that prompt. Code
+        that holds it must never wait on a future: no worker could settle one."""
         return self._lock
 
     def ask_many(self, requests: list[PromptRequest]) -> list[Completion]:
@@ -407,8 +408,9 @@ def then(futures: list[Future], fn) -> Future:
     """The future of ``fn(*futures)``, called once every one of ``futures`` is done.
 
     ``fn`` runs on the thread that settles the last of them (at once, if all
-    are done already) and must not block. An exception it raises settles
-    the result; a Future it returns is followed.
+    are done already); a worker runs it holding ``Gateway.paused()``, so it
+    must never wait on a future. An exception it raises settles the result;
+    a Future it returns is followed.
     """
     result: Future = Future()
     waiting = list(futures)  # emptied once fn is called, so no future keeps the others alive

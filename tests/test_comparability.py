@@ -8,6 +8,7 @@ scripted answers addressed by the exact context the code assembles.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import threading
 import time
@@ -636,7 +637,8 @@ def measure_site() -> Site:
     def run(gateway: Gateway):
         warnings: list[str] = []
         handle = gateway.upload_bytes(b"doc", content_hash=file_hash)
-        _, measured = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, warnings)
+        _, measured = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, warnings,
+                                                                     itertools.count(19))
         [record] = measured.result()
         return record.measures.get("revenue"), warnings
 

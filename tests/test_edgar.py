@@ -149,10 +149,6 @@ class TestRateLimiter:
         with pytest.raises(ValueError):
             RateLimiter(0)
 
-    def test_retries_must_not_be_negative(self, tmp_path):
-        with pytest.raises(ValueError, match="max_retries must be >= 0"):
-            EdgarClient(None, cache_dir=tmp_path, max_retries=-1)
-
 
 # -- filing refs ------------------------------------------------------------------
 

@@ -232,7 +232,8 @@ class TestRetries:
         gateway = self.gateway_for(entries)
         pipeline = ExtractionPipeline(gateway)
         warnings: list[str] = []
-        _, measured = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        _, measured = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings,
+                                                  itertools.count(19))
         [record] = measured.result()
         assert record.measures == {"revenue": Money(Decimal(5), Scale.MILLIONS)}
         assert warnings == []
@@ -269,7 +270,8 @@ class TestRetries:
         gateway = self.gateway_for(entries)
         pipeline = ExtractionPipeline(gateway)
         warnings: list[str] = []
-        _, measured = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings)
+        _, measured = pipeline.extract_reportable(self.handle(gateway), 1, 2000, warnings,
+                                                  itertools.count(19))
         records = measured.result()
         assert [r.name for r in records] == ["Alpha"]
         assert records[0].measures == {}
@@ -451,7 +453,8 @@ class TestScheduling:
             [{"file_hash": file_hash, "question": q, "response": r} for q, r in answers.items()]
         ), delay_fn=gate))
         handle = gateway.upload_bytes(b"doc", content_hash=file_hash)
-        _, measured = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, [])
+        _, measured = ExtractionPipeline(gateway).extract_reportable(handle, 1, 2000, [],
+                                                                     itertools.count(19))
         [record] = measured.result()
         assert held_too_long == []
         assert record.measures["revenue"] == Money(Decimal(5), Scale.MILLIONS)
