@@ -290,10 +290,7 @@ def cmd_index(args) -> int:
     # iterdir, not glob: a missing corpus directory raises instead of indexing nothing.
     filings = [read(ParsedFiling, p) for p in sorted(Path(args.corpus).iterdir()) if p.suffix == ".json"]
     index = build_index(filings)
-    save_index(index, index_dir)
-    written = [index_dir / "index.meta.json", index_dir / "index.bin",
-               *sorted(index_dir.glob("*.chunks.json"))]
-    return _publish(run_dir, written, _json({
+    return _publish(run_dir, save_index(index, index_dir), _json({
         "filings": len(filings),
         "chunks": len(index),
         "index_dir": str(index_dir),

@@ -38,7 +38,7 @@ from .templates import (
     region_membership_question,
 )
 from .values import (
-    Money, Scale, collapse_ws, load, parse_monetary, percent_of, render_amount, render_csv,
+    Money, Scale, collapse_ws, load, money_sum, parse_monetary, percent_of, render_amount, render_csv,
     render_fixed_width,
 )
 
@@ -286,6 +286,8 @@ def _label_ambiguous(label: str, scheme: RegionScheme) -> bool:
 
 @dataclass
 class AlignmentRow:
+    """One year of ``align_regions``; each region total is stated at the finest
+    scale among its firm's components."""
     fiscal_year: int
     firm_a_components: list[tuple[str, Decimal, Scale]]
     firm_b_components: list[tuple[str, Decimal, Scale]]
@@ -334,28 +336,28 @@ def _firm_components(records: list[SegmentRecord], cik: int, year: int, scheme: 
     return components
 
 
-def _region_total(components: list[tuple[str, Decimal, Scale]]) -> Decimal:
-    return sum((value for _, value, _ in components), Decimal(0))
-
-
-def _pct_of_revt(store: SegmentStore, cik: int, year: int,
-                 components: list[tuple[str, Decimal, Scale]],
-                 total: Decimal, warnings: list[str]) -> Decimal | None:
+def _firm_total(store: SegmentStore, cik: int, year: int, components: list[tuple[str, Decimal, Scale]],
+                warnings: list[str]) -> tuple[Money, Decimal | None]:
+    """The exact sum of a firm's components, and its percentage of the firm's revt."""
+    total = money_sum(Money(value, scale) for _, value, scale in components)
+    if any(scale != total.scale for _, _, scale in components):
+        warnings.append(f"mixed component scales in {year} for {cik}; total stated in {total.scale.value}")
+    if not components:
+        return total, Decimal("0.0")
     bundle = store.get(cik, year)
     revt_text = (bundle.general_fields.get("revt", "") if bundle else "").strip()
     try:
         revt = parse_monetary(revt_text)
     except ValueError:
         warnings.append(f"MissingTotalRevenue: no usable revt for ({cik}, {year}); pct omitted")
-        return None
-    region_units = Money(total, components[0][2]).units
+        return total, None
     if revt.units == 0:
         warnings.append(f"MissingTotalRevenue: zero revt for ({cik}, {year}); pct omitted")
-        return None
-    pct = percent_of(region_units, revt.units)
+        return total, None
+    pct = percent_of(total.units, revt.units)
     if pct > 100:
         warnings.append(f"pct over 100 for ({cik}, {year}); possible scale mismatch")
-    return pct
+    return total, pct
 
 
 def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
@@ -365,8 +367,10 @@ def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
     """Aggregate each firm's in-region geographic components per year.
 
     Components come from stored geographic records whose normalized label
-    is a scheme member; totals are exact Decimal sums, and percentages use
-    the bundle's consolidated revt (never re-derived from segment sums).
+    is a scheme member. A firm's total is their exact sum, stated at the
+    finest scale among them (``values.money_sum``); percentages divide its
+    units by the bundle's consolidated revt (never re-derived from segment
+    sums).
     Labels the scheme does not list but shares a word with are arbitrated
     by the gateway, all in one ``ask_checked`` batch.
     """
@@ -392,33 +396,15 @@ def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
         else:
             verdicts[key] = answer.value
     rows: list[AlignmentRow] = []
-    for year, (records_a, records_b) in plan:
+    for year, firms in plan:
         warnings: list[str] = []
-        parts_a = _firm_components(records_a, firm_a, year, scheme, verdicts, warnings)
-        parts_b = _firm_components(records_b, firm_b, year, scheme, verdicts, warnings)
-        if not parts_a and not parts_b and store.get(firm_a, year) is None \
-                and store.get(firm_b, year) is None:
+        parts = [_firm_components(records, cik, year, scheme, verdicts, warnings)
+                 for cik, records in zip((firm_a, firm_b), firms)]
+        if not any(parts) and store.get(firm_a, year) is None and store.get(firm_b, year) is None:
             continue
-        total_a = _region_total(parts_a)
-        total_b = _region_total(parts_b)
-        mixed_a = len({s for _, _, s in parts_a}) > 1
-        mixed_b = len({s for _, _, s in parts_b}) > 1
-        if mixed_a or mixed_b:
-            warnings.append(f"mixed component scales in {year}; totals kept at face value")
-        pct_a = _pct_of_revt(store, firm_a, year, parts_a, total_a, warnings) if parts_a else Decimal("0.0")
-        pct_b = _pct_of_revt(store, firm_b, year, parts_b, total_b, warnings) if parts_b else Decimal("0.0")
-        rows.append(
-            AlignmentRow(
-                fiscal_year=year,
-                firm_a_components=parts_a,
-                firm_b_components=parts_b,
-                firm_a_region_total=total_a,
-                firm_b_region_total=total_b,
-                firm_a_pct_of_total=pct_a,
-                firm_b_pct_of_total=pct_b,
-                warnings=warnings,
-            )
-        )
+        (total_a, pct_a), (total_b, pct_b) = [_firm_total(store, cik, year, firm, warnings)
+                                              for cik, firm in zip((firm_a, firm_b), parts)]
+        rows.append(AlignmentRow(year, *parts, total_a.value, total_b.value, pct_a, pct_b, warnings))
     return rows
 
 
@@ -471,28 +457,29 @@ def alignment_table_header(firm_a: str, firm_b: str, region: str) -> list[str]:
     ]
 
 
-def _detail_cell(components: list[tuple[str, Decimal, Scale]]) -> str:
-    return "; ".join(f"{label}, {render_amount(value)}" for label, value, _ in components)
-
-
-def _pct_cell(pct: Decimal | None) -> str:
-    return "" if pct is None else f"{pct}%"
+def _total_scale(components: list[tuple[str, Decimal, Scale]]) -> Scale:
+    return money_sum(Money(value, scale) for _, value, scale in components).scale
 
 
 def _alignment_table(rows: list[AlignmentRow], firm_a: str, firm_b: str,
                      region: str) -> list[list[str]]:
+    """The header, then one line per row. Where a row's amounts mix scales, within
+    a firm or across the two, each amount carries its scale word; a total is
+    stated at the scale ``money_sum`` gives it."""
     table = [alignment_table_header(firm_a, firm_b, region)]
     for row in rows:
+        firms = [(row.firm_a_components, row.firm_a_region_total, row.firm_a_pct_of_total),
+                 (row.firm_b_components, row.firm_b_region_total, row.firm_b_pct_of_total)]
+        scales = [scale for components, _, _ in firms for _, _, scale in components]
+        mixed = any(scale != scales[0] for scale in scales)
         table.append([
             str(row.fiscal_year),
-            ", ".join(label for label, _, _ in row.firm_a_components),
-            ", ".join(label for label, _, _ in row.firm_b_components),
-            _detail_cell(row.firm_a_components),
-            _detail_cell(row.firm_b_components),
-            render_amount(row.firm_a_region_total),
-            render_amount(row.firm_b_region_total),
-            _pct_cell(row.firm_a_pct_of_total),
-            _pct_cell(row.firm_b_pct_of_total),
+            *(", ".join(label for label, _, _ in components) for components, _, _ in firms),
+            *("; ".join(f"{label}, {render_amount(value, scale if mixed else None)}"
+                        for label, value, scale in components) for components, _, _ in firms),
+            *(render_amount(total, _total_scale(components) if mixed else None)
+              for components, total, _ in firms),
+            *("" if pct is None else f"{pct}%" for _, _, pct in firms),
         ])
     return table
 

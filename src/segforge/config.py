@@ -89,7 +89,10 @@ class Config:
         return number
 
     def get_list(self, key: str) -> list[str]:
-        return [part.strip() for part in self.get(key).split(",") if part.strip()]
+        items = [part.strip() for part in self.get(key).split(",") if part.strip()]
+        if not items:
+            raise SchemaError(f"{key} = {self.get(key)!r} lists no value")
+        return items
 
     def set(self, key: str, value: str) -> None:
         self._values[key] = value

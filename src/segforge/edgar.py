@@ -158,7 +158,7 @@ class LiveTransport:
 
     def __init__(self, user_agent: str, timeout: float = 30.0, session=None):
         if not user_agent.strip():
-            raise ValueError("a descriptive user_agent is required for EDGAR access")
+            raise SchemaError("edgar.user_agent is empty; EDGAR access needs a descriptive user agent")
         import requests
 
         self._session = session or requests.Session()

@@ -149,7 +149,7 @@ def _extracted_cell_value(bundle: ExtractionBundle, cell: GoldCell) -> tuple[str
                 money = record.measures.get(cell.measure)
                 if money is None:
                     return "", tier
-                return f"{render_amount(money.value)} {money.scale.value}", tier
+                return render_amount(money.value, money.scale), tier
     if cell.segment == "" and cell.measure in bundle.general_fields:
         return bundle.general_fields[cell.measure], cell.tier or "reportable"
     return "", cell.tier or "reportable"

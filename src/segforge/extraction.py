@@ -38,7 +38,7 @@ from .templates import (
     nested_names_question,
     nested_measure_question,
 )
-from .values import Money, encode, load, parse_monetary, read, write_atomic
+from .values import Money, encode, load, money_sum, parse_monetary, read, write_atomic
 
 SINGLE_UNIT = "single_unit"
 MULTI_SEGMENT = "multi_segment"
@@ -253,7 +253,7 @@ class ExtractionPipeline:
 
     def __init__(self, gateway: Gateway, measures: list[str] | None = None):
         self.gateway = gateway
-        self.measures = list(measures) if measures else list(DEFAULT_MEASURES)
+        self.measures = list(DEFAULT_MEASURES if measures is None else measures)
 
     @classmethod
     def from_config(cls, gateway: Gateway, config) -> "ExtractionPipeline":
@@ -412,10 +412,11 @@ class ExtractionPipeline:
 
 
 def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> None:
-    """Reconcile each parent's measure against the sum of its children.
+    """Reconcile each parent's measure against the exact sum of its children.
 
     A nonzero difference is flagged as a warning, not an error: filings may
-    omit residual categories from the nested breakdown.
+    omit residual categories from the nested breakdown. When the amounts mix
+    scales, the difference is stated at the finest of them, with its word.
     """
     by_parent: dict[str, list[SegmentRecord]] = {}
     for record in bundle.nested:
@@ -425,17 +426,15 @@ def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> Non
         parent = parents.get(parent_name)
         if parent is None or measure not in parent.measures:
             continue
-        child_values = [c.measures.get(measure) for c in children]
-        if any(v is None for v in child_values):
+        amounts = [parent.measures[measure], *(child.measures.get(measure) for child in children)]
+        if None in amounts:
             continue
-        scales = {parent.measures[measure].scale} | {v.scale for v in child_values}
-        if len(scales) != 1:
-            continue
-        difference = parent.measures[measure].value - sum(v.value for v in child_values)
-        if difference != 0:
+        difference = money_sum([amounts[0], *(Money(-v.value, v.scale) for v in amounts[1:])])
+        if difference.value != 0:
+            mixed = any(amount.scale != difference.scale for amount in amounts)
             bundle.warnings.append(
                 f"nested_sum_mismatch parent={parent_name!r} measure={measure} "
-                f"difference={difference}"
+                f"difference={difference.value}" + (f" {difference.scale.value}" if mixed else "")
             )
 
 

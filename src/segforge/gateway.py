@@ -257,6 +257,8 @@ class Gateway:
         self.max_in_flight = max_in_flight
         self.transcript: list[TranscriptRecord] = []
         self._handles: dict[str, FileHandle] = {}
+        self._upload_guards: dict[str, threading.Lock] = {}  # one per content hash
+        self._guards_lock = threading.Lock()
         self._seen_request_ids: set[str] = set()
         self._lock = threading.RLock()  # re-entered by continuations that queue prompts
         self._slots = threading.BoundedSemaphore(max_in_flight)
@@ -296,13 +298,14 @@ class Gateway:
                                  display_name=doc.ref.primary_document or "document")
 
     def upload_bytes(self, data: bytes, content_hash: str, display_name: str = "document") -> FileHandle:
-        with self._lock:
-            handle = self._handles.get(content_hash)
-            if handle is not None:
-                return handle
-            handle = self.backend.upload(content_hash, data, display_name)
-            self._handles[content_hash] = handle
-            return handle
+        """Upload a document once per content hash, outside the pause, so prompts
+        go on meanwhile; a failed upload is not kept, and the next caller tries again."""
+        with self._guards_lock:
+            guard = self._upload_guards.setdefault(content_hash, threading.Lock())
+        with guard:
+            if content_hash not in self._handles:
+                self._handles[content_hash] = self.backend.upload(content_hash, data, display_name)
+            return self._handles[content_hash]
 
     # -- prompting ----------------------------------------------------------
 

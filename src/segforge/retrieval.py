@@ -381,8 +381,9 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
 # -- persistence ---------------------------------------------------------------
 
 
-def save_index(index: ChunkIndex, directory: str | Path) -> None:
-    """Write one chunk file per filing, then index.bin, then the catalog.
+def save_index(index: ChunkIndex, directory: str | Path) -> list[Path]:
+    """Write one chunk file per filing, then index.bin, then the catalog; the
+    paths written, in that order.
 
     ``<cik>_<fiscal_year>.chunks.json`` holds a filing's chunks as a
     compact JSON list. ``index.bin`` holds ``doc_freq``, the document
@@ -410,6 +411,8 @@ def save_index(index: ChunkIndex, directory: str | Path) -> None:
     for path in directory.glob("*.chunks.json"):
         if path.name not in listed:
             path.unlink()
+    return [*(directory / entry.file_name for entry in catalog),
+            directory / "index.bin", directory / "index.meta.json"]
 
 
 def _read_chunk_file(path: Path, source: tuple[int, int], count: int) -> list[Chunk]:

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
@@ -46,14 +47,9 @@ _MULTIPLIERS = {
     Scale.BILLIONS: Decimal(1_000_000_000),
 }
 
-_SCALE_WORDS = {
-    "thousand": Scale.THOUSANDS,
-    "thousands": Scale.THOUSANDS,
-    "million": Scale.MILLIONS,
-    "millions": Scale.MILLIONS,
-    "billion": Scale.BILLIONS,
-    "billions": Scale.BILLIONS,
-}
+# "thousand" and "thousands", and so on; a bare amount is in units.
+_SCALE_WORDS = {word: scale for scale in Scale if scale is not Scale.UNITS
+                for word in (scale.value[:-1], scale.value)}
 
 _MONEY_RE = re.compile(
     r"""^
@@ -79,6 +75,16 @@ class Money:
     @property
     def units(self) -> Decimal:
         return self.value * self.scale.multiplier
+
+
+def money_sum(amounts: Iterable[Money]) -> Money:
+    """The exact sum of ``amounts``, stated at the finest scale among them (units
+    for none): each value is restated at that scale, so amounts that share one
+    scale add as their plain ``value``s."""
+    amounts = list(amounts)
+    scale = min((amount.scale for amount in amounts), key=_MULTIPLIERS.get, default=Scale.UNITS)
+    return Money(sum((amount.value * (amount.scale.multiplier / scale.multiplier)
+                      for amount in amounts), Decimal(0)), scale)
 
 
 def parse_monetary(text: str) -> Money:
@@ -146,10 +152,12 @@ def parse_table_cell(text: str) -> Decimal | None:
     return value
 
 
-def render_amount(value: Decimal) -> str:
-    """Render a Decimal in fixed point with thousands separators and parenthesized negatives."""
+def render_amount(value: Decimal, scale: Scale | None = None) -> str:
+    """Render a Decimal in fixed point with thousands separators and parenthesized
+    negatives, followed by ``scale``'s word when one is given."""
     text = f"{abs(value):,f}"
-    return f"({text})" if value < 0 else text
+    text = f"({text})" if value < 0 else text
+    return text if scale is None else f"{text} {scale.value}"
 
 
 def normalized_value_equal(extracted: str, gold: str) -> bool:

@@ -521,6 +521,26 @@ class TestConfigFile:
                                    "message": "llm.max_in_flight = 'abc' is not a valid int"}
         assert list(run_dir.iterdir()) == []
 
+    def test_empty_measure_list_exits_1(self, capsys, base, run_dir, monkeypatch):
+        monkeypatch.setenv(env_var_name("extraction.measures"), ",")
+        code, out, err = invoke(capsys, ["extract", *base, "--cik", str(paperdata.APPLE_CIK),
+                                         "--year", str(paperdata.APPLE_FY)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "SchemaError",
+                                   "message": "extraction.measures = ',' lists no value"}
+        assert list(run_dir.iterdir()) == []
+
+    def test_empty_user_agent_exits_1_before_any_request(self, capsys, base, monkeypatch):
+        monkeypatch.setenv(env_var_name("edgar.fixture_dir"), "")
+        monkeypatch.setenv(env_var_name("edgar.user_agent"), "")
+        code, out, err = invoke(capsys, ["fetch", *base, "--allow-network",
+                                         "--cik", str(paperdata.APPLE_CIK),
+                                         "--year", str(paperdata.APPLE_FY)])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "SchemaError",
+            "message": "edgar.user_agent is empty; EDGAR access needs a descriptive user agent"}
+
     @pytest.mark.parametrize("key, value, bound", [
         ("llm.max_in_flight", "0", ">= 1"),
         ("edgar.rate_limit_rps", "0", "> 0"),

@@ -17,6 +17,8 @@ from decimal import Decimal
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filingfab
 import paperdata
@@ -54,7 +56,7 @@ from segforge.templates import (
     change_explanation_question,
     measure_question,
 )
-from segforge.values import Money, Scale
+from segforge.values import Money, Scale, percent_of
 
 
 def record_requests(gateway: Gateway, monkeypatch) -> list:
@@ -499,6 +501,24 @@ class TestAlignmentEdgeCases:
         rows = align_regions(31, 32, asia_scheme, (2020, 2020), store)
         assert any("mixed component scales" in w for w in rows[0].warnings)
 
+    def test_total_and_pct_add_up_across_scales(self):
+        """Europe at $100 million and Asia at $50,000 thousand, of $1,000 million."""
+        store = SegmentStore()
+        bundle = self.put_geo(store, 31, 2020, [("Europe", 100)])
+        bundle.reportable.append(
+            SegmentRecord(name="Asia", axis="geographic",
+                          measures={"revenue": Money(Decimal(50000), Scale.THOUSANDS)})
+        )
+        store.put(bundle)
+        scheme = RegionScheme.from_labels("Europe and Asia", ["Europe", "Asia"])
+        [row] = align_regions(31, 32, scheme, (2020, 2020), store)
+        assert row.firm_a_region_total == Decimal(150000)  # thousands
+        assert row.firm_a_pct_of_total == Decimal("15.0")
+        assert row.warnings == ["mixed component scales in 2020 for 31; total stated in thousands"]
+        cells = render_alignment_csv([row], "SYN", "OTH", "Europe and Asia").splitlines()[1]
+        assert cells == ('2020,"Asia, Europe",,"Asia, 50,000 thousands; Europe, 100 millions",,'
+                         '"150,000 thousands",0 units,15.0%,0.0%')
+
     def test_pct_over_100_warns(self, asia_scheme):
         store = SegmentStore()
         self.put_geo(store, 31, 2020, [("Asia", 2000)], revt=1000)
@@ -512,6 +532,31 @@ class TestAlignmentEdgeCases:
         rows = align_regions(31, 32, asia_scheme, (2020, 2020), store)
         assert rows[0].firm_a_components == []
         assert any("LabelAmbiguity" in w for w in rows[0].warnings)
+
+
+# Amounts as a filing states them: up to 2 decimal places, in any scale.
+_AMOUNTS = st.builds(Money, st.decimals(0, 10**9, places=2), st.sampled_from(Scale))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_AMOUNTS, min_size=1, max_size=len(paperdata.ASIA_MEMBER_LABELS)),
+       st.integers(1, 10**6))
+def test_region_total_is_the_exact_sum_of_component_units(amounts, revt):
+    """The total, at the finest component scale, holds the components' exact
+    units, and the percentage is ``percent_of`` those units against revt."""
+    store = SegmentStore()
+    bundle = filingfab.geo_bundle(31, 2020, "Synth Corp", "SYN", [], revt)
+    bundle.reportable = [SegmentRecord(name=label, axis="geographic", measures={"revenue": money})
+                         for label, money in zip(paperdata.ASIA_MEMBER_LABELS, amounts)]
+    store.put(bundle)
+    scheme = RegionScheme.from_labels("Asia", paperdata.ASIA_MEMBER_LABELS)
+    [row] = align_regions(31, 32, scheme, (2020, 2020), store)
+    units = sum((money.units for money in amounts), Decimal(0))
+    finest = min((money.scale for money in amounts), key=lambda scale: scale.multiplier)
+    assert Money(row.firm_a_region_total, finest).units == units
+    assert row.firm_a_pct_of_total == percent_of(units, Money(Decimal(revt), Scale.MILLIONS).units)
+    mixed = any(money.scale != finest for money in amounts)
+    assert any(w.startswith("mixed component scales") for w in row.warnings) == mixed
 
 
 def region_index():
@@ -878,3 +923,17 @@ class TestRendering:
         assert '"Japan, 900"' in lines[1]
         assert "64.8%" in lines[1]
         assert lines[1].endswith(",")
+
+    def test_firms_in_different_scales_name_them(self):
+        row = AlignmentRow(
+            fiscal_year=2012,
+            firm_a_components=[("Japan", Decimal(900), Scale.MILLIONS)],
+            firm_b_components=[("China", Decimal(5000), Scale.THOUSANDS)],
+            firm_a_region_total=Decimal(900),
+            firm_b_region_total=Decimal(5000),
+            firm_a_pct_of_total=Decimal("64.8"),
+            firm_b_pct_of_total=Decimal("0.1"),
+        )
+        text = render_alignment_csv([row], "INTC", "TXN", "Asia")
+        assert text.splitlines()[1] == ('2012,Japan,China,"Japan, 900 millions","China, 5,000 thousands",'
+                                        '900 millions,"5,000 thousands",64.8%,0.1%')

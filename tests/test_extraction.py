@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filingfab
 import paperdata
@@ -202,9 +204,19 @@ class TestQuestionBudget:
         )
         assert all("revenue" in r.measures for r in bundle.reportable)
 
-    def test_empty_measure_list_falls_back_to_defaults(self, make_gateway):
-        pipeline = ExtractionPipeline(make_gateway(), measures=[])
-        assert pipeline.measures == DEFAULT_MEASURES
+    def test_empty_measure_list_asks_no_measures(self, edgar_client, make_gateway,
+                                                 edgar_fixture):
+        _, hashes = edgar_fixture
+        gateway = make_gateway()
+        pipeline = ExtractionPipeline(gateway, measures=[])
+        assert pipeline.measures == []
+        bundle = pipeline.run_pipeline(fetch_doc(edgar_client, paperdata.AVY_CIK, 2003),
+                                       paperdata.AVY_CIK, 2003)
+        n = len(paperdata.AVY_TABLE3[2003])
+        assert len(transcript_for(gateway, hashes["avy2003"])) == expected_question_count(
+            n_segments=n, nested_children=[], n_measures=0
+        )
+        assert all(r.measures == {} for r in bundle.reportable)
 
 
 class TestRetries:
@@ -523,6 +535,8 @@ class TestScheduling:
             "'still\\ntwo'",
             "request 7-2020-0025 invalid after retry: not a monetary amount: 'still none'",
             "measure revenue for 'Alpha Group' has no scale word; taking value as-is",
+            # Taken as-is, the parent's 1000 units fall short of its children's 1,000 million.
+            "nested_sum_mismatch parent='Alpha Group' measure=revenue difference=-999999000 units",
         ]
 
     def test_general_field_failure_surfaces(self, edgar_client, edgar_fixture):
@@ -741,6 +755,10 @@ class TestInferAxis:
         assert infer_axis("Northern region", nested=True, question=question) == AXIS_GEOGRAPHIC
 
 
+# Amounts as a filing states them: up to 2 decimal places, in any scale.
+_AMOUNTS = st.builds(Money, st.decimals(-10**9, 10**9, places=2), st.sampled_from(Scale))
+
+
 class TestAuditNestedSums:
     def build(self, parent_revenue: int | None, children: list[int | None],
               child_scale: Scale = Scale.MILLIONS) -> ExtractionBundle:
@@ -779,10 +797,48 @@ class TestAuditNestedSums:
             audit_nested_sums(bundle)
             assert bundle.warnings == []
 
-    def test_scale_mismatch_skips_the_check(self):
+    def test_mixed_scales_state_the_difference_at_the_finest(self):
         bundle = self.build(100, [60, 30], child_scale=Scale.THOUSANDS)
         audit_nested_sums(bundle)
+        assert bundle.warnings == [
+            "nested_sum_mismatch parent='P' measure=revenue difference=99910 thousands"]
+
+    def test_mixed_scale_children_short_of_the_parent_warn(self):
+        bundle = self.build(150, [100, 40])
+        bundle.nested[1].measures["revenue"] = Money(Decimal(40000), Scale.THOUSANDS)
+        audit_nested_sums(bundle)
+        assert bundle.warnings == [
+            "nested_sum_mismatch parent='P' measure=revenue difference=10000 thousands"]
+
+    def test_exact_sum_across_scales_is_silent(self):
+        bundle = self.build(150, [100, 50])
+        bundle.nested[1].measures["revenue"] = Money(Decimal(50000), Scale.THOUSANDS)
+        audit_nested_sums(bundle)
         assert bundle.warnings == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_AMOUNTS, min_size=1, max_size=4), st.data())
+    def test_warns_exactly_when_children_units_differ(self, children, data):
+        total = sum((child.units for child in children), Decimal(0))
+        if data.draw(st.booleans(), label="balanced"):  # the parent states the children's sum
+            scale = data.draw(st.sampled_from(Scale), label="parent scale")
+            parent = Money(total / scale.multiplier, scale)
+        else:
+            parent = data.draw(_AMOUNTS, label="parent")
+        bundle = self.build(0, [0] * len(children))
+        bundle.reportable[0].measures["revenue"] = parent
+        for record, money in zip(bundle.nested, children):
+            record.measures["revenue"] = money
+        audit_nested_sums(bundle)
+        if parent.units == total:
+            assert bundle.warnings == []
+            return
+        [warning] = bundle.warnings
+        value, *word = warning.split(" difference=")[1].split(" ")
+        mixed = any(money.scale != parent.scale for money in children)
+        assert bool(word) == mixed  # a word only where the amounts mix scales
+        assert Money(Decimal(value), Scale(*word) if mixed else parent.scale).units == \
+            parent.units - total
 
 
 class TestBundleInvariants:

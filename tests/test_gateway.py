@@ -188,6 +188,121 @@ class TestGatewayUpload:
         gateway.upload_bytes(b"other", content_hash=HASH_B)
         assert backend.uploads == [HASH_A, HASH_B]
 
+    def test_prompts_go_on_while_a_document_uploads(self):
+        started, release = threading.Event(), threading.Event()
+
+        class SlowUpload(ScriptedBackend):
+            def upload(self, content_hash, data, display_name):
+                if content_hash == HASH_B:
+                    started.set()
+                    release.wait()
+                return super().upload(content_hash, data, display_name)
+
+        gateway = Gateway(SlowUpload(store_with({"q": "r"})))
+        handle = gateway.upload_bytes(b"data", content_hash=HASH_A)
+        uploading = threading.Thread(target=gateway.upload_bytes, args=(b"other", HASH_B))
+        uploading.start()
+        answers: list[Future] = []
+        answered = threading.Event()
+
+        def ask():  # on its own thread: a gateway that pauses for uploads blocks submit()
+            answers.append(gateway.submit(PromptRequest(file=handle, question="q",
+                                                        request_id="req-1")))
+            answers[0].add_done_callback(lambda _: answered.set())
+
+        try:
+            assert started.wait(timeout=10)
+            threading.Thread(target=ask, daemon=True).start()
+            assert answered.wait(timeout=10), "the prompt waited for another document's upload"
+            assert answers[0].result().text == "r"
+        finally:
+            release.set()
+            uploading.join(timeout=10)
+        assert not uploading.is_alive()
+
+    def test_concurrent_callers_share_one_upload(self):
+        started, release = threading.Event(), threading.Event()
+
+        class SlowUpload(ScriptedBackend):
+            def __init__(self):
+                super().__init__(ScriptStore())
+                self.uploads: list[str] = []
+
+            def upload(self, content_hash, data, display_name):
+                self.uploads.append(content_hash)
+                started.set()
+                release.wait()
+                return super().upload(content_hash, data, display_name)
+
+        backend = SlowUpload()
+        gateway = Gateway(backend)
+        handles: list[FileHandle] = []
+        callers = [threading.Thread(target=lambda: handles.append(
+            gateway.upload_bytes(b"data", content_hash=HASH_A))) for _ in range(3)]
+        for caller in callers:
+            caller.start()
+        assert started.wait(timeout=10)
+        release.set()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+        assert backend.uploads == [HASH_A]
+        assert len(handles) == 3 and all(handle is handles[0] for handle in handles)
+
+    def test_uploads_under_contention_stay_once_per_hash(self):
+        """8 threads upload the same 20 documents in different orders, switching
+        threads every microsecond: a lost update would upload one twice."""
+        class CountingBackend(ScriptedBackend):
+            def __init__(self):
+                super().__init__(ScriptStore())
+                self.uploads: list[str] = []
+
+            def upload(self, content_hash, data, display_name):
+                self.uploads.append(content_hash)
+                return super().upload(content_hash, data, display_name)
+
+        backend = CountingBackend()
+        gateway = Gateway(backend)
+        hashes = [f"{i:064x}" for i in range(20)]
+        handles: dict[str, set[int]] = {h: set() for h in hashes}
+
+        def upload_all(order: list[str]):
+            for content_hash in order:
+                handles[content_hash].add(id(gateway.upload_bytes(b"doc", content_hash)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=upload_all, args=(hashes[i:] + hashes[:i],))
+                       for i in range(8)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(backend.uploads) == hashes
+        assert all(len(ids) == 1 for ids in handles.values())
+
+    def test_failed_upload_is_not_kept(self):
+        class FlakyUpload(ScriptedBackend):
+            calls = 0
+
+            def upload(self, content_hash, data, display_name):
+                self.calls += 1
+                if self.calls == 1:
+                    raise UploadError("provider returned no file id")
+                return super().upload(content_hash, data, display_name)
+
+        backend = FlakyUpload(ScriptStore())
+        gateway = Gateway(backend)
+        with pytest.raises(UploadError):
+            gateway.upload_bytes(b"data", content_hash=HASH_A)
+        handle = gateway.upload_bytes(b"data", content_hash=HASH_A)
+        assert gateway.upload_bytes(b"data", content_hash=HASH_A) is handle
+        assert backend.calls == 2
+
     def test_cached_document_upload(self, edgar_client):
         ref = edgar_client.resolve_filing(320193, 2024)
         doc = edgar_client.fetch(ref)

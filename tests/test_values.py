@@ -10,6 +10,7 @@ from segforge.values import (
     Money,
     Scale,
     collapse_ws,
+    money_sum,
     normalized_value_equal,
     parse_monetary,
     parse_table_cell,
@@ -74,6 +75,10 @@ class TestRenderAmount:
     def test_negative_parenthesized(self):
         assert render_amount(Decimal("-1234")) == "(1,234)"
 
+    def test_scale_word_follows_the_amount(self):
+        assert render_amount(Decimal("150000"), Scale.THOUSANDS) == "150,000 thousands"
+        assert render_amount(Decimal("-7"), Scale.MILLIONS) == "(7) millions"
+
     def test_roundtrip_with_parser(self):
         for value in (Decimal("0"), Decimal("7"), Decimal("391035"), Decimal("-12")):
             assert parse_monetary(render_amount(value)).value == value
@@ -127,6 +132,35 @@ def test_collapse_ws():
 def test_money_units_multiplier():
     assert Money(Decimal("2"), Scale.THOUSANDS).units == Decimal("2000")
     assert Money(Decimal("2"), Scale.BILLIONS).units == Decimal("2000000000")
+
+
+# Amounts as a filing states them: up to 2 decimal places, in any scale.
+_AMOUNTS = st.builds(Money, st.decimals(-10**9, 10**9, places=2), st.sampled_from(Scale))
+
+
+class TestMoneySum:
+    def test_mixed_scales_sum_at_the_finest(self):
+        total = money_sum([Money(Decimal(100), Scale.MILLIONS),
+                           Money(Decimal(50000), Scale.THOUSANDS)])
+        assert (total.value, total.scale) == (Decimal(150000), Scale.THOUSANDS)
+
+    def test_one_scale_adds_plain_values(self):
+        total = money_sum([Money(Decimal("1.5"), Scale.MILLIONS),
+                           Money(Decimal("2.50"), Scale.MILLIONS)])
+        assert (str(total.value), total.scale) == ("4.00", Scale.MILLIONS)
+
+    def test_no_amounts_sum_to_zero_units(self):
+        assert money_sum([]).units == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_AMOUNTS, max_size=6))
+    def test_units_are_the_exact_sum_of_units(self, amounts):
+        total = money_sum(amounts)
+        assert total.units == sum((amount.units for amount in amounts), Decimal(0))
+        if amounts:
+            assert total.scale == min((a.scale for a in amounts), key=lambda s: s.multiplier)
+        if len({amount.scale for amount in amounts}) == 1:
+            assert str(total.value) == str(sum((a.value for a in amounts), Decimal(0)))
 
 
 class TestWriteAtomic:
