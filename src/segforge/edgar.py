@@ -21,6 +21,7 @@ from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
 
+from .config import default
 from .errors import (
     AmbiguousFilingError,
     CacheWriteError,
@@ -268,8 +269,8 @@ class EdgarClient:
         self,
         transport,
         cache_dir: str | Path,
-        rate_limit_rps: float = 8.0,
-        max_retries: int = 5,
+        rate_limit_rps: float = default("edgar.rate_limit_rps"),
+        max_retries: int = default("edgar.max_retries"),
         clock=None,
     ):
         self.transport = transport
@@ -293,12 +294,8 @@ class EdgarClient:
                 "pass --allow-network or --backend live to reach EDGAR",
                 retryable=False,
             )
-        return cls(
-            transport,
-            cache_dir=config.get("edgar.cache_dir"),
-            rate_limit_rps=config.get_float("edgar.rate_limit_rps"),
-            max_retries=config.get_int("edgar.max_retries"),
-        )
+        return cls(transport, config.get("edgar.cache_dir"), config.get_float("edgar.rate_limit_rps"),
+                   config.get_int("edgar.max_retries"))
 
     # -- resolution ------------------------------------------------------
 

@@ -72,12 +72,8 @@ class BudgetTooSmallError(SegforgeError):
     """No full chunk fits within the requested context budget."""
 
 
-class SampleTooLargeError(SegforgeError):
-    """Requested sample size exceeds the eligible population."""
-
-
 class CoverageError(SegforgeError):
-    """A sampled item lacks a gold label or an extracted counterpart."""
+    """A gold-labelled filing or cell has no extracted bundle, or there are no cells."""
 
 
 class BatchError(SegforgeError):

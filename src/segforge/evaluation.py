@@ -1,7 +1,7 @@
-"""Evaluation protocol: random sampling, cell accuracy, Table-2 reports.
+"""Evaluation protocol: cell accuracy and Table-2 reports.
 
 Gold labels are human-authored JSON; this module never invents truth. A
-group pairs a filing sample with a cell sample; scoring compares model
+group pairs a set of filings with a set of cells; scoring compares model
 classifications and extracted cell values against the gold labels, with
 monetary normalization so "$3,300 million" and "3,300 million" agree.
 """
@@ -9,11 +9,10 @@ monetary normalization so "$3,300 million" and "3,300 million" agree.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import CoverageError, SampleTooLargeError, SchemaError
+from .errors import CoverageError, SchemaError
 from .extraction import ExtractionBundle, MULTI_SEGMENT
 from .values import load, normalized_value_equal, render_amount, render_fixed_width
 
@@ -106,34 +105,6 @@ class EvalReport:
                       self.n_nested_manual, self.n_nested_model):
             if count > self.n_filings:
                 raise ValueError("classification count exceeds n_filings")
-
-
-# -- sampling ------------------------------------------------------------------
-
-
-def sample_filings(corpus: list[PanelKey], n: int, seed: int) -> list[PanelKey]:
-    """Uniform sample without replacement, deterministic under a fixed seed."""
-    if n > len(corpus):
-        raise SampleTooLargeError(f"asked for {n} of {len(corpus)} filings")
-    ordered = sorted(corpus)
-    return random.Random(seed).sample(ordered, n)
-
-
-def sample_cells(bundles: list[ExtractionBundle], n: int, seed: int,
-                 tier: str = "reportable") -> list[tuple[PanelKey, str, str]]:
-    """Sample (firm-year, segment, measure) triples of the requested tier."""
-    if tier not in ("reportable", "nested"):
-        raise ValueError(f"tier must be reportable or nested, got {tier!r}")
-    eligible: list[tuple[PanelKey, str, str]] = []
-    for bundle in bundles:
-        records = bundle.reportable if tier == "reportable" else bundle.nested
-        for record in records:
-            for measure in sorted(record.measures):
-                eligible.append((bundle.key, record.name, measure))
-    eligible.sort()
-    if n > len(eligible):
-        raise SampleTooLargeError(f"asked for {n} of {len(eligible)} eligible {tier} cells")
-    return random.Random(seed).sample(eligible, n)
 
 
 # -- scoring -------------------------------------------------------------------

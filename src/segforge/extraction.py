@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
+from .config import default
 from .edgar import CachedDocument
 from .errors import SchemaError, ValidationError
 from .gateway import FileHandle, Gateway, PromptRequest, ask_checked, then
@@ -49,8 +50,6 @@ AXIS_PRODUCT = "product_offering"
 AXIS_CUSTOMER = "customer"
 AXIS_OTHER = "other"
 AXES = {AXIS_BUSINESS, AXIS_GEOGRAPHIC, AXIS_PRODUCT, AXIS_CUSTOMER, AXIS_OTHER}
-
-DEFAULT_MEASURES = ["revenue", "profit_or_loss", "assets"]
 
 _GEO_WORDS = {
     "americas", "america", "united states", "u.s.", "us", "canada", "mexico",
@@ -251,9 +250,9 @@ class ExtractionPipeline:
     the earliest stage in plan order is raised.
     """
 
-    def __init__(self, gateway: Gateway, measures: list[str] | None = None):
+    def __init__(self, gateway: Gateway, measures: Iterable[str] = default("extraction.measures")):
         self.gateway = gateway
-        self.measures = list(DEFAULT_MEASURES if measures is None else measures)
+        self.measures = list(measures)
 
     @classmethod
     def from_config(cls, gateway: Gateway, config) -> "ExtractionPipeline":

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
+from .config import default
 from .edgar import CachedDocument, SystemClock, send, with_retries
 from .errors import (BatchError, NetworkError, NotFoundError, ProviderError, ScriptMissError, SchemaError,
                      UploadError, ValidationError)
@@ -250,7 +251,7 @@ class Gateway:
     reusing an id is an error.
     """
 
-    def __init__(self, backend, max_in_flight: int = 5):
+    def __init__(self, backend, max_in_flight: int = default("llm.max_in_flight")):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.backend = backend
@@ -266,27 +267,22 @@ class Gateway:
         self._queue: list[tuple[bool, int, PromptRequest, Future]] = []
         self._arrivals = itertools.count()
         self._workers = 0
+        self._in_flight = 0  # prompts a worker took and has not settled yet
+        self._wake = threading.Condition(self._lock)
 
     @classmethod
     def from_config(cls, config, script_store: ScriptStore | None = None) -> "Gateway":
-        backend_name = config.get("llm.backend")
-        max_in_flight = config.get_int("llm.max_in_flight")
-        if backend_name == SCRIPTED:
+        if config.get("llm.backend") == LIVE:
+            backend = LiveBackend(config.get("llm.api_base"), config.get("llm.model"),
+                                  config.get("llm.api_key"))
+        else:
             if script_store is None:
                 script_path = config.get("llm.script_path")
                 if not script_path:
                     raise SchemaError("scripted backend requires llm.script_path")
                 script_store = ScriptStore.from_jsonl(script_path)
             backend = ScriptedBackend(script_store)
-        elif backend_name == LIVE:
-            backend = LiveBackend(
-                api_base=config.get("llm.api_base"),
-                model=config.get("llm.model"),
-                api_key=config.get("llm.api_key"),
-            )
-        else:
-            raise SchemaError(f"unknown llm.backend {backend_name!r}")
-        return cls(backend, max_in_flight=max_in_flight)
+        return cls(backend, max_in_flight=config.get_int("llm.max_in_flight"))
 
     # -- uploads ------------------------------------------------------------
 
@@ -329,28 +325,35 @@ class Gateway:
         future: Future = Future()
         with self._lock:
             heapq.heappush(self._queue, (filler, next(self._arrivals), request, future))
-            if self._workers < self.max_in_flight:
+            self._wake.notify()
+            idle = self._workers - self._in_flight  # workers that will take a queued prompt
+            if idle < len(self._queue) and self._workers < self.max_in_flight:
                 threading.Thread(target=self._work, name="gateway-worker", daemon=True).start()
                 self._workers += 1
         return future
 
     def _work(self) -> None:
-        # A worker leaves as soon as the queue is empty, so an idle gateway
-        # holds no threads; submit() starts a new one when needed.
+        # A worker stays while a prompt is in flight, whose continuation may queue more,
+        # and leaves once nothing is queued or in flight: an idle gateway holds no thread.
         while True:
             with self._lock:
+                while not self._queue and self._in_flight:
+                    self._wake.wait()
                 if not self._queue:
                     self._workers -= 1
+                    self._wake.notify_all()  # so the waiting workers leave too
                     return
                 _, _, request, future = heapq.heappop(self._queue)
-            if not future.set_running_or_notify_cancel():
-                continue
+                if not future.set_running_or_notify_cancel():
+                    continue
+                self._in_flight += 1
             try:
                 settle = partial(future.set_result, self.ask(request))
             except Exception as exc:  # noqa: BLE001 - handed to the future's reader
                 settle = partial(future.set_exception, exc)
             with self.paused():
                 settle()
+                self._in_flight -= 1
 
     def paused(self):
         """A context in which no worker takes a prompt, so a continuation attached inside it

@@ -14,10 +14,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import paperdata
+from segforge.config import default
 from segforge.edgar import FilingRef
 from segforge.extraction import (
     AXIS_GEOGRAPHIC,
-    DEFAULT_MEASURES,
     MULTI_SEGMENT,
     ExtractionBundle,
     SegmentationClass,
@@ -38,6 +38,7 @@ from segforge.templates import (
 )
 from segforge.values import Money, Scale
 
+DEFAULT_MEASURES = default("extraction.measures")  # what a pipeline asks by default
 CHANGE_K = 4
 CHANGE_BUDGET = 12000
 REGION_K = 4

@@ -7,8 +7,10 @@ into the working tree.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -16,12 +18,15 @@ import subprocess
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import filingfab
 import paperdata
 from segforge import cli
 from segforge.cli import main
-from segforge.config import env_var_name
+from segforge.config import SETTINGS, env_var_name
+from segforge.edgar import EdgarClient, FixtureTransport
 from segforge.extraction import dump_bundle, load_bundle
 from segforge.parsing import ParsedFiling, dump_json
 from segforge.retrieval import ChunkIndex, build_index, save_index
@@ -517,18 +522,22 @@ class TestConfigFile:
             "--cik", str(paperdata.AVY_CIK), "--from", "2001", "--to", "2024",
             "--index", str(avy_index_dir)])
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "SchemaError",
-                                   "message": "llm.max_in_flight = 'abc' is not a valid int"}
-        assert list(run_dir.iterdir()) == []
+        where = (f"{config}:{len(text.splitlines())}" if source == "file"
+                 else env_var_name("llm.max_in_flight"))
+        assert json.loads(err) == {
+            "error": "SchemaError",
+            "message": f"{where}: llm.max_in_flight = 'abc' is not a valid int"}
+        assert not run_dir.exists()
 
     def test_empty_measure_list_exits_1(self, capsys, base, run_dir, monkeypatch):
         monkeypatch.setenv(env_var_name("extraction.measures"), ",")
         code, out, err = invoke(capsys, ["extract", *base, "--cik", str(paperdata.APPLE_CIK),
                                          "--year", str(paperdata.APPLE_FY)])
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "SchemaError",
-                                   "message": "extraction.measures = ',' lists no value"}
-        assert list(run_dir.iterdir()) == []
+        assert json.loads(err) == {
+            "error": "SchemaError",
+            "message": "SEGFORGE_EXTRACTION_MEASURES: extraction.measures = ',' lists no value"}
+        assert not run_dir.exists()
 
     def test_empty_user_agent_exits_1_before_any_request(self, capsys, base, monkeypatch):
         monkeypatch.setenv(env_var_name("edgar.fixture_dir"), "")
@@ -541,20 +550,50 @@ class TestConfigFile:
             "error": "SchemaError",
             "message": "edgar.user_agent is empty; EDGAR access needs a descriptive user agent"}
 
-    @pytest.mark.parametrize("key, value, bound", [
-        ("llm.max_in_flight", "0", ">= 1"),
-        ("edgar.rate_limit_rps", "0", "> 0"),
-        ("edgar.max_retries", "-1", ">= 0"),
+    @pytest.mark.parametrize("command, key, value, reason", [
+        pytest.param("extract", "llm.max_in_flight", "0", "must be >= 1",
+                     id="llm.max_in_flight-0->= 1"),
+        pytest.param("extract", "edgar.rate_limit_rps", "0", "must be >= 0.001",
+                     id="edgar.rate_limit_rps-0->= 0.001"),
+        pytest.param("extract", "edgar.max_retries", "-1", "must be >= 0",
+                     id="edgar.max_retries--1->= 0"),
+        # A bad value of a key the command never reads fails it too.
+        pytest.param("fetch", "llm.max_in_flight", "abc", "is not a valid int",
+                     id="fetch-llm.max_in_flight-abc"),
+        # So small that 1/rate overflows time.sleep on a cold cache.
+        pytest.param("fetch", "edgar.rate_limit_rps", "1e-300", "must be >= 0.001",
+                     id="fetch-edgar.rate_limit_rps-1e-300"),
+        pytest.param("fetch", "edgar.cache_dir", "ca\0che", "holds a NUL character",
+                     id="fetch-edgar.cache_dir-nul"),
+        pytest.param("export", "store.panel_path", "panel\0.jsonl", "holds a NUL character",
+                     id="export-store.panel_path-nul"),
+        pytest.param("extract", "llm.script_path", "script\0.jsonl", "holds a NUL character",
+                     id="extract-llm.script_path-nul"),
+        pytest.param("export", "store.panel_path", "", "is empty",
+                     id="export-store.panel_path-empty"),
+        pytest.param("extract", "extraction.measures", "revenue,revenue",
+                     "names 'revenue' twice", id="extract-extraction.measures-twice"),
     ])
-    def test_out_of_range_value_exits_1(self, capsys, base, run_dir, monkeypatch, key, value,
-                                        bound):
-        monkeypatch.setenv(env_var_name(key), value)
-        code, out, err = invoke(capsys, ["extract", *base, "--cik", str(paperdata.APPLE_CIK),
-                                         "--year", str(paperdata.APPLE_FY)])
+    def test_out_of_range_value_exits_1(self, capsys, run_dir, tmp_path, config_path,
+                                        monkeypatch, command, key, value, reason):
+        cache = tmp_path / "cache"  # cold: a fetch would have to wait on the rate limit
+        config = tmp_path / "segforge.conf"
+        text = config_path.read_text(encoding="utf-8") + f"edgar.cache_dir = {cache}\n"
+        if "\0" in value:  # no environment variable can hold a NUL
+            text += f"{key} = {value}\n"
+            source = f"{config}:{len(text.splitlines())}"
+        else:
+            monkeypatch.setenv(env_var_name(key), value)
+            source = env_var_name(key)
+        config.write_text(text, encoding="utf-8")
+        filing = ["--cik", str(paperdata.APPLE_CIK), "--year", str(paperdata.APPLE_FY)]
+        code, out, err = invoke(capsys, [command, "--config", str(config), "--run-dir",
+                                         str(run_dir), *(filing if command != "export" else [])])
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "SchemaError",
-                                   "message": f"{key} = {value!r} must be {bound}"}
-        assert list(run_dir.iterdir()) == []
+                                   "message": f"{source}: {key} = {value!r} {reason}"}
+        assert not run_dir.exists()
+        assert not cache.exists()
 
     @pytest.mark.parametrize("content", ["{torn", "[]"])
     def test_malformed_fixture_index_exits_1(self, capsys, run_dir, tmp_path, config_path,
@@ -572,6 +611,99 @@ class TestConfigFile:
         assert error["error"] == "SchemaError"
         assert error["message"].startswith(f"{fixture / 'index.json'}: ")
         assert list(run_dir.iterdir()) == []
+
+
+# Every fixture filing, so a warm cache lets a fetch skip the rate limit.
+FIXTURE_FILINGS = [(paperdata.APPLE_CIK, paperdata.APPLE_FY), (paperdata.ADOBE_CIK, paperdata.ADOBE_FY),
+                   *((paperdata.AVY_CIK, year) for year in sorted(paperdata.AVY_TABLE3))]
+# A relative path, without "/", stays inside the example's working directory.
+_PATH_TEXT = st.text(alphabet="ab.- \0", max_size=6)
+_ANY_TEXT = st.text(max_size=16)
+
+
+def _few_workers(text: str) -> bool:
+    """A value that starts no more than 64 gateway workers."""
+    try:
+        return int(text) <= 64
+    except ValueError:
+        return True
+
+
+def _setting_values(key: str) -> st.SearchStrategy[str]:
+    if key == "llm.max_in_flight":
+        return st.integers(max_value=64).map(str) | _ANY_TEXT.filter(_few_workers)
+    if key in ("edgar.rate_limit_rps", "edgar.max_retries"):
+        return st.integers().map(str) | st.floats().map(str) | _ANY_TEXT
+    if key.endswith(("_dir", "_path")):
+        return _PATH_TEXT
+    if key == "llm.backend":
+        return st.sampled_from(["scripted", "live"]) | _ANY_TEXT
+    if key == "extraction.measures":
+        names = st.sampled_from(["revenue", "profit_or_loss", "assets", "", "x"])
+        return st.lists(names, max_size=4).map(",".join) | _ANY_TEXT
+    return _ANY_TEXT
+
+
+# llm.api_base stays empty, so the live backend refuses to start instead of
+# reaching the network; with one key drawn, edgar.fixture_dir is the fixture's
+# whenever llm.backend is live.
+_SETTINGS = st.sampled_from([key for key in SETTINGS if key != "llm.api_base"]).flatmap(
+    lambda key: st.tuples(st.just(key), _setting_values(key)))
+_FILINGS = st.sampled_from(FIXTURE_FILINGS) | st.tuples(st.integers(), st.integers())
+_YEARS = st.sampled_from([year for _, year in FIXTURE_FILINGS]) | st.integers()
+
+
+def assert_cli_contract(argv: list[str]) -> None:
+    """main(argv) returns 0, returns 1 with one JSON error line on stderr, or exits 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1), argv
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}, (argv, lines)
+
+
+@pytest.fixture(scope="module")
+def warm_config(tmp_path_factory, edgar_fixture, config_path):
+    """The fixture config over a cache that holds every fixture filing."""
+    cache = tmp_path_factory.mktemp("warm") / "cache"
+    client = EdgarClient(FixtureTransport(edgar_fixture[0]), cache_dir=cache, rate_limit_rps=10_000)
+    for cik, year in FIXTURE_FILINGS:
+        client.fetch(client.resolve_filing(cik, year))
+    return config_path.read_text(encoding="utf-8") + f"edgar.cache_dir = {cache}\n"
+
+
+class TestAnySettingAndArguments:
+    # No explain phase: it traces every line each failing example runs, for minutes.
+    @settings(max_examples=40, deadline=None, phases=set(Phase) - {Phase.explain})
+    @given(setting=_SETTINGS, in_file=st.booleans(), filing=_FILINGS, year_from=_YEARS,
+           year_to=_YEARS)
+    def test_main_keeps_its_exit_contract(self, tmp_path_factory, warm_config, setting,
+                                          in_file, filing, year_from, year_to):
+        # A rate as low as 0.001 is legal: over the warm cache each command
+        # makes one EDGAR request, which the rate limit lets through at once.
+        (key, value), (cik, year) = setting, filing
+        base = tmp_path_factory.mktemp("example")
+        config = base / "segforge.conf"
+        with pytest.MonkeyPatch.context() as patch:
+            (base / "work").mkdir()
+            patch.chdir(base / "work")
+            if in_file or "\0" in value:  # no environment variable can hold a NUL
+                config.write_text(f"{warm_config}{key} = {value}\n", encoding="utf-8")
+            else:
+                config.write_text(warm_config, encoding="utf-8")
+                patch.setenv(env_var_name(key), value)
+            common = ["--config", str(config), "--run-dir", str(base / "run")]
+            firm_year = ["--cik", str(cik), "--year", str(year)]
+            for argv in (["fetch", *common, *firm_year], ["extract", *common, *firm_year],
+                         ["changes", *common, "--cik", str(cik), "--from", str(year_from),
+                          "--to", str(year_to)], ["export", *common]):
+                assert_cli_contract(argv)
 
 
 class TestAlign:

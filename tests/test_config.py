@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from segforge.config import Config, env_var_name
+from segforge.config import SETTINGS, Config, default, env_var_name
 from segforge.edgar import EdgarClient
 from segforge.errors import SchemaError
 from segforge.extraction import ExtractionPipeline
@@ -41,8 +41,53 @@ def test_constructor_defaults_equal_config_defaults(tmp_path):
 def test_numeric_settings_are_read_within_their_bounds(key, least, below):
     read = Config.get_float if key == "edgar.rate_limit_rps" else Config.get_int
     assert read(Config({key: least}, use_env=False), key) == float(least)
-    with pytest.raises(SchemaError, match=re.escape(f"{key} = {below!r} must be ")):
-        read(Config({key: below}, use_env=False), key)
+    with pytest.raises(SchemaError, match=re.escape(f"{key} = {below!r} must be >= {least}")):
+        Config({key: below}, use_env=False)
+
+
+@pytest.mark.parametrize("key, value, reason", [
+    ("edgar.rate_limit_rps", "nan", "must be >= 0.001"),
+    ("edgar.rate_limit_rps", "1e-300", "must be >= 0.001"),
+    ("llm.backend", "mystery", "must be 'scripted' or 'live'"),
+    ("extraction.measures", " , ", "lists no value"),
+    ("extraction.measures", "revenue,assets,revenue", "names 'revenue' twice"),
+    ("edgar.cache_dir", "", "is empty"),
+    ("store.panel_path", "", "is empty"),
+    ("edgar.cache_dir", "ca\0che", "holds a NUL character"),
+    ("edgar.fixture_dir", "\0", "holds a NUL character"),
+    ("llm.script_path", "a\0.jsonl", "holds a NUL character"),
+    ("store.panel_path", "panel\0.jsonl", "holds a NUL character"),
+])
+def test_each_check_names_key_value_and_reason(key, value, reason):
+    with pytest.raises(SchemaError) as caught:
+        Config({key: value}, use_env=False)
+    assert str(caught.value) == f"{key} = {value!r} {reason}"
+
+
+def test_values_are_read_once_into_their_types():
+    config = Config({"extraction.measures": " assets , revenue "}, use_env=False)
+    assert config.get_list("extraction.measures") == ["assets", "revenue"]
+    assert config.get("extraction.measures") == " assets , revenue "  # get keeps the text
+    assert config.get_int("edgar.max_retries") == 5
+
+
+def test_refusal_names_the_file_line_or_variable(tmp_path, monkeypatch):
+    path = tmp_path / "segforge.conf"
+    path.write_text("llm.backend = scripted\nllm.max_in_flight = 0\n")
+    with pytest.raises(SchemaError) as caught:
+        Config.load(path, use_env=False)
+    assert str(caught.value) == f"{path}:2: llm.max_in_flight = '0' must be >= 1"
+    monkeypatch.setenv("SEGFORGE_LLM_MAX_IN_FLIGHT", "abc")
+    with pytest.raises(SchemaError) as caught:
+        Config.load(path)
+    assert str(caught.value) == "SEGFORGE_LLM_MAX_IN_FLIGHT: llm.max_in_flight = 'abc' is not a valid int"
+    monkeypatch.setenv("SEGFORGE_LLM_MAX_IN_FLIGHT", "2")
+    assert Config.load(path).get_int("llm.max_in_flight") == 2  # the file's value is overridden
+
+
+def test_unknown_key_in_code_raises():
+    with pytest.raises(SchemaError, match="unknown key 'llm.max_inflight'"):
+        Config({"llm.max_inflight": "3"}, use_env=False)
 
 
 def test_file_overrides_defaults(tmp_path):
@@ -66,6 +111,13 @@ def test_malformed_line_raises(tmp_path):
         Config.load(path, use_env=False)
 
 
+def test_file_not_utf8_raises_naming_it(tmp_path):
+    path = tmp_path / "bad.conf"
+    path.write_bytes(b"llm.model = \xff\n")
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: 'utf-8' codec can't decode")):
+        Config.load(path, use_env=False)
+
+
 @pytest.mark.parametrize("line", [
     "llm.max_inflight = 3",  # misspelt llm.max_in_flight
     "retrieval.k1 = 1.5",  # scoring values are constants, not settings
@@ -78,7 +130,7 @@ def test_unknown_key_raises(tmp_path, line):
 
 
 def test_readme_configuration_block_loads(tmp_path):
-    """Every key the README's configuration block sets is a key a config file may set."""
+    """The README's configuration block sets every key, each to a value a config file may hold."""
     text = README.read_text(encoding="utf-8")
     block = re.search(r"## Configuration\n.*?```\n(.*?)```", text, re.S).group(1)
     path = tmp_path / "readme.conf"
@@ -86,6 +138,7 @@ def test_readme_configuration_block_loads(tmp_path):
     config = Config.load(path, use_env=False)
     assert config.get("llm.max_in_flight") == "5"
     assert config.get("edgar.fixture_dir") == "fixtures/edgar"
+    assert [key for key in SETTINGS if not re.search(rf"^{re.escape(key)} *=", block, re.M)] == []
 
 
 def test_env_overrides_file(tmp_path, monkeypatch):
@@ -106,9 +159,12 @@ def test_env_var_name():
     ("edgar.rate_limit_rps", "fast", "get_float"),
 ])
 def test_non_numeric_value_raises_schema_error(key, value, getter):
-    config = Config({key: value}, use_env=False)
     with pytest.raises(SchemaError, match=re.escape(f"{key} = {value!r} is not a valid")):
-        getattr(config, getter)(key)
+        Config({key: value}, use_env=False)
+    config = Config(use_env=False)
+    with pytest.raises(SchemaError, match=re.escape(f"{key} = {value!r} is not a valid")):
+        config.set(key, value)
+    assert getattr(config, getter)(key) == default(key)  # a refused value is not kept
 
 
 def test_get_missing_key_raises():
@@ -120,4 +176,7 @@ def test_get_missing_key_raises():
 def test_set_mutates():
     config = Config(use_env=False)
     config.set("llm.backend", "live")
+    assert config.get("llm.backend") == "live"
+    with pytest.raises(SchemaError, match="^llm.backend = 'mystery' must be 'scripted' or 'live'$"):
+        config.set("llm.backend", "mystery")
     assert config.get("llm.backend") == "live"

@@ -1,15 +1,14 @@
-"""Evaluation-protocol tests: sampling determinism, scoring, reports."""
+"""Evaluation-protocol tests: gold labels, scoring, reports."""
 
 from __future__ import annotations
 
 import json
-import random
 from decimal import Decimal
 
 import pytest
 
 import filingfab
-from segforge.errors import CoverageError, SampleTooLargeError, SchemaError
+from segforge.errors import CoverageError, SchemaError
 from segforge.evaluation import (
     CellVerdict,
     EvalReport,
@@ -19,8 +18,6 @@ from segforge.evaluation import (
     _accuracy,
     render_table2,
     report_to_json,
-    sample_cells,
-    sample_filings,
     score,
 )
 from segforge.extraction import (
@@ -31,8 +28,6 @@ from segforge.extraction import (
     SegmentRecord,
 )
 from segforge.values import Money, Scale
-
-CORPUS = [(cik, 2000 + cik % 4) for cik in range(100, 130)]
 
 
 def multi_bundle(cik: int, year: int) -> ExtractionBundle:
@@ -54,64 +49,6 @@ def single_unit_bundle(cik: int, year: int) -> ExtractionBundle:
         general_fields=filingfab.general_responses(
             {"revt": filingfab.money_text(500)}),
     )
-
-
-class TestSampleFilings:
-    def test_deterministic_under_seed(self):
-        first = sample_filings(CORPUS, 10, seed=7)
-        second = sample_filings(CORPUS, 10, seed=7)
-        assert first == second
-        assert len(set(first)) == 10
-
-    def test_matches_independent_draw(self):
-        # The contract: a seeded draw over the sorted corpus, order preserved.
-        expected = random.Random(7).sample(sorted(CORPUS), 10)
-        assert sample_filings(CORPUS, 10, seed=7) == expected
-
-    def test_input_order_does_not_matter(self):
-        shuffled = list(CORPUS)
-        random.Random(99).shuffle(shuffled)
-        assert sample_filings(shuffled, 10, seed=7) == sample_filings(CORPUS, 10, seed=7)
-
-    def test_seeds_give_different_samples(self):
-        assert sample_filings(CORPUS, 10, seed=1) != sample_filings(CORPUS, 10, seed=2)
-
-    def test_whole_corpus_is_a_permutation(self):
-        drawn = sample_filings(CORPUS, len(CORPUS), seed=3)
-        assert sorted(drawn) == sorted(CORPUS)
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(SampleTooLargeError):
-            sample_filings(CORPUS, len(CORPUS) + 1, seed=1)
-
-
-class TestSampleCells:
-    def bundles(self) -> list[ExtractionBundle]:
-        return [multi_bundle(10, 2020), multi_bundle(11, 2021)]
-
-    def test_reportable_triples(self):
-        bundles = self.bundles()
-        eligible = sorted(
-            (bundle.key, record.name, "revenue")
-            for bundle in bundles for record in bundle.reportable
-        )
-        expected = random.Random(5).sample(eligible, 3)
-        assert sample_cells(bundles, 3, seed=5) == expected
-
-    def test_nested_tier(self):
-        triples = sample_cells(self.bundles(), 2, seed=5, tier="nested")
-        assert sorted(triples) == [
-            ((10, 2020), "Consumer", "revenue"),
-            ((11, 2021), "Consumer", "revenue"),
-        ]
-
-    def test_bad_tier_rejected(self):
-        with pytest.raises(ValueError):
-            sample_cells(self.bundles(), 1, seed=5, tier="imaginary")
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(SampleTooLargeError):
-            sample_cells(self.bundles(), 5, seed=5)
 
 
 class TestGoldLabels:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import filingfab
 import paperdata
 from segforge import extraction
+from segforge.config import default
 from segforge.edgar import EdgarClient
 from segforge.errors import SchemaError, ScriptMissError, ValidationError
 from segforge.extraction import (
@@ -31,7 +32,6 @@ from segforge.extraction import (
     AXIS_GEOGRAPHIC,
     AXIS_OTHER,
     AXIS_PRODUCT,
-    DEFAULT_MEASURES,
     MULTI_SEGMENT,
     SINGLE_UNIT,
     ExtractionBundle,
@@ -62,6 +62,8 @@ from segforge.templates import (
     retry_question,
 )
 from segforge.values import Money, Scale, encode
+
+DEFAULT_MEASURES = default("extraction.measures")  # what a pipeline asks by default
 
 
 def fetch_doc(client: EdgarClient, cik: int, year: int):

@@ -416,12 +416,10 @@ class TestAskMany:
     def test_bad_limits_rejected(self):
         with pytest.raises(ValueError):
             Gateway(ScriptedBackend(ScriptStore()), max_in_flight=0)
-        # The one cap is the gateway's, so a zero llm.max_in_flight is
-        # refused when the gateway is built, before any prompt is queued:
-        # the setting is read out of range.
-        config = Config({"llm.max_in_flight": "0"}, use_env=False)
+        # A zero llm.max_in_flight is refused when the config is read, before
+        # any gateway is built or prompt queued.
         with pytest.raises(SchemaError, match="llm.max_in_flight = '0' must be >= 1"):
-            Gateway.from_config(config, script_store=store_with({"q": "r"}))
+            Config({"llm.max_in_flight": "0"}, use_env=False)
 
     def test_request_ids_unique_across_batches(self):
         store = store_with({"q": "r"})
@@ -568,6 +566,80 @@ class TestGatewayBudget:
         assert probe.started == ["c", "f"]
 
 
+class TestGatewayWorkers:
+    """A worker stays while any prompt is in flight, so at most max_in_flight ever start."""
+
+    def test_a_worker_stays_while_a_prompt_is_in_flight(self, monkeypatch):
+        # b's continuation queues c after a's worker found the queue empty: a
+        # worker that left then would leave c to a third thread.
+        gates = {"a": threading.Event(), "b": threading.Event()}
+        probe = InFlightProbe(gates=gates)
+        workers: dict[str, threading.Thread] = {}
+
+        def delay(question: str) -> float:
+            workers[question] = threading.current_thread()
+            return probe(question)
+
+        started: list[threading.Thread] = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread))[1])
+        gateway = Gateway(ScriptedBackend(store_with({"a": "A", "b": "B", "c": "C"}),
+                                          delay_fn=delay), max_in_flight=2)
+        a = gateway.submit(request_for("a", "req-a"))
+        b = gateway.submit(request_for("b", "req-b"))
+        c = then([b], lambda _: gateway.submit(request_for("c", "req-c")))
+        deadline = time.monotonic() + 5
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        gates["a"].set()
+        assert a.result(timeout=5).text == "A"
+        workers["a"].join(timeout=0.2)
+        assert workers["a"].is_alive()  # b is in flight, so a's worker stays
+        gates["b"].set()
+        assert (b.result(timeout=5).text, c.result(timeout=5).text) == ("B", "C")
+        monkeypatch.undo()
+        assert len(started) == 2
+        for thread in started:  # nothing in flight: the idle gateway holds no thread
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    CHAINS = [(0, 9), (10, 29), (30, 69), (70, 129), (130, 199)]  # (first, last) question
+
+    def test_stress_chains_start_at_most_max_in_flight_workers(self, monkeypatch):
+        # Each settled prompt's continuation queues the next of its chain, so
+        # the gateway is never idle until every chain ends. Chains end at
+        # different times: a worker that left while others' prompts were in
+        # flight would have a fourth thread started; a lost wake-up would
+        # strand a prompt.
+        questions = [f"q{i}" for i in range(200)]
+        gateway = Gateway(ScriptedBackend(store_with({q: q.upper() for q in questions})),
+                          max_in_flight=3)
+
+        def ask_from(i: int, last: int) -> Future:
+            asked = gateway.submit(request_for(questions[i], f"req-{i}"))
+            return asked if i == last else then([asked], lambda _: ask_from(i + 1, last))
+
+        started: list[threading.Thread] = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread))[1])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with gateway.paused():  # every chain is queued before any prompt starts
+                ends = [ask_from(first, last) for first, last in self.CHAINS]
+            assert [end.result(timeout=10).text for end in ends] == [f"Q{last}" for _, last in self.CHAINS]
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert len(gateway.transcript) == 200
+        assert len(started) <= 3
+        for thread in started:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+
 class TestThen:
     """``then``, the one combinator a firm-year's plan is built from."""
 
@@ -655,9 +727,8 @@ class TestFromConfig:
         assert gateway.ask(request_for("q", "req-1")).text == "r"
 
     def test_unknown_backend_rejected(self):
-        config = Config({"llm.backend": "mystery"}, use_env=False)
-        with pytest.raises(SchemaError):
-            Gateway.from_config(config)
+        with pytest.raises(SchemaError, match="llm.backend = 'mystery' must be 'scripted' or 'live'"):
+            Config({"llm.backend": "mystery"}, use_env=False)
 
 
 class TestLiveBackend:
