@@ -9,6 +9,7 @@ allow +/- 0.1 percentage points.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -460,3 +461,29 @@ def test_run_directory_does_not_depend_on_the_schedule(
     full_run(config, tmp_path / "run", inputs)
     assert_same_artifacts(reference, snapshot(tmp_path / "run"))
     assert 1 <= peak <= max_in_flight
+
+
+# The sha256 of the two files that pin the default run directory: the manifest
+# holds the digest of every other artifact, and the panel is the one file it
+# does not list.
+GOLDEN_DIGESTS = {
+    "manifest.json": "6d51163b35d8ac31d21e47d75fc90c783ee3bbcc5d0a878e1156371ddb4d3ab0",
+    "panel.jsonl": "c60f6fadc64860fcd3e85d24dbbf8979f4a70c007e9ba9f34a368eefabda18a1",
+}
+
+
+def test_run_directory_matches_the_golden_digests(default_run):
+    """Every file of the criterion-10 run directory has the bytes it had when the
+    digests were taken, so a writer change that moves a byte fails here even
+    though criterion 10 compares a run only with itself."""
+    _, files = default_run
+
+    def digest(rel: str) -> str:
+        return hashlib.sha256(files[rel]).hexdigest()
+
+    assert {rel: digest(rel) for rel in GOLDEN_DIGESTS} == GOLDEN_DIGESTS
+    listed = {item["path"]: item["sha256"]
+              for item in json.loads(files["manifest.json"])["artifacts"]}
+    assert sorted(files) == sorted([*listed, *GOLDEN_DIGESTS])
+    assert {rel: digest(rel) for rel in listed} == listed
+    assert len(files) == 86
