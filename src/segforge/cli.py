@@ -31,7 +31,7 @@ from .config import Config
 from .edgar import EdgarClient
 from .errors import OutputPathError, SegforgeError
 from .evaluation import GoldLabelSet, render_table2, report_to_json, score
-from .extraction import ExtractionPipeline, bundle_filename, dump_bundle, load_bundle
+from .extraction import ExtractionPipeline, bundle_filename, bundle_json, load_bundle
 from .gateway import Gateway
 from .parsing import ParsedFiling, dump_json, parse
 from .retrieval import build_index, load_index, save_index
@@ -133,50 +133,62 @@ def _load_config(args) -> Config:
     return config
 
 
-def _run_dir(args) -> Path:
-    """The run directory, made if missing. Its manifest is read first, so a
-    command refuses a bad one before it writes anything."""
-    path = Path(args.run_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    _read_manifest(path)
-    return path
-
-
-def _panel_path(config: Config, run_dir: Path) -> Path:
-    panel = Path(config.get("store.panel_path"))
-    return panel if panel.is_absolute() else run_dir / panel
-
-
-def _artifact_path(config: Config, run_dir: Path, path: str) -> Path:
-    """``path`` taken from the run directory; a path that leaves it (also through
-    ``..``), names the manifest, or names the configured panel or a directory
-    holding it is refused."""
-    root, target = run_dir.resolve(), (run_dir / path).resolve()
-    if ".." in Path(path).parts or not target.is_relative_to(root):
-        raise OutputPathError(f"{path} is outside the run directory {run_dir}")
-    if target == root / "manifest.json" or \
-            _panel_path(config, run_dir).resolve().is_relative_to(target):
-        raise OutputPathError(f"{path} would replace the run directory's manifest or panel")
-    return run_dir / target.relative_to(root)
-
-
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write(config: Config, run_dir: Path, name: str, text: str) -> Path:
-    """Replace the artifact ``name`` in the run directory whole."""
-    path = _artifact_path(config, run_dir, name)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, text)
-    return path
+class RunDir:
+    """One command's run directory, the only way it checks, writes and records an
+    artifact. Opening it loads the config, refuses a panel path that names a
+    directory, makes the directory and reads its manifest, so a bad one stops
+    the command before it fetches or writes anything."""
 
+    def __init__(self, args):
+        self.config = _load_config(args)
+        self.root = Path(args.run_dir)
+        value = self.config.get("store.panel_path")
+        self.panel = self.root / value  # an absolute value replaces the root
+        if self.panel.is_dir() or self.root.resolve().is_relative_to(self.panel.resolve()):
+            raise OutputPathError(f"store.panel_path = {value!r} names a directory, not a file")
+        self.root.mkdir(parents=True, exist_ok=True)
+        _read_manifest(self.root)
+        self._written: list[Path] = []
+        self._gateway: Gateway | None = None
 
-def _publish(run_dir: Path, paths: list[Path], report: str) -> int:
-    """Record the written ``paths`` in the manifest, then print the command's report."""
-    _update_manifest(run_dir, paths)
-    print(report, end="")
-    return 0
+    def path(self, name: str) -> Path:
+        """``name`` in the run directory; one that leaves it (also through ``..``), names
+        the manifest, or names the configured panel or a directory holding it is refused."""
+        root, target = self.root.resolve(), (self.root / name).resolve()
+        if ".." in Path(name).parts or not target.is_relative_to(root):
+            raise OutputPathError(f"{name} is outside the run directory {self.root}")
+        if target == root / "manifest.json" or self.panel.resolve().is_relative_to(target):
+            raise OutputPathError(f"{name} would replace the run directory's manifest or panel")
+        return self.root / target.relative_to(root)
+
+    def write(self, name: str, text: str) -> Path:
+        """Replace the artifact ``name`` whole; ``publish`` records it."""
+        path = self.path(name)
+        write_atomic(path, text)
+        self._written.append(path)
+        return path
+
+    def store(self) -> SegmentStore:
+        return SegmentStore(self.panel)
+
+    def gateway(self) -> Gateway:
+        """The command's gateway, made after its transcript path is checked."""
+        self.path("transcript.jsonl")
+        self._gateway = Gateway.from_config(self.config)
+        return self._gateway
+
+    def publish(self, report: str, *written: Path) -> int:
+        """Write the gateway's transcript, record it, every ``write`` and the other
+        ``written`` paths in the manifest, then print the command's report."""
+        if self._gateway:
+            self.write("transcript.jsonl", self._gateway.transcript_jsonl())
+        _update_manifest(self.root, [*self._written, *written])
+        print(report, end="")
+        return 0
 
 
 @dataclass(frozen=True)
@@ -217,10 +229,6 @@ def _update_manifest(run_dir: Path, new_paths: list[Path]) -> None:
     write_atomic(run_dir / "manifest.json", _json({"artifacts": artifacts}))
 
 
-def _store(config: Config, run_dir: Path) -> SegmentStore:
-    return SegmentStore(_panel_path(config, run_dir))
-
-
 def _fetch_document(args, config: Config):
     allow = args.allow_network or config.get("llm.backend") == "live"
     client = EdgarClient.from_config(config, allow_network=allow)
@@ -229,7 +237,8 @@ def _fetch_document(args, config: Config):
 
 
 # -- subcommands --------------------------------------------------------------
-# Each command computes its results, writes its artifacts, then publishes them.
+# Each command opens its run directory, computes its results, writes its
+# artifacts, then publishes them.
 
 
 def cmd_fetch(args) -> int:
@@ -248,12 +257,10 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    doc = _fetch_document(args, config)
-    parsed = parse(doc)
-    out = _write(config, run_dir, f"parsed/{args.cik}_{args.year}.json", dump_json(parsed))
-    return _publish(run_dir, [out], _json({
+    run = RunDir(args)
+    parsed = parse(_fetch_document(args, run.config))
+    out = run.write(f"parsed/{args.cik}_{args.year}.json", dump_json(parsed))
+    return run.publish(_json({
         "items": list(parsed.items),
         "tables": len(parsed.tables),
         "chars": parsed.char_count,
@@ -262,19 +269,14 @@ def cmd_parse(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    _artifact_path(config, run_dir, bundle_filename(args.cik, args.year))  # refused up front
-    transcript = _artifact_path(config, run_dir, "transcript.jsonl")
-    doc = _fetch_document(args, config)
-    gateway = Gateway.from_config(config)
-    pipeline = ExtractionPipeline.from_config(gateway, config)
-    bundle = pipeline.run_pipeline(doc, args.cik, args.year)
-    out = dump_bundle(bundle, run_dir)
-    store = _store(config, run_dir)
-    store.put(bundle)
-    gateway.dump_transcript(transcript)
-    return _publish(run_dir, [out, transcript], _json({
+    run = RunDir(args)
+    name = bundle_filename(args.cik, args.year)
+    run.path(name)  # refused up front, as the transcript is by run.gateway()
+    pipeline = ExtractionPipeline.from_config(run.gateway(), run.config)
+    bundle = pipeline.run_pipeline(_fetch_document(args, run.config), args.cik, args.year)
+    out = run.write(name, bundle_json(bundle))
+    run.store().put(bundle)
+    return run.publish(_json({
         "bundle": str(out),
         "classification": bundle.classification.kind,
         "reportable": [r.name for r in bundle.reportable],
@@ -284,98 +286,83 @@ def cmd_extract(args) -> int:
 
 
 def cmd_index(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    index_dir = _artifact_path(config, run_dir, "index")
+    run = RunDir(args)
+    index_dir = run.path("index")
     # iterdir, not glob: a missing corpus directory raises instead of indexing nothing.
     filings = [read(ParsedFiling, p) for p in sorted(Path(args.corpus).iterdir()) if p.suffix == ".json"]
     index = build_index(filings)
-    return _publish(run_dir, save_index(index, index_dir), _json({
+    return run.publish(_json({
         "filings": len(filings),
         "chunks": len(index),
         "index_dir": str(index_dir),
-    }))
+    }), *save_index(index, index_dir))
 
 
 def cmd_gaps(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    store = _store(config, run_dir)
-    roster = FundamentalsRoster.from_csv(args.roster)
-    report = store.gap_report(roster)
+    run = RunDir(args)
+    report = run.store().gap_report(FundamentalsRoster.from_csv(args.roster))
     payload = _json(gap_report_to_json(report))
-    return _publish(run_dir, [_write(config, run_dir, "gaps.json", payload)], payload)
+    run.write("gaps.json", payload)
+    return run.publish(payload)
 
 
 def cmd_changes(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    store = _store(config, run_dir)
-    panel = store.segment_names_by_year(args.cik, (args.year_from, args.year_to))
+    run = RunDir(args)
+    panel = run.store().segment_names_by_year(args.cik, (args.year_from, args.year_to))
     warnings: list[str] = []
     if args.index_dir:
-        transcript = _artifact_path(config, run_dir, "transcript.jsonl")
-        index = load_index(args.index_dir)
-        gateway = Gateway.from_config(config)
-        rows = explain_changes(args.cik, panel, index, gateway, warnings)
+        gateway = run.gateway()
+        rows = explain_changes(args.cik, panel, load_index(args.index_dir), gateway, warnings)
     else:
         rows = detect_changes(panel, warnings)
     for warning in warnings:
         print(warning, file=sys.stderr)
     text = render_change_text(rows)
-    written = [_write(config, run_dir, f"changes_{args.cik}.csv", render_change_csv(rows)),
-               _write(config, run_dir, f"changes_{args.cik}.txt", text)]
-    if args.index_dir:
-        gateway.dump_transcript(transcript)
-        written.append(transcript)
-    return _publish(run_dir, written, text)
+    run.write(f"changes_{args.cik}.csv", render_change_csv(rows))
+    run.write(f"changes_{args.cik}.txt", text)
+    return run.publish(text)
 
 
 def cmd_align(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    store = _store(config, run_dir)
+    run = RunDir(args)
+    store = run.store()
     scheme = RegionScheme.from_json(args.region)
-    transcript = _artifact_path(config, run_dir, "transcript.jsonl") if args.index_dir else None
+    gateway = run.gateway() if args.index_dir else None
     index = load_index(args.index_dir) if args.index_dir else None
-    gateway = Gateway.from_config(config) if args.index_dir else None
     rows = align_regions(args.firm_a, args.firm_b, scheme,
                          (args.year_from, args.year_to), store, index, gateway)
     table = (rows, args.label_a or str(args.firm_a), args.label_b or str(args.firm_b),
              scheme.region_name)
     name = f"alignment_{args.firm_a}_{args.firm_b}"
     text = render_alignment_text(*table)
-    written = [_write(config, run_dir, f"{name}.csv", render_alignment_csv(*table)),
-               _write(config, run_dir, f"{name}.txt", text)]
-    if args.index_dir:
-        gateway.dump_transcript(transcript)
-        written.append(transcript)
-    return _publish(run_dir, written, text)
+    run.write(f"{name}.csv", render_alignment_csv(*table))
+    run.write(f"{name}.txt", text)
+    return run.publish(text)
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
+    run = RunDir(args)
     gold = GoldLabelSet.from_json(args.gold)
     if args.group:
         gold.group_id = args.group
     if args.bundles:
-        bundles = [load_bundle(p) for p in sorted(Path(args.bundles).glob("*.bundle.json"))]
+        # iterdir, not glob: a missing bundle directory raises instead of scoring nothing.
+        bundles = [load_bundle(p) for p in sorted(Path(args.bundles).iterdir())
+                   if p.name.endswith(".bundle.json")]
     else:
-        store = _store(config, run_dir)
+        store = run.store()
         bundles = [store.get(cik, year) for cik, year in store.keys()]
     report = score(gold, bundles)
-    out = _write(config, run_dir, f"eval_{report.group_id}.json", _json(report_to_json(report)))
-    return _publish(run_dir, [out], render_table2([report]))
+    run.write(f"eval_{report.group_id}.json", _json(report_to_json(report)))
+    return run.publish(render_table2([report]))
 
 
 def cmd_export(args) -> int:
-    config = _load_config(args)
-    run_dir = _run_dir(args)
-    out = _artifact_path(config, run_dir, args.out)
-    with _store(config, run_dir).export_csv(out).open(newline="", encoding="utf-8") as fh:
+    run = RunDir(args)
+    out = run.path(args.out)
+    with run.store().export_csv(out).open(newline="", encoding="utf-8") as fh:
         rows = sum(1 for _ in csv.reader(fh)) - 1  # data rows, not the header
-    return _publish(run_dir, [out], _json({"rows": rows, "path": str(out)}))
+    return run.publish(_json({"rows": rows, "path": str(out)}), out)
 
 
 def main(argv=None) -> int:

@@ -377,7 +377,6 @@ class EdgarClient:
         }
         try:
             with self._write_lock:
-                doc_path.parent.mkdir(parents=True, exist_ok=True)
                 write_atomic(doc_path, data)
                 write_atomic(meta_path, json.dumps(meta, default=encode, indent=2, sort_keys=True))
         except OSError as exc:

@@ -39,7 +39,7 @@ from .templates import (
     nested_names_question,
     nested_measure_question,
 )
-from .values import Money, encode, load, money_sum, parse_monetary, read, write_atomic
+from .values import Money, encode, load, money_sum, parse_monetary, read
 
 SINGLE_UNIT = "single_unit"
 MULTI_SEGMENT = "multi_segment"
@@ -451,11 +451,9 @@ def bundle_filename(cik: int, fiscal_year: int) -> str:
     return f"{cik}_{fiscal_year}.bundle.json"
 
 
-def dump_bundle(bundle: ExtractionBundle, directory: str | Path) -> Path:
-    path = Path(directory) / bundle_filename(bundle.cik, bundle.fiscal_year)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, json.dumps(bundle, default=encode, indent=2, sort_keys=True) + "\n")
-    return path
+def bundle_json(bundle: ExtractionBundle) -> str:
+    """The text of a bundle file, which ``load_bundle`` reads back."""
+    return json.dumps(bundle, default=encode, indent=2, sort_keys=True) + "\n"
 
 
 def load_bundle(path: str | Path) -> ExtractionBundle:

@@ -24,7 +24,7 @@ from .config import default
 from .edgar import CachedDocument, SystemClock, send, with_retries
 from .errors import (BatchError, NetworkError, NotFoundError, ProviderError, ScriptMissError, SchemaError,
                      UploadError, ValidationError)
-from .values import collapse_ws, load, write_atomic
+from .values import collapse_ws, load
 
 SCRIPTED = "scripted"
 LIVE = "live"
@@ -394,17 +394,12 @@ class Gateway:
         with self._lock:
             self.transcript.append(record)
 
-    def dump_transcript(self, path: str | Path) -> None:
-        """Write the full transcript sorted by request_id.
-
-        Sorting makes the file independent of thread completion order, so
-        scripted runs stay byte-identical.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
+    def transcript_jsonl(self) -> str:
+        """The full transcript, one JSON line per record, sorted by request_id so that
+        the text does not depend on completion order and scripted runs stay byte-identical."""
         with self._lock:
             records = sorted(self.transcript, key=lambda r: r.request_id)
-        write_atomic(path, "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records))
+        return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in records)
 
 
 # -- checked asks ---------------------------------------------------------------

@@ -396,7 +396,6 @@ def save_index(index: ChunkIndex, directory: str | Path) -> list[Path]:
     new catalog does not list are then removed.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     chunks, catalog = index.chunks, []
     for (cik, fiscal_year), positions in index._filings.items():
         entry = Partition(cik=cik, fiscal_year=fiscal_year, chunk_count=len(positions))

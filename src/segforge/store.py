@@ -206,7 +206,6 @@ class SegmentStore:
                             for kind, money in sorted(record.measures.items())]
                 writer.writerows(base + measure for measure in measures or [["", "", ""]])
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, buffer.getvalue())
         return path
 

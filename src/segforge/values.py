@@ -224,7 +224,8 @@ def encode(obj):
 
 
 def write_atomic(path: Path, data: str | bytes) -> None:
-    """Write ``data`` to a temporary file, then move it over ``path``.
+    """Write ``data`` to a temporary file, then move it over ``path``, making
+    ``path``'s parent directory first if it is missing.
 
     Text is encoded as UTF-8, with no newline translation. A reader sees
     the old file or the new one, never part of one. The temporary file is
@@ -232,6 +233,7 @@ def write_atomic(path: Path, data: str | bytes) -> None:
     except the panel's appends, goes through here.
     """
     tmp = path.with_name(path.name + ".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)

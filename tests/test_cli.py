@@ -27,11 +27,11 @@ from segforge import cli
 from segforge.cli import main
 from segforge.config import SETTINGS, env_var_name
 from segforge.edgar import EdgarClient, FixtureTransport
-from segforge.extraction import dump_bundle, load_bundle
+from segforge.extraction import bundle_filename, bundle_json, load_bundle
 from segforge.parsing import ParsedFiling, dump_json
 from segforge.retrieval import ChunkIndex, build_index, save_index
 from segforge.store import SegmentStore
-from segforge.values import read
+from segforge.values import read, write_atomic
 
 
 def invoke(capsys, argv: list[str]):
@@ -60,6 +60,13 @@ def write_panel(run_dir, bundles) -> None:
     store = SegmentStore(run_dir / "panel.jsonl")
     for bundle in bundles:
         store.put(bundle)
+
+
+def write_bundle(directory, bundle) -> Path:
+    """``bundle``'s file in ``directory``, named and rendered as extract writes it."""
+    path = directory / bundle_filename(bundle.cik, bundle.fiscal_year)
+    write_atomic(path, bundle_json(bundle))
+    return path
 
 
 def snapshot(run_dir) -> dict[str, bytes | None]:
@@ -462,7 +469,7 @@ class TestWrongTypedInput:
                               *(avy_bundles[y] for y in sorted(avy_bundles))])
         (run_dir / "manifest.json").write_text(json.dumps(
             {"artifacts": [{"path": "panel.jsonl", "sha256": "0" * 64}]}), encoding="utf-8")
-        dump_bundle(filingfab.intc_bundle(2012), tmp_path / "bundles")
+        write_bundle(tmp_path / "bundles", filingfab.intc_bundle(2012))
         (tmp_path / "corpus").mkdir()
         (tmp_path / "corpus" / "avy2022.json").write_text(
             dump_json(parsed_filings["avy2022"]), encoding="utf-8")
@@ -803,13 +810,26 @@ class TestEvalAndExport:
         assert code == 1
         assert json.loads(err)["error"] == "CoverageError"
 
+    def test_eval_missing_bundle_directory_exits_1(self, capsys, base, run_dir, tmp_path):
+        """A missing --bundles directory is named, not read as one holding no bundle."""
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps(self.gold_payload()), encoding="utf-8")
+        missing = tmp_path / "bundles"
+        code, out, err = invoke(capsys, ["eval", *base, "--gold", str(gold),
+                                         "--bundles", str(missing)])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "FileNotFoundError"
+        assert str(missing) in error["message"]
+        assert list(run_dir.iterdir()) == []
+
     @pytest.mark.parametrize("corrupt", [
         lambda record: record["measures"]["revenue"].update(value="12 bananas"),
         lambda record: record.pop("axis"),
     ], ids=["bad_amount", "no_axis"])
     def test_eval_malformed_bundle_exits_1(self, capsys, base, tmp_path, corrupt):
         bundles = tmp_path / "bundles"
-        path = dump_bundle(filingfab.intc_bundle(2012), bundles)
+        path = write_bundle(bundles, filingfab.intc_bundle(2012))
         data = json.loads(path.read_text(encoding="utf-8"))
         corrupt(data["reportable"][0])
         path.write_text(json.dumps(data), encoding="utf-8")
@@ -932,6 +952,40 @@ class TestRefusedTargets:
     def test_extract_cannot_replace_panel(self, capsys, config_path, tmp_path, run_dir, name):
         base = self.panel_at(config_path, tmp_path, run_dir, name)
         self.refused(capsys, ["extract", *base, "--cik", "320193", "--year", "2024"], run_dir)
+
+    def test_refused_transcript_stops_extract_before_its_fetch(self, capsys, config_path,
+                                                               tmp_path, run_dir):
+        base = self.panel_at(config_path, tmp_path, run_dir, "transcript.jsonl")
+        cache = tmp_path / "cache"
+        with open(tmp_path / "panel.conf", "a", encoding="utf-8") as fh:
+            fh.write(f"edgar.cache_dir = {cache}\n")
+        self.refused(capsys, ["extract", *base, "--cik", "320193", "--year", "2024"], run_dir)
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "gaps", "export"])
+    @pytest.mark.parametrize("panel", [".", "..", "absolute"])
+    def test_panel_path_naming_a_directory_exits_1(self, capsys, config_path, tmp_path,
+                                                   run_dir, command, panel):
+        """The panel path is refused when the run directory is opened: nothing is
+        fetched, and the run directory is not made."""
+        if panel == "absolute":
+            (tmp_path / "elsewhere").mkdir()
+            panel = str(tmp_path / "elsewhere")
+        config = tmp_path / "panel.conf"
+        config.write_text(config_path.read_text(encoding="utf-8")
+                          + f"edgar.cache_dir = {tmp_path / 'cache'}\n"
+                          + f"store.panel_path = {panel}\n", encoding="utf-8")
+        roster = filingfab.write_roster(tmp_path / "roster.csv", [(paperdata.INTC_CIK, 2012)])
+        argv = {"extract": ["--cik", "320193", "--year", "2024"],
+                "gaps": ["--roster", str(roster)], "export": []}[command]
+        before = snapshot(tmp_path)
+        code, out, err = invoke(capsys, [command, "--config", str(config),
+                                         "--run-dir", str(run_dir), *argv])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "OutputPathError",
+            "message": f"store.panel_path = {panel!r} names a directory, not a file"}
+        assert snapshot(tmp_path) == before
 
     def test_changes_cannot_replace_panel_named_transcript(self, capsys, config_path, tmp_path,
                                                            run_dir, avy_index_dir):

@@ -39,8 +39,9 @@ from segforge.extraction import (
     SegmentationClass,
     SegmentRecord,
     audit_nested_sums,
+    bundle_filename,
     bundle_from_json,
-    dump_bundle,
+    bundle_json,
     infer_axis,
     load_bundle,
     validate_bundle,
@@ -473,9 +474,9 @@ class TestScheduling:
         assert held_too_long == []
         assert record.measures["revenue"] == Money(Decimal(5), Scale.MILLIONS)
 
-    def run_jittered(self, doc, entries: list[dict], cik: int, fy: int, seed: int | None,
-                     tmp_path) -> tuple[str, bytes, int]:
-        """Bundle JSON, sorted transcript bytes and peak in-flight under seeded delays."""
+    def run_jittered(self, doc, entries: list[dict], cik: int, fy: int,
+                     seed: int | None) -> tuple[str, str, int]:
+        """Bundle JSON, sorted transcript text and peak in-flight under seeded delays."""
         lock = threading.Lock()
         active = peak = 0
 
@@ -493,12 +494,9 @@ class TestScheduling:
         gateway = Gateway(ScriptedBackend(ScriptStore.from_entries(entries), delay_fn=jitter),
                           max_in_flight=5)
         bundle = ExtractionPipeline(gateway).run_pipeline(doc, cik, fy)
-        path = tmp_path / f"transcript_{cik}_{seed}.jsonl"
-        gateway.dump_transcript(path)
-        return json.dumps(bundle, default=encode, sort_keys=True), path.read_bytes(), peak
+        return json.dumps(bundle, default=encode, sort_keys=True), gateway.transcript_jsonl(), peak
 
-    def test_outputs_do_not_depend_on_completion_order(self, edgar_client, edgar_fixture,
-                                                       tmp_path):
+    def test_outputs_do_not_depend_on_completion_order(self, edgar_client, edgar_fixture):
         _, hashes = edgar_fixture
         adobe = fetch_doc(edgar_client, paperdata.ADOBE_CIK, paperdata.ADOBE_FY)
         stub = StubDoc(b"a nested filing with two flagged parents")
@@ -508,16 +506,15 @@ class TestScheduling:
             (stub, two_parent_script(stub.content_hash), 7, 2020),
         ]
         for doc, entries, cik, fy in filings:
-            reference, transcript, _ = self.run_jittered(doc, entries, cik, fy, None, tmp_path)
+            reference, transcript, _ = self.run_jittered(doc, entries, cik, fy, None)
             for seed in range(5):
-                got, got_transcript, peak = self.run_jittered(doc, entries, cik, fy, seed,
-                                                              tmp_path)
+                got, got_transcript, peak = self.run_jittered(doc, entries, cik, fy, seed)
                 assert got == reference, (cik, seed)
                 assert got_transcript == transcript, (cik, seed)
                 assert 1 < peak <= 5
 
         bundle = json.loads(reference)
-        ids = [json.loads(line)["request_id"] for line in transcript.decode().splitlines()]
+        ids = [json.loads(line)["request_id"] for line in transcript.splitlines()]
         # classify and the 17 general fields are 0001-0018 and the names
         # 0019; each retry is its original's id plus "-r".
         retried = [i for i in ids if i.endswith("-r")]
@@ -902,8 +899,9 @@ class TestSerialization:
 
     def test_dump_and_load(self, tmp_path):
         bundle = filingfab.intc_bundle(2012)
-        path = dump_bundle(bundle, tmp_path)
-        assert path.name == "50863_2012.bundle.json"
+        assert bundle_filename(bundle.cik, bundle.fiscal_year) == "50863_2012.bundle.json"
+        path = tmp_path / "50863_2012.bundle.json"
+        path.write_text(bundle_json(bundle), encoding="utf-8")
         assert load_bundle(path) == bundle
 
     def test_loaded_bundles_are_validated(self, tmp_path):

@@ -352,13 +352,13 @@ class TestGatewayAsk:
         assert [(r.file_hash, r.response) for r in gateway.transcript] == [
             (HASH_A, "ra"), (HASH_B, "rb")]
 
-    def test_dump_transcript_sorted_by_request_id(self, tmp_path):
+    def test_dump_transcript_sorted_by_request_id(self):
         gateway = Gateway(ScriptedBackend(store_with({"q1": "r1", "q2": "r2"})))
         gateway.ask(request_for("q2", "req-2"))
         gateway.ask(request_for("q1", "req-1"))
-        path = tmp_path / "out.jsonl"
-        gateway.dump_transcript(path)
-        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        text = gateway.transcript_jsonl()
+        assert text.endswith("\n")
+        records = [json.loads(line) for line in text.splitlines()]
         assert [(r["request_id"], r["response"]) for r in records] == [
             ("req-1", "r1"), ("req-2", "r2"),
         ]

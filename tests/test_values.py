@@ -176,3 +176,9 @@ class TestWriteAtomic:
         write_atomic(path, data)
         assert path.read_bytes() == expected
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_makes_missing_parent_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out"
+        write_atomic(path, "x\n")
+        assert path.read_bytes() == b"x\n"
+        assert list(path.parent.iterdir()) == [path]
