@@ -53,9 +53,8 @@ class GoldLabelSet:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "GoldLabelSet":
-        text = Path(path).read_text(encoding="utf-8")
-        try:
-            return cls.from_dict(json.loads(text))
+        try:  # ValueError: also bytes that are not UTF-8
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
         except (AttributeError, KeyError, SchemaError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: {type(exc).__name__}: {exc}") from exc
 

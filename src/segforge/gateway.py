@@ -88,15 +88,18 @@ class ScriptStore:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptStore":
         store = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = load(ScriptEntry, json.loads(line))
-                except (SchemaError, ValueError) as exc:  # ValueError: bad JSON
-                    raise SchemaError(f"{path}:{line_no}: {exc}") from exc
-                store.add(entry.file_hash, entry.question, entry.response)
+        try:
+            lines = Path(path).read_text(encoding="utf-8").split("\n")  # the lines a file iterates
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = load(ScriptEntry, json.loads(line))
+            except (SchemaError, ValueError) as exc:  # ValueError: bad JSON
+                raise SchemaError(f"{path}:{line_no}: {exc}") from exc
+            store.add(entry.file_hash, entry.question, entry.response)
         return store
 
     def add(self, file_hash: str, question: str, response: str) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from html import unescape
 
@@ -124,14 +123,6 @@ class _TextAssembler:
         self.break_para()
         return self._len + (2 if self._len else 0)
 
-    def tail(self, window: int = 500) -> str:
-        """The last ``window`` (> 0) characters, joining only the pieces they span."""
-        first, size = len(self._buf), 0
-        while first and size < window:
-            first -= 1
-            size += len(self._buf[first])
-        return "".join(self._buf[first:])[-window:]
-
     def finish(self) -> str:
         self._commit()
         text = "".join(self._buf)
@@ -168,8 +159,7 @@ class _RawCell:
 @dataclass
 class _TableFrame:
     char_start: int
-    caption_parts: list[str]
-    context: str
+    caption_parts: list[str] = field(default_factory=list)
     rows: list[list[_RawCell]] = field(default_factory=list)
     current_row: list[_RawCell] | None = None
     current_cell: _RawCell | None = None
@@ -190,14 +180,7 @@ class _HtmlExtractor:
             self._skip_depth += 1
             return
         if tag == "table":
-            start = self.assembler.mark()
-            self._frames.append(
-                _TableFrame(
-                    char_start=start,
-                    caption_parts=[],
-                    context=self.assembler.tail(),
-                )
-            )
+            self._frames.append(_TableFrame(self.assembler.mark()))
             return
         frame = self._frames[-1] if self._frames else None
         if frame is not None:
@@ -205,7 +188,7 @@ class _HtmlExtractor:
                 frame.in_caption = True
                 return
             if tag == "tr":
-                self._close_cell(frame)
+                self._close_row(frame)
                 frame.current_row = []
                 self.assembler.break_line()
                 return
@@ -230,10 +213,7 @@ class _HtmlExtractor:
             return
         if tag == "table" and self._frames:
             frame = self._frames.pop()
-            self._close_cell(frame)
-            if frame.current_row is not None:
-                frame.rows.append(frame.current_row)
-                frame.current_row = None
+            self._close_row(frame)
             self.raw_tables.append(frame)
             self.assembler.break_para()
             return
@@ -243,10 +223,7 @@ class _HtmlExtractor:
                 frame.in_caption = False
                 return
             if tag == "tr":
-                self._close_cell(frame)
-                if frame.current_row is not None:
-                    frame.rows.append(frame.current_row)
-                    frame.current_row = None
+                self._close_row(frame)
                 self.assembler.break_line()
                 return
             if tag in ("td", "th"):
@@ -274,6 +251,13 @@ class _HtmlExtractor:
         if frame.current_cell is not None and frame.current_row is not None:
             frame.current_row.append(frame.current_cell)
         frame.current_cell = None
+
+    @classmethod
+    def _close_row(cls, frame: _TableFrame) -> None:
+        cls._close_cell(frame)
+        if frame.current_row is not None:
+            frame.rows.append(frame.current_row)
+        frame.current_row = None
 
 
 def _colspan(attrs) -> int:
@@ -455,11 +439,16 @@ def _marked_section(raw: str, i: int) -> int:
     return match.end() if match else -1
 
 
-
 _SCALE_HINT_RE = re.compile(r"in\s+(millions|thousands|billions)", re.IGNORECASE)
 
 
-def _normalize_table(frame: _TableFrame, table_id: str, assembler_caption_fallback: str) -> NormalizedTable | None:
+def _normalize_table(frame: _TableFrame, table_id: str, full_text: str) -> NormalizedTable | None:
+    """``frame``'s rows as a table; a missing caption or scale is read before it.
+
+    The caption is then the last non-empty line in the 400 characters before
+    the table; the scale, in the 500 before the paragraph break that ends two
+    characters before the table.
+    """
     rows: list[tuple[list[str], bool]] = []
     for raw_row in frame.rows:
         cells: list[str] = []
@@ -494,8 +483,11 @@ def _normalize_table(frame: _TableFrame, table_id: str, assembler_caption_fallba
     header_rows = [cells for cells, _ in rows[:header_count]]
     body_rows = [cells for cells, _ in rows[header_count:]]
 
-    caption = " ".join("".join(frame.caption_parts).split()) or assembler_caption_fallback
-    hint = _SCALE_HINT_RE.search(caption) or _SCALE_HINT_RE.search(frame.context)
+    start = frame.char_start
+    before = [line.strip() for line in full_text[max(0, start - 400):start].splitlines()]
+    caption = " ".join("".join(frame.caption_parts).split()) or next(filter(None, reversed(before)), "")
+    context = full_text[max(0, start - 502):max(0, start - 2)]
+    hint = _SCALE_HINT_RE.search(caption) or _SCALE_HINT_RE.search(context)
     scale = Scale(hint.group(1).lower()) if hint else Scale.UNITS
 
     has_numbers = any(parse_table_cell(cell) is not None for cells in body_rows for cell in cells)
@@ -504,7 +496,7 @@ def _normalize_table(frame: _TableFrame, table_id: str, assembler_caption_fallba
         caption_text=caption,
         header_rows=header_rows,
         body_rows=body_rows,
-        char_start=frame.char_start,
+        char_start=start,
         scale=scale,
         scale_assumed=hint is None and has_numbers,
     )
@@ -543,7 +535,7 @@ def parse_text(raw: str, media_kind: str = "html", ref: FilingRef | None = None)
         full_text = extractor.assembler.finish()
         raw_tables = sorted(extractor.raw_tables, key=lambda f: f.char_start)
         for i, frame in enumerate(raw_tables):
-            normalized = _normalize_table(frame, f"t{i:03d}", _caption_before(full_text, frame.char_start))
+            normalized = _normalize_table(frame, f"t{i:03d}", full_text)
             if normalized is not None:
                 tables.append(normalized)
     else:
@@ -577,13 +569,6 @@ def _decode(data: bytes) -> str:
         except UnicodeDecodeError:
             continue
     return data.decode("latin-1")  # decodes any bytes
-
-
-def _caption_before(full_text: str, pos: int, window: int = 400) -> str:
-    for line in reversed(full_text[max(0, pos - window):pos].splitlines()):
-        if line.strip():
-            return line.strip()
-    return ""
 
 
 def _containing_item(items: dict[str, Section], pos: int) -> str:
@@ -647,14 +632,12 @@ def _drop_toc_cluster(candidates: list[tuple[str, int]]) -> list[tuple[str, int]
         else:
             groups.append([i])
     drop: set[int] = set()
-    for group in groups:
-        if len(group) < _TOC_MIN_ENTRIES:
-            continue
+    later: set[str] = set()  # the numbers of every heading after the group
+    for group in reversed(groups):
         numbers = {candidates[i][0] for i in group}
-        last = max(candidates[i][1] for i in group)
-        seen_later = {n for n, off in candidates if off > last and n in numbers}
-        if len(seen_later) * 2 >= len(numbers):
+        if len(group) >= _TOC_MIN_ENTRIES and len(numbers & later) * 2 >= len(numbers):
             drop.update(group)
+        later |= numbers
     return [c for i, c in enumerate(candidates) if i not in drop]
 
 
@@ -665,20 +648,17 @@ def _ascending_chain(candidates: list[tuple[str, int]]) -> list[tuple[str, int]]
     accepted item cannot extend the chain, and the longest-chain criterion
     routes around isolated out-of-order mentions.
     """
-    n = len(candidates)
-    if n == 0:
-        return []
-    positions = [_CATALOG_POS[number] for number, _ in candidates]
-    best = [1] * n
-    prev = [-1] * n
-    for i in range(n):
-        for j in range(i):
-            if positions[j] < positions[i] and best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-                prev[i] = j
-    target = max(best)
-    end = min(i for i in range(n) if best[i] == target)
+    # Per catalog position, (length, -index) of the longest chain ending there so
+    # far, earliest index first; (0, 1) stands for none, whose index is -1.
+    best = [(0, 1)] * len(_ITEM_SEQ)
+    prev: list[int] = []
+    for i, (number, _) in enumerate(candidates):
+        p = _CATALOG_POS[number]
+        length, neg_j = max(best[:p], default=(0, 1))
+        prev.append(-neg_j)
+        best[p] = max(best[p], (length + 1, -i))
     chain = []
+    end = -max(best)[1]
     while end != -1:
         chain.append(candidates[end])
         end = prev[end]
@@ -714,20 +694,13 @@ def locate_segment_regions(parsed: ParsedFiling) -> list[SegmentRegion]:
     """
     regions: list[SegmentRegion] = []
     for section in parsed.sections():
-        hits = _signal_hits(section.text)
-        if not hits:
-            continue
-        cluster: list[tuple[int, int, float]] = []
-        for hit in hits:
-            if cluster and hit[0] - cluster[-1][1] > _CLUSTER_GAP:
-                region = _close_cluster(cluster, section)
-                if region:
-                    regions.append(region)
-                cluster = []
-            cluster.append(hit)
-        region = _close_cluster(cluster, section)
-        if region:
-            regions.append(region)
+        clusters: list[list[tuple[int, int, float]]] = []
+        for hit in _signal_hits(section.text):
+            if clusters and hit[0] - clusters[-1][-1][1] <= _CLUSTER_GAP:
+                clusters[-1].append(hit)
+            else:
+                clusters.append([hit])
+        regions += filter(None, (_close_cluster(cluster, section) for cluster in clusters))
     regions.sort(key=lambda r: (-r.confidence, r.start))
     return regions
 
@@ -735,20 +708,23 @@ def locate_segment_regions(parsed: ParsedFiling) -> list[SegmentRegion]:
 def _signal_hits(text: str) -> list[tuple[int, int, float]]:
     """Sorted, disjoint ``(start, end, weight)`` matches; earlier ``_SIGNALS`` win.
 
-    A match that overlaps an accepted span is dropped. Accepted spans are
-    disjoint, so only the one starting last before the match's end can overlap it.
+    A match that overlaps an accepted span is dropped. Each pattern's matches
+    come sorted and disjoint, so they are merged into the accepted spans in one
+    pass: only the span starting last before a match's end can overlap it.
     """
     folded = _fold_case(text)
-    starts: list[int] = []
     taken: list[tuple[int, int, float]] = []
     for pattern, weight in _SIGNALS:
+        merged: list[tuple[int, int, float]] = []
+        k = 0
         for match in pattern.finditer(folded):
             start, end = match.span()
-            i = bisect_left(starts, end)
-            if i and taken[i - 1][1] > start:
-                continue
-            starts.insert(i, start)
-            taken.insert(i, (start, end, weight))
+            while k < len(taken) and taken[k][0] < end:
+                merged.append(taken[k])
+                k += 1
+            if not merged or merged[-1][1] <= start:
+                merged.append((start, end, weight))
+        taken = merged + taken[k:]
     return taken
 
 
@@ -757,8 +733,6 @@ def _fold_case(text: str) -> str:
 
 
 def _close_cluster(cluster: list[tuple[int, int, float]], section: Section) -> SegmentRegion | None:
-    if not cluster:
-        return None
     weight = sum(w for _, _, w in cluster)
     if weight < _MIN_CLUSTER_WEIGHT:
         return None

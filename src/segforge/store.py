@@ -50,15 +50,18 @@ class FundamentalsRoster:
     @classmethod
     def from_csv(cls, path: str | Path) -> "FundamentalsRoster":
         rows: set[PanelKey] = set()
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"cik", "fiscal_year"} <= set(reader.fieldnames):
-                raise SchemaError(f"{path}: roster needs 'cik' and 'fiscal_year' columns")
-            for line in reader:
-                try:
-                    rows.add((int(line["cik"]), int(line["fiscal_year"])))
-                except (TypeError, ValueError) as exc:  # TypeError: a short row's None
-                    raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        if reader.fieldnames is None or not {"cik", "fiscal_year"} <= set(reader.fieldnames):
+            raise SchemaError(f"{path}: roster needs 'cik' and 'fiscal_year' columns")
+        for line in reader:
+            try:
+                rows.add((int(line["cik"]), int(line["fiscal_year"])))
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's None
+                raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
         return cls(rows=rows)
 
 

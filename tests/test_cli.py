@@ -371,6 +371,7 @@ class TestUnreadableInput:
                       "--from", "2012", "--to", "2013"],
             "eval": ["eval", "--gold", str(path)],
             "index": ["index", "--corpus", str(path)],
+            "extract": ["extract", "--cik", str(paperdata.AVY_CIK), "--year", "2022"],
         }[command]
 
     def fails(self, capsys, argv, run_dir, error: str, path) -> None:
@@ -395,16 +396,28 @@ class TestUnreadableInput:
                    "FileNotFoundError", path)
 
     @pytest.mark.parametrize("command,content,where", [
-        ("gaps", "cik,fiscal_year\n1,2012\nabc,2013\n", ":3: "),
-        ("eval", '{"filings": [{"cik": 1}]}', ": SchemaError: bad list[GoldFiling]: "),
-        ("eval", "not json", ": JSONDecodeError: "),
-    ], ids=["roster_cik", "gold_missing_key", "gold_not_json"])
+        ("gaps", b"cik,fiscal_year\n1,2012\nabc,2013\n", ":3: "),
+        ("eval", b'{"filings": [{"cik": 1}]}', ": SchemaError: bad list[GoldFiling]: "),
+        ("eval", b"not json", ": JSONDecodeError: "),
+        ("gaps", b"cik,fiscal_year\n1,2012\n\xff,2013\n", ": 'utf-8' codec can't decode byte 0xff"),
+        ("eval", b'{"group_id": "\xff"}', ": UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["roster_cik", "gold_missing_key", "gold_not_json", "roster_not_utf8", "gold_not_utf8"])
     def test_bad_roster_or_gold_exits_1(self, capsys, base, run_dir, tmp_path, command,
                                         content, where):
         path = tmp_path / "input"
-        path.write_text(content, encoding="utf-8")
+        path.write_bytes(content)
         self.fails(capsys, [*self.argv(command, path), *base], run_dir, "SchemaError",
                    f"{path}{where}")
+
+    @pytest.mark.parametrize("command", ["extract", "changes"])
+    def test_script_not_utf8_exits_1(self, capsys, base, run_dir, tmp_path, monkeypatch,
+                                     avy_index_dir, command):
+        """``llm.script_path`` is read before any filing or index."""
+        path = tmp_path / "script.jsonl"
+        path.write_bytes(b'{"file_hash": "\xff"}\n')
+        monkeypatch.setenv(env_var_name("llm.script_path"), str(path))
+        self.fails(capsys, [*self.argv(command, avy_index_dir), *base], run_dir, "SchemaError",
+                   f"{path}: 'utf-8' codec can't decode byte 0xff")
 
     @pytest.mark.parametrize("content", [
         "not json",

@@ -263,6 +263,11 @@ class TestTableNormalization:
         assert [t.table_id for t in tables] == ["t000", "t001"]
         assert tables[0].char_start < tables[1].char_start
 
+    def test_unclosed_rows_are_kept(self):
+        # HTML 4 makes </tr> optional: a new <tr> closes the open row.
+        table = parse_text("<table><tr><td>A<td>1<tr><td>B<td>2</table>").tables[0]
+        assert (table.header_rows, table.body_rows) == ([], [["A", "1"], ["B", "2"]])
+
     def test_table_text_flows_into_full_text(self):
         html = "<p>Lead.</p><table><tr><td>Alpha</td><td>1,000</td></tr></table>"
         parsed = parse_text(html)
@@ -770,23 +775,190 @@ class TestSignalSweep:
             assert getattr(rebuilt, field) == getattr(index, field), field
 
 
-_ASSEMBLER_OPS = st.lists(
-    st.one_of(
-        st.text(alphabet="ab \n\t", max_size=12).map(lambda t: ("add_text", t)),
-        st.just(("break_line",)),
-        st.just(("break_para",)),
-    ),
-    max_size=60,
-)
+def reference_ascending_chain(candidates: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    """The original O(n²) longest catalog-ascending subsequence, earliest offsets first.
+
+    Each candidate extends the first of the longest chains before it whose
+    last item precedes it in the catalog; the chain ends at the first
+    candidate of greatest length. It is the oracle for ``parsing._ascending_chain``.
+    """
+    n = len(candidates)
+    if n == 0:
+        return []
+    positions = [parsing._CATALOG_POS[number] for number, _ in candidates]
+    best = [1] * n
+    prev = [-1] * n
+    for i in range(n):
+        for j in range(i):
+            if positions[j] < positions[i] and best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+                prev[i] = j
+    target = max(best)
+    end = min(i for i in range(n) if best[i] == target)
+    chain = []
+    while end != -1:
+        chain.append(candidates[end])
+        end = prev[end]
+    return chain[::-1]
 
 
-class TestTextAssemblerTail:
+def reference_drop_toc_cluster(candidates: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    """The original scan: each packed group looks for its numbers among all later headings.
+
+    The oracle for ``parsing._drop_toc_cluster``, which walks the groups
+    backwards instead.
+    """
+    if len(candidates) < parsing._TOC_MIN_ENTRIES:
+        return candidates
+    groups: list[list[int]] = [[0]]
+    for i in range(1, len(candidates)):
+        if candidates[i][1] - candidates[i - 1][1] <= parsing._TOC_GAP:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    drop: set[int] = set()
+    for group in groups:
+        if len(group) < parsing._TOC_MIN_ENTRIES:
+            continue
+        numbers = {candidates[i][0] for i in group}
+        last = max(candidates[i][1] for i in group)
+        seen_later = {n for n, off in candidates if off > last and n in numbers}
+        if len(seen_later) * 2 >= len(numbers):
+            drop.update(group)
+    return [c for i, c in enumerate(candidates) if i not in drop]
+
+
+_NUMBERS = [number for _, number in parsing._ITEM_SEQ]
+
+
+@st.composite
+def _heading_candidates(draw) -> list[tuple[str, int]]:
+    """Heading candidates in document order, drawn from a few items so that
+    repeats, out-of-order mentions and equally long chains are common, with
+    gaps around the table-of-contents spacing."""
+    numbers = draw(st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=8, unique=True))
+    items = draw(st.lists(st.sampled_from(numbers), max_size=60))
+    gaps = draw(st.lists(st.sampled_from([1, 40, 299, 300, 301, 2000]),
+                         min_size=len(items), max_size=len(items)))
+    offsets = [sum(gaps[:i + 1]) for i in range(len(items))]
+    return list(zip(items, offsets))
+
+
+class TestHeadingScans:
     @settings(max_examples=200, deadline=None)
-    @given(_ASSEMBLER_OPS, st.integers(min_value=1, max_value=120))
-    @example([], 500)
-    def test_tail_is_suffix_of_joined_buffer(self, ops, window):
-        assembler = parsing._TextAssembler()
-        assert assembler.tail(window) == ""
-        for name, *args in ops:
-            getattr(assembler, name)(*args)
-            assert assembler.tail(window) == "".join(assembler._buf)[-window:]
+    @given(_heading_candidates())
+    @example([])
+    @example([("7", 1), ("7", 2), ("8", 3)])  # a repeat: the first one anchors
+    @example([("8", 1), ("1", 2), ("7", 3), ("1A", 4)])  # ties: the earliest chain wins
+    @example([("1", 1), ("9", 2), ("7", 3), ("8", 4), ("2", 5)])  # stray mentions
+    def test_ascending_chain_equals_reference(self, candidates):
+        assert parsing._ascending_chain(candidates) == reference_ascending_chain(candidates)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_heading_candidates())
+    @example([(n, i) for i, n in enumerate(["1", "1A", "7", "8", "9"] * 2)])
+    def test_drop_toc_cluster_equals_reference(self, candidates):
+        assert parsing._drop_toc_cluster(candidates) == reference_drop_toc_cluster(candidates)
+
+
+def _growth(make, run) -> float:
+    """CPU time of ``run(make(8 * n))`` over ``run(make(n))``, best of 3 each,
+    with n doubled until ``run(make(n))`` takes at least 10 ms.
+
+    Linear work grows about 8x and quadratic work about 64x.
+    """
+    def best(data) -> float:
+        times = []
+        for _ in range(3):
+            started = time.process_time()
+            run(data)
+            times.append(time.process_time() - started)
+        return min(times)
+
+    n = 64
+    while (small := best(make(n))) < 0.010:
+        n *= 2
+    return best(make(8 * n)) / small
+
+
+_PAGE = "<p>{}</p><p>" + "Liquidity and capital resources are discussed by quarter. " * 6 + "</p>"
+
+
+class TestLinearGrowth:
+    """Parsing time grows with the filing, not with the square of its headings or signals."""
+
+    @pytest.mark.parametrize("page", [
+        # A running page header repeats one heading on every page.
+        lambda i: _PAGE.format("Item 7. Management's Discussion and Analysis"),
+        # Packed runs of headings, each like a table of contents.
+        lambda i: _PAGE.format("</p><p>".join(f"Item {n}. Title" for n in ("1", "1A", "2", "3", "7"))),
+    ], ids=["page_headers", "packed_headings"])
+    def test_headings(self, page):
+        text = "<p>Item 1. Business</p><p>Overview.</p>"
+        assert _growth(lambda n: text + "".join(page(i) for i in range(n)), parse_text) < 20
+
+    def test_signals(self):
+        phrase = "Our reportable segments follow ASC 280; see segment information. "
+        assert _growth(lambda n: phrase * n, parsing._signal_hits) < 20
+
+
+_TABLE = "<table><tr><td>Revenue</td><td>12</td></tr></table>"
+_CAPTIONED = "<table><caption>Revenue by segment</caption><tr><td>Revenue</td><td>12</td></tr></table>"
+
+
+class TestTableContext:
+    """A table's caption and scale come from its caption element, else from the
+    text before it: the caption from the last non-empty line in the 400
+    characters before the table, the scale from the 500 characters before the
+    paragraph break that precedes the table."""
+
+    def test_caption_element_scale_wins_over_the_text_before(self):
+        html = ("<p>All amounts in millions.</p>"
+                "<table><caption>Revenue in thousands</caption><tr><td>A</td><td>1</td></tr></table>")
+        table = parse_text(html).tables[0]
+        assert (table.caption_text, table.scale) == ("Revenue in thousands", Scale.THOUSANDS)
+
+    def test_scale_from_the_text_before_the_caption_line(self):
+        html = f"<p>Dollars in billions.</p><p>{'Narrative. ' * 20}</p>{_CAPTIONED}"
+        table = parse_text(html).tables[0]
+        assert (table.caption_text, table.scale, table.scale_assumed) == (
+            "Revenue by segment", Scale.BILLIONS, False)
+
+    @pytest.mark.parametrize("before, scale", [
+        ("y" * 600 + " in millions", Scale.MILLIONS),  # the hint ends at the break
+        (("in millions " + "y" * 500)[:500], Scale.MILLIONS),  # it starts 500 characters back
+        (("in millions " + "y" * 500)[:501], Scale.UNITS),  # it starts 501 characters back
+    ], ids=["ends_at_break", "starts_500_back", "starts_501_back"])
+    def test_scale_window_edges(self, before, scale):
+        parsed = parse_text(f"<p>{before}</p>{_CAPTIONED}")
+        table = parsed.tables[0]
+        assert parsed.full_text[:table.char_start] == before + "\n\n"
+        assert (table.scale, table.scale_assumed) == (scale, scale is Scale.UNITS)
+
+    @pytest.mark.parametrize("html, caption", [
+        ("<p>Intro.</p><p>Amounts by region</p>", "Amounts by region"),
+        ("<p>Intro.</p><p>Amounts by region<br>  </p>", "Amounts by region"),
+        (f"<p>Title</p><p>{'x' * 450}</p>", "x" * 398),  # the line runs past the window
+        ("", ""),
+    ], ids=["last_line", "blank_line_skipped", "window_of_400", "table_first"])
+    def test_missing_caption_is_the_last_line_before_the_table(self, html, caption):
+        assert parse_text(html + _TABLE).tables[0].caption_text == caption
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["in", "millions", "thousands", "x" * 37, "y", "<br>"]),
+                             max_size=30).map(" ".join), max_size=6),
+           st.booleans())
+    def test_context_is_the_text_before_the_table(self, paragraphs, captioned):
+        """The caption and scale equal those read from the parsed text of the
+        HTML before the table alone, the table's paragraph break added."""
+        before = "".join(f"<p>{p}</p>" for p in paragraphs)
+        table = parse_text(before + (_CAPTIONED if captioned else _TABLE) + "<p>end</p>").tables[0]
+        try:
+            text = parse_text(before).full_text[:-1] + "\n\n"
+        except EmptyDocumentError:
+            text = ""
+        lines = [line.strip() for line in text[-400:].splitlines() if line.strip()]
+        caption = "Revenue by segment" if captioned else (lines[-1] if lines else "")
+        hint = parsing._SCALE_HINT_RE.search(caption) or parsing._SCALE_HINT_RE.search(text[:-2][-500:])
+        assert table.caption_text == caption
+        assert table.scale == (Scale(hint.group(1).lower()) if hint else Scale.UNITS)
