@@ -389,9 +389,9 @@ class EdgarClient:
         if not (doc_path.exists() and meta_path.exists()):
             return None
         try:
-            cached = load(CachedDocument, {**json.loads(meta_path.read_text()), "path": str(doc_path)})
+            cached = load(CachedDocument, {**read(dict, meta_path), "path": str(doc_path)})
             data = doc_path.read_bytes()
-        except (OSError, json.JSONDecodeError, TypeError, SchemaError):
+        except (OSError, SchemaError):
             return None
         if hashlib.sha256(data).hexdigest() != cached.content_hash:
             logger.warning("cache hash mismatch for %s; refetching", ref.accession_number)

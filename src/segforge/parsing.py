@@ -279,25 +279,6 @@ def _colspan(attrs) -> int:
 # CPython releases changed how HTMLParser ends a document, a comment and a
 # script, so the parsed text is segforge's own, not the running Python's.
 
-# Every part after the tag name is optional, so this match never fails and
-# never backtracks: whether the tag is whole is decided by the character after
-# the match. A pattern that must also reach ">" after the attribute run
-# backtracks exponentially in the attribute count on an unterminated tag.
-_START_TAG = re.compile(r"""
-  <([a-zA-Z][^\t\n\r\f />\x00]*)     # tag name
-  (?:[\s/]*                          # optional whitespace before attribute name
-    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
-      (?:\s*=+\s*                    # value indicator
-        (?:'[^']*'                   # LITA-enclosed value
-          |"[^"]*"                   # LIT-enclosed value
-          |(?!['"])[^>\s]*           # bare value
-         )
-        \s*                          # possibly followed by a space
-       )?(?:\s|/(?!>))*
-     )*
-   )?
-  \s*                                # trailing whitespace
-""", re.VERBOSE)
 _NAME_RUN = re.compile(r"<[a-zA-Z][^\t\n\r\f />\x00]*")
 _TAG_NAME = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
 _ATTR = re.compile(r"""((?<=['"\s/])[^\s/>][^\s/=>]*)(\s*=+\s*('[^']*'|"[^"]*"|(?!['"])[^>\s]*))?(?:\s|/(?!>))*""")
@@ -318,14 +299,16 @@ _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 def _tokenize(raw: str, sink: _HtmlExtractor) -> None:
     """Send ``raw``'s start, start-end, end and data events to ``sink``.
 
-    Attributes are parsed only for ``_ATTR_TAGS`` and for tags that may end
-    in ``/>``; other tags get an empty list. No tag can end after the last
-    ">", so ``_text_tail`` sends the rest from there; before it, every search
-    for ">" finds one.
+    Attributes are read only for ``_ATTR_TAGS``; other tags get an empty
+    list. No tag can end after the last ">", so ``_text_tail`` sends the rest
+    from there; before it, every search for ">" finds one. ``ends`` and
+    ``missing`` keep where searches found no end, so none is made twice.
     """
     data = sink.handle_data
     i, n = 0, len(raw)
     last_gt = raw.rfind(">")
+    ends: dict[int, int] = {}
+    missing: dict[re.Pattern, int] = {}
     while i < n:
         j = raw.find("<", i)
         if j < 0:
@@ -340,17 +323,16 @@ def _tokenize(raw: str, sink: _HtmlExtractor) -> None:
         i = j
         after = raw[i + 1:i + 2]
         if after in _LETTERS:
-            k = _start_tag(raw, i, sink)
+            k = _start_tag(raw, i, sink, ends)
         elif after == "/":  # "</>" and "</" before a non-letter send nothing
             match = _END_TAG.match(raw, i) or _TAG_NAME.match(raw, i + 2)
             if match:
                 sink.handle_endtag(match.group(1).lower())
             k = raw.find(">", i + 1) + 1
         elif raw.startswith("<!--", i):
-            match = _COMMENT_END.search(raw, i + 4)
-            k = match.end() if match else -1
+            k = _search_end(_COMMENT_END, raw, i + 4, missing)
         elif raw.startswith("<![", i):
-            k = _marked_section(raw, i)
+            k = _marked_section(raw, i, missing)
         elif after in ("!", "?"):
             k = raw.find(">", i + 2) + 1
         else:
@@ -381,38 +363,43 @@ def _text_tail(raw: str, i: int, data) -> None:
         data(unescape(raw[i:]))
 
 
-def _start_tag(raw: str, i: int, sink: _HtmlExtractor) -> int:
-    match = _START_TAG.match(raw, i)
-    j = match.end()
-    after = raw[j:j + 1]
-    if after == ">":
+def _start_tag(raw: str, i: int, sink: _HtmlExtractor, ends: dict[int, int]) -> int:
+    """Send the start tag at ``raw[i]``: one ``_ATTR`` match per attribute finds
+    its end. Returns that end, -1, or the end of the text sent instead.
+
+    A walk from an attribute start depends on that start alone, so ``ends``
+    maps the starts of a walk that found no tag end to where it stopped.
+    """
+    head = _TAG_NAME.match(raw, i + 1)
+    j = head.end()
+    matches = []
+    while j not in ends and (attr := _ATTR.match(raw, j)):
+        matches.append(attr)
+        j = attr.end()
+    j = ends.get(j, j)
+    if raw.startswith(">", j):
         end = j + 1
     elif raw.startswith("/>", j):
         end = j + 2
-    elif after in ("", "/", "=") or after in _LETTERS:
-        return -1
     else:
+        ends.update((m.start(), j) for m in matches)
+        after = raw[j:j + 1]
+        if after in ("", "=") or after in _LETTERS:
+            return -1
         sink.handle_data(raw[i:j])
         return j
-    tag = match.group(1).lower()
+    tag = head.group(1).lower()
     attrs: list[tuple[str, str | None]] = []
-    if tag in _ATTR_TAGS or raw[end - 2] == "/":
-        k = _TAG_NAME.match(raw, i + 1).end()
-        while k < end and (attr := _ATTR.match(raw, k)):
-            name, rest, value = attr.group(1, 2, 3)
-            if not rest:
-                value = None
-            elif value[:1] == value[-1:] and value[:1] in ("'", '"'):
-                value = value[1:-1]
-            attrs.append((name.lower(), unescape(value) if value else value))
-            k = attr.end()
-        closing = raw[k:end].strip()
-        if closing not in (">", "/>"):
-            sink.handle_data(raw[i:end])
-            return end
-        if closing == "/>":
-            sink.handle_startendtag(tag, attrs)
-            return end
+    for attr in matches if tag in _ATTR_TAGS else ():
+        name, rest, value = attr.group(1, 2, 3)
+        if not rest:
+            value = None
+        elif value[:1] == value[-1:] and value[:1] in ("'", '"'):
+            value = value[1:-1]
+        attrs.append((name.lower(), unescape(value) if value else value))
+    if end == j + 2:
+        sink.handle_startendtag(tag, attrs)
+        return end
     sink.handle_starttag(tag, attrs)
     if tag not in _RAW_TEXT_END:
         return end
@@ -425,7 +412,7 @@ def _start_tag(raw: str, i: int, sink: _HtmlExtractor) -> int:
     return match.end()
 
 
-def _marked_section(raw: str, i: int) -> int:
+def _marked_section(raw: str, i: int, missing: dict[re.Pattern, int]) -> int:
     """``<![name ...]]>`` or ``<![if ...]>``; any other ``<![`` ends at ``>``.
 
     HTMLParser raises ``AssertionError`` on the other ``<![`` forms; here
@@ -435,8 +422,16 @@ def _marked_section(raw: str, i: int) -> int:
     close = name and _MARKED_END.get(name.group().strip().lower())
     if close is None:
         return raw.find(">", i + 2) + 1
-    match = close.search(raw, i + 3)
-    return match.end() if match else -1
+    return _search_end(close, raw, i + 3, missing)
+
+
+def _search_end(close: re.Pattern, raw: str, i: int, missing: dict[re.Pattern, int]) -> int:
+    """The end of ``close``'s first match from ``i``, or -1. ``missing`` keeps the
+    first start per pattern that found none, after which no search can find one."""
+    if i < missing.get(close, i + 1) and (match := close.search(raw, i)):
+        return match.end()
+    missing.setdefault(close, i)
+    return -1
 
 
 _SCALE_HINT_RE = re.compile(r"in\s+(millions|thousands|billions)", re.IGNORECASE)
@@ -509,7 +504,8 @@ _TAG_RE = re.compile(r"<[^>]*>")
 
 def _extract_sgml_text(text: str) -> str:
     assembler = _TextAssembler()
-    stripped = _TAG_RE.sub(" ", text)
+    cut = text.rfind(">") + 1  # no tag ends after the last ">"
+    stripped = _TAG_RE.sub(" ", text[:cut]) + text[cut:]
     for line in stripped.splitlines():
         if line.strip():
             assembler.add_text(line)

@@ -270,11 +270,12 @@ class TestFetch:
         assert doc2 == doc1
 
     @pytest.mark.parametrize("meta", [
-        '{"cik": 320193, "fiscal_year": 2024, "content_hash": "x"}',  # an older flat layout
-        '{"ref": {"cik": 320193}}',
-        "[]",
-        "{torn",
-    ], ids=["flat", "partial_ref", "list", "torn"])
+        b'{"cik": 320193, "fiscal_year": 2024, "content_hash": "x"}',  # an older flat layout
+        b'{"ref": {"cik": 320193}}',
+        b"[]",
+        b"{torn",
+        b'{"ref": "\xff"}',
+    ], ids=["flat", "partial_ref", "list", "torn", "not_utf8"])
     def test_unreadable_meta_refetches(self, edgar_fixture, tmp_path, meta):
         root, _ = edgar_fixture
         transport = CountingTransport(FixtureTransport(root))
@@ -282,7 +283,7 @@ class TestFetch:
         ref = client.resolve_filing(paperdata.APPLE_CIK, 2024)
         doc = client.fetch(ref)
         meta_path = doc.path.parent / "meta.json"
-        meta_path.write_text(meta, encoding="utf-8")
+        meta_path.write_bytes(meta)
         assert client.fetch(ref).content_hash == doc.content_hash
         assert transport.document_calls == 2
         assert json.loads(meta_path.read_text(encoding="utf-8"))["ref"]["cik"] == ref.cik

@@ -10,12 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 import time
 from decimal import Decimal
 from html.parser import HTMLParser
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import filingfab
@@ -580,6 +581,53 @@ _HTML = st.lists(
 ).map("".join)
 
 
+# The start-tag locator that ``parsing._start_tag``'s walk replaced. Every part
+# after the tag name is optional, so this match never fails and never
+# backtracks: whether the tag is whole is decided by the character after the
+# match. A pattern that must also reach ">" after the attribute run backtracks
+# exponentially in the attribute count on an unterminated tag.
+REFERENCE_START_TAG = re.compile(r"""
+  <([a-zA-Z][^\t\n\r\f />\x00]*)     # tag name
+  (?:[\s/]*                          # optional whitespace before attribute name
+    (?:(?<=['"\s/])[^\s/>][^\s/=>]*  # attribute name
+      (?:\s*=+\s*                    # value indicator
+        (?:'[^']*'                   # LITA-enclosed value
+          |"[^"]*"                   # LIT-enclosed value
+          |(?!['"])[^>\s]*           # bare value
+         )
+        \s*                          # possibly followed by a space
+       )?(?:\s|/(?!>))*
+     )*
+   )?
+  \s*                                # trailing whitespace
+""", re.VERBOSE)
+
+
+def reference_start_tag(raw: str, i: int) -> int:
+    """What ``_start_tag`` returns for the tag at ``raw[i]``, found by one match
+    of ``REFERENCE_START_TAG`` from ``i``: the tag's end, -1 for no tag, or the
+    end of the text sent instead. It reads to the end of an unterminated tag
+    from every "<" inside it, so it is quadratic where the walk is not."""
+    j = REFERENCE_START_TAG.match(raw, i).end()
+    after = raw[j:j + 1]
+    if after == ">":
+        return j + 1
+    if raw.startswith("/>", j):
+        return j + 2
+    if after in ("", "/", "=") or after in parsing._LETTERS:
+        return -1
+    return j
+
+
+# Pieces of unclosed, nested and misquoted constructs. There is no "s", so no
+# script or style element starts.
+_ADVERSARIAL = st.lists(st.sampled_from([
+    "<a", "<B", "<td", "<TH", "<p", "<br", "</", "</a", "<", ">", "/>", "/", "'", '"', "=", " ", "\t",
+    "\n", "\x00", "\x0b", "a", "Z", "9", "&amp;", "&#50;", "&", "<!--", "-->", "--!>", "-", "!", "<!",
+    "<?", "<![CDATA[", "<![if", "<![endif]>", "<![", "]]>", "]>", "]",
+]), max_size=40).map("".join)
+
+
 class TestTokenizer:
     @settings(max_examples=400, deadline=None)
     @given(_HTML)
@@ -629,6 +677,29 @@ class TestTokenizer:
         parsed = parse_text(html + "<p>end</p>" if closed else html)
         assert time.perf_counter() - started < 2.0
         assert parsed.full_text == ("end\n" if closed else " ".join(html.split()) + "\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(_ADVERSARIAL)
+    @example("<p>x" + "<a b='>' " * 3)
+    @example("<a b='x' c=\"y\"<td d=1 /")
+    def test_start_tag_equals_reference(self, raw):
+        """One walk per tag, run at every tag start in order with one shared
+        ``ends``, finds the ends that the whole-tag pattern finds."""
+        ends: dict[int, int] = {}
+        for match in re.finditer("<[a-zA-Z]", raw):
+            i = match.start()
+            assert parsing._start_tag(raw, i, _Events(), ends) == reference_start_tag(raw, i)
+
+    @pytest.mark.skipif(sys.version_info[:3] != (3, 11, 7),
+                        reason="later CPython releases end a document differently")
+    @settings(max_examples=400, deadline=None)
+    @given(_ADVERSARIAL)
+    def test_events_equal_html_parser_on_unclosed_constructs(self, raw):
+        try:
+            expected = _stdlib_events(raw)
+        except AssertionError:  # html.parser's "<![x]>"
+            assume(False)
+        assert _events(raw) == expected
 
 
 _HEADINGS = [f"Item {number}. Heading" for _, number in parsing._ITEM_SEQ]
@@ -900,6 +971,16 @@ class TestLinearGrowth:
     def test_signals(self):
         phrase = "Our reportable segments follow ASC 280; see segment information. "
         assert _growth(lambda n: phrase * n, parsing._signal_hits) < 20
+
+    @pytest.mark.parametrize("head, unit, media_kind", [
+        ("<p>x", "<a b='>' ", "html"),
+        ("<p>x", "<!-- a> ", "html"),
+        ("<p>x", "<![CDATA[ a> ", "html"),
+        ("ITEM 1. BUSINESS\n", "a < b\n", "sgml_text"),
+    ], ids=["start_tag", "comment", "marked_section", "sgml_text"])
+    def test_unterminated_constructs(self, head, unit, media_kind):
+        """Each "<" opens a construct that never ends: each is searched once."""
+        assert _growth(lambda n: head + unit * n, lambda raw: parse_text(raw, media_kind)) < 20
 
 
 _TABLE = "<table><tr><td>Revenue</td><td>12</td></tr></table>"
