@@ -667,12 +667,16 @@ def _ascending_chain(candidates: list[tuple[str, int]]) -> list[tuple[str, int]]
 # search for literal prefixes. The fold is exact: sre matches only İ, ı, ſ and
 # the Kelvin sign (which lower() maps) to ASCII letters, and only İ changes
 # length under lower(). The IGNORECASE originals are the oracle in the tests.
+# Every pattern starts with a literal, so the original ``(?:asc|topic)\s*280``
+# is two entries of one weight; no match of one overlaps a match of the other,
+# so the two accept the spans the one did.
 _SIGNALS: list[tuple[re.Pattern, float]] = [
     (re.compile(r"reportable\s+segments?"), 2.0),
     (re.compile(r"operating\s+segments?"), 1.5),
     (re.compile(r"segment\s+information"), 1.5),
     (re.compile(r"segment\s+reporting"), 1.5),
-    (re.compile(r"(?:asc|topic)\s*280"), 2.0),
+    (re.compile(r"asc\s*280"), 2.0),
+    (re.compile(r"topic\s*280"), 2.0),
     (re.compile(r"sfas\s*(?:no\.?\s*)?131"), 1.5),
     (re.compile(r"segments?"), 0.25),
 ]

@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import json
 import math
-import re
+from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, chain, groupby
 from operator import attrgetter
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
-from .parsing import FRONT_MATTER, ParsedFiling, locate_segment_regions
+from .parsing import FRONT_MATTER, ParsedFiling, SegmentRegion, locate_segment_regions
 from .values import encode, load, read, write_atomic
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Keeps the bytes of a-z and 0-9 and maps every other byte to a space.
+_SEPARATE = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 0x20 for b in range(256))
 
 K1 = 1.2  # term-frequency saturation
 B = 0.75  # weight of length normalization
@@ -40,7 +41,12 @@ MAX_CHARS = 1600
 
 
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.casefold())
+    """The runs of ``[a-z0-9]`` in the case-folded text, in order.
+
+    Every character outside ASCII becomes ``?`` and then, like any other
+    byte but a-z and 0-9, a space; the split then yields the runs.
+    """
+    return text.casefold().encode("ascii", "replace").translate(_SEPARATE).decode("ascii").split()
 
 
 @dataclass(frozen=True)
@@ -220,6 +226,10 @@ class ChunkIndex:
             if tf == 0:
                 continue
             df = self.doc_freq.get(token, 0)
+            if df == 0:
+                raise SchemaError(f"chunk {self._at(index).chunk_id} holds the term {token!r}, "
+                                  "which the index's document frequencies do not count; "
+                                  "run `segforge index` again to rebuild it")
             idf = math.log(1.0 + 1.0 / df)
             total += idf * (tf * (K1 + 1.0)) / (tf + K1 * norm)
         if total > 0.0 and self._at(index).is_segment_region:
@@ -281,7 +291,7 @@ def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
         if (cik, fy) in seen:  # their chunk ids and chunk files would collide
             raise SchemaError(f"build_index got two filings for cik {cik}, fiscal year {fy}")
         seen.add((cik, fy))
-        regions = locate_segment_regions(parsed)
+        in_region = _overlap_test(locate_segment_regions(parsed))
         seq = 0
         for section in parsed.sections():
             if not section.text.strip():
@@ -290,7 +300,6 @@ def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
             item = section.item.number if section.item else FRONT_MATTER
             for start, end in local:
                 g_start, g_end = section.start + start, section.start + end
-                in_region = any(r.start < g_end and r.end > g_start for r in regions)
                 chunks.append(
                     Chunk(
                         chunk_id=f"{cik}_{fy}_{seq:04d}",
@@ -299,15 +308,24 @@ def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
                         item=item,
                         char_range=(g_start, g_end),
                         text=section.text[start:end],
-                        is_segment_region=in_region,
+                        is_segment_region=in_region(g_start, g_end),
                     )
                 )
                 seq += 1
     index = ChunkIndex(chunks=chunks, doc_freq={})
-    for i in range(len(chunks)):
-        for term in index.terms(i)[0]:
-            index.doc_freq[term] = index.doc_freq.get(term, 0) + 1
+    index.doc_freq = dict(Counter(chain.from_iterable(index.terms(i)[0]
+                                                      for i in range(len(chunks)))))
     return index
+
+
+def _overlap_test(regions: list[SegmentRegion]) -> Callable[[int, int], bool]:
+    """``test(start, end)``, which is ``any(r.start < end and r.end > start
+    for r in regions)``: one bisection over the regions sorted by start."""
+    ordered = sorted((region.start, region.end) for region in regions)
+    starts = [start for start, _ in ordered]
+    # reach[j] is the furthest end among ordered[:j + 1].
+    reach = list(accumulate((end for _, end in ordered), max))
+    return lambda start, end: (k := bisect_left(starts, end)) > 0 and reach[k - 1] > start
 
 
 def _years(wanted) -> set | list | tuple:

@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -301,6 +302,24 @@ class TestUnreadableIndex:
         error = json.loads(err)
         assert error["error"] == "SchemaError"
         assert str(path) in error["message"]
+
+    def test_term_of_a_chunk_missing_from_doc_freq_exits_1(self, capsys, base, run_dir,
+                                                           tmp_path, avy_bundles, avy_index):
+        """An index.bin that does not count a term of a scored chunk fails the query,
+        naming the chunk and asking for a rebuild."""
+        write_panel(run_dir, [avy_bundles[y] for y in sorted(avy_bundles)])
+        save_index(avy_index, tmp_path / "index")
+        stats = tmp_path / "index" / "index.bin"
+        data = json.loads(stats.read_text(encoding="utf-8"))
+        del data["doc_freq"]["segments"]  # a term of CHANGE_CONTEXT_QUERY
+        stats.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = invoke(capsys, [*self.query("changes", tmp_path, tmp_path / "index"),
+                                         *base])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        assert re.search(rf"chunk {paperdata.AVY_CIK}_\d{{4}}_\d{{4}} holds the term "
+                         r"'segments'.*run `segforge index` again", error["message"])
 
     @pytest.mark.parametrize("command", ["changes", "align"])
     @pytest.mark.parametrize("name,content", [

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import filingfab
 import paperdata
+from growth import growth
 from segforge import parsing
 from segforge.edgar import EdgarClient, FixtureTransport
 from segforge.errors import EmptyDocumentError, NoItemsFoundError
@@ -932,26 +933,6 @@ class TestHeadingScans:
         assert parsing._drop_toc_cluster(candidates) == reference_drop_toc_cluster(candidates)
 
 
-def _growth(make, run) -> float:
-    """CPU time of ``run(make(8 * n))`` over ``run(make(n))``, best of 3 each,
-    with n doubled until ``run(make(n))`` takes at least 10 ms.
-
-    Linear work grows about 8x and quadratic work about 64x.
-    """
-    def best(data) -> float:
-        times = []
-        for _ in range(3):
-            started = time.process_time()
-            run(data)
-            times.append(time.process_time() - started)
-        return min(times)
-
-    n = 64
-    while (small := best(make(n))) < 0.010:
-        n *= 2
-    return best(make(8 * n)) / small
-
-
 _PAGE = "<p>{}</p><p>" + "Liquidity and capital resources are discussed by quarter. " * 6 + "</p>"
 
 
@@ -966,11 +947,11 @@ class TestLinearGrowth:
     ], ids=["page_headers", "packed_headings"])
     def test_headings(self, page):
         text = "<p>Item 1. Business</p><p>Overview.</p>"
-        assert _growth(lambda n: text + "".join(page(i) for i in range(n)), parse_text) < 20
+        assert growth(lambda n: text + "".join(page(i) for i in range(n)), parse_text) < 20
 
     def test_signals(self):
         phrase = "Our reportable segments follow ASC 280; see segment information. "
-        assert _growth(lambda n: phrase * n, parsing._signal_hits) < 20
+        assert growth(lambda n: phrase * n, parsing._signal_hits) < 20
 
     @pytest.mark.parametrize("head, unit, media_kind", [
         ("<p>x", "<a b='>' ", "html"),
@@ -980,7 +961,7 @@ class TestLinearGrowth:
     ], ids=["start_tag", "comment", "marked_section", "sgml_text"])
     def test_unterminated_constructs(self, head, unit, media_kind):
         """Each "<" opens a construct that never ends: each is searched once."""
-        assert _growth(lambda n: head + unit * n, lambda raw: parse_text(raw, media_kind)) < 20
+        assert growth(lambda n: head + unit * n, lambda raw: parse_text(raw, media_kind)) < 20
 
 
 _TABLE = "<table><tr><td>Revenue</td><td>12</td></tr></table>"

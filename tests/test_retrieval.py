@@ -20,11 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import filingfab
 import paperdata
+from growth import growth
 from segforge import retrieval
 from segforge.edgar import FilingRef
 from segforge.errors import BudgetTooSmallError, SchemaError
-from segforge.parsing import parse_text
+from segforge.parsing import ItemId, ParsedFiling, Section, SegmentRegion, parse_text
 from segforge.retrieval import (
     Chunk,
     ChunkIndex,
@@ -41,17 +43,18 @@ from segforge.values import encode
 
 DEFAULT_MIN = 800
 DEFAULT_MAX = 1600
+REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9]+")  # tokens are its matches in the case-folded text
 
 
 def reference_score(index: ChunkIndex, chunk_id: str, query: str) -> float:
     """Recompute one chunk's score straight from the documented formula."""
     position = [c.chunk_id for c in index.chunks].index(chunk_id)
     chunk = index.chunks[position]
-    counts = Counter(re.findall(r"[a-z0-9]+", chunk.text.casefold()))
+    counts = Counter(REFERENCE_TOKEN_RE.findall(chunk.text.casefold()))
     length = sum(counts.values())
     norm = 1.0 - 0.75 + 0.75 * (length / 200)
     total = 0.0
-    for token in sorted(set(re.findall(r"[a-z0-9]+", query.casefold()))):
+    for token in sorted(set(REFERENCE_TOKEN_RE.findall(query.casefold()))):
         tf = counts[token]
         if tf == 0:
             continue
@@ -160,6 +163,61 @@ class TestChunking:
         parsed = filing_with_ref("<p>Item 1. Business</p><p>text</p>", cik=1, year=2000)
         with pytest.raises(SchemaError, match="two filings for cik 1, fiscal year 2000"):
             build_index([parsed, parsed])
+
+
+class TestTokenize:
+    """``tokenize`` gives the matches of ``REFERENCE_TOKEN_RE`` in the case-folded text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text())
+    def test_equals_reference(self, text):
+        assert tokenize(text) == REFERENCE_TOKEN_RE.findall(text.casefold())
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("Straße", ["strasse"]),  # ß folds to ss
+        ("\ufb01nance", ["finance"]),  # the ligature ﬁ folds to fi
+        ("İstanbul", ["i", "stanbul"]),  # İ folds to i and a combining dot
+        ("\u017fegment", ["segment"]),  # long s
+        ("\u212a9", ["k9"]),  # Kelvin sign
+        ("\uff11 q\uff11", ["q"]),  # fullwidth digit one
+        ("m\u00b2 x2", ["m", "x2"]),  # superscript two
+        ("a\x00b", ["a", "b"]),
+        ("a\ud800b", ["a", "b"]),  # a lone surrogate
+    ], ids=["sharp_s", "fi_ligature", "dotted_i", "long_s", "kelvin", "fullwidth", "superscript",
+            "nul", "surrogate"])
+    def test_cases(self, text, tokens):
+        assert tokenize(text) == tokens == REFERENCE_TOKEN_RE.findall(text.casefold())
+
+    def test_every_code_point_between_two_letters(self):
+        text = "".join(f" x{chr(cp)}y" for cp in range(0x110000))
+        assert tokenize(text) == REFERENCE_TOKEN_RE.findall(text.casefold())
+
+
+class TestRegionFlags:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12),
+           st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12))
+    def test_overlap_test_equals_any(self, regions, spans):
+        """The bisection gives the pairwise test's answer, for any regions and spans."""
+        regions = [SegmentRegion(item=None, start=a, end=b, confidence=0.5) for a, b in regions]
+        in_region = retrieval._overlap_test(regions)
+        assert [in_region(start, end) for start, end in spans] == \
+            [any(r.start < end and r.end > start for r in regions) for start, end in spans]
+
+    def test_build_time_grows_linearly_with_regions(self):
+        """One region per paragraph: flagging a chunk costs no pass over its filing's
+        regions. The filler holds few tokens, so the flags' share of the build shows."""
+        paragraph = "Our reportable segments are described below. " + "- " * 760
+        ref = FilingRef(cik=1, fiscal_year=2020, accession_number="0000000001-20-000001",
+                        document_url="fixture", primary_document="doc.htm")
+
+        def make(n: int) -> ParsedFiling:
+            text = "\n\n".join([paragraph] * n)
+            return ParsedFiling(ref=ref, front_matter=Section(None, "", 0, 0),
+                                items={"7": Section(ItemId.of("7"), text, 0, len(text))},
+                                tables=[], char_count=len(text))
+
+        assert growth(make, lambda parsed: build_index([parsed]), n=1500) < 20
 
 
 @st.composite
@@ -429,6 +487,15 @@ class TestPersistence:
                 load_index(tmp_path)
             assert str(tmp_path / "index.meta.json") in str(caught.value)
 
+    def test_chunk_term_missing_from_doc_freq_asks_for_rebuild(self, tmp_path):
+        """A chunk file whose text holds a term index.bin does not count fails the
+        query that scores it, naming the chunk, instead of dividing by zero."""
+        save_index(build_index([filing_with_ref(filingfab.REGION_HTML, 31, 2020)]), tmp_path)
+        _rewrite(_add_to_text(" zzqq"))(tmp_path / "31_2020.chunks.json")
+        with pytest.raises(SchemaError, match=r"chunk 31_2020_0000 holds the term 'zzqq'.*"
+                                              r"run `segforge index` again"):
+            retrieve(load_index(tmp_path), "zzqq", 3)
+
 
 def passes(chunk: Chunk, metadata_filter: dict | None) -> bool:
     """The documented filter: each key it names must match; a year may be a collection."""
@@ -639,6 +706,13 @@ def _rewrite(change):
 def _next_year(chunks: list[dict]) -> list[dict]:
     chunks[-1]["fiscal_year"] += 1
     return chunks
+
+
+def _add_to_text(extra: str):
+    def change(chunks: list[dict]) -> list[dict]:
+        chunks[0]["text"] += extra
+        return chunks
+    return change
 
 
 def _no_text(chunks: list[dict]) -> list[dict]:
