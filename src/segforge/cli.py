@@ -289,10 +289,11 @@ def cmd_index(args) -> int:
     run = RunDir(args)
     index_dir = run.path("index")
     # iterdir, not glob: a missing corpus directory raises instead of indexing nothing.
-    filings = [read(ParsedFiling, p) for p in sorted(Path(args.corpus).iterdir()) if p.suffix == ".json"]
-    index = build_index(filings)
+    paths = [p for p in sorted(Path(args.corpus).iterdir()) if p.suffix == ".json"]
+    # A generator: the build holds one parsed filing at a time, not the corpus.
+    index = build_index(read(ParsedFiling, p) for p in paths)
     return run.publish(_json({
-        "filings": len(filings),
+        "filings": len(paths),
         "chunks": len(index),
         "index_dir": str(index_dir),
     }), *save_index(index, index_dir))

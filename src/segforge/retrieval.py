@@ -19,7 +19,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, groupby
 from operator import attrgetter
@@ -105,10 +105,13 @@ class ChunkIndex:
     maps each filing ``(cik, fiscal_year)`` to the range of its chunks'
     positions in one chunk list, plus the chunk files not read yet. The id
     ``f"{cik}_{fiscal_year}_{seq:04d}"`` names the ``seq``-th chunk of its
-    filing, so a filing's chunks must be consecutive. ``chunk_terms``/
-    ``chunk_len`` may be omitted: a chunk's entries are then derived from its
-    text when it is first scored. An index from ``load_index`` holds no chunk
-    at first and reads each filing's chunk file when a query first needs it.
+    filing, so a filing's chunks must be consecutive. Of the term
+    statistics, an index from ``build_index`` or ``load_index`` holds only the
+    document frequencies: ``chunk_terms``/``chunk_len`` start unset, and
+    ``terms`` derives a chunk's counts and length from its text when it is
+    first scored (a constructed index may pass them in). An index from
+    ``load_index`` holds no chunk at first and reads each filing's chunk file
+    when a query first needs it.
     """
 
     def __init__(self, chunks: list[Chunk], doc_freq: dict[str, int],
@@ -279,8 +282,14 @@ def _pack_spans(spans: list[tuple[int, int]], min_chars: int, max_chars: int) ->
     return out
 
 
-def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
-    """Chunk the filings and compute term statistics."""
+def build_index(filings: Iterable[ParsedFiling]) -> ChunkIndex:
+    """Chunk the filings, in the order given, and count each term's document frequency.
+
+    ``filings`` may be any iterable, such as a generator that reads one
+    filing at a time: each is chunked when it is drawn, and the index keeps
+    its chunks but not the filing. A chunk's term counts are not kept: as in
+    a loaded index, they are derived from its text when it is first scored.
+    """
     chunks: list[Chunk] = []
     seen: set[tuple[int, int]] = set()
     for parsed in filings:
@@ -312,10 +321,9 @@ def build_index(filings: list[ParsedFiling]) -> ChunkIndex:
                     )
                 )
                 seq += 1
-    index = ChunkIndex(chunks=chunks, doc_freq={})
-    index.doc_freq = dict(Counter(chain.from_iterable(index.terms(i)[0]
-                                                      for i in range(len(chunks)))))
-    return index
+    # dict.fromkeys, not set: a chunk's distinct terms in first-seen order keep doc_freq's order fixed.
+    return ChunkIndex(chunks=chunks, doc_freq=dict(Counter(chain.from_iterable(
+        dict.fromkeys(tokenize(chunk.text)) for chunk in chunks))))
 
 
 def _overlap_test(regions: list[SegmentRegion]) -> Callable[[int, int], bool]:
@@ -408,7 +416,7 @@ def save_index(index: ChunkIndex, directory: str | Path) -> list[Path]:
     frequencies over all filings. ``index.meta.json`` is the catalog: each
     filing's cik, fiscal year and chunk count, in build order. Per-chunk
     term counts are not stored: they are a function of the chunk text, and
-    a loaded index derives them when a chunk is first scored.
+    a built or loaded index derives them when a chunk is first scored.
 
     Each file is replaced atomically, the catalog last; chunk files the
     new catalog does not list are then removed.

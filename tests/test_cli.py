@@ -16,6 +16,7 @@ import os
 import re
 import shutil
 import subprocess
+import weakref
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,31 @@ class TestIndex:
         assert (code, json.loads(out)["chunks"]) == (0, 0)
         assert sorted(p.name for p in (run_dir / "index").iterdir()) == \
             ["index.bin", "index.meta.json"]
+
+    def test_index_holds_one_parsed_filing_at_a_time(self, capsys, base, run_dir, tmp_path,
+                                                     monkeypatch):
+        """The build draws each parsed file as it chunks it: while one is read,
+        only the one before it may still be alive."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for cik in range(101, 107):
+            parsed = filingfab.filing_with_ref(filingfab.REGION_HTML, cik, 2020)
+            (corpus / f"{cik}_2020.json").write_text(dump_json(parsed), encoding="utf-8")
+        alive: list[weakref.ref] = []
+        most = 0
+
+        def tracked(cls, path):
+            nonlocal most
+            value = read(cls, path)
+            if cls is ParsedFiling:
+                alive.append(weakref.ref(value))
+                most = max(most, sum(ref() is not None for ref in alive))
+            return value
+
+        monkeypatch.setattr(cli, "read", tracked)
+        code, out, _ = invoke(capsys, ["index", *base, "--corpus", str(corpus)])
+        assert (code, json.loads(out)["filings"], len(alive)) == (0, 6, 6)
+        assert most <= 2, most
 
     def test_malformed_parsed_file_exits_1(self, capsys, base, run_dir):
         invoke(capsys, ["parse", *base, "--cik", str(paperdata.AVY_CIK), "--year", "2022"])

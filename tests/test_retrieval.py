@@ -12,6 +12,8 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -53,17 +55,24 @@ def reference_score(index: ChunkIndex, chunk_id: str, query: str) -> float:
     counts = Counter(REFERENCE_TOKEN_RE.findall(chunk.text.casefold()))
     length = sum(counts.values())
     norm = 1.0 - 0.75 + 0.75 * (length / 200)
+    distinct = [set(REFERENCE_TOKEN_RE.findall(c.text.casefold())) for c in index.chunks]
     total = 0.0
     for token in sorted(set(REFERENCE_TOKEN_RE.findall(query.casefold()))):
         tf = counts[token]
         if tf == 0:
             continue
-        df = sum(1 for terms in index.chunk_terms if token in terms)
+        df = sum(1 for terms in distinct if token in terms)
         idf = math.log(1.0 + 1.0 / df)
         total += idf * (tf * (1.2 + 1.0)) / (tf + 1.2 * norm)
     if total > 0.0 and chunk.is_segment_region:
         total *= 1.5
     return total
+
+
+def reference_terms(text: str) -> tuple[dict[str, int], int]:
+    """A chunk's term counts and length, straight from the oracle tokenizer."""
+    tokens = REFERENCE_TOKEN_RE.findall(text.casefold())
+    return dict(Counter(tokens)), len(tokens)
 
 
 def filing_with_ref(html: str, cik: int = 999, year: int = 2020):
@@ -438,8 +447,10 @@ class TestPersistence:
         # index.bin keeps doc_freq only; each chunk's counts come from its text.
         stats = json.loads((avy_index_dir / "index.bin").read_text(encoding="utf-8"))
         assert set(stats) == {"doc_freq"}
-        for i in range(len(avy_index)):
-            assert loaded.terms(i) == (avy_index.chunk_terms[i], avy_index.chunk_len[i])
+        for i, chunk in enumerate(avy_index.chunks):
+            expected = reference_terms(chunk.text)
+            assert avy_index.terms(i) == expected
+            assert loaded.terms(i) == expected
 
     def test_loaded_index_scores_identically(self, avy_index, avy_index_dir):
         loaded = load_index(avy_index_dir)
@@ -462,10 +473,11 @@ class TestPersistence:
         raises SchemaError naming it; with an old single-file catalog beside it,
         the rebuild message comes first."""
         save_index(avy_index, tmp_path)
+        terms = [reference_terms(chunk.text) for chunk in avy_index.chunks]
         (tmp_path / "index.bin").write_text(json.dumps({
             "doc_freq": dict(sorted(avy_index.doc_freq.items())),
-            "chunk_terms": [dict(sorted(t.items())) for t in avy_index.chunk_terms],
-            "chunk_len": avy_index.chunk_len,
+            "chunk_terms": [dict(sorted(counts.items())) for counts, _ in terms],
+            "chunk_len": [length for _, length in terms],
         }, sort_keys=True), encoding="utf-8")
         with pytest.raises(SchemaError, match="chunk_len") as caught:
             load_index(tmp_path)
@@ -495,6 +507,42 @@ class TestPersistence:
         with pytest.raises(SchemaError, match=r"chunk 31_2020_0000 holds the term 'zzqq'.*"
                                               r"run `segforge index` again"):
             retrieve(load_index(tmp_path), "zzqq", 3)
+
+
+class TestBuildMemory:
+    """A built index keeps its chunks and document frequencies: no filing and
+    no per-chunk term counts."""
+
+    def test_built_index_retains_under_three_times_its_text(self, parsed_filings):
+        filings = [parsed_filings[name] for name in _FIXTURE_FILINGS]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = build_index(filings)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        text = sum(len(chunk.text) for chunk in index.chunks)
+        assert retained < 3 * text, (retained, text)
+
+    def test_generator_build_keeps_at_most_two_filings_alive(self):
+        """Each filing is made as the build draws it; while the next is drawn,
+        only the one being chunked may still be alive, and none outlives the build."""
+        alive: list[weakref.ref] = []
+        most = 0
+
+        def filings():
+            nonlocal most
+            for cik in range(101, 109):
+                parsed = filing_with_ref(filingfab.REGION_HTML, cik=cik, year=2020)
+                alive.append(weakref.ref(parsed))
+                most = max(most, sum(ref() is not None for ref in alive))
+                yield parsed
+
+        index = build_index(filings())
+        assert len(alive) == 8 and len({chunk.cik for chunk in index.chunks}) == 8
+        assert most <= 2, most
+        assert all(ref() is None for ref in alive)
 
 
 def passes(chunk: Chunk, metadata_filter: dict | None) -> bool:
@@ -605,6 +653,26 @@ class TestSavedIndexProperty:
                     assert retrieve(loaded, query, k, metadata_filter).hits == \
                         retrieve(built, query, k, metadata_filter).hits
                     assert loaded.chunks == built.chunks
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_streamed_build_and_loaded_terms_equal_built(self, parsed_filings, data):
+        """A build fed a generator equals one fed the list; a built index and the
+        same index saved and loaded derive the same term counts, and its document
+        frequencies count each chunk's distinct oracle tokens."""
+        names = data.draw(st.lists(st.sampled_from(_FIXTURE_FILINGS), min_size=1,
+                                   max_size=4, unique=True))
+        built = build_index([parsed_filings[name] for name in names])
+        streamed = build_index(parsed_filings[name] for name in names)
+        assert streamed.chunks == built.chunks
+        assert list(streamed.doc_freq.items()) == list(built.doc_freq.items())
+        assert built.doc_freq == Counter(term for chunk in built.chunks for term in
+                                         set(REFERENCE_TOKEN_RE.findall(chunk.text.casefold())))
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(built, tmp)
+            loaded = load_index(tmp)
+            assert [loaded.terms(i) for i in range(len(loaded))] == \
+                [built.terms(i) for i in range(len(built))]
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
