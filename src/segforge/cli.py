@@ -351,8 +351,7 @@ def cmd_eval(args) -> int:
         bundles = [load_bundle(p) for p in sorted(Path(args.bundles).iterdir())
                    if p.name.endswith(".bundle.json")]
     else:
-        store = run.store()
-        bundles = [store.get(cik, year) for cik, year in store.keys()]
+        bundles = run.store().bundles()
     report = score(gold, bundles)
     run.write(f"eval_{report.group_id}.json", _json(report_to_json(report)))
     return run.publish(render_table2([report]))

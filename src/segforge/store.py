@@ -14,6 +14,7 @@ import io
 import json
 import re
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,13 +29,19 @@ from .extraction import (
 from .values import encode, write_atomic
 
 PanelKey = tuple[int, int]  # (cik, fiscal_year)
+_CSV_CHUNK = 1 << 16  # export text handed to the file at a time
 
 # A panel row as ``put`` writes it: sorted keys put the key and revision
 # last. JSON escapes every quote and newline inside a string, so only the
 # row's own key can end a line this way. A line holds no newline, so DOTALL
-# changes no match; it lets ``.*`` jump straight to the line's end.
+# changes no match; it lets ``.*`` jump straight to the line's end. The open
+# matches it on each line and keeps where the winning row lies, not its bytes;
+# a row read back from there must match it again, with the key and revision
+# the open found (``SegmentStore._scanned``).
 _ROW = re.compile(rb'\{"bundle": \{.*\}, "cik": (-?\d+), "fiscal_year": (-?\d+), '
                   rb'"revision": (-?\d+)\}', re.DOTALL)
+# A ``_ROW`` with a given key and revision, as ``put`` writes it.
+_ROW_HEAD, _ROW_TAIL = b'{"bundle": {', b'}, "cik": %d, "fiscal_year": %d, "revision": %d}'
 
 
 @dataclass(frozen=True)
@@ -68,41 +75,94 @@ class FundamentalsRoster:
 class SegmentStore:
     """Queryable panel of bundles, persisted as panel.jsonl.
 
-    Opening a panel parses no row: it scans each line's key and revision
-    and raises SchemaError naming ``path:line`` for a line that is not a
-    row as ``put`` writes it. A winning row is parsed when its key is
-    first read: its shape is checked (its key matches its bundle's,
-    ``reportable`` is a list, ``classification.kind`` a string), and
-    ``get``, ``query_segments`` and ``segment_names_by_year`` then decode,
-    validate and keep its bundle. ``export_csv`` streams: it decodes each
-    row the same way, writes its CSV rows and drops it, so it keeps no
-    decoded bundle. ``gap_report`` checks the shape of the roster's rows
-    and decodes nothing. A bad row raises SchemaError naming ``path:line``
-    when it is read, so it fails no query of another firm. Superseded
-    revisions are never parsed.
+    Opening a panel reads it line by line and parses no row: it scans each
+    line's key and revision, raises SchemaError naming ``path:line`` for a
+    line that is not a row as ``put`` writes it, and keeps only where each
+    key's winning row lies, so its memory grows with the keys, not the
+    panel's bytes. A call reads its rows back through one handle, in file
+    order where the answer allows, and each must still match the key and
+    revision the open found: a panel cut short or rewritten under an open
+    store raises SchemaError naming ``path:line``.
+
+    A row's shape is checked when its key is first read (its key matches
+    its bundle's, ``reportable`` is a list, ``classification.kind`` a
+    string); ``get``, ``bundles``, ``query_segments`` and
+    ``segment_names_by_year`` then decode, validate and keep its bundle.
+    ``export_csv`` decodes each row the same way and writes its CSV as it
+    goes, keeping no decoded bundle. ``gap_report`` checks the shape of the
+    roster's rows and decodes nothing. A bad row raises SchemaError naming
+    ``path:line`` when it is read, so it fails no query of another firm.
+    Superseded revisions are never parsed.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._path = Path(path) if path else None
-        # Decoded bundles, or (line number, row line) until first read.
-        self._bundles: dict[PanelKey, ExtractionBundle | tuple[int, bytes]] = {}
+        # Decoded or put bundles, or (line number, offset, length) of the row until first read.
+        self._rows: dict[PanelKey, ExtractionBundle | tuple[int, int, int]] = {}
         self._revisions: dict[PanelKey, int] = {}
         self._lock = threading.Lock()
         if self._path and self._path.exists():
             self._load()
 
     def _load(self) -> None:
-        for line_no, line in enumerate(self._path.read_bytes().split(b"\n"), start=1):
-            match = _ROW.fullmatch(line)
-            if match is None:
-                if line.strip():
-                    raise SchemaError(f"{self._path}:{line_no}: bad panel row: "
-                                      "not a row as put writes it")
-                continue
-            cik, fiscal_year, revision = map(int, match.groups())
-            if revision >= self._revisions.get((cik, fiscal_year), 0):
-                self._bundles[(cik, fiscal_year)] = (line_no, line)
-                self._revisions[(cik, fiscal_year)] = revision
+        offset = 0
+        with open(self._path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                length = len(line) - line.endswith(b"\n")
+                match = _ROW.fullmatch(line, 0, length)
+                if match is None:
+                    if line.strip():
+                        raise SchemaError(f"{self._path}:{line_no}: bad panel row: "
+                                          "not a row as put writes it")
+                else:
+                    cik, fiscal_year, revision = map(int, match.groups())
+                    key = (cik, fiscal_year)
+                    if revision >= self._revisions.get(key, 0):
+                        self._rows[key] = (line_no, offset, length)
+                        self._revisions[key] = revision
+                offset += len(line)
+
+    def _entries(self, keys: Iterable[PanelKey]) -> Iterator[
+            tuple[PanelKey, ExtractionBundle | tuple[int, bytes] | None]]:
+        """Each key with its bundle, None, or (line number, row line) read back.
+
+        Rows are read in the order of ``keys`` through one handle, opened at
+        the first row read. Call with the lock held.
+        """
+        fh = None
+        try:
+            for key in keys:
+                entry = self._rows.get(key)
+                if isinstance(entry, tuple):
+                    line_no, offset, length = entry
+                    fh = fh or open(self._path, "rb")
+                    fh.seek(offset)
+                    line = fh.read(length)
+                    if not self._scanned(key, line):
+                        raise SchemaError(f"{self._path}:{line_no}: bad panel row: "
+                                          "not the row the panel held when opened")
+                    entry = (line_no, line)
+                yield key, entry
+        finally:
+            if fh:
+                fh.close()
+
+    def _scanned(self, key: PanelKey, line: bytes) -> bool:
+        """Whether line, read back, is still a ``_ROW`` with key and its scanned revision.
+
+        The head and tail are compared as ``put`` writes them first; only a
+        line that differs there pays for the regular expression.
+        """
+        revision = self._revisions[key]
+        if line.startswith(_ROW_HEAD) and line.endswith(_ROW_TAIL % (*key, revision)):
+            return True
+        match = _ROW.fullmatch(line)
+        return match is not None and tuple(map(int, match.groups())) == (*key, revision)
+
+    def _offset(self, key: PanelKey) -> int:
+        """Where key's row starts in the panel; -1 when no row needs reading."""
+        entry = self._rows.get(key)
+        return entry[1] if isinstance(entry, tuple) else -1
 
     def _row_bundle(self, key: PanelKey, line_no: int, line: bytes) -> dict:
         """The bundle JSON of the scanned row for key, after checking the row's shape."""
@@ -126,20 +186,22 @@ class SegmentStore:
         except SchemaError as exc:
             raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
 
-    def _bundle(self, key: PanelKey) -> ExtractionBundle | None:
-        """The bundle stored under key, decoded on first read and kept."""
+    def _bundles(self, keys: list[PanelKey]) -> list[ExtractionBundle | None]:
+        """The bundles stored under keys, each decoded on first read and kept."""
         with self._lock:
-            entry = self._bundles.get(key)
-            if isinstance(entry, tuple):
-                entry = self._bundles[key] = self._decode(key, *entry)
-            return entry
+            bundles = []
+            for key, entry in self._entries(keys):
+                if isinstance(entry, tuple):
+                    entry = self._rows[key] = self._decode(key, *entry)
+                bundles.append(entry)
+            return bundles
 
     def put(self, bundle: ExtractionBundle) -> PanelKey:
         validate_bundle(bundle)
         with self._lock:
             key = bundle.key
             revision = self._revisions.get(key, 0) + 1
-            self._bundles[key] = bundle
+            self._rows[key] = bundle
             self._revisions[key] = revision
             if self._path:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
@@ -150,18 +212,22 @@ class SegmentStore:
             return key
 
     def get(self, cik: int, fiscal_year: int) -> ExtractionBundle | None:
-        return self._bundle((cik, fiscal_year))
+        return self._bundles([(cik, fiscal_year)])[0]
 
     def keys(self) -> list[PanelKey]:
-        return sorted(self._bundles)
+        return sorted(self._rows)
+
+    def bundles(self) -> list[ExtractionBundle]:
+        """Every stored bundle in key order, as ``get`` returns them, read through one handle."""
+        return self._bundles(self.keys())
 
     def __len__(self) -> int:
-        return len(self._bundles)
+        return len(self._rows)
 
     def query_segments(self, cik: int, fiscal_year: int,
                        axis: str | None = None) -> list[SegmentRecord]:
         """One firm-year's records, reportable first, each tier sorted by name."""
-        bundle = self._bundle((cik, fiscal_year))
+        bundle = self.get(cik, fiscal_year)
         if bundle is None:
             return []
         return [record for records in (bundle.reportable, bundle.nested)
@@ -170,18 +236,21 @@ class SegmentStore:
 
     def segment_names_by_year(self, cik: int, years: tuple[int, int] | None = None) -> list[tuple[int, list[str]]]:
         """(year, reportable names in disclosure order) for each stored year in range."""
-        wanted = sorted(year for key_cik, year in self._bundles
-                        if key_cik == cik and (years is None or years[0] <= year <= years[1]))
-        return [(year, [r.name for r in self._bundle((cik, year)).reportable]) for year in wanted]
+        with self._lock:
+            wanted = sorted(key for key in self._rows
+                            if key[0] == cik and (years is None or years[0] <= key[1] <= years[1]))
+        return [(year, [r.name for r in bundle.reportable])
+                for (_, year), bundle in zip(wanted, self._bundles(wanted))]
 
     def gap_report(self, roster: FundamentalsRoster) -> GapReport:
         missing: dict[int, list[int]] = {}
-        for cik, year in roster.rows:
-            entry = self._bundles.get((cik, year))
-            if isinstance(entry, tuple):
-                entry = self._row_bundle((cik, year), *entry)
-            if not _covered(entry):
-                missing.setdefault(year, []).append(cik)
+        with self._lock:
+            in_file_order = sorted(roster.rows, key=self._offset)
+            for (cik, year), entry in self._entries(in_file_order):
+                if isinstance(entry, tuple):
+                    entry = self._row_bundle((cik, year), *entry)
+                if not _covered(entry):
+                    missing.setdefault(year, []).append(cik)
         for year in missing:
             missing[year].sort()
         ordered = {year: missing[year] for year in sorted(missing)}
@@ -190,17 +259,24 @@ class SegmentStore:
     def export_csv(self, path: str | Path) -> Path:
         """One row per (record, measure), measure columns empty when absent.
 
-        One pass in key order: a bundle not yet decoded is decoded, written
-        and dropped. The file is written only after every row is decoded, so
-        a bad row leaves no file.
+        One pass in key order: each bundle not yet decoded is decoded, its
+        CSV rows go into ``write_atomic``'s temporary file and it is
+        dropped. A bad row raises before the file is moved into place, so
+        it leaves no file.
         """
+        path = Path(path)
         with self._lock:
-            entries = sorted(self._bundles.items())
+            write_atomic(path, self._csv_chunks())
+        return path
+
+    def _csv_chunks(self) -> Iterator[str]:
+        """The export's CSV text in key order, in chunks of about _CSV_CHUNK characters.
+        Call with the lock held."""
         buffer = io.StringIO(newline="")
         writer = csv.writer(buffer)
         writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
                          "measure_kind", "value", "scale"])
-        for key, entry in entries:
+        for key, entry in self._entries(sorted(self._rows)):
             bundle = self._decode(key, *entry) if isinstance(entry, tuple) else entry
             for record in [*bundle.reportable, *bundle.nested]:
                 base = [bundle.cik, bundle.fiscal_year, record.name, record.axis,
@@ -208,9 +284,11 @@ class SegmentStore:
                 measures = [[kind, str(money.value), money.scale.value]
                             for kind, money in sorted(record.measures.items())]
                 writer.writerows(base + measure for measure in measures or [["", "", ""]])
-        path = Path(path)
-        write_atomic(path, buffer.getvalue())
-        return path
+            if buffer.tell() >= _CSV_CHUNK:
+                yield buffer.getvalue()
+                buffer.seek(0)
+                buffer.truncate()
+        yield buffer.getvalue()
 
 
 def _covered(entry: ExtractionBundle | dict | None) -> bool:

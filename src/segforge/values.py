@@ -223,19 +223,24 @@ def encode(obj):
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
-def write_atomic(path: Path, data: str | bytes) -> None:
+def write_atomic(path: Path, data: str | bytes | Iterable[str]) -> None:
     """Write ``data`` to a temporary file, then move it over ``path``, making
     ``path``'s parent directory first if it is missing.
 
-    Text is encoded as UTF-8, with no newline translation. A reader sees
+    Text is encoded as UTF-8, with no newline translation; an iterable of
+    text is written one piece at a time, as it is produced. A reader sees
     the old file or the new one, never part of one. The temporary file is
-    removed when the write or the move fails. Every file segforge writes,
-    except the panel's appends, goes through here.
+    removed when the write, the iterable or the move fails. Every file
+    segforge writes, except the panel's appends, goes through here.
     """
     tmp = path.with_name(path.name + ".tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        if isinstance(data, (str, bytes)):
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        else:
+            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

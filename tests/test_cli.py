@@ -401,6 +401,42 @@ class TestBadPanelRow:
             assert error["error"] == "SchemaError"
             assert f"{panel}:1: bad panel row" in error["message"]
 
+    @pytest.mark.parametrize("change", ["truncate", "rewrite"])
+    @pytest.mark.parametrize("command", ["gaps", "export", "changes"])
+    def test_panel_changed_under_the_open_store_exits_1(self, capsys, monkeypatch, base,
+                                                         run_dir, tmp_path, avy_bundles,
+                                                         command, change):
+        """A panel cut short or rewritten with other rows after the command opened
+        it fails the command that reads a moved row, with one JSON error line."""
+        years = sorted(avy_bundles)
+        write_panel(run_dir, [avy_bundles[y] for y in years])
+        panel = run_dir / "panel.jsonl"
+        lines = panel.read_bytes().splitlines(keepends=True)
+        store = cli.RunDir.store
+
+        def open_then_change(run):
+            opened = store(run)
+            if change == "truncate":
+                panel.write_bytes(b"".join(lines[:-1]) + lines[-1][:40])
+            else:  # the same firm's rows, each a year later than the open found it
+                panel.unlink()
+                write_panel(run_dir, [avy_bundles[y] for y in years[1:]])
+            return opened
+
+        monkeypatch.setattr(cli.RunDir, "store", open_then_change)
+        roster = filingfab.write_roster(tmp_path / "roster.csv",
+                                        [(paperdata.AVY_CIK, y) for y in years])
+        argv = {"gaps": ["--roster", str(roster)], "export": [],
+                "changes": ["--cik", str(paperdata.AVY_CIK), "--from", str(years[0]),
+                            "--to", str(years[-1])]}[command]
+        code, out, err = invoke(capsys, [command, *base, *argv])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "SchemaError"
+        line = len(lines) if change == "truncate" else 1
+        assert f"{panel}:{line}: bad panel row" in error["message"]
+
 
 class TestUnreadableInput:
     """A missing or malformed input file exits 1 with a JSON error that names

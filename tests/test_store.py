@@ -8,6 +8,7 @@ by construction rather than by hand-picked cases.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import tempfile
 import threading
@@ -96,6 +97,33 @@ def panel_revisions(path) -> dict:
 def write_rows(path, rows: list[dict]) -> None:
     path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
                     encoding="utf-8")
+
+
+def geo_panel(path, keys, records: int = 2, warning: str = "") -> None:
+    """One filingfab geo bundle per key, with ``records`` regions and an optional warning."""
+    store = SegmentStore(path)
+    for cik, year in keys:
+        bundle = filingfab.geo_bundle(cik, year, f"Firm {cik}", f"F{cik}",
+                                      [(f"Region {i}", 100 * i + cik) for i in range(records)],
+                                      10_000 + cik)
+        bundle.warnings = [warning] if warning else []
+        store.put(bundle)
+
+
+def traced(fn) -> tuple[object, int, int]:
+    """fn's result, and the traced memory it kept and its peak, in bytes.
+
+    A full collection first empties the interpreter's free lists, so that
+    every object fn makes is traced.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 class TestPersistence:
@@ -307,12 +335,7 @@ class TestExportCsv:
 
         def traced_peak(read) -> int:
             store = SegmentStore(path)
-            tracemalloc.start()
-            try:
-                kept = read(store)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            kept, _, peak = traced(lambda: read(store))
             assert kept
             return peak
 
@@ -449,6 +472,67 @@ class TestDecodeOnRead:
         assert gap_keys(store.gap_report(roster)) == {(1, 2000)}
 
 
+class TestReadBack:
+    """A row read back is matched again against the key and revision the open
+    scanned, so a panel truncated or rewritten under an open store raises
+    SchemaError naming ``path:line``, and no other row's bytes are decoded."""
+
+    def truncate(self, path, lines):
+        path.write_bytes(lines[0] + lines[1][:len(lines[1]) // 2])
+
+    def reorder(self, path, lines):
+        path.write_bytes(lines[1] + lines[0])
+
+    def revise(self, path, lines):
+        """The same rows, each at its own offset and length, one revision later:
+        only the revision check tells them from the rows the open scanned."""
+        path.write_bytes(b"".join(line.replace(b'"revision": 1}', b'"revision": 2}')
+                                  for line in lines))
+
+    @pytest.mark.parametrize("change, export_line", [
+        ("truncate", 2), ("reorder", 1), ("revise", 1)])
+    def test_changed_panel_raises_when_read(self, tmp_path, change, export_line):
+        path = tmp_path / "panel.jsonl"
+        writer = SegmentStore(path)
+        writer.put(filingfab.intc_bundle(2012))
+        writer.put(filingfab.txn_bundle(2013))
+        store = SegmentStore(path)
+        getattr(self, change)(path, path.read_bytes().splitlines(keepends=True))
+        key = (paperdata.TXN_CIK, 2013)  # line 2
+        for read in (lambda: store.get(*key),
+                     lambda: store.gap_report(FundamentalsRoster(rows={key, (1, 2000)})),
+                     lambda: store.segment_names_by_year(key[0])):
+            with pytest.raises(SchemaError, match=r"panel.jsonl:2: bad panel row"):
+                read()
+        with pytest.raises(SchemaError, match=rf"panel.jsonl:{export_line}: bad panel row"):
+            store.export_csv(tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+        if change == "truncate":  # the untouched row still reads
+            assert store.get(paperdata.INTC_CIK, 2012) == filingfab.intc_bundle(2012)
+
+
+class TestStoreMemory:
+    """What the store keeps grows with the panel's keys, not with its bytes, and
+    the export writes as it goes."""
+
+    def test_open_retains_as_much_for_long_rows(self, tmp_path):
+        keys = [(cik, year) for cik in range(1, 101) for year in (2020, 2021, 2022)]
+        short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+        geo_panel(short, keys)
+        geo_panel(long, keys, warning="nested_sum_mismatch " * 400)
+        assert long.stat().st_size > 8 * short.stat().st_size
+        (_, short_kept, _), (_, long_kept, _) = traced(lambda: SegmentStore(short)), \
+            traced(lambda: SegmentStore(long))
+        assert long_kept < 1.25 * short_kept, (short_kept, long_kept)
+
+    def test_export_peak_is_below_the_csv_size(self, tmp_path):
+        path = tmp_path / "panel.jsonl"
+        geo_panel(path, [(cik, 2020) for cik in range(1, 301)], records=40)
+        store = SegmentStore(path)
+        out, _, peak = traced(lambda: store.export_csv(tmp_path / "out.csv"))
+        assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
 # Text a row's key scan must see through: JSON escapes, line breaks, a fake
 # row tail, and non-ASCII.
 _TEXT = st.lists(st.one_of(
@@ -539,6 +623,34 @@ class TestPanelProperties:
                 assert lazy.get(*key) == bundle
                 assert lazy.segment_names_by_year(key[0]) == eager.segment_names_by_year(key[0])
                 assert lazy.query_segments(*key) == eager.query_segments(*key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_puts(), st.lists(_KEYS, max_size=6).flatmap(
+        lambda keys: st.tuples(*(_bundle(cik, year) for cik, year in keys))),
+        st.sets(_KEYS, max_size=10), st.randoms(use_true_random=False))
+    def test_puts_after_open_equal_eager_panel(self, sessions, more, roster_keys, rng):
+        """Rows appended past the scanned end leave every scanned row readable."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.jsonl"
+            latest, _ = put_shuffled(path, sessions, rng)
+            lazy = SegmentStore(path)
+            for bundle in more:
+                lazy.put(bundle)
+                latest[bundle.key] = bundle
+            eager = SegmentStore()
+            for key in sorted(latest):
+                eager.put(latest[key])
+            roster = FundamentalsRoster(rows=roster_keys)
+            for store in (lazy, SegmentStore(path)):
+                assert store.gap_report(roster) == eager.gap_report(roster)
+                store.export_csv(Path(tmp) / "lazy.csv")
+                eager.export_csv(Path(tmp) / "eager.csv")
+                assert (Path(tmp) / "lazy.csv").read_bytes() == \
+                    (Path(tmp) / "eager.csv").read_bytes()
+                assert store.keys() == sorted(latest)
+                assert store.bundles() == [latest[key] for key in sorted(latest)]
+                for key, bundle in latest.items():
+                    assert store.get(*key) == bundle
 
     @settings(max_examples=60, deadline=None)
     @given(_puts(), st.randoms(use_true_random=False))

@@ -169,12 +169,26 @@ class TestWriteAtomic:
         ("Zürich\n", "Zürich\n".encode("utf-8")),
         (b"\x00\r\n\xff", b"\x00\r\n\xff"),
         ("", b""),
-    ], ids=["crlf_text", "utf8_text", "bytes", "empty"])
+        (["a\r\n", "Zürich", "", "\n"], "a\r\nZürich\n".encode("utf-8")),
+        ([], b""),
+    ], ids=["crlf_text", "utf8_text", "bytes", "empty", "text_pieces", "no_pieces"])
     def test_writes_exact_bytes(self, tmp_path, data, expected):
         path = tmp_path / "out"
         path.write_bytes(b"old")
         write_atomic(path, data)
         assert path.read_bytes() == expected
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failing_pieces_keep_the_old_file(self, tmp_path):
+        def pieces():
+            yield "new\n"
+            raise RuntimeError("bad row")
+
+        path = tmp_path / "out"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="bad row"):
+            write_atomic(path, pieces())
+        assert path.read_bytes() == b"old"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_makes_missing_parent_directories(self, tmp_path):
