@@ -29,19 +29,18 @@ from .extraction import (
 from .values import encode, write_atomic
 
 PanelKey = tuple[int, int]  # (cik, fiscal_year)
-_CSV_CHUNK = 1 << 16  # export text handed to the file at a time
+# Keys with their stored entry (see ``SegmentStore._rows``) and revision, taken under the lock.
+_Snapshot = list[tuple[PanelKey, ExtractionBundle | tuple[int, int, int] | None, int]]
 
 # A panel row as ``put`` writes it: sorted keys put the key and revision
 # last. JSON escapes every quote and newline inside a string, so only the
 # row's own key can end a line this way. A line holds no newline, so DOTALL
 # changes no match; it lets ``.*`` jump straight to the line's end. The open
 # matches it on each line and keeps where the winning row lies, not its bytes;
-# a row read back from there must match it again, with the key and revision
-# the open found (``SegmentStore._scanned``).
+# a row read back from there must parse to the key and revision the open found
+# (``SegmentStore._row_bundle``).
 _ROW = re.compile(rb'\{"bundle": \{.*\}, "cik": (-?\d+), "fiscal_year": (-?\d+), '
                   rb'"revision": (-?\d+)\}', re.DOTALL)
-# A ``_ROW`` with a given key and revision, as ``put`` writes it.
-_ROW_HEAD, _ROW_TAIL = b'{"bundle": {', b'}, "cik": %d, "fiscal_year": %d, "revision": %d}'
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class SegmentStore:
     line that is not a row as ``put`` writes it, and keeps only where each
     key's winning row lies, so its memory grows with the keys, not the
     panel's bytes. A call reads its rows back through one handle, in file
-    order where the answer allows, and each must still match the key and
+    order where the answer allows, and each must still parse to the key and
     revision the open found: a panel cut short or rewritten under an open
     store raises SchemaError naming ``path:line``.
 
@@ -92,7 +91,9 @@ class SegmentStore:
     goes, keeping no decoded bundle. ``gap_report`` checks the shape of the
     roster's rows and decodes nothing. A bad row raises SchemaError naming
     ``path:line`` when it is read, so it fails no query of another firm.
-    Superseded revisions are never parsed.
+    Superseded revisions are never parsed. ``gap_report`` and
+    ``export_csv`` take their keys under the store's lock and read and
+    write outside it, so they hold up no other call.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -122,54 +123,46 @@ class SegmentStore:
                         self._revisions[key] = revision
                 offset += len(line)
 
-    def _entries(self, keys: Iterable[PanelKey]) -> Iterator[
-            tuple[PanelKey, ExtractionBundle | tuple[int, bytes] | None]]:
-        """Each key with its bundle, None, or (line number, row line) read back.
+    def _snapshot(self, keys: Iterable[PanelKey]) -> _Snapshot:
+        """Each key with its entry and revision, for ``_entries``. Call with the lock held."""
+        return [(key, self._rows.get(key), self._revisions.get(key, 0)) for key in keys]
 
-        Rows are read in the order of ``keys`` through one handle, opened at
-        the first row read. Call with the lock held.
+    def _entries(self, snapshot: _Snapshot) -> Iterator[
+            tuple[PanelKey, ExtractionBundle | tuple[int, bytes, int] | None]]:
+        """Each key of a ``_snapshot`` with its bundle, None, or (line number,
+        row line read back, scanned revision) for ``_row_bundle``.
+
+        Rows are read in the snapshot's order through one handle, opened at
+        the first row read. The panel is only appended to, so this needs no
+        lock.
         """
         fh = None
         try:
-            for key in keys:
-                entry = self._rows.get(key)
+            for key, entry, revision in snapshot:
                 if isinstance(entry, tuple):
                     line_no, offset, length = entry
                     fh = fh or open(self._path, "rb")
                     fh.seek(offset)
-                    line = fh.read(length)
-                    if not self._scanned(key, line):
-                        raise SchemaError(f"{self._path}:{line_no}: bad panel row: "
-                                          "not the row the panel held when opened")
-                    entry = (line_no, line)
+                    entry = (line_no, fh.read(length), revision)
                 yield key, entry
         finally:
             if fh:
                 fh.close()
-
-    def _scanned(self, key: PanelKey, line: bytes) -> bool:
-        """Whether line, read back, is still a ``_ROW`` with key and its scanned revision.
-
-        The head and tail are compared as ``put`` writes them first; only a
-        line that differs there pays for the regular expression.
-        """
-        revision = self._revisions[key]
-        if line.startswith(_ROW_HEAD) and line.endswith(_ROW_TAIL % (*key, revision)):
-            return True
-        match = _ROW.fullmatch(line)
-        return match is not None and tuple(map(int, match.groups())) == (*key, revision)
 
     def _offset(self, key: PanelKey) -> int:
         """Where key's row starts in the panel; -1 when no row needs reading."""
         entry = self._rows.get(key)
         return entry[1] if isinstance(entry, tuple) else -1
 
-    def _row_bundle(self, key: PanelKey, line_no: int, line: bytes) -> dict:
-        """The bundle JSON of the scanned row for key, after checking the row's shape."""
+    def _row_bundle(self, key: PanelKey, line_no: int, line: bytes, revision: int) -> dict:
+        """The bundle JSON of key's row, read back, after checking that it is still
+        the row the open found (key and revision) and checking its shape."""
         try:
             row = json.loads(line)
+            if (row["cik"], row["fiscal_year"], row["revision"]) != (*key, revision):
+                raise ValueError("not the row the panel held when opened")
             data = row["bundle"]
-            if key != (row["cik"], row["fiscal_year"]) or key != (data["cik"], data["fiscal_year"]):
+            if key != (data["cik"], data["fiscal_year"]):
                 raise ValueError(f"row key differs from its bundle's or the scanned {key}")
             if not isinstance(data["reportable"], list) or \
                     not isinstance(data["classification"]["kind"], str):
@@ -178,9 +171,9 @@ class SegmentStore:
             raise SchemaError(f"{self._path}:{line_no}: bad panel row: {exc}") from exc
         return data
 
-    def _decode(self, key: PanelKey, line_no: int, line: bytes) -> ExtractionBundle:
-        """The bundle of the scanned row for key: shape-checked, decoded and validated."""
-        data = self._row_bundle(key, line_no, line)
+    def _decode(self, key: PanelKey, line_no: int, line: bytes, revision: int) -> ExtractionBundle:
+        """The bundle of key's row, read back: checked as ``_row_bundle`` does, decoded and validated."""
+        data = self._row_bundle(key, line_no, line, revision)
         try:
             return bundle_from_json(data)
         except SchemaError as exc:
@@ -190,7 +183,7 @@ class SegmentStore:
         """The bundles stored under keys, each decoded on first read and kept."""
         with self._lock:
             bundles = []
-            for key, entry in self._entries(keys):
+            for key, entry in self._entries(self._snapshot(keys)):
                 if isinstance(entry, tuple):
                     entry = self._rows[key] = self._decode(key, *entry)
                 bundles.append(entry)
@@ -245,12 +238,12 @@ class SegmentStore:
     def gap_report(self, roster: FundamentalsRoster) -> GapReport:
         missing: dict[int, list[int]] = {}
         with self._lock:
-            in_file_order = sorted(roster.rows, key=self._offset)
-            for (cik, year), entry in self._entries(in_file_order):
-                if isinstance(entry, tuple):
-                    entry = self._row_bundle((cik, year), *entry)
-                if not _covered(entry):
-                    missing.setdefault(year, []).append(cik)
+            snapshot = self._snapshot(sorted(roster.rows, key=self._offset))
+        for (cik, year), entry in self._entries(snapshot):
+            if isinstance(entry, tuple):
+                entry = self._row_bundle((cik, year), *entry)
+            if not _covered(entry):
+                missing.setdefault(year, []).append(cik)
         for year in missing:
             missing[year].sort()
         ordered = {year: missing[year] for year in sorted(missing)}
@@ -259,24 +252,24 @@ class SegmentStore:
     def export_csv(self, path: str | Path) -> Path:
         """One row per (record, measure), measure columns empty when absent.
 
-        One pass in key order: each bundle not yet decoded is decoded, its
-        CSV rows go into ``write_atomic``'s temporary file and it is
-        dropped. A bad row raises before the file is moved into place, so
-        it leaves no file.
+        One pass in key order over the keys stored when it starts: each
+        bundle not yet decoded is decoded, its CSV rows go into
+        ``write_atomic``'s temporary file and it is dropped. A bad row
+        raises before the file is moved into place, so it leaves no file.
         """
         path = Path(path)
         with self._lock:
-            write_atomic(path, self._csv_chunks())
+            snapshot = self._snapshot(sorted(self._rows))
+        write_atomic(path, self._csv(snapshot))
         return path
 
-    def _csv_chunks(self) -> Iterator[str]:
-        """The export's CSV text in key order, in chunks of about _CSV_CHUNK characters.
-        Call with the lock held."""
+    def _csv(self, snapshot: _Snapshot) -> Iterator[str]:
+        """The export's CSV text for a ``_snapshot``, one piece per bundle."""
         buffer = io.StringIO(newline="")
         writer = csv.writer(buffer)
         writer.writerow(["cik", "fiscal_year", "name", "axis", "parent_name",
                          "measure_kind", "value", "scale"])
-        for key, entry in self._entries(sorted(self._rows)):
+        for key, entry in self._entries(snapshot):
             bundle = self._decode(key, *entry) if isinstance(entry, tuple) else entry
             for record in [*bundle.reportable, *bundle.nested]:
                 base = [bundle.cik, bundle.fiscal_year, record.name, record.axis,
@@ -284,10 +277,9 @@ class SegmentStore:
                 measures = [[kind, str(money.value), money.scale.value]
                             for kind, money in sorted(record.measures.items())]
                 writer.writerows(base + measure for measure in measures or [["", "", ""]])
-            if buffer.tell() >= _CSV_CHUNK:
-                yield buffer.getvalue()
-                buffer.seek(0)
-                buffer.truncate()
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
         yield buffer.getvalue()
 
 

@@ -343,6 +343,21 @@ class TestExportCsv:
         hold_peak = traced_peak(lambda store: [store.get(*key) for key in store.keys()])
         assert export_peak < hold_peak / 2, (export_peak, hold_peak)
 
+    def test_export_and_gaps_read_rows_without_the_lock(self, tmp_path, monkeypatch):
+        """export_csv and gap_report take their keys under the lock, then read,
+        decode and write with it released, so a put meanwhile is not held up."""
+        path = tmp_path / "panel.jsonl"
+        SegmentStore(path).put(filingfab.intc_bundle(2012))
+        store = SegmentStore(path)
+        held = []
+        decode, row_bundle = store._decode, store._row_bundle
+        monkeypatch.setattr(store, "_decode", lambda *a: held.append(store._lock.locked()) or decode(*a))
+        monkeypatch.setattr(store, "_row_bundle",
+                            lambda *a: held.append(store._lock.locked()) or row_bundle(*a))
+        store.export_csv(tmp_path / "out.csv")
+        store.gap_report(FundamentalsRoster(rows={(paperdata.INTC_CIK, 2012)}))
+        assert held and not any(held), held
+
 
 class TestDecodeOnRead:
     """Open checks each line's row form; a row's shape is checked, and its bundle
@@ -473,9 +488,9 @@ class TestDecodeOnRead:
 
 
 class TestReadBack:
-    """A row read back is matched again against the key and revision the open
-    scanned, so a panel truncated or rewritten under an open store raises
-    SchemaError naming ``path:line``, and no other row's bytes are decoded."""
+    """A row read back must parse to the key and revision the open scanned, so a
+    panel truncated or rewritten under an open store raises SchemaError naming
+    ``path:line``, and no other row's bundle is decoded."""
 
     def truncate(self, path, lines):
         path.write_bytes(lines[0] + lines[1][:len(lines[1]) // 2])
@@ -499,10 +514,13 @@ class TestReadBack:
         store = SegmentStore(path)
         getattr(self, change)(path, path.read_bytes().splitlines(keepends=True))
         key = (paperdata.TXN_CIK, 2013)  # line 2
+        # Only a revised row still parses: the revision check names it.
+        message = "panel.jsonl:2: bad panel row" + (
+            ": not the row the panel held when opened" if change == "revise" else "")
         for read in (lambda: store.get(*key),
                      lambda: store.gap_report(FundamentalsRoster(rows={key, (1, 2000)})),
                      lambda: store.segment_names_by_year(key[0])):
-            with pytest.raises(SchemaError, match=r"panel.jsonl:2: bad panel row"):
+            with pytest.raises(SchemaError, match=message):
                 read()
         with pytest.raises(SchemaError, match=rf"panel.jsonl:{export_line}: bad panel row"):
             store.export_csv(tmp_path / "out.csv")
