@@ -104,11 +104,8 @@ class _TextAssembler:
         self._buf: list[str] = []
         self._len = 0
         self._line: list[str] = []
+        self.add_text = self._line.append  # an empty piece adds nothing
         self._pending = 0  # newlines owed before the next committed line
-
-    def add_text(self, text: str) -> None:
-        if text:
-            self._line.append(text)
 
     def break_line(self) -> None:
         self._commit()
@@ -129,8 +126,11 @@ class _TextAssembler:
         return text + "\n" if text else ""
 
     def _commit(self) -> None:
-        content = " ".join("".join(self._line).split())
-        self._line = []
+        line = self._line
+        if not line:
+            return
+        content = " ".join((line[0] if len(line) == 1 else "".join(line)).split())
+        line.clear()
         if not content:
             return
         if self._len:
@@ -149,11 +149,13 @@ _LINE_TAGS = {"div", "tr", "li", "br", "dt", "dd"}
 _SKIP_TAGS = {"script", "style", "title"}
 
 
-@dataclass
 class _RawCell:
-    colspan: int
-    is_header: bool
-    parts: list[str] = field(default_factory=list)
+    __slots__ = ("colspan", "is_header", "parts")
+
+    def __init__(self, colspan: int, is_header: bool):
+        self.colspan = colspan
+        self.is_header = is_header
+        self.parts: list[str] = []
 
 
 @dataclass
@@ -193,10 +195,11 @@ class _HtmlExtractor:
                 self.assembler.break_line()
                 return
             if tag in ("td", "th"):
-                if frame.current_row is None:
+                if frame.current_row is None:  # then no cell is open either
                     frame.current_row = []
-                self._close_cell(frame)
-                frame.current_cell = _RawCell(colspan=_colspan(attrs), is_header=(tag == "th"))
+                elif frame.current_cell is not None:
+                    frame.current_row.append(frame.current_cell)
+                frame.current_cell = _RawCell(_colspan(attrs) if attrs else 1, tag == "th")
                 return
         if tag in _PARA_TAGS:
             self.assembler.break_para()
@@ -293,11 +296,21 @@ _MARKED_END = {
 _RAW_TEXT_END = {tag: re.compile(r"</\s*%s\s*>" % "".join(f"[{c}{c.upper()}]" for c in tag))
                  for tag in ("script", "style")}
 _ATTR_TAGS = {"td", "th"}  # the only tags whose attributes are read (_colspan)
+# A "<", and with it a start or end tag that has no attributes.
+_MARKUP = re.compile(r"<(?:(/?)([a-zA-Z][a-zA-Z0-9]*)>)?")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _tokenize(raw: str, sink: _HtmlExtractor) -> None:
     """Send ``raw``'s start, start-end, end and data events to ``sink``.
+
+    One ``_MARKUP`` search finds each "<" and, in the same step, a plain
+    ``<name>`` or ``</name>`` (a name of ASCII letters and digits, no space,
+    no attribute), whose event is sent at once; ``<script>`` and ``<style>``
+    still open raw text through ``_start_tag``. The events are the ones the
+    full path sends: on ``<name>``, ``_TAG_NAME`` stops at the ">", where no
+    ``_ATTR`` can start and no ``ends`` key can sit, and ``_END_TAG`` takes
+    the same name from ``</name>``. Every other "<" goes the full path.
 
     Attributes are read only for ``_ATTR_TAGS``; other tags get an empty
     list. No tag can end after the last ">", so ``_text_tail`` sends the rest
@@ -309,17 +322,25 @@ def _tokenize(raw: str, sink: _HtmlExtractor) -> None:
     last_gt = raw.rfind(">")
     ends: dict[int, int] = {}
     missing: dict[re.Pattern, int] = {}
-    while i < n:
-        j = raw.find("<", i)
-        if j < 0:
-            j = n
+    search = _MARKUP.search
+    while markup := search(raw, i):
+        j = markup.start()
         if i < j:
             data(unescape(raw[i:j]))
-        if j == n:
-            break
         if j > last_gt:
             _text_tail(raw, j, data)
-            break
+            return
+        closing, name = markup.groups()
+        if name:
+            tag = name.lower()
+            if closing:
+                sink.handle_endtag(tag)
+                i = markup.end()
+                continue
+            if tag not in _RAW_TEXT_END:
+                sink.handle_starttag(tag, [])
+                i = markup.end()
+                continue
         i = j
         after = raw[i + 1:i + 2]
         if after in _LETTERS:
@@ -342,6 +363,8 @@ def _tokenize(raw: str, sink: _HtmlExtractor) -> None:
             k = raw.find(">", i + 1) + 1
             data(unescape(raw[i:k]))
         i = k
+    if i < n:
+        data(unescape(raw[i:]))
 
 
 def _text_tail(raw: str, i: int, data) -> None:

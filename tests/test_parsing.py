@@ -13,6 +13,7 @@ import re
 import sys
 import time
 from decimal import Decimal
+from html import unescape
 from html.parser import HTMLParser
 
 import pytest
@@ -620,6 +621,56 @@ def reference_start_tag(raw: str, i: int) -> int:
     return j
 
 
+def reference_tokenize(raw: str, sink) -> None:
+    """The loop that ``parsing._tokenize``'s one search replaced: a find for
+    each "<", then a dispatch on the markup after it, every tag through
+    ``_start_tag`` or the end-tag branch."""
+    data = sink.handle_data
+    i, n = 0, len(raw)
+    last_gt = raw.rfind(">")
+    ends: dict[int, int] = {}
+    missing: dict[re.Pattern, int] = {}
+    while i < n:
+        j = raw.find("<", i)
+        if j < 0:
+            j = n
+        if i < j:
+            data(unescape(raw[i:j]))
+        if j == n:
+            break
+        if j > last_gt:
+            parsing._text_tail(raw, j, data)
+            break
+        i = j
+        after = raw[i + 1:i + 2]
+        if after in parsing._LETTERS:
+            k = parsing._start_tag(raw, i, sink, ends)
+        elif after == "/":  # "</>" and "</" before a non-letter send nothing
+            match = parsing._END_TAG.match(raw, i) or parsing._TAG_NAME.match(raw, i + 2)
+            if match:
+                sink.handle_endtag(match.group(1).lower())
+            k = raw.find(">", i + 1) + 1
+        elif raw.startswith("<!--", i):
+            k = parsing._search_end(parsing._COMMENT_END, raw, i + 4, missing)
+        elif raw.startswith("<![", i):
+            k = parsing._marked_section(raw, i, missing)
+        elif after in ("!", "?"):
+            k = raw.find(">", i + 2) + 1
+        else:
+            data("<")
+            k = i + 1
+        if k < 0:  # an unterminated construct is text through the next ">"
+            k = raw.find(">", i + 1) + 1
+            data(unescape(raw[i:k]))
+        i = k
+
+
+def _reference_events(html: str) -> list[tuple]:
+    sink = _Events()
+    reference_tokenize(html, sink)
+    return sink.events
+
+
 # Pieces of unclosed, nested and misquoted constructs. There is no "s", so no
 # script or style element starts.
 _ADVERSARIAL = st.lists(st.sampled_from([
@@ -729,6 +780,55 @@ def _filing_html(draw) -> str:
             parts.append(filingfab._segment_table(rows, draw(_PROSE)))
     parts.append(f"<p>{draw(_PROSE)}x</p>")  # never an empty document
     return "".join(parts)
+
+
+# Tags without attributes, which ``_tokenize`` sends from its one search, next
+# to the near misses that must still take the full path.
+_PLAIN_TAGS = st.lists(
+    _TEXT | _ENTITY | st.sampled_from([
+        "<td>", "<TD>", "<Td>", "</td>", "</TD>", "<th>", "</th>", "<tr>", "</tr>", "<p>", "<P>",
+        "</p>", "<h2>", "<H2>", "</h2>", "<table>", "</TABLE>", "<div>", "</div>", "<br>", "<br/>",
+        "</br>", "<caption>", "</caption>", "<b1x9>", "</TR >", "</ td>", "<td >", "<<td>",
+        "<td colspan=2>", "<Script>", "<STYLE>", "</script>", "</Style>", "<title>", "</title>",
+        "<ix:nonFraction>", "</ix:nonFraction>", "<a-b>", "</a-b>", "&amp;<td>", "&nbsp</td>",
+        "<", "</", ">", "<9>", "<>", "</>", "<!-- c -->", "<td", "</td",
+    ]),
+    max_size=30,
+).map("".join)
+
+
+def _styled(html: str) -> str:
+    """``html`` with a style on every plain start tag, so each takes the full path."""
+    return re.sub(r"<([a-zA-Z][a-zA-Z0-9]*)>", r'<\1 style="margin:0">', html)
+
+
+class TestTokenizerReference:
+    """``_tokenize`` sends the events of ``reference_tokenize``, data merged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_HTML | _ADVERSARIAL)
+    def test_strategies_equal_reference(self, html):
+        assert _events(html) == _reference_events(html)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PLAIN_TAGS)
+    @example("<TD>a</TR ><h2>&amp;<td>b&nbsp</td></ td><br/><<td>x<td")
+    @example("<Script>a<td>b</td></script><STYLE>c</style><title>t</title>d")
+    @example("<ix:nonFraction>1</ix:nonFraction><a-b>c</a-b> tail &amp; <p")
+    def test_plain_tags_equal_reference(self, html):
+        assert _events(html) == _reference_events(html)
+
+    @pytest.mark.parametrize("styled", [False, True], ids=["plain", "styled"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_equal_reference(self, name, styled):
+        html = _styled(_fixture_html(name)) if styled else _fixture_html(name)
+        assert _events(html) == _reference_events(html)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_filing_html(), st.booleans())
+    def test_filings_equal_reference(self, html, styled):
+        html = _styled(html) if styled else html
+        assert _events(html) == _reference_events(html)
 
 
 class TestSectionPartitionProperty:
