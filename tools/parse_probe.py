@@ -37,12 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import corpus  # noqa: E402
+import workloads  # noqa: E402
 from segforge import parsing  # noqa: E402
 
 RUNS = 9
 MB = 10 ** 6
-TABLES_PER_MB = 130
-SIGNAL_PER_10KB = 44.0
 STYLE = ' style="font-family:Times New Roman;font-size:10pt;margin:0"'
 
 
@@ -65,8 +64,8 @@ class _Null:
 def filing(size_mb: float) -> str:
     plan = corpus.plan_firm(random.Random(f"parse-probe:{size_mb}"), 910_001, 2023,
                             corpus.MULTI, 3, target_bytes=int(size_mb * MB),
-                            tables=round(TABLES_PER_MB * size_mb),
-                            signal_per_10kb=SIGNAL_PER_10KB)
+                            tables=round(workloads.TABLES_PER_MB * size_mb),
+                            signal_per_10kb=workloads.SIGNAL_PER_10KB)
     return corpus.filing_html(7, plan)
 
 
