@@ -4,7 +4,8 @@ Subcommands: fetch, parse, extract, index, gaps, changes, align, eval,
 export. Outputs land in a run directory together with a manifest listing
 every artifact and its sha256. Failures print a machine-readable JSON
 error to stderr and exit 1; usage errors exit 2. No subcommand touches
-the network unless --allow-network (or --backend live) is given.
+the network unless --allow-network is given or the config sets
+llm.backend = live.
 """
 
 from __future__ import annotations
@@ -53,8 +54,6 @@ def _cik(text: str) -> int:
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="key-value config file")
-    common.add_argument("--backend", choices=["scripted", "live"], default=None,
-                        help="override llm.backend")
     common.add_argument("--allow-network", action="store_true",
                         help="permit live EDGAR requests")
     common.add_argument("--run-dir", default="run", help="output directory")
@@ -112,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="score bundles against gold labels")
     p.add_argument("--gold", required=True, help="gold label JSON file")
-    p.add_argument("--group", default=None, help="override group id")
     p.add_argument("--bundles", default=None, help="directory of *.bundle.json files")
     p.set_defaults(func=cmd_eval)
 
@@ -126,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _load_config(args) -> Config:
-    config = Config.load(args.config)
-    if args.backend:
-        config.set("llm.backend", args.backend)
-    return config
-
-
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -144,7 +135,7 @@ class RunDir:
     the command before it fetches or writes anything."""
 
     def __init__(self, args):
-        self.config = _load_config(args)
+        self.config = Config.load(args.config)
         self.root = Path(args.run_dir)
         value = self.config.get("store.panel_path")
         self.panel = self.root / value  # an absolute value replaces the root
@@ -242,8 +233,7 @@ def _fetch_document(args, config: Config):
 
 
 def cmd_fetch(args) -> int:
-    config = _load_config(args)
-    doc = _fetch_document(args, config)
+    doc = _fetch_document(args, Config.load(args.config))
     print(_json({
         "cik": doc.ref.cik,
         "fiscal_year": doc.ref.fiscal_year,
@@ -344,8 +334,6 @@ def cmd_align(args) -> int:
 def cmd_eval(args) -> int:
     run = RunDir(args)
     gold = GoldLabelSet.from_json(args.gold)
-    if args.group:
-        gold.group_id = args.group
     if args.bundles:
         # iterdir, not glob: a missing bundle directory raises instead of scoring nothing.
         bundles = [load_bundle(p) for p in sorted(Path(args.bundles).iterdir())

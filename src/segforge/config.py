@@ -38,16 +38,6 @@ def _unless(refused: Callable[[str], bool], reason: str, read: Callable[[str], o
     return check
 
 
-def _names(value: str) -> list[str]:
-    names = [part.strip() for part in value.split(",") if part.strip()]
-    if not names:
-        raise ValueError("lists no value")
-    for name in names:
-        if names.count(name) > 1:
-            raise ValueError(f"names {name!r} twice")
-    return names
-
-
 _path = _unless(lambda value: "\0" in value, "holds a NUL character")
 _some_path = _unless(lambda value: not value, "is empty", _path)
 _backend = _unless(lambda value: value not in ("scripted", "live"), "must be 'scripted' or 'live'")
@@ -59,7 +49,6 @@ SETTINGS: dict[str, tuple[str, Callable[[str], object]]] = {
     "edgar.rate_limit_rps": ("8", _at_least(float, 0.001)),
     "edgar.user_agent": ("segforge/0.1 (research tool; set edgar.user_agent to your contact)", str),
     "edgar.cache_dir": ("cache", _some_path),
-    "edgar.max_retries": ("5", _at_least(int, 0)),
     "edgar.fixture_dir": ("", _path),
     "llm.backend": ("scripted", _backend),
     "llm.model": ("gpt-4.1", str),
@@ -68,7 +57,6 @@ SETTINGS: dict[str, tuple[str, Callable[[str], object]]] = {
     "llm.script_path": ("", _path),
     "llm.api_key": ("", str),
     "store.panel_path": ("panel.jsonl", _some_path),
-    "extraction.measures": ("revenue,profit_or_loss,assets", _names),
 }
 
 
@@ -89,11 +77,17 @@ class Config:
         for key in SETTINGS if use_env else ():
             if (name := env_var_name(key)) in os.environ:
                 given[key], sources[key] = os.environ[name], name
-        self._text: dict[str, str] = {}  # each key's text
-        self._value: dict[str, object] = {}  # and what its reader returned
         defaults = {key: text for key, (text, _) in SETTINGS.items()}
-        for key, text in {**defaults, **given}.items():
-            self._put(key, text, sources.get(key))
+        self._text = {**defaults, **given}  # each key's text
+        self._value: dict[str, object] = {}  # and what its reader returned
+        for key, text in self._text.items():
+            where = f"{sources[key]}: " if key in sources else ""
+            if key not in SETTINGS:
+                raise SchemaError(f"{where}unknown key {key!r}")
+            try:
+                self._value[key] = SETTINGS[key][1](text)
+            except ValueError as exc:
+                raise SchemaError(f"{where}{key} = {text!r} {exc}") from None
 
     @classmethod
     def load(cls, path: str | Path | None = None, use_env: bool = True) -> "Config":
@@ -122,20 +116,7 @@ class Config:
         """``key``'s value as its reader returned it when the config was read."""
         return self._value[key]
 
-    get_float = get_list = get_int
-
-    def set(self, key: str, value: str) -> None:
-        self._put(key, value)
-
-    def _put(self, key: str, text: str, source: str | None = None) -> None:
-        where = f"{source}: " if source else ""
-        if key not in SETTINGS:
-            raise SchemaError(f"{where}unknown key {key!r}")
-        try:
-            self._value[key] = SETTINGS[key][1](text)
-        except ValueError as exc:
-            raise SchemaError(f"{where}{key} = {text!r} {exc}") from None
-        self._text[key] = text
+    get_float = get_int
 
 
 def env_var_name(key: str) -> str:

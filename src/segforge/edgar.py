@@ -263,19 +263,22 @@ class EdgarClient:
     new client resolves it. Only a caller that resolves several fiscal
     years of one CIK on one client gains; the CLI builds a client per
     command.
+
+    Each request makes up to ``max_attempts`` tries, backing off from 0.5 s
+    or for ``Retry-After``.
     """
+
+    max_attempts = 6
 
     def __init__(
         self,
         transport,
         cache_dir: str | Path,
         rate_limit_rps: float = default("edgar.rate_limit_rps"),
-        max_retries: int = default("edgar.max_retries"),
         clock=None,
     ):
         self.transport = transport
         self.cache_dir = Path(cache_dir)
-        self.max_retries = max_retries
         self._clock = clock or SystemClock()
         self._limiter = RateLimiter(rate_limit_rps, clock=self._clock)
         self._write_lock = threading.Lock()
@@ -291,11 +294,10 @@ class EdgarClient:
         else:
             raise NetworkError(
                 "no fixture_dir configured and network access not allowed; "
-                "pass --allow-network or --backend live to reach EDGAR",
+                "pass --allow-network or set llm.backend = live to reach EDGAR",
                 retryable=False,
             )
-        return cls(transport, config.get("edgar.cache_dir"), config.get_float("edgar.rate_limit_rps"),
-                   config.get_int("edgar.max_retries"))
+        return cls(transport, config.get("edgar.cache_dir"), config.get_float("edgar.rate_limit_rps"))
 
     # -- resolution ------------------------------------------------------
 
@@ -402,7 +404,7 @@ class EdgarClient:
         return self.cache_dir / str(ref.cik) / ref.accession_number / ref.primary_document
 
     def _with_retries(self, call):
-        return with_retries(call, self.max_retries + 1, 0.5, self._clock, self._limiter.acquire)
+        return with_retries(call, self.max_attempts, 0.5, self._clock, self._limiter.acquire)
 
 
 def _period_year(period: str) -> int | None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .config import default
 from .edgar import CachedDocument
 from .errors import SchemaError, ValidationError
 from .gateway import FileHandle, Gateway, PromptRequest, ask_checked, then
@@ -29,6 +28,7 @@ from .templates import (
     FORMAT_RULES,
     GENERAL_FIELD_NAMES,
     GENERAL_FIELDS,
+    MEASURES,
     NOT_PROVIDED,
     RETRY_REMINDERS,
     SEGMENT_NAMES_QUESTION,
@@ -225,7 +225,8 @@ class ExtractionPipeline:
     chain runs classify, then the segment names, then their measures
     together with nested detection; the nested names for every flagged
     parent go out in one batch as soon as detection answers, and their
-    measures after them.
+    measures after them. Every segment and component is asked the same
+    ``MEASURES``: revenue, profit or loss, and assets.
 
     A prompt is filler when nothing but the bundle waits on its answer: the
     general fields and every measure of both tiers, with their retries.
@@ -250,13 +251,13 @@ class ExtractionPipeline:
     the earliest stage in plan order is raised.
     """
 
-    def __init__(self, gateway: Gateway, measures: Iterable[str] = default("extraction.measures")):
+    def __init__(self, gateway: Gateway):
         self.gateway = gateway
-        self.measures = list(measures)
 
     @classmethod
     def from_config(cls, gateway: Gateway, config) -> "ExtractionPipeline":
-        return cls(gateway, measures=config.get_list("extraction.measures"))
+        """The pipeline reads no setting; the shape matches the other components'."""
+        return cls(gateway)
 
     def _ask_all(self, handle: FileHandle, items: list[tuple[str, AnswerShape]], cik: int,
                  fy: int, seqs: Iterable[int], read, warnings: list[str] | None = None,
@@ -311,7 +312,7 @@ class ExtractionPipeline:
 
         def measure(named: Future) -> Future:
             records = named.result()
-            asked = [(record, measure) for record in records for measure in self.measures]
+            asked = [(record, measure) for record in records for measure in MEASURES]
             items = [(measure_question(measure, record.name) if record.parent_name is None
                       else nested_measure_question(measure, record.name, record.parent_name),
                       AnswerShape.MONETARY) for record, measure in asked]
@@ -410,8 +411,8 @@ class ExtractionPipeline:
         return bundle
 
 
-def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> None:
-    """Reconcile each parent's measure against the exact sum of its children.
+def audit_nested_sums(bundle: ExtractionBundle) -> None:
+    """Reconcile each parent's revenue against the exact sum of its children's.
 
     A nonzero difference is flagged as a warning, not an error: filings may
     omit residual categories from the nested breakdown. When the amounts mix
@@ -423,16 +424,16 @@ def audit_nested_sums(bundle: ExtractionBundle, measure: str = "revenue") -> Non
     parents = {r.name: r for r in bundle.reportable}
     for parent_name, children in sorted(by_parent.items()):
         parent = parents.get(parent_name)
-        if parent is None or measure not in parent.measures:
+        if parent is None or "revenue" not in parent.measures:
             continue
-        amounts = [parent.measures[measure], *(child.measures.get(measure) for child in children)]
+        amounts = [parent.measures["revenue"], *(child.measures.get("revenue") for child in children)]
         if None in amounts:
             continue
         difference = money_sum([amounts[0], *(Money(-v.value, v.scale) for v in amounts[1:])])
         if difference.value != 0:
             mixed = any(amount.scale != difference.scale for amount in amounts)
             bundle.warnings.append(
-                f"nested_sum_mismatch parent={parent_name!r} measure={measure} "
+                f"nested_sum_mismatch parent={parent_name!r} measure=revenue "
                 f"difference={difference.value}" + (f" {difference.scale.value}" if mixed else "")
             )
 

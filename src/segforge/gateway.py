@@ -135,8 +135,6 @@ class ScriptedBackend:
     by tests to verify order preservation under out-of-order completion.
     """
 
-    name = SCRIPTED
-
     def __init__(self, store: ScriptStore, delay_fn=None):
         self.store = store
         self._delay_fn = delay_fn
@@ -165,7 +163,6 @@ class ScriptedBackend:
 class LiveBackend:
     """HTTPS JSON provider client. Exact wire schema is isolated here."""
 
-    name = LIVE
     max_attempts = 3
 
     def __init__(self, api_base: str, model: str, api_key: str = "", timeout: float = 60.0, session=None,
@@ -274,17 +271,15 @@ class Gateway:
         self._wake = threading.Condition(self._lock)
 
     @classmethod
-    def from_config(cls, config, script_store: ScriptStore | None = None) -> "Gateway":
+    def from_config(cls, config) -> "Gateway":
         if config.get("llm.backend") == LIVE:
             backend = LiveBackend(config.get("llm.api_base"), config.get("llm.model"),
                                   config.get("llm.api_key"))
         else:
-            if script_store is None:
-                script_path = config.get("llm.script_path")
-                if not script_path:
-                    raise SchemaError("scripted backend requires llm.script_path")
-                script_store = ScriptStore.from_jsonl(script_path)
-            backend = ScriptedBackend(script_store)
+            script_path = config.get("llm.script_path")
+            if not script_path:
+                raise SchemaError("scripted backend requires llm.script_path")
+            backend = ScriptedBackend(ScriptStore.from_jsonl(script_path))
         return cls(backend, max_in_flight=config.get_int("llm.max_in_flight"))
 
     # -- uploads ------------------------------------------------------------

@@ -197,8 +197,9 @@ class _HtmlExtractor:
             if tag in ("td", "th"):
                 if frame.current_row is None:  # then no cell is open either
                     frame.current_row = []
-                elif frame.current_cell is not None:
+                elif frame.current_cell is not None:  # closed without </td>, as HTML 4 allows
                     frame.current_row.append(frame.current_cell)
+                    self.assembler.add_text(" ")  # as handle_endtag separates a closed cell
                 frame.current_cell = _RawCell(_colspan(attrs) if attrs else 1, tag == "th")
                 return
         if tag in _PARA_TAGS:

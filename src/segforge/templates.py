@@ -3,7 +3,8 @@
 All question text lives here so scripted fixtures and the pipeline render
 the exact same strings. Templates are versioned; the version is recorded
 in every extraction bundle. Prompts use a neutral tone and instruct the
-model to return bare values with delimiter-standardized lists.
+model to return bare values with delimiter-standardized lists. Every
+segment and component is asked for the same three ``MEASURES``.
 """
 
 from __future__ import annotations
@@ -139,10 +140,11 @@ _MEASURE_PHRASES = {
     "profit_or_loss": "profit or loss measure",
     "assets": "total assets",
 }
+MEASURES = tuple(_MEASURE_PHRASES)  # asked of every segment and component, in this order
 
 
 def measure_question(measure: str, segment: str) -> str:
-    phrase = _MEASURE_PHRASES.get(measure, measure)
+    phrase = _MEASURE_PHRASES[measure]
     return f"What is the {phrase} reported for the {segment} segment in this year?"
 
 
@@ -162,7 +164,7 @@ def nested_names_question(segment: str) -> str:
 
 
 def nested_measure_question(measure: str, component: str, parent: str) -> str:
-    phrase = _MEASURE_PHRASES.get(measure, measure)
+    phrase = _MEASURE_PHRASES[measure]
     return (
         f"What is the {phrase} reported for the {component} component within "
         f"the {parent} reportable segment in this year?"

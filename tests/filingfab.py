@@ -14,7 +14,6 @@ from decimal import Decimal
 from pathlib import Path
 
 import paperdata
-from segforge.config import default
 from segforge.edgar import FilingRef
 from segforge.extraction import (
     AXIS_GEOGRAPHIC,
@@ -28,6 +27,7 @@ from segforge.retrieval import assemble_context, retrieve
 from segforge.templates import (
     CLASSIFY_QUESTION,
     GENERAL_FIELDS,
+    MEASURES,
     SEGMENT_NAMES_QUESTION,
     change_explanation_question,
     measure_question,
@@ -38,7 +38,6 @@ from segforge.templates import (
 )
 from segforge.values import Money, Scale
 
-DEFAULT_MEASURES = default("extraction.measures")  # what a pipeline asks by default
 CHANGE_K = 4
 CHANGE_BUDGET = 12000
 REGION_K = 4
@@ -365,9 +364,8 @@ def filing_script(file_hash: str, classify: str, fields: dict[str, str],
                   nested: dict[str, list[tuple[str, int]]] | None = None) -> list[dict]:
     """Script entries covering one full pipeline run against one filing.
 
-    Measure responses cover every default measure so the same script works
-    whichever measure list the pipeline under test is configured with:
-    revenue gets the fixture amount, the other measures get "Not provided".
+    Measure responses cover every measure the pipeline asks: revenue gets
+    the fixture amount, the other measures get "Not provided".
     """
     entries = [{"file_hash": file_hash, "question": CLASSIFY_QUESTION, "response": classify}]
     for spec in GENERAL_FIELDS:
@@ -386,7 +384,7 @@ def filing_script(file_hash: str, classify: str, fields: dict[str, str],
     })
     nested = nested or {}
     for name, revenue in segments:
-        for measure in DEFAULT_MEASURES:
+        for measure in MEASURES:
             response = money_text(revenue) if measure == "revenue" and revenue is not None \
                 else "Not provided"
             entries.append({
@@ -407,7 +405,7 @@ def filing_script(file_hash: str, classify: str, fields: dict[str, str],
             "response": "; ".join(comp for comp, _ in components),
         })
         for comp, revenue in components:
-            for measure in DEFAULT_MEASURES:
+            for measure in MEASURES:
                 response = money_text(revenue) if measure == "revenue" else "Not provided"
                 entries.append({
                     "file_hash": file_hash,

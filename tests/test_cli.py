@@ -630,14 +630,20 @@ class TestConfigFile:
             "message": f"{where}: llm.max_in_flight = 'abc' is not a valid int"}
         assert not run_dir.exists()
 
-    def test_empty_measure_list_exits_1(self, capsys, base, run_dir, monkeypatch):
-        monkeypatch.setenv(env_var_name("extraction.measures"), ",")
-        code, out, err = invoke(capsys, ["extract", *base, "--cik", str(paperdata.APPLE_CIK),
+    @pytest.mark.parametrize("key, value", [("extraction.measures", "revenue"),
+                                            ("edgar.max_retries", "5")], ids=lambda v: v)
+    def test_removed_key_exits_1(self, capsys, run_dir, tmp_path, config_path, key, value):
+        # Both are constants now: templates.MEASURES and EdgarClient.max_attempts.
+        config = tmp_path / "segforge.conf"
+        text = config_path.read_text(encoding="utf-8") + f"{key} = {value}\n"
+        config.write_text(text, encoding="utf-8")
+        code, out, err = invoke(capsys, ["extract", "--config", str(config), "--run-dir",
+                                         str(run_dir), "--cik", str(paperdata.APPLE_CIK),
                                          "--year", str(paperdata.APPLE_FY)])
         assert (code, out) == (1, "")
         assert json.loads(err) == {
             "error": "SchemaError",
-            "message": "SEGFORGE_EXTRACTION_MEASURES: extraction.measures = ',' lists no value"}
+            "message": f"{config}:{len(text.splitlines())}: unknown key {key!r}"}
         assert not run_dir.exists()
 
     def test_empty_user_agent_exits_1_before_any_request(self, capsys, base, monkeypatch):
@@ -656,8 +662,6 @@ class TestConfigFile:
                      id="llm.max_in_flight-0->= 1"),
         pytest.param("extract", "edgar.rate_limit_rps", "0", "must be >= 0.001",
                      id="edgar.rate_limit_rps-0->= 0.001"),
-        pytest.param("extract", "edgar.max_retries", "-1", "must be >= 0",
-                     id="edgar.max_retries--1->= 0"),
         # A bad value of a key the command never reads fails it too.
         pytest.param("fetch", "llm.max_in_flight", "abc", "is not a valid int",
                      id="fetch-llm.max_in_flight-abc"),
@@ -672,8 +676,6 @@ class TestConfigFile:
                      id="extract-llm.script_path-nul"),
         pytest.param("export", "store.panel_path", "", "is empty",
                      id="export-store.panel_path-empty"),
-        pytest.param("extract", "extraction.measures", "revenue,revenue",
-                     "names 'revenue' twice", id="extract-extraction.measures-twice"),
     ])
     def test_out_of_range_value_exits_1(self, capsys, run_dir, tmp_path, config_path,
                                         monkeypatch, command, key, value, reason):
@@ -733,15 +735,12 @@ def _few_workers(text: str) -> bool:
 def _setting_values(key: str) -> st.SearchStrategy[str]:
     if key == "llm.max_in_flight":
         return st.integers(max_value=64).map(str) | _ANY_TEXT.filter(_few_workers)
-    if key in ("edgar.rate_limit_rps", "edgar.max_retries"):
+    if key == "edgar.rate_limit_rps":
         return st.integers().map(str) | st.floats().map(str) | _ANY_TEXT
     if key.endswith(("_dir", "_path")):
         return _PATH_TEXT
     if key == "llm.backend":
         return st.sampled_from(["scripted", "live"]) | _ANY_TEXT
-    if key == "extraction.measures":
-        names = st.sampled_from(["revenue", "profit_or_loss", "assets", "", "x"])
-        return st.lists(names, max_size=4).map(",".join) | _ANY_TEXT
     return _ANY_TEXT
 
 
@@ -1199,12 +1198,26 @@ class TestUsageErrors:
          "--from", "2000", "--to", "2010"],
         ["align", "--firm-a", "1", "--firm-b", "-1", "--region", "r.json",
          "--from", "2000", "--to", "2010"],
-    ], ids=["fetch_cik", "extract_cik", "changes_cik", "align_firm_a", "align_firm_b"])
+        ["fetch", "--cik", "abc", "--year", "2024"],
+    ], ids=["fetch_cik", "extract_cik", "changes_cik", "align_firm_a", "align_firm_b",
+            "fetch_cik_not_a_number"])
     def test_non_positive_cik_exits_2(self, capsys, base, run_dir, argv):
         with pytest.raises(SystemExit) as excinfo:
             main([*argv, *base])
         assert excinfo.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--cik", "1", "--year", "2024", "--backend", "live"],
+        ["eval", "--gold", "gold.json", "--group", "x"],
+    ], ids=["backend", "group"])
+    def test_removed_option_exits_2(self, capsys, base, run_dir, argv):
+        # llm.backend is set in the config; the gold file names its group.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *base])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("argv", [

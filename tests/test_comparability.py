@@ -164,6 +164,13 @@ class TestParseMapping:
         raw = "BN -> GS"
         assert _parse_mapping(raw, self.PRIOR, self.CURRENT) == [(("BN",), "GS")]
 
+    def test_empty_parts_are_skipped(self):
+        raw = "| Alpha Systems -> Alpha Systems |  | Beta Networks -> Gamma Services |"
+        assert _parse_mapping(raw, self.PRIOR, self.CURRENT) == [
+            (("Alpha Systems",), "Alpha Systems"),
+            (("Beta Networks",), "Gamma Services"),
+        ]
+
     def test_empty_mapping_is_fine(self):
         assert _parse_mapping("", self.PRIOR, self.CURRENT) == []
 
@@ -310,6 +317,32 @@ class TestExplainChangesValidation:
         assert row.reason == "unknown"
         assert row.linkage is None
         assert any("invalid" in w for w in warnings)
+
+    def test_lines_without_a_colon_are_skipped(self, small_index):
+        context = self.context_for(small_index)
+        gateway = self.gateway_with_response(small_index, [
+            "Here is the answer",
+            "reason: divestiture",
+            "linkage: partial",
+            f"cites: {context.chunk_ids[0]}",
+            "That is all",
+        ])
+        warnings: list[str] = []
+        rows = explain_changes(31, self.PANEL, small_index, gateway, warnings=warnings)
+        assert (rows[1].reason, rows[1].linkage, rows[1].mapping) == ("divestiture", "partial", [])
+        assert warnings == []
+
+    def test_linkage_outside_linkage_classes_is_retried_then_degrades(self, small_index):
+        cite = self.context_for(small_index).chunk_ids[0]
+        answer = f"reason: divestiture\nlinkage: sideways\ncites: {cite}"
+        gateway = change_site().gateway(answer, answer)
+        warnings: list[str] = []
+        rows = explain_changes(31, self.PANEL, small_index, gateway, warnings=warnings)
+        reason = "linkage 'sideways' outside LinkageClass"
+        assert (rows[1].reason, rows[1].linkage, rows[1].reason_text) == \
+            ("unknown", None, f"validation failed: {reason}")
+        assert warnings == [f"change explanation for 2001 invalid: {reason}"]
+        assert sorted(r.request_id for r in gateway.transcript) == ["chg-31-2001-1", "chg-31-2001-1-r"]
 
     def test_unknown_cites_degrade(self, small_index):
         gateway = self.gateway_with_response(small_index, [
@@ -629,6 +662,15 @@ class TestArbitration:
         with pytest.raises(ScriptMissError):
             align_regions(31, 32, asia_scheme, (2020, 2020), self.store_with_labels(),
                           index=geo_index, gateway=scripted_gateway([]))
+
+    def test_label_without_retrieved_context_is_excluded_unasked(self, asia_scheme):
+        gateway = scripted_gateway([])
+        [row] = align_regions(31, 32, asia_scheme, (2020, 2020), self.store_with_labels(),
+                              index=change_index(), gateway=gateway)  # no 2020 chunks
+        assert row.firm_a_components == []
+        assert row.warnings == [f"LabelAmbiguity: no context for {label!r} (31, 2020); excluded"
+                                for label in (self.LABEL_IN, self.LABEL_OUT)]
+        assert gateway.transcript == []
 
 
 # -- one validate-and-retry path at every call site ----------------------------

@@ -8,8 +8,8 @@ import pytest
 from segforge.config import SETTINGS, Config, default, env_var_name
 from segforge.edgar import EdgarClient
 from segforge.errors import SchemaError
-from segforge.extraction import ExtractionPipeline
 from segforge.gateway import Gateway, ScriptedBackend, ScriptStore
+from segforge.templates import MEASURES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,7 +19,7 @@ def test_defaults_present():
     assert config.get("llm.backend") == "scripted"
     assert config.get_int("llm.max_in_flight") == 5
     assert config.get_float("edgar.rate_limit_rps") == 8.0
-    assert config.get_list("extraction.measures") == ["revenue", "profit_or_loss", "assets"]
+    assert MEASURES == ("revenue", "profit_or_loss", "assets")  # fixed, not a setting
 
 
 def test_constructor_defaults_equal_config_defaults(tmp_path):
@@ -27,14 +27,11 @@ def test_constructor_defaults_equal_config_defaults(tmp_path):
     config = Config(use_env=False)
     client = EdgarClient(None, cache_dir=tmp_path)
     assert client._limiter.rate == config.get_float("edgar.rate_limit_rps")
-    assert client.max_retries == config.get_int("edgar.max_retries")
     gateway = Gateway(ScriptedBackend(ScriptStore()))
     assert gateway.max_in_flight == config.get_int("llm.max_in_flight")
-    assert ExtractionPipeline(gateway).measures == config.get_list("extraction.measures")
 
 
 @pytest.mark.parametrize("key, least, below", [
-    ("edgar.max_retries", "0", "-1"),
     ("edgar.rate_limit_rps", "0.001", "0"),
     ("llm.max_in_flight", "1", "0"),
 ])
@@ -49,8 +46,6 @@ def test_numeric_settings_are_read_within_their_bounds(key, least, below):
     ("edgar.rate_limit_rps", "nan", "must be >= 0.001"),
     ("edgar.rate_limit_rps", "1e-300", "must be >= 0.001"),
     ("llm.backend", "mystery", "must be 'scripted' or 'live'"),
-    ("extraction.measures", " , ", "lists no value"),
-    ("extraction.measures", "revenue,assets,revenue", "names 'revenue' twice"),
     ("edgar.cache_dir", "", "is empty"),
     ("store.panel_path", "", "is empty"),
     ("edgar.cache_dir", "ca\0che", "holds a NUL character"),
@@ -65,10 +60,11 @@ def test_each_check_names_key_value_and_reason(key, value, reason):
 
 
 def test_values_are_read_once_into_their_types():
-    config = Config({"extraction.measures": " assets , revenue "}, use_env=False)
-    assert config.get_list("extraction.measures") == ["assets", "revenue"]
-    assert config.get("extraction.measures") == " assets , revenue "  # get keeps the text
-    assert config.get_int("edgar.max_retries") == 5
+    config = Config({"edgar.rate_limit_rps": " 2.5 "}, use_env=False)
+    assert config.get_float("edgar.rate_limit_rps") == 2.5
+    assert config.get("edgar.rate_limit_rps") == " 2.5 "  # get keeps the text
+    assert config.get_int("llm.max_in_flight") == 5
+    assert type(config.get_int("llm.max_in_flight")) is int
 
 
 def test_refusal_names_the_file_line_or_variable(tmp_path, monkeypatch):
@@ -121,6 +117,8 @@ def test_file_not_utf8_raises_naming_it(tmp_path):
 @pytest.mark.parametrize("line", [
     "llm.max_inflight = 3",  # misspelt llm.max_in_flight
     "retrieval.k1 = 1.5",  # scoring values are constants, not settings
+    "extraction.measures = revenue",  # fixed as templates.MEASURES
+    "edgar.max_retries = 5",  # fixed as EdgarClient.max_attempts
 ])
 def test_unknown_key_raises(tmp_path, line):
     path = tmp_path / "bad.conf"
@@ -149,6 +147,14 @@ def test_env_overrides_file(tmp_path, monkeypatch):
     assert config.get("edgar.cache_dir") == "from_env"
 
 
+def test_env_var_of_an_unknown_key_is_ignored(monkeypatch):
+    monkeypatch.setenv("SEGFORGE_EDGAR_MAX_RETRIES", "-1")
+    monkeypatch.setenv("SEGFORGE_EXTRACTION_MEASURES", ",")
+    config = Config()
+    with pytest.raises(KeyError):
+        config.get("edgar.max_retries")
+
+
 def test_env_var_name():
     assert env_var_name("edgar.cache_dir") == "SEGFORGE_EDGAR_CACHE_DIR"
 
@@ -161,10 +167,7 @@ def test_env_var_name():
 def test_non_numeric_value_raises_schema_error(key, value, getter):
     with pytest.raises(SchemaError, match=re.escape(f"{key} = {value!r} is not a valid")):
         Config({key: value}, use_env=False)
-    config = Config(use_env=False)
-    with pytest.raises(SchemaError, match=re.escape(f"{key} = {value!r} is not a valid")):
-        config.set(key, value)
-    assert getattr(config, getter)(key) == default(key)  # a refused value is not kept
+    assert getattr(Config(use_env=False), getter)(key) == default(key)
 
 
 def test_get_missing_key_raises():
@@ -172,11 +175,3 @@ def test_get_missing_key_raises():
     with pytest.raises(KeyError):
         config.get("no.such.key")
 
-
-def test_set_mutates():
-    config = Config(use_env=False)
-    config.set("llm.backend", "live")
-    assert config.get("llm.backend") == "live"
-    with pytest.raises(SchemaError, match="^llm.backend = 'mystery' must be 'scripted' or 'live'$"):
-        config.set("llm.backend", "mystery")
-    assert config.get("llm.backend") == "live"

@@ -200,6 +200,14 @@ class TestResolveFiling:
         with pytest.raises(NotFoundError):
             client.resolve_filing(paperdata.APPLE_CIK, 1980)
 
+    @pytest.mark.parametrize("cik", [0, -1])
+    def test_non_positive_cik_refused_before_any_request(self, tmp_path, cik):
+        transport = FlakyTransport(failures=0)
+        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000)
+        with pytest.raises(ValueError, match=f"cik must be positive, got {cik}"):
+            client.resolve_filing(cik, 2019)
+        assert transport.calls == 0
+
     def _write_index(self, tmp_path, filings):
         (tmp_path / "index.json").write_text(
             json.dumps({"77": {"filings": filings}})
@@ -233,6 +241,30 @@ class TestResolveFiling:
         ref = client.resolve_filing(77, 2020)
         assert ref.amended
         assert ref.accession_number == "0000000077-21-000002"
+
+    def test_period_that_is_not_a_year_is_skipped(self, tmp_path):
+        client = self._write_index(tmp_path, [
+            {"form": "10-K", "accession_number": "0000000077-21-000003",
+             "period_of_report": "FY20", "primary_document": "b.htm"},
+            {"form": "10-K", "accession_number": "0000000077-21-000004",
+             "period_of_report": None, "primary_document": "b.htm"},
+            {"form": "10-K", "accession_number": "0000000077-21-000001",
+             "period_of_report": "2020-12-31", "primary_document": "a.htm",
+             "filing_date": "2021-02-01"},
+        ])
+        assert client.resolve_filing(77, 2020).accession_number == "0000000077-21-000001"
+
+    def test_missing_fixture_document_raises_not_found(self, tmp_path):
+        client = self._write_index(tmp_path, [
+            {"form": "10-K", "accession_number": "0000000077-21-000001",
+             "period_of_report": "2020-12-31", "primary_document": "gone.htm",
+             "filing_date": "2021-02-01"},
+        ])
+        ref = client.resolve_filing(77, 2020)
+        missing = f"fixture document missing: {tmp_path / 'gone.htm'}"
+        with pytest.raises(NotFoundError, match=re.escape(missing)):
+            client.fetch(ref)
+        assert not (tmp_path / "c").exists()  # nothing is cached
 
     def test_original_preferred_over_amendment(self, tmp_path):
         client = self._write_index(tmp_path, [
@@ -357,8 +389,7 @@ class TestRetries:
     def test_transient_failures_retried_with_backoff(self, tmp_path):
         clock = FakeClock()
         transport = FlakyTransport(failures=2)
-        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000,
-                             max_retries=5, clock=clock)
+        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000, clock=clock)
         ref = client.resolve_filing(1, 2019)
         assert ref.accession_number == "0000000001-20-000001"
         assert transport.calls == 3
@@ -368,8 +399,7 @@ class TestRetries:
     def test_non_retryable_fails_fast(self, tmp_path):
         clock = FakeClock()
         transport = FlakyTransport(failures=10, retryable=False)
-        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000,
-                             max_retries=5, clock=clock)
+        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000, clock=clock)
         with pytest.raises(NetworkError):
             client.resolve_filing(1, 2019)
         assert transport.calls == 1
@@ -377,11 +407,11 @@ class TestRetries:
     def test_retries_exhausted_raises(self, tmp_path):
         clock = FakeClock()
         transport = FlakyTransport(failures=10, retryable=True)
-        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000,
-                             max_retries=2, clock=clock)
+        client = EdgarClient(transport, cache_dir=tmp_path, rate_limit_rps=10_000, clock=clock)
         with pytest.raises(NetworkError):
             client.resolve_filing(1, 2019)
-        assert transport.calls == 3  # max_retries + 1 attempts
+        assert transport.calls == EdgarClient.max_attempts == 6
+        assert clock.sleeps == [0.5, 1.0, 2.0, 4.0, 8.0]  # none after the last attempt
 
 
 class TestLiveTransport:
@@ -451,6 +481,18 @@ class TestLiveTransport:
     def test_retry_after_as_an_http_date(self, tmp_path):
         clock = FakeClock()
         when = format_datetime(datetime.now(timezone.utc) + timedelta(seconds=30), usegmt=True)
+        session = FakeSession({SUBMISSIONS_URL.format(cik=42): [
+            http_response(503, headers={"Retry-After": when}),
+            http_response(200, {"filings": {"recent": filing_columns(("10-K", 2023))}}),
+        ]})
+        self.client(tmp_path, session, clock).resolve_filing(42, 2023)
+        assert len(clock.sleeps) == 1 and 25 < clock.sleeps[0] <= 30
+
+    def test_retry_after_as_an_http_date_without_a_zone(self, tmp_path):
+        # "-0000" names no zone; the date is read as UTC.
+        clock = FakeClock()
+        when = format_datetime((datetime.now(timezone.utc) + timedelta(seconds=30)).replace(tzinfo=None))
+        assert when.endswith("-0000")
         session = FakeSession({SUBMISSIONS_URL.format(cik=42): [
             http_response(503, headers={"Retry-After": when}),
             http_response(200, {"filings": {"recent": filing_columns(("10-K", 2023))}}),

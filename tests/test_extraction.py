@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import filingfab
 import paperdata
 from segforge import extraction
-from segforge.config import default
 from segforge.edgar import EdgarClient
 from segforge.errors import SchemaError, ScriptMissError, ValidationError
 from segforge.extraction import (
@@ -54,6 +53,7 @@ from segforge.gateway import Gateway, ScriptedBackend, ScriptStore
 from segforge.templates import (
     CLASSIFY_QUESTION,
     GENERAL_FIELDS,
+    MEASURES,
     SEGMENT_NAMES_QUESTION,
     AnswerShape,
     measure_question,
@@ -63,8 +63,6 @@ from segforge.templates import (
     retry_question,
 )
 from segforge.values import Money, Scale, encode
-
-DEFAULT_MEASURES = default("extraction.measures")  # what a pipeline asks by default
 
 
 def fetch_doc(client: EdgarClient, cik: int, year: int):
@@ -80,8 +78,7 @@ def as_json(bundle: ExtractionBundle) -> dict:
     return json.loads(json.dumps(bundle, default=encode))
 
 
-def expected_question_count(n_segments: int, nested_children: list[int],
-                            n_measures: int = len(DEFAULT_MEASURES)) -> int:
+def expected_question_count(n_segments: int, nested_children: list[int]) -> int:
     """Independent count of pipeline questions for a multi-segment filing.
 
     classify + general fields + segment names + per-segment measures +
@@ -89,9 +86,9 @@ def expected_question_count(n_segments: int, nested_children: list[int],
     parent with a positive detection.
     """
     count = 1 + len(GENERAL_FIELDS) + 1
-    count += n_segments * n_measures + n_segments
+    count += n_segments * len(MEASURES) + n_segments
     for children in nested_children:
-        count += 1 + children * n_measures
+        count += 1 + children * len(MEASURES)
     return count
 
 
@@ -193,33 +190,6 @@ class TestQuestionBudget:
         assert len(transcript_for(gateway, hashes["avy2003"])) == expected_question_count(
             n_segments=n, nested_children=[]
         )
-
-    def test_configured_measure_list_shrinks_budget(self, edgar_client, make_gateway,
-                                                    edgar_fixture):
-        _, hashes = edgar_fixture
-        gateway = make_gateway()
-        pipeline = ExtractionPipeline(gateway, measures=["revenue"])
-        doc = fetch_doc(edgar_client, paperdata.AVY_CIK, 2003)
-        bundle = pipeline.run_pipeline(doc, paperdata.AVY_CIK, 2003)
-        n = len(paperdata.AVY_TABLE3[2003])
-        assert len(transcript_for(gateway, hashes["avy2003"])) == expected_question_count(
-            n_segments=n, nested_children=[], n_measures=1
-        )
-        assert all("revenue" in r.measures for r in bundle.reportable)
-
-    def test_empty_measure_list_asks_no_measures(self, edgar_client, make_gateway,
-                                                 edgar_fixture):
-        _, hashes = edgar_fixture
-        gateway = make_gateway()
-        pipeline = ExtractionPipeline(gateway, measures=[])
-        assert pipeline.measures == []
-        bundle = pipeline.run_pipeline(fetch_doc(edgar_client, paperdata.AVY_CIK, 2003),
-                                       paperdata.AVY_CIK, 2003)
-        n = len(paperdata.AVY_TABLE3[2003])
-        assert len(transcript_for(gateway, hashes["avy2003"])) == expected_question_count(
-            n_segments=n, nested_children=[], n_measures=0
-        )
-        assert all(r.measures == {} for r in bundle.reportable)
 
 
 class TestRetries:
@@ -328,7 +298,7 @@ class TestTierDifferences:
             SEGMENT_NAMES_QUESTION: "Alpha",
             nested_names_question("Americas"): "Widgets",
         }
-        for measure in DEFAULT_MEASURES:
+        for measure in MEASURES:
             revenue = measure == "revenue"
             answers[measure_question(measure, "Alpha")] = "5" if revenue else "Not provided"
             answers[nested_measure_question(measure, "Widgets", "Americas")] = (
@@ -420,7 +390,7 @@ class TestScheduling:
         # question is asked, which needs detection answered first: only a
         # pipeline with detection in flight beside the measures finishes.
         nested_asked = threading.Event()
-        measures = {measure_question(m, s) for m in DEFAULT_MEASURES
+        measures = {measure_question(m, s) for m in MEASURES
                     for s in paperdata.ADOBE_SEGMENTS}
         asked: list[str] = []
         held_too_long: list[str] = []
@@ -595,10 +565,10 @@ class TestScheduling:
                     nested_names_question(parent)]
         filler = [*(spec.question for spec in GENERAL_FIELDS),
                   *(measure_question(m, s) for s in paperdata.ADOBE_SEGMENTS
-                    for m in DEFAULT_MEASURES),
+                    for m in MEASURES),
                   retry_question(revenue, AnswerShape.MONETARY),
                   *(nested_measure_question(m, n, parent) for n, _ in paperdata.ADOBE_NESTED
-                    for m in DEFAULT_MEASURES)]
+                    for m in MEASURES)]
         asked = {r.question: gateway.filler[r.request_id] for r in gateway.transcript}
         assert len(gateway.filler) == len(gateway.transcript) == len(critical) + len(filler)
         assert asked == {**{q: False for q in critical}, **{q: True for q in filler}}
@@ -914,6 +884,16 @@ class TestSerialization:
         ]
         with pytest.raises(SchemaError):
             bundle_from_json(data)
+
+    def test_invalid_bundle_file_is_named(self, tmp_path):
+        data = as_json(filingfab.intc_bundle(2012))
+        data["nested"] = [{"name": "orphan", "axis": AXIS_OTHER, "measures": {},
+                           "parent_name": "gone", "provenance": []}]
+        path = tmp_path / "50863_2012.bundle.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SchemaError) as caught:
+            load_bundle(path)
+        assert str(caught.value) == f"{path}: nested record 'orphan' has orphan parent 'gone'"
 
     def test_money_exactness_survives(self):
         bundle = filingfab.intc_bundle(2016)

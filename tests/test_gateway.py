@@ -721,10 +721,20 @@ class TestFromConfig:
         with pytest.raises(SchemaError):
             Gateway.from_config(config)
 
-    def test_explicit_store_wins_over_path(self):
-        config = Config({"llm.script_path": ""}, use_env=False)
-        gateway = Gateway.from_config(config, script_store=store_with({"q": "r"}))
-        assert gateway.ask(request_for("q", "req-1")).text == "r"
+    def test_live_backend_from_config(self, monkeypatch):
+        session = TestLiveBackend.Session(TestLiveBackend.response(200, {"id": "file-1"}))
+        monkeypatch.setattr(requests, "Session", lambda: session)
+        config = Config({"llm.backend": "live", "llm.api_base": "https://llm.example.test/",
+                         "llm.model": "m", "llm.api_key": "k", "llm.max_in_flight": "3"},
+                        use_env=False)
+        gateway = Gateway.from_config(config)
+        backend = gateway.backend
+        assert isinstance(backend, LiveBackend) and gateway.max_in_flight == 3
+        assert (backend.api_base, backend.model, backend.session) == \
+            ("https://llm.example.test", "m", session)
+        assert session.headers == {"Authorization": "Bearer k"}
+        assert backend.upload(HASH_A, b"doc", "doc.htm").provider_file_id == "file-1"
+        assert session.urls == ["https://llm.example.test/files"]
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(SchemaError, match="llm.backend = 'mystery' must be 'scripted' or 'live'"):
@@ -750,10 +760,10 @@ class TestLiveBackend:
         def __init__(self, *responses):
             self.headers = {}
             self.responses = list(responses)
-            self.posts = 0
+            self.urls = []
 
         def post(self, url, timeout=None, **kwargs):
-            self.posts += 1
+            self.urls.append(url)
             return self.responses.pop(0)
 
     @staticmethod
@@ -785,6 +795,22 @@ class TestLiveBackend:
         with pytest.raises(ProviderError, match="HTTP 429"):
             backend.upload(HASH_A, b"doc", "doc.htm")
         assert clock.sleeps == [4.0, 4.0]
+
+    def test_empty_api_base_refused(self):
+        with pytest.raises(ProviderError, match="llm.api_base is not configured"):
+            LiveBackend("", "m", session=self.Session())
+
+    @pytest.mark.parametrize("body", [{"file_id": "file-1"}, ["file-1"], None])
+    def test_upload_without_an_id_raises(self, body):
+        backend, _ = self.backend(self.response(200, body))
+        with pytest.raises(UploadError, match="provider returned no file id"):
+            backend.upload(HASH_A, b"doc", "doc.htm")
+
+    @pytest.mark.parametrize("body", [{"answer": "x"}, "x", None])
+    def test_completion_without_text_raises(self, body):
+        backend, _ = self.backend(self.response(200, body))
+        with pytest.raises(ProviderError, match="provider returned no completion text"):
+            backend.ask(request_for("q", "req-1"))
 
     def test_latency_comes_from_the_clock(self):
         backend, clock = self.backend(self.response(429, retry_after="2"),

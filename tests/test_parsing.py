@@ -35,7 +35,7 @@ from segforge.parsing import (
     parse,
     parse_text,
 )
-from segforge.retrieval import build_index
+from segforge.retrieval import build_index, tokenize
 from segforge.values import Scale, load, parse_table_cell
 
 FIXTURE_NAMES = ["apple", "adobe"] + [f"avy{y}" for y in sorted(paperdata.AVY_TABLE3)]
@@ -271,6 +271,24 @@ class TestTableNormalization:
         table = parse_text("<table><tr><td>A<td>1<tr><td>B<td>2</table>").tables[0]
         assert (table.header_rows, table.body_rows) == ([], [["A", "1"], ["B", "2"]])
 
+    def test_unclosed_cells_are_separated_in_the_text(self):
+        # HTML 4 makes </td> optional too: a new <td> closes the open cell.
+        implicit = parse_text("<table><tr><td>Region<td>1,200</tr></table>")
+        explicit = parse_text("<table><tr><td>Region</td><td>1,200</td></tr></table>")
+        assert implicit.full_text == explicit.full_text == "Region 1,200\n"
+        assert implicit.tables[0].body_rows == explicit.tables[0].body_rows
+        assert "region" in tokenize(implicit.full_text)
+
+    def test_cells_before_any_row_are_kept(self):
+        table = parse_text("<table><td>A<td>1</td></table>").tables[0]
+        assert (table.header_rows, table.body_rows) == ([], [["A", "1"]])
+
+    def test_colspan_that_is_absent_bare_or_not_a_number_spans_one(self):
+        html = ("<table><tr><td class=x>A</td><td colspan>1</td><td colspan='wide'>2</td>"
+                "<td colspan='2'>3</td></tr><tr><td>a<td>b<td>c<td>d<td>e</tr></table>")
+        table = parse_text(html).tables[0]
+        assert table.body_rows == [["A", "1", "2", "3", ""], ["a", "b", "c", "d", "e"]]
+
     def test_table_text_flows_into_full_text(self):
         html = "<p>Lead.</p><table><tr><td>Alpha</td><td>1,000</td></tr></table>"
         parsed = parse_text(html)
@@ -379,6 +397,11 @@ class TestFallbacks:
             with pytest.raises(UnicodeDecodeError):
                 data.decode(encoding)
         assert "Caf\xe9 \x81 results." in parse(self.FakeDoc(data)).full_text
+
+    def test_stray_block_end_tags_break_the_line(self):
+        # An end tag with no start tag, outside any table, still ends the line.
+        parsed = parse_text("<p>Intro.</p>Alpha</div>Beta</li>Gamma")
+        assert parsed.full_text == "Intro.\n\nAlpha\nBeta\nGamma\n"
 
     def test_script_and_style_content_skipped(self):
         html = (

@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_source_parses_as_python_3_10():
-    sources = sorted(path for folder in ("src", "tests", "perfbench")
-                     for path in (ROOT / folder).rglob("*.py"))
-    assert {path.relative_to(ROOT).parts[0] for path in sources} == {"src", "tests", "perfbench"}
+    folders = ("src", "tests", "perfbench", "tools")
+    sources = sorted(path for folder in folders for path in (ROOT / folder).rglob("*.py"))
+    assert {path.relative_to(ROOT).parts[0] for path in sources} == set(folders)
     failures = []
     for path in sources:
         try:
