@@ -322,6 +322,9 @@ def cmd_align(args) -> int:
     index = load_index(args.index_dir) if args.index_dir else None
     rows = align_regions(args.firm_a, args.firm_b, scheme,
                          (args.year_from, args.year_to), store, index, gateway)
+    for row in rows:
+        for warning in row.warnings:
+            print(warning, file=sys.stderr)
     table = (rows, args.label_a or str(args.firm_a), args.label_b or str(args.firm_b),
              scheme.region_name)
     name = f"alignment_{args.firm_a}_{args.firm_b}"

@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import SchemaError, ValidationError
-from .extraction import SegmentRecord, validate_yes_no
+from .extraction import AXIS_GEOGRAPHIC, ExtractionBundle, SegmentRecord, validate_yes_no
 from .gateway import Gateway, PromptRequest, ask_checked
 from .retrieval import ChunkIndex, ContextBlock, RetrievalResult, assemble_context, retrieve
 from .store import SegmentStore
@@ -336,15 +336,15 @@ def _firm_components(records: list[SegmentRecord], cik: int, year: int, scheme: 
     return components
 
 
-def _firm_total(store: SegmentStore, cik: int, year: int, components: list[tuple[str, Decimal, Scale]],
+def _firm_total(bundle: ExtractionBundle | None, cik: int, year: int,
+                components: list[tuple[str, Decimal, Scale]],
                 warnings: list[str]) -> tuple[Money, Decimal | None]:
-    """The exact sum of a firm's components, and its percentage of the firm's revt."""
+    """The exact sum of a firm's components, and its percentage of the bundle's revt."""
     total = money_sum(Money(value, scale) for _, value, scale in components)
     if any(scale != total.scale for _, _, scale in components):
         warnings.append(f"mixed component scales in {year} for {cik}; total stated in {total.scale.value}")
     if not components:
         return total, Decimal("0.0")
-    bundle = store.get(cik, year)
     revt_text = (bundle.general_fields.get("revt", "") if bundle else "").strip()
     try:
         revt = parse_monetary(revt_text)
@@ -366,20 +366,25 @@ def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
                   gateway: Gateway | None = None) -> list[AlignmentRow]:
     """Aggregate each firm's in-region geographic components per year.
 
-    Components come from stored geographic records whose normalized label
-    is a scheme member. A firm's total is their exact sum, stated at the
-    finest scale among them (``values.money_sum``); percentages divide its
-    units by the bundle's consolidated revt (never re-derived from segment
-    sums).
+    Each firm-year's bundle is read once, and a year is skipped when neither
+    firm has one. Components come from the bundle's reportable geographic
+    records, sorted by name, whose normalized label is a scheme member. A
+    firm's total is their exact sum, stated at the finest scale among them
+    (``values.money_sum``); percentages divide its units by the bundle's
+    consolidated revt (never re-derived from segment sums).
     Labels the scheme does not list but shares a word with are arbitrated
     by the gateway, all in one ``ask_checked`` batch.
     """
     plan = []
     verdicts = {}  # (cik, year, label) -> arbitration item, then True, False or a warning
     for year in range(years[0], years[1] + 1):
-        firms = [[record for record in store.query_segments(cik, year, axis="geographic")
-                  if record.parent_name is None] for cik in (firm_a, firm_b)]
-        plan.append((year, firms))
+        bundles = [store.get(cik, year) for cik in (firm_a, firm_b)]
+        if bundles == [None, None]:
+            continue
+        firms = [sorted((record for record in bundle.reportable if record.axis == AXIS_GEOGRAPHIC
+                         and record.parent_name is None), key=lambda r: r.name) if bundle else []
+                 for bundle in bundles]
+        plan.append((year, bundles, firms))
         for cik, records in zip((firm_a, firm_b), firms):
             for record in records:
                 if not scheme.contains(record.name) and _label_ambiguous(record.name, scheme):
@@ -396,14 +401,12 @@ def align_regions(firm_a: int, firm_b: int, scheme: RegionScheme,
         else:
             verdicts[key] = answer.value
     rows: list[AlignmentRow] = []
-    for year, firms in plan:
+    for year, bundles, firms in plan:
         warnings: list[str] = []
         parts = [_firm_components(records, cik, year, scheme, verdicts, warnings)
                  for cik, records in zip((firm_a, firm_b), firms)]
-        if not any(parts) and store.get(firm_a, year) is None and store.get(firm_b, year) is None:
-            continue
-        (total_a, pct_a), (total_b, pct_b) = [_firm_total(store, cik, year, firm, warnings)
-                                              for cik, firm in zip((firm_a, firm_b), parts)]
+        (total_a, pct_a), (total_b, pct_b) = [_firm_total(bundle, cik, year, firm, warnings)
+                                              for bundle, cik, firm in zip(bundles, (firm_a, firm_b), parts)]
         rows.append(AlignmentRow(year, *parts, total_a.value, total_b.value, pct_a, pct_b, warnings))
     return rows
 

@@ -34,7 +34,6 @@ LIVE = "live"
 class FileHandle:
     provider_file_id: str
     content_hash: str
-    uploaded_at: str = ""  # empty for the scripted backend (deterministic runs)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,6 @@ class ScriptedBackend:
         return FileHandle(
             provider_file_id="scripted:" + content_hash[:12],
             content_hash=content_hash,
-            uploaded_at="",
         )
 
     def ask(self, request: PromptRequest) -> Completion:
@@ -192,7 +190,6 @@ class LiveBackend:
         return FileHandle(
             provider_file_id=file_id,
             content_hash=content_hash,
-            uploaded_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         )
 
     def ask(self, request: PromptRequest) -> Completion:

@@ -1,7 +1,7 @@
 """Convert a raw 10-K (HTML or SGML text) into a normalized document.
 
 Produces plain-text sections keyed by SEC item, tables lifted into a
-normalized form, and ranked segment-disclosure regions.  Section offsets
+normalized form, and the spans of likely segment disclosures.  Section offsets
 partition the extracted text exactly: front matter plus the item sections
 concatenate back to the full text with no characters lost or duplicated.
 """
@@ -60,6 +60,9 @@ class Section:
 
 @dataclass
 class NormalizedTable:
+    """A table's rows of cell text. A cell spanning n columns is followed by n - 1
+    empty cells; a row holds only its own cells, so rows may differ in length."""
+
     table_id: str
     caption_text: str
     header_rows: list[list[str]]
@@ -84,14 +87,6 @@ class ParsedFiling:
 
     def sections(self) -> list[Section]:
         return [self.front_matter, *self.items.values()]
-
-
-@dataclass(frozen=True)
-class SegmentRegion:
-    item: str | None  # item number or None for front matter
-    start: int
-    end: int
-    confidence: float
 
 
 # -- text assembly ---------------------------------------------------------
@@ -481,9 +476,6 @@ def _normalize_table(frame: _TableFrame, table_id: str, full_text: str) -> Norma
             rows.append((cells, has_header))
     if not rows:
         return None
-    width = max(len(cells) for cells, _ in rows)
-    for cells, _ in rows:
-        cells.extend([""] * (width - len(cells)))
 
     header_count = 0
     for cells, has_header in rows:
@@ -710,13 +702,14 @@ _REGION_PAD_AFTER = 800
 _MIN_CLUSTER_WEIGHT = 0.5
 
 
-def locate_segment_regions(parsed: ParsedFiling) -> list[SegmentRegion]:
-    """Rank candidate segment-disclosure regions by lexical signals.
+def locate_segment_regions(parsed: ParsedFiling) -> list[tuple[int, int]]:
+    """The ``(start, end)`` spans of likely segment disclosures, in document order.
 
-    Used to flag retrieval chunks and for debugging views only; extraction
-    always works from the complete filing.
+    A span is a cluster of lexical signals whose weights reach
+    ``_MIN_CLUSTER_WEIGHT``, padded and kept inside its section. Used to flag
+    retrieval chunks only; extraction always works from the complete filing.
     """
-    regions: list[SegmentRegion] = []
+    regions: list[tuple[int, int]] = []
     for section in parsed.sections():
         clusters: list[list[tuple[int, int, float]]] = []
         for hit in _signal_hits(section.text):
@@ -725,7 +718,6 @@ def locate_segment_regions(parsed: ParsedFiling) -> list[SegmentRegion]:
             else:
                 clusters.append([hit])
         regions += filter(None, (_close_cluster(cluster, section) for cluster in clusters))
-    regions.sort(key=lambda r: (-r.confidence, r.start))
     return regions
 
 
@@ -756,14 +748,11 @@ def _fold_case(text: str) -> str:
     return text.replace("İ", "i").lower().replace("ſ", "s").replace("ı", "i")
 
 
-def _close_cluster(cluster: list[tuple[int, int, float]], section: Section) -> SegmentRegion | None:
-    weight = sum(w for _, _, w in cluster)
-    if weight < _MIN_CLUSTER_WEIGHT:
+def _close_cluster(cluster: list[tuple[int, int, float]], section: Section) -> tuple[int, int] | None:
+    if sum(w for _, _, w in cluster) < _MIN_CLUSTER_WEIGHT:
         return None
-    start = max(section.start, section.start + cluster[0][0] - _REGION_PAD_BEFORE)
-    end = min(section.end, section.start + cluster[-1][1] + _REGION_PAD_AFTER)
-    item = section.item.number if section.item else None
-    return SegmentRegion(item=item, start=start, end=end, confidence=min(1.0, weight / 6.0))
+    return (max(section.start, section.start + cluster[0][0] - _REGION_PAD_BEFORE),
+            min(section.end, section.start + cluster[-1][1] + _REGION_PAD_AFTER))
 
 
 # -- serialization -----------------------------------------------------------

@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .errors import BudgetTooSmallError, SchemaError
-from .parsing import FRONT_MATTER, ParsedFiling, SegmentRegion, locate_segment_regions
+from .parsing import FRONT_MATTER, ParsedFiling, locate_segment_regions
 from .values import encode, load, read, write_atomic
 
 # Keeps the bytes of a-z and 0-9 and maps every other byte to a space.
@@ -93,9 +93,7 @@ class _Stats:  # index.bin
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    query: str
     hits: list[tuple[str, float]]  # (chunk_id, score), scores non-increasing
-    filter_used: dict | None
 
 
 class ChunkIndex:
@@ -188,20 +186,17 @@ class ChunkIndex:
         return self._chunks[position]
 
     def select(self, metadata_filter: dict | None) -> Iterator[tuple[int, Chunk]]:
-        """Each chunk the filter admits, with its position, in build order.
+        """Each chunk of the filings the filter admits, with its position, in build order.
 
-        The filter's ``cik`` and ``fiscal_year`` (a year or a collection of
-        years) pick the filings, and only their chunk files are read; ``item``
-        is then checked per chunk. A key the filter leaves out admits any value.
+        The filter's ``cik`` and ``fiscal_year`` (one year) pick the filings,
+        and only their chunk files are read. A key the filter leaves out admits
+        any value.
         """
         wanted = metadata_filter or {}
-        sources = [(cik, year) for cik, year in self._filings if wanted.get("cik", cik) == cik
-                   and year in _years(wanted.get("fiscal_year", year))]
+        sources = [(cik, year) for cik, year in self._filings
+                   if wanted.get("cik", cik) == cik and wanted.get("fiscal_year", year) == year]
         self._read(sources)
-        for source in sources:
-            for i in self._filings[source]:
-                if wanted.get("item", self._chunks[i].item) == self._chunks[i].item:
-                    yield i, self._chunks[i]
+        yield from ((i, self._chunks[i]) for source in sources for i in self._filings[source])
 
     def terms(self, index: int) -> tuple[dict[str, int], int]:
         """One chunk's term counts and length, derived and kept on first use."""
@@ -326,18 +321,14 @@ def build_index(filings: Iterable[ParsedFiling]) -> ChunkIndex:
         dict.fromkeys(tokenize(chunk.text)) for chunk in chunks))))
 
 
-def _overlap_test(regions: list[SegmentRegion]) -> Callable[[int, int], bool]:
-    """``test(start, end)``, which is ``any(r.start < end and r.end > start
-    for r in regions)``: one bisection over the regions sorted by start."""
-    ordered = sorted((region.start, region.end) for region in regions)
+def _overlap_test(regions: list[tuple[int, int]]) -> Callable[[int, int], bool]:
+    """``test(start, end)``, which is ``any(a < end and b > start for a, b in
+    regions)``: one bisection over the regions sorted by start."""
+    ordered = sorted(regions)
     starts = [start for start, _ in ordered]
     # reach[j] is the furthest end among ordered[:j + 1].
     reach = list(accumulate((end for _, end in ordered), max))
     return lambda start, end: (k := bisect_left(starts, end)) > 0 and reach[k - 1] > start
-
-
-def _years(wanted) -> set | list | tuple:
-    return wanted if isinstance(wanted, (set, list, tuple)) else {wanted}
 
 
 def retrieve(index: ChunkIndex, query: str, k: int,
@@ -352,16 +343,13 @@ def retrieve(index: ChunkIndex, query: str, k: int,
         if score > 0.0:
             scored.append((score, chunk.fiscal_year, chunk.chunk_id))
     scored.sort(key=lambda row: (-row[0], row[1], row[2]))
-    hits = [(chunk_id, score) for score, _, chunk_id in scored[:k]]
-    filter_copy = dict(metadata_filter) if metadata_filter else None
-    return RetrievalResult(query=query, hits=hits, filter_used=filter_copy)
+    return RetrievalResult(hits=[(chunk_id, score) for score, _, chunk_id in scored[:k]])
 
 
 @dataclass(frozen=True)
 class ContextBlock:
     text: str
     chunk_ids: list[str]
-    spans: list[tuple[str, int, int]]  # every char of text belongs to one chunk
 
 
 def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
@@ -384,7 +372,6 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
         key=lambda cid: (index.chunk(cid).fiscal_year, -best[cid], cid),
     )
     parts: list[str] = []
-    spans: list[tuple[str, int, int]] = []
     chunk_ids: list[str] = []
     used = 0
     for chunk_id in ordered:
@@ -393,7 +380,6 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
         block = f"{header}\n{chunk.text}\n\n"
         if used + len(block) > budget_chars:
             continue
-        spans.append((chunk_id, used, used + len(block)))
         parts.append(block)
         chunk_ids.append(chunk_id)
         used += len(block)
@@ -401,7 +387,7 @@ def assemble_context(index: ChunkIndex, results: list[RetrievalResult],
         raise BudgetTooSmallError(
             f"no retrieved chunk fits in a {budget_chars}-char budget"
         )
-    return ContextBlock(text="".join(parts), chunk_ids=chunk_ids, spans=spans)
+    return ContextBlock(text="".join(parts), chunk_ids=chunk_ids)
 
 
 # -- persistence ---------------------------------------------------------------

@@ -22,7 +22,6 @@ from .errors import SchemaError
 from .extraction import (
     ExtractionBundle,
     SINGLE_UNIT,
-    SegmentRecord,
     bundle_from_json,
     validate_bundle,
 )
@@ -85,7 +84,7 @@ class SegmentStore:
 
     A row's shape is checked when its key is first read (its key matches
     its bundle's, ``reportable`` is a list, ``classification.kind`` a
-    string); ``get``, ``bundles``, ``query_segments`` and
+    string); ``get``, ``bundles`` and
     ``segment_names_by_year`` then decode, validate and keep its bundle.
     ``export_csv`` decodes each row the same way and writes its CSV as it
     goes, keeping no decoded bundle. ``gap_report`` checks the shape of the
@@ -216,16 +215,6 @@ class SegmentStore:
 
     def __len__(self) -> int:
         return len(self._rows)
-
-    def query_segments(self, cik: int, fiscal_year: int,
-                       axis: str | None = None) -> list[SegmentRecord]:
-        """One firm-year's records, reportable first, each tier sorted by name."""
-        bundle = self.get(cik, fiscal_year)
-        if bundle is None:
-            return []
-        return [record for records in (bundle.reportable, bundle.nested)
-                for record in sorted(records, key=lambda r: r.name)
-                if axis is None or record.axis == axis]
 
     def segment_names_by_year(self, cik: int, years: tuple[int, int] | None = None) -> list[tuple[int, list[str]]]:
         """(year, reportable names in disclosure order) for each stored year in range."""

@@ -8,6 +8,7 @@ into the working tree.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import csv
 import hashlib
 import io
@@ -828,6 +829,30 @@ class TestAlign:
         assert f"{paperdata.INTC_PCT[2012]}%" in row_2012
         assert f"{paperdata.TXN_PCT[2012]}%" in row_2012
         assert not (run_dir / "transcript.jsonl").exists()
+
+    def test_warnings_go_to_stderr_in_year_order(self, capsys, base, run_dir, tmp_path):
+        """A missing revt and a label excluded unarbitrated are each said on stderr."""
+        intc_2013 = filingfab.intc_bundle(2013)
+        intc_2013.general_fields["revt"] = "Not provided"
+        txn_2012 = filingfab.txn_bundle(2012)
+        label = filingfab.REGION_LABELS[0]
+        txn_2012.reportable.append(dataclasses.replace(txn_2012.reportable[-1], name=label))
+        write_panel(run_dir, [filingfab.intc_bundle(2012), txn_2012,
+                              intc_2013, filingfab.txn_bundle(2013)])
+        code, out, err = invoke(capsys, [
+            "align", *base,
+            "--firm-a", str(paperdata.INTC_CIK), "--firm-b", str(paperdata.TXN_CIK),
+            "--region", str(filingfab.write_asia_scheme(tmp_path / "asia.json")),
+            "--from", "2012", "--to", "2013",
+        ])
+        assert code == 0
+        assert err.splitlines() == [
+            f"LabelAmbiguity: {label!r} ({paperdata.TXN_CIK}, 2012) unresolved; excluded",
+            f"MissingTotalRevenue: no usable revt for ({paperdata.INTC_CIK}, 2013); pct omitted",
+        ]
+        csv_path = run_dir / f"alignment_{paperdata.INTC_CIK}_{paperdata.TXN_CIK}.csv"
+        row_2013 = next(csv.reader(io.StringIO(csv_path.read_text(encoding="utf-8").splitlines()[2])))
+        assert row_2013[0] == "2013" and row_2013[7] == ""
 
     def test_arbitration_transcript(self, capsys, base, run_dir, tmp_path, monkeypatch):
         # The raw answers behind an in-region and an excluded label are kept.

@@ -512,6 +512,32 @@ class TestAlignmentEdgeCases:
         assert [n for n, _, _ in rows[0].firm_a_components] == ["Asia"]
         assert rows[0].firm_a_region_total == Decimal(100)
 
+    def test_components_are_reportable_geographic_records_sorted_by_name(self, asia_scheme):
+        store = SegmentStore()
+        bundle = filingfab.geo_bundle(31, 2020, "Synth Corp", "SYN",
+                                      [("Taiwan", 30), ("United States", 500), ("Japan", 20),
+                                       ("China", 10)], 1000)
+        bundle.reportable.append(SegmentRecord(
+            name="Asia", axis="business", measures={"revenue": Money(Decimal(99), Scale.MILLIONS)}))
+        bundle.nested.append(SegmentRecord(
+            name="Singapore", axis="geographic", parent_name="Taiwan",
+            measures={"revenue": Money(Decimal(7), Scale.MILLIONS)}))
+        store.put(bundle)
+        [row] = align_regions(31, 32, asia_scheme, (2020, 2020), store)
+        assert [n for n, _, _ in row.firm_a_components] == ["China", "Japan", "Taiwan"]
+        assert row.firm_a_region_total == Decimal(60)
+
+    def test_each_firm_year_is_read_once(self, asia_scheme, monkeypatch):
+        store = SegmentStore()
+        for cik, year in [(31, 2020), (32, 2020), (31, 2021)]:
+            self.put_geo(store, cik, year, [("Japan", 400)])
+        reads = []
+        get = store.get
+        monkeypatch.setattr(store, "get", lambda *key: reads.append(key) or get(*key))
+        rows = align_regions(31, 32, asia_scheme, (2020, 2022), store)
+        assert [row.fiscal_year for row in rows] == [2020, 2021]
+        assert sorted(reads) == [(31, 2020), (31, 2021), (31, 2022), (32, 2020), (32, 2021), (32, 2022)]
+
     def test_component_without_revenue_is_skipped(self, asia_scheme):
         store = SegmentStore()
         bundle = self.put_geo(store, 31, 2020, [("Asia", 100)])

@@ -157,7 +157,6 @@ class TestScriptedBackend:
         assert handle == FileHandle(
             provider_file_id="scripted:" + "a" * 12,
             content_hash=HASH_A,
-            uploaded_at="",
         )
 
     def test_ask_replays_script(self):

@@ -181,7 +181,7 @@ class TestFixtureTables:
 
 
 class TestTableNormalization:
-    def test_colspan_expansion_and_width_padding(self):
+    def test_colspan_expansion_and_short_rows(self):
         html = (
             "<p>Overview paragraph.</p>"
             "<table>"
@@ -198,12 +198,12 @@ class TestTableNormalization:
         assert table.body_rows == [
             ["Alpha", "prior", "(2,500)"],
             ["Beta", "current", "1,250.5"],
-            ["Gamma", "", ""],
+            ["Gamma"],
         ]
         assert [[parse_table_cell(cell) for cell in row] for row in table.body_rows] == [
             [None, None, Decimal("-2500")],
             [None, None, Decimal("1250.5")],
-            [None, None, None],
+            [None],
         ]
         assert table.scale == Scale.UNITS
         assert table.scale_assumed is True
@@ -298,28 +298,25 @@ class TestTableNormalization:
 
 
 class TestSegmentRegions:
-    def test_apple_top_region_is_the_segment_note(self, parsed_filings):
+    def test_apple_segment_note_lies_inside_a_region(self, parsed_filings):
         parsed = parsed_filings["apple"]
         regions = locate_segment_regions(parsed)
-        assert regions
-        top = regions[0]
-        assert top.item == "8"
-        assert 0.5 <= top.confidence <= 1.0
-        snippet = parsed.full_text[top.start:top.end]
-        assert "Segment Information and Geographic Data" in snippet
-        ranks = [(-r.confidence, r.start) for r in regions]
-        assert ranks == sorted(ranks)
+        assert regions == sorted(regions)
+        item_8 = parsed.items["8"]
+        assert any(item_8.start <= start and end <= item_8.end and
+                   "Segment Information and Geographic Data" in parsed.full_text[start:end]
+                   for start, end in regions)
 
-    def test_single_strong_signal_scores_one_third(self):
+    def test_single_strong_signal_makes_one_region_in_its_item(self):
         html = (
             "<p>Item 1. Business</p>"
             "<p>The company manages two reportable segments as described in "
             "the notes to the consolidated financial statements.</p>"
         )
-        regions = locate_segment_regions(parse_text(html))
-        assert len(regions) == 1
-        assert regions[0].confidence == pytest.approx(2.0 / 6.0)
-        assert regions[0].item == "1"
+        parsed = parse_text(html)
+        item_1 = parsed.items["1"]
+        [(start, end)] = locate_segment_regions(parsed)
+        assert item_1.start <= start < end <= item_1.end
 
     def test_weak_lone_mention_is_ignored(self):
         html = (
@@ -331,12 +328,11 @@ class TestSegmentRegions:
 
     def test_region_bounds_stay_inside_section(self, parsed_filings):
         parsed = parsed_filings["adobe"]
-        for region in locate_segment_regions(parsed):
-            assert 0 <= region.start < region.end <= parsed.char_count
-            if region.item is not None:
-                section = parsed.items[region.item]
-                assert section.start <= region.start
-                assert region.end <= section.end
+        regions = locate_segment_regions(parsed)
+        assert regions
+        for start, end in regions:
+            assert 0 <= start < end <= parsed.char_count
+            assert any(s.start <= start and end <= s.end for s in parsed.sections())
 
 
 class TestFallbacks:
@@ -1087,6 +1083,20 @@ class TestLinearGrowth:
     def test_unterminated_constructs(self, head, unit, media_kind):
         """Each "<" opens a construct that never ends: each is searched once."""
         assert growth(lambda n: head + unit * n, lambda raw: parse_text(raw, media_kind)) < 20
+
+    @staticmethod
+    def wide_header_table(k: int) -> str:
+        """k header cells spanning 100 columns each, over 10k rows of two cells."""
+        return ("<table><tr>" + "<td colspan=100>h" * k + "</tr>"
+                + "<tr><td>x<td>1</tr>" * (10 * k) + "</table>")
+
+    def test_wide_header_json_grows_with_the_html(self):
+        """A row is not padded to the widest row, so the JSON grows with the HTML."""
+        size = [len(dump_json(parse_text(self.wide_header_table(k)))) for k in (4, 32)]
+        assert size[1] / size[0] < 20, size
+
+    def test_wide_header_parse_and_dump(self):
+        assert growth(self.wide_header_table, lambda html: dump_json(parse_text(html)), n=16) < 20
 
 
 _TABLE = "<table><tr><td>Revenue</td><td>12</td></tr></table>"

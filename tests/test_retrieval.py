@@ -28,7 +28,7 @@ from growth import growth
 from segforge import retrieval
 from segforge.edgar import FilingRef
 from segforge.errors import BudgetTooSmallError, SchemaError
-from segforge.parsing import ItemId, ParsedFiling, Section, SegmentRegion, parse_text
+from segforge.parsing import ItemId, ParsedFiling, Section, parse_text
 from segforge.retrieval import (
     Chunk,
     ChunkIndex,
@@ -208,10 +208,9 @@ class TestRegionFlags:
            st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)), max_size=12))
     def test_overlap_test_equals_any(self, regions, spans):
         """The bisection gives the pairwise test's answer, for any regions and spans."""
-        regions = [SegmentRegion(item=None, start=a, end=b, confidence=0.5) for a, b in regions]
         in_region = retrieval._overlap_test(regions)
         assert [in_region(start, end) for start, end in spans] == \
-            [any(r.start < end and r.end > start for r in regions) for start, end in spans]
+            [any(a < end and b > start for a, b in regions) for start, end in spans]
 
     def test_build_time_grows_linearly_with_regions(self):
         """One region per paragraph: flagging a chunk costs no pass over its filing's
@@ -345,54 +344,11 @@ class TestFilters:
             chunk = corpus_index.chunk(chunk_id)
             assert chunk.cik == paperdata.AVY_CIK
             assert chunk.fiscal_year == 2005
-        assert result.filter_used == {"cik": paperdata.AVY_CIK, "fiscal_year": 2005}
-
-    def test_year_set_filter(self, corpus_index):
-        result = retrieve(corpus_index, "reportable segments", k=50,
-                          metadata_filter={"cik": paperdata.AVY_CIK,
-                                           "fiscal_year": {2003, 2004}})
-        years = {corpus_index.chunk(cid).fiscal_year for cid, _ in result.hits}
-        assert years == {2003, 2004}
-
-    def test_repeated_year_scores_each_chunk_once(self, corpus_index):
-        query = "reportable segments"
-        once = retrieve(corpus_index, query, k=50,
-                        metadata_filter={"cik": paperdata.AVY_CIK, "fiscal_year": 2004})
-        twice = retrieve(corpus_index, query, k=50,
-                         metadata_filter={"cik": paperdata.AVY_CIK, "fiscal_year": [2004, 2004]})
-        assert once.hits and twice.hits == once.hits
-
-    def test_item_filter(self, corpus_index):
-        result = retrieve(corpus_index, "reportable segments", k=50,
-                          metadata_filter={"item": "8"})
-        assert result.hits
-        for chunk_id, _ in result.hits:
-            assert corpus_index.chunk(chunk_id).item == "8"
-
-    def test_no_filter_returns_copyless_none(self, corpus_index):
-        assert retrieve(corpus_index, "segments", k=1).filter_used is None
 
 
 class TestAssembleContext:
     def result_for(self, index: ChunkIndex, pairs: list[tuple[str, float]]) -> RetrievalResult:
-        return RetrievalResult(query="q", hits=pairs, filter_used=None)
-
-    def test_spans_tile_the_context_exactly(self, corpus_index):
-        results = [
-            retrieve(corpus_index, "reportable segments segment reporting change", k=4,
-                     metadata_filter={"cik": paperdata.AVY_CIK, "fiscal_year": y})
-            for y in (2021, 2022)
-        ]
-        context = assemble_context(corpus_index, results, budget_chars=12000)
-        assert context.spans[0][1] == 0
-        for (_, _, prev_end), (_, start, _) in zip(context.spans, context.spans[1:]):
-            assert start == prev_end
-        assert context.spans[-1][2] == len(context.text)
-        for chunk_id, start, end in context.spans:
-            chunk = corpus_index.chunk(chunk_id)
-            header = (f"[cik={chunk.cik}, fy={chunk.fiscal_year}, "
-                      f"item={chunk.item}, chunk={chunk.chunk_id}]")
-            assert context.text[start:end] == f"{header}\n{chunk.text}\n\n"
+        return RetrievalResult(hits=pairs)
 
     def test_duplicate_chunks_keep_max_score(self):
         index = handmade_index([
@@ -546,13 +502,10 @@ class TestBuildMemory:
 
 
 def passes(chunk: Chunk, metadata_filter: dict | None) -> bool:
-    """The documented filter: each key it names must match; a year may be a collection."""
+    """The documented filter: each key it names must match."""
     wanted = metadata_filter or {}
-    years = wanted.get("fiscal_year", chunk.fiscal_year)
     return ("cik" not in wanted or chunk.cik == wanted["cik"]) and \
-        ("item" not in wanted or chunk.item == wanted["item"]) and \
-        (chunk.fiscal_year in years if isinstance(years, (set, list, tuple))
-         else chunk.fiscal_year == years)
+        ("fiscal_year" not in wanted or chunk.fiscal_year == wanted["fiscal_year"])
 
 
 def brute_force_hits(index: ChunkIndex, query: str, k: int,
@@ -571,28 +524,19 @@ _QUERY_WORDS = ["reportable", "segments", "segment", "revenue", "net", "sales", 
 
 
 @st.composite
-def _filter(draw, sources: list[tuple[int, int]], items: list[str]) -> dict | None:
+def _filter(draw, sources: list[tuple[int, int]]) -> dict | None:
     ciks = sorted({cik for cik, _ in sources}) + [1]
     years = sorted({year for _, year in sources}) + [1990]
-    kind = draw(st.sampled_from(["filing", "year_set", "item", "cik", "year", "none"]))
+    kind = draw(st.sampled_from(["filing", "cik", "year", "none"]))
     cik, year = draw(st.sampled_from(sources)) if draw(st.booleans()) else \
         (draw(st.sampled_from(ciks)), draw(st.sampled_from(years)))
     if kind == "filing":
-        found = {"cik": cik, "fiscal_year": year}
-    elif kind == "year_set":
-        wanted = draw(st.lists(st.sampled_from(years), max_size=4))
-        found = {"cik": cik, "fiscal_year": draw(st.sampled_from([set, list, tuple]))(wanted)}
-    elif kind == "item":
-        found = {"item": draw(st.sampled_from(items + ["99"]))}
-    elif kind == "cik":
-        found = {"cik": cik}
-    elif kind == "year":
-        found = {"fiscal_year": year}
-    else:
-        return None
-    if kind in ("filing", "year_set") and draw(st.booleans()):
-        found["item"] = draw(st.sampled_from(items))
-    return found
+        return {"cik": cik, "fiscal_year": year}
+    if kind == "cik":
+        return {"cik": cik}
+    if kind == "year":
+        return {"fiscal_year": year}
+    return None
 
 
 class TestFilteredRetrievalProperty:
@@ -605,14 +549,13 @@ class TestFilteredRetrievalProperty:
                 mock.patch.object(retrieval, "MAX_CHARS", data.draw(st.sampled_from([400, 1600]))):
             built = build_index([parsed_filings[name] for name in names])
         sources = sorted({chunk.source for chunk in built.chunks})
-        items = sorted({chunk.item for chunk in built.chunks})
         with tempfile.TemporaryDirectory() as tmp:  # a loaded index reads chunk files lazily
             save_index(built, tmp)
             loaded = load_index(tmp)
             for _ in range(6):
                 query = " ".join(data.draw(st.lists(st.sampled_from(_QUERY_WORDS),
                                                     min_size=1, max_size=4)))
-                metadata_filter = data.draw(_filter(sources, items))
+                metadata_filter = data.draw(_filter(sources))
                 k = data.draw(st.integers(1, 30))
                 expected = brute_force_hits(built, query, k, metadata_filter)
                 assert retrieve(loaded, query, k, metadata_filter).hits == expected

@@ -193,37 +193,6 @@ class TestPersistence:
 
 
 class TestQueries:
-    def test_query_segments_sorted_and_filtered(self, geo_store):
-        for year in (2014, 2015):
-            records = geo_store.query_segments(paperdata.INTC_CIK, year)
-            stored = geo_store.get(paperdata.INTC_CIK, year).reportable
-            assert records == sorted(stored, key=lambda r: r.name)
-        assert geo_store.query_segments(paperdata.INTC_CIK, 1999) == []
-
-    def test_query_segments_axis_filter(self):
-        store = SegmentStore()
-        bundle = empty_multi_bundle(9, 2020)
-        bundle.reportable = [
-            SegmentRecord(name="Asia", axis="geographic"),
-            SegmentRecord(name="Devices", axis="business"),
-        ]
-        store.put(bundle)
-        assert [r.name for r in store.query_segments(9, 2020, axis="geographic")] == ["Asia"]
-        assert [r.name for r in store.query_segments(9, 2020, axis="business")] == ["Devices"]
-
-    def test_query_segments_reportable_before_nested(self):
-        store = SegmentStore()
-        bundle = empty_multi_bundle(9, 2020)
-        parent = SegmentRecord(name="Zeta")
-        child = SegmentRecord(name="Alpha unit", axis="other", parent_name="Zeta")
-        bundle.reportable = [parent]
-        bundle.nested = [child]
-        store.put(bundle)
-        assert [r.name for r in store.query_segments(9, 2020)] == ["Zeta", "Alpha unit"]
-
-    def test_query_other_firm_is_empty(self, geo_store):
-        assert geo_store.query_segments(424242, 2014) == []
-
     def test_segment_names_by_year(self, avy_store):
         panel = avy_store.segment_names_by_year(paperdata.AVY_CIK)
         assert [year for year, _ in panel] == sorted(paperdata.AVY_TABLE3)
@@ -384,8 +353,6 @@ class TestDecodeOnRead:
         with pytest.raises(SchemaError, match="orphan"):
             store.get(*bad_key)
         with pytest.raises(SchemaError):
-            store.query_segments(*bad_key)
-        with pytest.raises(SchemaError):
             store.segment_names_by_year(bad_key[0])
         with pytest.raises(SchemaError):
             store.export_csv(tmp_path / "out.csv")
@@ -444,8 +411,7 @@ class TestDecodeOnRead:
             return
         store = SegmentStore(path)
         key = (rows[0]["cik"], rows[0]["fiscal_year"])  # the key the row is stored under
-        for read in (lambda: store.get(*key), lambda: store.query_segments(*key),
-                     lambda: store.segment_names_by_year(key[0]),
+        for read in (lambda: store.get(*key), lambda: store.segment_names_by_year(key[0]),
                      lambda: store.gap_report(FundamentalsRoster(rows={key})),
                      lambda: store.export_csv(tmp_path / "out.csv")):
             with pytest.raises(SchemaError, match=bad_row):
@@ -640,7 +606,7 @@ class TestPanelProperties:
             for key, bundle in latest.items():
                 assert lazy.get(*key) == bundle
                 assert lazy.segment_names_by_year(key[0]) == eager.segment_names_by_year(key[0])
-                assert lazy.query_segments(*key) == eager.query_segments(*key)
+                assert lazy.get(*key) == eager.get(*key)
 
     @settings(max_examples=40, deadline=None)
     @given(_puts(), st.lists(_KEYS, max_size=6).flatmap(
